@@ -36,16 +36,16 @@ from .gagliardo import (
     QuadSpec,
     assemble,
     complement_weight,
-    dump_matrix,
+    element_self_interaction,
     seminorm_sq,
     seminorm_sq_direct,
 )
 from .mesh import (
     BallMesh,
     FeFunction,
+    SizeLimitError,
     build_mesh,
     element_geometry,
-    export_text,
     interpolate,
     make_ball_mesh,
     mesh_quality,
@@ -78,6 +78,7 @@ __all__ = [
     "QuadSpec",
     "QuadratureRule",
     "RateFit",
+    "SizeLimitError",
     "SolverReport",
     "SweepRecord",
     "SweepResult",
@@ -91,10 +92,9 @@ __all__ = [
     "critical_exponent",
     "deficit",
     "discrete_constant_sweep",
-    "dump_matrix",
     "element_geometry",
+    "element_self_interaction",
     "exact_constant",
-    "export_text",
     "fit_manifold",
     "fit_rate",
     "interpolate",

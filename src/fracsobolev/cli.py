@@ -3,7 +3,7 @@
 Subcommands: ``constant`` prints the closed-form quantities for (N, s);
 ``sweep upper|solve`` runs a rate sweep and writes CSV; ``verify
 interp|covering|minseq|inequalities`` runs one audit.  A flat key=value
-config file can override any flag.
+config file can override any flag of the subcommand it is passed to.
 """
 
 from __future__ import annotations
@@ -51,24 +51,23 @@ def _parse_config(path: str) -> dict:
     return out
 
 
-def _apply_config(args: argparse.Namespace) -> argparse.Namespace:
+def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace):
+    """Override the flags of ``args.command`` from the key=value file ``args.config``.
+
+    Each value is converted with the type its flag declares; a key that is
+    not a flag of this subcommand raises ValueError.
+    """
     if not args.config:
         return args
+    (commands,) = [a for a in parser._actions if a.dest == "command"]
     casts = {
-        "dim": int,
-        "s": float,
-        "q": float,
-        "c": float,
-        "seed": int,
-        "samples": int,
-        "levels": str,
-        "eps": str,
-        "out": str,
-        "tol": float,
+        a.dest: a.type
+        for a in commands.choices[args.command]._actions
+        if a.option_strings and a.type is not None and a.dest != "config"
     }
     for key, val in _parse_config(args.config).items():
         if key not in casts:
-            raise ValueError(f"unknown config key: {key}")
+            raise ValueError(f"unknown config key for {args.command}: {key}")
         setattr(args, key, casts[key](val))
     return args
 
@@ -209,8 +208,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    args = _apply_config(args)
+    parser = build_parser()
+    args = _apply_config(parser, parser.parse_args(argv))
     return args.func(args)
 
 

@@ -12,15 +12,23 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from ._quad import QuadratureError
 from .bubble import Bubble, normalize_lambda, truncated_bubble
 from .gagliardo import (
+    AssemblyError,
     QuadSpec,
-    _ident_blocks_1d,
-    _ident_blocks_2d,
     assemble,
+    element_self_interaction,
     seminorm_sq_direct,
 )
-from .mesh import BallMesh, FeFunction, build_mesh, element_geometry, interpolate
+from .mesh import (
+    BallMesh,
+    FeFunction,
+    SizeLimitError,
+    build_mesh,
+    element_geometry,
+    interpolate,
+)
 from .norms import lq_norm, reference_rule
 from .params import (
     check_order,
@@ -173,57 +181,73 @@ def _check_levels(levels) -> list:
     return levels
 
 
-def upper_bound_sweep(N: int, s: float, levels, quad_spec=None) -> SweepResult:
+# Failures a level can have by design; anything else is a defect and raises.
+_LEVEL_FAILURES = (AssemblyError, QuadratureError, np.linalg.LinAlgError, SizeLimitError)
+
+
+def _sweep_levels(N: int, levels, measure):
+    """Run ``measure(mesh)`` on the mesh of every level.
+
+    ``measure`` returns (c_h, value, slack, extras); each level becomes a
+    timed SweepRecord, its extras are collected per key into ``details``,
+    and a level that fails with one of _LEVEL_FAILURES becomes a
+    (level, message) failure row.  Returns (records, failures, details)
+    and raises unless at least three levels succeed, the minimum for a
+    rate fit.
+    """
+    records, failures, details = [], [], {}
+    for lev in _check_levels(levels):
+        t0 = time.perf_counter()
+        try:
+            mesh = build_mesh(N, lev)
+            c_h, value, slack, extras = measure(mesh)
+        except _LEVEL_FAILURES as exc:
+            failures.append((lev, f"{type(exc).__name__}: {exc}"))
+            continue
+        records.append(
+            SweepRecord(lev, mesh.h, c_h, value, slack, time.perf_counter() - t0)
+        )
+        for key, val in extras.items():
+            details.setdefault(key, []).append(val)
+    if len(records) < 3:
+        raise RuntimeError(
+            f"only {len(records)} levels succeeded, need 3 for a rate fit; "
+            f"failures: {failures}"
+        )
+    return records, failures, details
+
+
+def upper_bound_sweep(N: int, s: float, levels) -> SweepResult:
     """Deficit of the interpolated balanced-concentration profile per level.
 
     The theory predicts deficit ~ h^alpha for the concentration choice
     c_h = optimal_concentration(h); the fitted slope estimates alpha.
     """
     check_order(N, s)
-    levels = _check_levels(levels)
     q = problem_params(N, s).two_star
     S = exact_constant(N, s)
-    spec = quad_spec if quad_spec is not None else QuadSpec.for_dim(N)
-    records, failures = [], []
-    for lev in levels:
-        t0 = time.perf_counter()
-        try:
-            mesh = build_mesh(N, lev)
-            c_h = optimal_concentration(mesh.h, N, s)
-            lam = normalize_lambda(c_h, N, s)
-            u = interpolate(mesh, truncated_bubble(lam, c_h, N, s))
-            value = seminorm_sq_direct(mesh, s, u, spec) / lq_norm(u, q) ** 2 - S
-            boosted = (
-                seminorm_sq_direct(mesh, s, u, spec.boosted())
-                / lq_norm(u, q, order=12) ** 2
-                - S
-            )
-            records.append(
-                SweepRecord(
-                    level=lev,
-                    h=mesh.h,
-                    c_h=c_h,
-                    value=value,
-                    slack=abs(boosted - value),
-                    wall_time=time.perf_counter() - t0,
-                )
-            )
-        except Exception as exc:  # noqa: BLE001 - failures are data here
-            failures.append((lev, f"{type(exc).__name__}: {exc}"))
-    if len(records) < 3:
-        raise RuntimeError(
-            f"only {len(records)} levels succeeded, need 3 for a rate fit; "
-            f"failures: {failures}"
+    spec = QuadSpec.for_dim(N)
+
+    def measure(mesh):
+        c_h = optimal_concentration(mesh.h, N, s)
+        lam = normalize_lambda(c_h, N, s)
+        u = interpolate(mesh, truncated_bubble(lam, c_h, N, s))
+        value = seminorm_sq_direct(mesh, s, u, spec) / lq_norm(u, q) ** 2 - S
+        boosted = (
+            seminorm_sq_direct(mesh, s, u, spec.boosted())
+            / lq_norm(u, q, order=12) ** 2
+            - S
         )
+        return c_h, value, abs(boosted - value), {}
+
+    records, failures, _ = _sweep_levels(N, levels, measure)
     if any(r.value <= 0 for r in records):
         raise RuntimeError("a recorded deficit is non-positive; quadrature suspect")
     fit = fit_rate([(r.h, r.value) for r in records])
     return SweepResult(records, fit, failures, {"alpha": rate_exponent(N, s)})
 
 
-def discrete_constant_sweep(
-    N: int, s: float, levels, tol: float = 1e-10, quad_spec=None
-) -> SweepResult:
+def discrete_constant_sweep(N: int, s: float, levels, tol: float = 1e-10) -> SweepResult:
     """Gap of the minimized discrete constant above the sharp one, per level.
 
     Also fits the profile concentration of each minimizer; its regression
@@ -231,49 +255,27 @@ def discrete_constant_sweep(
     slope 2(2-s)/(N+4(1-s)), recorded for inspection, not asserted).
     """
     check_order(N, s)
-    levels = _check_levels(levels)
     S = exact_constant(N, s)
-    records, failures = [], []
-    details: dict = {
-        "s_h": [],
-        "warm_deficit": [],
-        "converged": [],
-        "c_fit": [],
-        "fit_centers": [],
-    }
-    for lev in levels:
-        t0 = time.perf_counter()
-        try:
-            mesh = build_mesh(N, lev)
-            form = assemble(mesh, s, quad_spec)
-            warm = default_start(form)
-            warm_q = quotient(form, warm)
-            rep = solve(form, init=warm, tol=tol)
-            if rep.s_h > warm_q:
-                raise RuntimeError("minimization worsened the warm start")
-            mf = fit_manifold(form, rep.minimizer)
-            records.append(
-                SweepRecord(
-                    level=lev,
-                    h=mesh.h,
-                    c_h=optimal_concentration(mesh.h, N, s),
-                    value=rep.s_h - S,
-                    slack=rep.quadrature_slack,
-                    wall_time=time.perf_counter() - t0,
-                )
-            )
-            details["s_h"].append(rep.s_h)
-            details["warm_deficit"].append(warm_q - S)
-            details["converged"].append(rep.converged)
-            details["c_fit"].append(mf.concentration)
-            details["fit_centers"].append(mf.center)
-        except Exception as exc:  # noqa: BLE001
-            failures.append((lev, f"{type(exc).__name__}: {exc}"))
-    if len(records) < 3:
-        raise RuntimeError(
-            f"only {len(records)} levels succeeded, need 3 for a rate fit; "
-            f"failures: {failures}"
-        )
+
+    def measure(mesh):
+        form = assemble(mesh, s)
+        warm = default_start(form)
+        warm_q = quotient(form, warm)
+        rep = solve(form, init=warm, tol=tol)
+        if rep.s_h > warm_q:
+            raise RuntimeError("minimization worsened the warm start")
+        mf = fit_manifold(form, rep.minimizer)
+        extras = {
+            "s_h": rep.s_h,
+            "warm_deficit": warm_q - S,
+            "converged": rep.converged,
+            "c_fit": mf.concentration,
+            "fit_centers": mf.center,
+        }
+        c_h = optimal_concentration(mesh.h, N, s)
+        return c_h, rep.s_h - S, rep.quadrature_slack, extras
+
+    records, failures, details = _sweep_levels(N, levels, measure)
     gaps = [r.value for r in records]
     if any(g <= r.slack for g, r in zip(gaps, records)):
         raise RuntimeError("a gap is not positive beyond quadrature slack")
@@ -292,6 +294,9 @@ def discrete_constant_sweep(
 # ----------------------------------------------- interpolation-error rates
 
 
+_INTERP_WIDTHS = [2.0**-k for k in range(2, 6)]
+
+
 def _element_quad_points(mesh: BallMesh, order: int):
     geo = element_geometry(mesh)
     rule = reference_rule(mesh.dim, order)
@@ -302,8 +307,8 @@ def _element_quad_points(mesh: BallMesh, order: int):
     return geo, rule, bary, pts, scale
 
 
-def _interp_errors(mesh, psi, u, q, p, order=10):
-    """(L^q error, L^p gradient error) of psi minus its interpolant."""
+def _interp_errors(mesh, psi, u, q, order=10):
+    """(L^q error, L^2 gradient error) of psi minus its interpolant."""
     geo, rule, bary, pts, scale = _element_quad_points(mesh, order)
     flat = pts.reshape(-1, mesh.dim)
     exact = psi.evaluate(flat).reshape(pts.shape[:2])
@@ -317,17 +322,15 @@ def _interp_errors(mesh, psi, u, q, p, order=10):
     grad_fe = np.einsum("bad,ba->bd", geo.grads, u_elem)
     diff = grad_exact - grad_fe[:, None, :]
     mags = np.sqrt(np.sum(diff * diff, axis=-1))
-    err_p = float(np.sum(scale * (mags**p @ rule.weights))) ** (1.0 / p)
+    err_p = float(np.sum(scale * (mags**2 @ rule.weights))) ** 0.5
     return err_q, err_p
 
 
-def verify_interp_error(
-    N: int, s: float, q: float, c: float, levels, p: float = 2.0, c_list=None
-) -> InterpRates:
+def verify_interp_error(N: int, s: float, q: float, c: float, levels) -> InterpRates:
     """Measured interpolation-error rates for the truncated profile.
 
     Fixed concentration, refining mesh: the L^q error decays like h^2 and
-    the gradient error like h; fixed fine mesh, shrinking concentration:
+    the L^2 gradient error like h; fixed fine mesh, widths 2^-2..2^-5:
     the L^q error grows like c^-(N/2 - N/q + 2 - s).  Profiles carry the
     unit-critical-norm amplitude so the c-regression matches that exponent.
     """
@@ -343,19 +346,17 @@ def verify_interp_error(
         lam = normalize_lambda(c, N, s)
         psi = truncated_bubble(lam, c, N, s)
         u = interpolate(mesh, psi)
-        err_q, err_p = _interp_errors(mesh, psi, u, q, p)
+        err_q, err_p = _interp_errors(mesh, psi, u, q)
         h_pts.append((mesh.h, err_q))
         g_pts.append((mesh.h, err_p))
 
     fine = build_mesh(N, levels[-1] + 1)
-    if c_list is None:
-        c_list = [2.0**-k for k in range(2, 6)]
     c_pts = []
-    for cj in c_list:
+    for cj in _INTERP_WIDTHS:
         lam = normalize_lambda(cj, N, s)
         psi = truncated_bubble(lam, cj, N, s)
         u = interpolate(fine, psi)
-        err_q, _ = _interp_errors(fine, psi, u, q, p)
+        err_q, _ = _interp_errors(fine, psi, u, q)
         c_pts.append((cj, err_q))
 
     return InterpRates(
@@ -506,21 +507,9 @@ def _broken_gradient_l2(u: FeFunction) -> float:
     return float(np.sqrt(np.sum(geo.measure * np.sum(grads * grads, axis=1))))
 
 
-def _element_self_interaction(mesh: BallMesh, s: float) -> np.ndarray:
-    """Raw per-element double integrals of the squared-difference kernel."""
-    counters = {"pair_counts": {}, "kernel_evals": {}}
-    geo = element_geometry(mesh)
-    if mesh.dim == 1:
-        gen = _ident_blocks_1d(mesh, s, geo, counters)
-    else:
-        gen = _ident_blocks_2d(mesh, s, geo, QuadSpec.for_dim(2), counters)
-    _, _, local = next(gen)
-    return local
-
-
 def _poincare_max_ratio(mesh, s, funcs) -> float:
     geo = element_geometry(mesh)
-    locals_ = _element_self_interaction(mesh, s)
+    locals_ = element_self_interaction(mesh, s)
     const = geo.diameter ** (mesh.dim + 2 * s) / geo.measure
     rule = reference_rule(mesh.dim, 2)
     bary = rule.barycentric()

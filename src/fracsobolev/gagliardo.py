@@ -24,7 +24,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from ._quad import periodic_mean, unit_gauss
-from .mesh import BallMesh, FeFunction, element_geometry
+from .mesh import BallMesh, FeFunction, SizeLimitError, element_geometry
 from .norms import reference_rule
 from .params import check_order
 
@@ -35,7 +35,7 @@ __all__ = [
     "QuadSpec",
     "assemble",
     "complement_weight",
-    "dump_matrix",
+    "element_self_interaction",
     "seminorm_sq",
     "seminorm_sq_direct",
 ]
@@ -248,8 +248,6 @@ def _complement_local_blocks(mesh, s, spec, geo, counters):
     counters["budget_exceeded"] = capped
     rule = reference_rule(mesh.dim, spec.complement_order)
     lam = rule.barycentric()
-    ref = 1.0 if mesh.dim == 1 else 0.5
-    scales = geo.measure / ref
     bmask = mesh.boundary_mask[mesh.elements]
     npts = 0
     chunk = 8192
@@ -261,7 +259,7 @@ def _complement_local_blocks(mesh, s, spec, geo, counters):
         kap = _kappa_fast(pts, mesh.dim, s)
         npts += kap.size
         local = np.einsum("q,cq,cqi,cqj->cij", rule.weights, kap, lam_sub, lam_sub)
-        local *= (cell_frac[lo : lo + chunk] * scales[elems])[:, None, None]
+        local *= (cell_frac[lo : lo + chunk] * geo.jacobian[elems])[:, None, None]
         keep = ~bmask[elems]
         local *= keep[:, :, None] * keep[:, None, :]
         yield "complement", mesh.elements[elems], local
@@ -382,6 +380,24 @@ def _ident_blocks_2d(mesh, s, geo, spec, counters):
     yield "identical", mesh.elements.copy(), local
 
 
+def element_self_interaction(mesh: BallMesh, s: float) -> np.ndarray:
+    """Per-element local blocks of the kernel integral over K x K.
+
+    Entry (k, i, j) is the double integral over element k with itself of
+    (phi_i(x) - phi_i(y))(phi_j(x) - phi_j(y)) |x-y|^(-N-2s), without the
+    s(1-s) factor, at the default quadrature of the dimension.
+    """
+    check_order(mesh.dim, s)
+    geo = element_geometry(mesh)
+    counters = _new_counters()
+    if mesh.dim == 1:
+        blocks = _ident_blocks_1d(mesh, s, geo, counters)
+    else:
+        blocks = _ident_blocks_2d(mesh, s, geo, QuadSpec.for_dim(2), counters)
+    ((_, _, local),) = blocks
+    return local
+
+
 def _vertex_blocks_2d(mesh, s, geo, pairs, spec, counters):
     counters["pair_counts"]["vertex"] = len(pairs)
     if not len(pairs):
@@ -489,8 +505,6 @@ def _disjoint_blocks(mesh, s, geo, pairs, order, tag, counters):
     rule = reference_rule(dim, order)
     lam = rule.barycentric()
     w = rule.weights
-    ref = 1.0 if dim == 1 else 0.5
-    scales = geo.measure / ref
     k = dim + 1
     expo = -(dim + 2 * s) / 2.0
     evals = 0
@@ -514,7 +528,7 @@ def _disjoint_blocks(mesh, s, geo, pairs, order, tag, counters):
         block[:, k:, k:] = M2
         block[:, :k, k:] = -M3
         block[:, k:, :k] = -np.swapaxes(M3, 1, 2)
-        block *= (scales[ia] * scales[ib])[:, None, None]
+        block *= (geo.jacobian[ia] * geo.jacobian[ib])[:, None, None]
         idx = np.concatenate([mesh.elements[ia], mesh.elements[ib]], axis=1)
         yield tag, idx, 2.0 * block
     counters["kernel_evals"][tag] = evals
@@ -576,7 +590,7 @@ def assemble(mesh: BallMesh, s: float, quad_spec: QuadSpec | None = None) -> Non
     n = mesh.n_nodes
     need = 3 * n * n * 8
     if need > _DENSE_BYTES_CAP:
-        raise ValueError(
+        raise SizeLimitError(
             f"dense assembly needs about {need / 1e9:.1f} GB for {n} nodes; "
             "reduce the refinement level"
         )
@@ -657,12 +671,3 @@ def seminorm_sq_direct(
         w = vals[idx]
         comp += float(np.einsum("bij,bi,bj->", local, w, w))
     return s * (1 - s) * (acc + 2.0 * comp)
-
-
-def dump_matrix(form: NonlocalForm, path) -> None:
-    """Write the free-node matrix as plain-text 'i j value' triplets."""
-    mat = form.matrix
-    with open(path, "w", encoding="ascii") as fh:
-        for i in range(mat.shape[0]):
-            for j in range(mat.shape[1]):
-                fh.write(f"{i} {j} {float(mat[i, j])!r}\n")

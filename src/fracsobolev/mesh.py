@@ -19,10 +19,14 @@ __all__ = [
     "make_ball_mesh",
     "mesh_quality",
     "interpolate",
-    "export_text",
+    "SizeLimitError",
 ]
 
 _BOUNDARY_TOL = 1e-12
+
+
+class SizeLimitError(ValueError):
+    """A mesh or matrix would exceed its memory cap; refused before allocating."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -274,7 +278,7 @@ def build_mesh(N, level):
         m = 2 ** (level + 1)
         est = (m + 1) * 8 * 12
         if est > 1.5e9:
-            raise ValueError(
+            raise SizeLimitError(
                 f"level {level} needs about {est / 1e9:.1f} GB of mesh storage; "
                 "refusing"
             )
@@ -285,7 +289,7 @@ def build_mesh(N, level):
     n_nodes = 1 + 3 * rings * (rings + 1)
     est = n_nodes * 8 * 12 + 6 * rings**2 * 8 * 30
     if est > 1.5e9:
-        raise ValueError(
+        raise SizeLimitError(
             f"level {level} gives {n_nodes} nodes, about {est / 1e9:.1f} GB of "
             "mesh storage; refusing"
         )
@@ -297,8 +301,9 @@ def element_geometry(mesh):
     """Cached per-element arrays used by quadrature and assembly.
 
     Returns an object with verts (m, k, dim), measure (m,), diameter (m,),
+    jacobian (m,), the measure over that of the reference simplex, and
     grads (m, k, dim) holding the constant gradients of the k nodal basis
-    functions, and centroid (m, dim).
+    functions.
     """
     geo = mesh._cache.get("geometry")
     if geo is not None:
@@ -322,8 +327,8 @@ def element_geometry(mesh):
         verts=verts,
         measure=measure,
         diameter=diam,
+        jacobian=measure / (1.0 if mesh.dim == 1 else 0.5),
         grads=grads,
-        centroid=verts.mean(axis=1),
     )
     mesh._cache["geometry"] = geo
     return geo
@@ -334,8 +339,8 @@ class _ElementGeometry:
     verts: np.ndarray
     measure: np.ndarray
     diameter: np.ndarray
+    jacobian: np.ndarray
     grads: np.ndarray
-    centroid: np.ndarray
 
 
 def interpolate(mesh, f):
@@ -357,13 +362,3 @@ def interpolate(mesh, f):
     vals = vals.copy()
     vals[mesh.boundary_mask] = 0.0
     return FeFunction(mesh, vals)
-
-
-def export_text(mesh, path):
-    """Plain-text dump: one node per line "index x [y]", then one element
-    per line "index n0 n1 [n2]"."""
-    with open(path, "w") as fh:
-        for i, x in enumerate(mesh.nodes):
-            fh.write(f"{i} " + " ".join(repr(float(v)) for v in x) + "\n")
-        for k, el in enumerate(mesh.elements):
-            fh.write(f"{k} " + " ".join(str(int(v)) for v in el) + "\n")

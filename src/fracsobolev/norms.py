@@ -8,6 +8,7 @@ zero set before integrating.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -116,33 +117,57 @@ def _split_simplices(w: np.ndarray) -> list[tuple[np.ndarray, float]]:
     return out
 
 
-def _element_scales(mesh) -> np.ndarray:
-    geo = element_geometry(mesh)
-    ref = 1.0 if mesh.dim == 1 else 0.5
-    return geo.measure / ref
+def _element_integrals(u: FeFunction, order: int, integrand) -> np.ndarray:
+    """Per-element integrals of ``integrand`` over the mesh, one rule lookup.
 
-
-def _lq_element_sums(u: FeFunction, q: float, order: int) -> float:
-    """Sum over elements of the integral of |u|^q."""
+    ``integrand(vals, lam, weights)`` contracts function values at the
+    rule points (leading axes are elements or none) against the rule
+    weights; ``lam`` holds the barycentric coordinates of those points.
+    Elements on which u changes sign are integrated piece by piece.
+    """
     mesh = u.mesh
     rule = reference_rule(mesh.dim, order)
     lam = rule.barycentric()
     w_elem = u.values[mesh.elements]
-    scales = _element_scales(mesh)
 
-    u_at = w_elem @ lam.T
-    per_elem = scales * (np.abs(u_at) ** q @ rule.weights)
-
-    wmin = w_elem.min(axis=1)
-    wmax = w_elem.max(axis=1)
-    mixed = np.flatnonzero((wmin < 0) & (wmax > 0))
+    per_elem = integrand(w_elem @ lam.T, lam, rule.weights)
+    mixed = np.flatnonzero((w_elem.min(axis=1) < 0) & (w_elem.max(axis=1) > 0))
     for e in mixed:
         total = 0.0
         for bary, frac in _split_simplices(w_elem[e]):
-            vals = (lam @ bary) @ w_elem[e]
-            total += frac * float(np.abs(vals) ** q @ rule.weights)
-        per_elem[e] = scales[e] * total
-    return float(per_elem.sum())
+            lam_sub = lam @ bary
+            total += frac * integrand(lam_sub @ w_elem[e], lam_sub, rule.weights)
+        per_elem[e] = total
+    # transposes so the Jacobian scales the element axis, scalar or vector
+    return (per_elem.T * element_geometry(mesh).jacobian).T
+
+
+def _refine(name: str, integral_at, order: int, rtol: float):
+    """Evaluate ``integral_at(n)`` at doubled orders until the change is below ``rtol``.
+
+    The order n starts at ``order`` and grows by 2 until the result at 2n
+    moves from the one at n by at most ``rtol`` times its size (both
+    measured in the max norm).  Past _MAX_ORDER the result at 2n is
+    returned with a RuntimeWarning naming the change achieved.
+    """
+    n = max(int(order), 2)
+    coarse = integral_at(n)
+    while True:
+        fine = integral_at(2 * n)
+        change = float(np.max(np.abs(fine - coarse)))
+        size = float(np.max(np.abs(fine)))
+        if change <= rtol * size:
+            return fine
+        if n >= _MAX_ORDER:
+            warnings.warn(
+                f"{name}: stopped at Gauss order {2 * n} with relative change "
+                f"{change / size if size else np.inf:.3g}, above the tolerance {rtol:.0e}",
+                RuntimeWarning,
+                stacklevel=3,
+            )
+            return fine
+        n += 2
+        coarse = integral_at(n)
 
 
 def lq_norm(u: FeFunction, q: float, order: int = _DEFAULT_ORDER) -> float:
@@ -155,45 +180,14 @@ def lq_norm(u: FeFunction, q: float, order: int = _DEFAULT_ORDER) -> float:
         raise ValueError("q must be >= 1")
     if not np.any(u.values):
         return 0.0
-    n = max(int(order), 2)
-    coarse = _lq_element_sums(u, q, n) ** (1.0 / q)
-    while True:
-        fine = _lq_element_sums(u, q, 2 * n) ** (1.0 / q)
-        if abs(fine - coarse) <= _NORM_RTOL * max(abs(fine), 1e-300):
-            return fine
-        if n >= _MAX_ORDER:
-            return fine
-        n += 2
-        coarse = _lq_element_sums(u, q, n) ** (1.0 / q)
 
+    def power(vals, lam, weights):
+        return np.abs(vals) ** q @ weights
 
-def _residual_accumulate(u: FeFunction, q: float, order: int) -> np.ndarray:
-    mesh = u.mesh
-    rule = reference_rule(mesh.dim, order)
-    lam = rule.barycentric()
-    w_elem = u.values[mesh.elements]
-    scales = _element_scales(mesh)
+    def norm_at(n):
+        return float(_element_integrals(u, n, power).sum()) ** (1.0 / q)
 
-    u_at = w_elem @ lam.T
-    g_at = np.abs(u_at) ** (q - 2.0) * u_at
-    contrib = np.einsum("q,mq,qa->ma", rule.weights, g_at, lam)
-
-    wmin = w_elem.min(axis=1)
-    wmax = w_elem.max(axis=1)
-    mixed = np.flatnonzero((wmin < 0) & (wmax > 0))
-    for e in mixed:
-        acc = np.zeros(lam.shape[1])
-        for bary, frac in _split_simplices(w_elem[e]):
-            lam_sub = lam @ bary
-            vals = lam_sub @ w_elem[e]
-            g = np.abs(vals) ** (q - 2.0) * vals
-            acc += frac * np.einsum("q,q,qa->a", rule.weights, g, lam_sub)
-        contrib[e] = acc
-    contrib *= scales[:, None]
-
-    b = np.zeros(mesh.n_nodes)
-    np.add.at(b, mesh.elements, contrib)
-    return b[: mesh.free_count]
+    return _refine("lq_norm", norm_at, order, _NORM_RTOL)
 
 
 def nonlinear_residual(u: FeFunction, q: float, order: int = _DEFAULT_ORDER) -> np.ndarray:
@@ -206,14 +200,15 @@ def nonlinear_residual(u: FeFunction, q: float, order: int = _DEFAULT_ORDER) -> 
         raise ValueError("q must be > 2")
     if not np.any(u.values):
         raise ValueError("residual requires a nonzero function")
-    n = max(int(order), 2)
-    coarse = _residual_accumulate(u, q, n)
-    while True:
-        fine = _residual_accumulate(u, q, 2 * n)
-        scale = float(np.max(np.abs(fine))) or 1.0
-        if float(np.max(np.abs(fine - coarse))) <= _RESIDUAL_RTOL * scale:
-            return fine
-        if n >= _MAX_ORDER:
-            return fine
-        n += 2
-        coarse = _residual_accumulate(u, q, n)
+    mesh = u.mesh
+
+    def tested(vals, lam, weights):
+        g = np.abs(vals) ** (q - 2.0) * vals
+        return np.einsum("q,...q,qa->...a", weights, g, lam)
+
+    def residual_at(n):
+        b = np.zeros(mesh.n_nodes)
+        np.add.at(b, mesh.elements, _element_integrals(u, n, tested))
+        return b[: mesh.free_count]
+
+    return _refine("nonlinear_residual", residual_at, order, _RESIDUAL_RTOL)

@@ -92,19 +92,19 @@ def _radial_series(N, s):
     return total, term
 
 
-def _cos_tail_1d(s, tail_start=1000.0, quad_limit=2000):
+def _cos_tail_1d(s):
     """int_1^inf cos(z) z^{-1-2s} dz with an analytic remainder bound."""
+    T = 1000.0
     val, abserr = integrate.quad(
         lambda z: z ** (-1.0 - 2.0 * s),
         1.0,
-        tail_start,
+        T,
         weight="cos",
         wvar=1.0,
-        limit=quad_limit,
+        limit=2000,
         epsabs=1e-13,
         epsrel=1e-12,
     )
-    T = tail_start
     g0 = T ** (-1.0 - 2.0 * s)
     g1 = -(1.0 + 2.0 * s) * T ** (-2.0 - 2.0 * s)
     g2 = (1.0 + 2.0 * s) * (2.0 + 2.0 * s) * T ** (-3.0 - 2.0 * s)
@@ -127,8 +127,9 @@ def _azimuthal_cosine_mean(r):
     return est
 
 
-def _kernel_integral_2d(s, tail_start=100.0, quad_limit=800, n_panels=64):
+def _kernel_integral_2d(s):
     """I(2, s)/(2 pi) - specific pieces; see cosine_kernel_integral."""
+    tail_start, n_panels = 100.0, 64
     series, series_err = _radial_series(2, s)
 
     def b_scalar(r):
@@ -138,7 +139,7 @@ def _kernel_integral_2d(s, tail_start=100.0, quad_limit=800, n_panels=64):
         lambda r: b_scalar(r) * r ** (-1.0 - 2.0 * s),
         1.0,
         tail_start,
-        limit=quad_limit,
+        limit=800,
         epsabs=1e-13,
         epsrel=1e-12,
     )
@@ -157,24 +158,14 @@ def _kernel_integral_2d(s, tail_start=100.0, quad_limit=800, n_panels=64):
     return value, err
 
 
-def _cosine_kernel_integral_with_error(N, s, tail_start=None, quad_limit=None):
+def _cosine_kernel_integral_with_error(N, s):
     if N == 1:
         series, series_err = _radial_series(1, s)
-        kw = {}
-        if tail_start is not None:
-            kw["tail_start"] = tail_start
-        if quad_limit is not None:
-            kw["quad_limit"] = quad_limit
-        cos_tail, cos_err = _cos_tail_1d(s, **kw)
+        cos_tail, cos_err = _cos_tail_1d(s)
         value = 2.0 * (series + 1.0 / (2.0 * s) - cos_tail)
         err = 2.0 * (series_err + cos_err)
     else:
-        kw = {}
-        if tail_start is not None:
-            kw["tail_start"] = tail_start
-        if quad_limit is not None:
-            kw["quad_limit"] = quad_limit
-        value, err = _kernel_integral_2d(s, **kw)
+        value, err = _kernel_integral_2d(s)
         value *= 2.0 * math.pi
         err *= 2.0 * math.pi
     if not np.isfinite(value) or err > 1e-9 * abs(value):
@@ -187,7 +178,7 @@ def _cosine_kernel_integral_with_error(N, s, tail_start=None, quad_limit=None):
     return value, err
 
 
-def cosine_kernel_integral(N, s, tail_start=None, quad_limit=None):
+def cosine_kernel_integral(N, s):
     """I(N, s) = int_{R^N} (1 - cos z_1)/|z|^{N+2s} dz.
 
     Split at |z| = 1: an alternating series inside (the integrand is entire
@@ -201,9 +192,7 @@ def cosine_kernel_integral(N, s, tail_start=None, quad_limit=None):
     check_order(N, s)
     if N not in (1, 2):
         raise ValueError("kernel integral implemented for N in {1, 2} only")
-    value, _ = _cosine_kernel_integral_with_error(
-        N, s, tail_start=tail_start, quad_limit=quad_limit
-    )
+    value, _ = _cosine_kernel_integral_with_error(N, s)
     return value
 
 

@@ -22,6 +22,8 @@ from .params import exact_constant, optimal_concentration, problem_params
 
 __all__ = ["ManifoldFit", "SolverReport", "deficit", "fit_manifold", "quotient", "solve"]
 
+_MAX_ITER = 200
+
 
 @dataclass(frozen=True)
 class SolverReport:
@@ -83,7 +85,6 @@ def solve(
     form: NonlocalForm,
     init: FeFunction | None = None,
     tol: float = 1e-10,
-    max_iter: int = 200,
     compute_slack: bool = True,
 ) -> SolverReport:
     """Minimize the discrete quotient by a safeguarded fixed-point iteration.
@@ -92,7 +93,7 @@ def solve(
     quotient does not increase, halving toward the current iterate
     otherwise.  Stops once the relative quotient decrease and the
     Euler-Lagrange residual norm(A u - mu b)/norm(A u) both fall under
-    ``tol``; hitting ``max_iter`` first returns converged=False.
+    ``tol``; hitting _MAX_ITER steps first returns converged=False.
 
     When the monotone phase pins on a rounding plateau before the
     residual target, an undamped polish finishes the job; s_h is always
@@ -135,7 +136,7 @@ def solve(
     solves = 0
     converged = False
     stalled = False
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         mu, b, residual = residual_of(u)
         history.append(mu)
         small_decrease = (
@@ -165,7 +166,7 @@ def solve(
             stalled = True
             break
 
-    if not converged and (stalled or solves >= max_iter):
+    if not converged and (stalled or solves >= _MAX_ITER):
         # The monotone safeguard can pin the iterate on a rounding plateau
         # while the Euler-Lagrange residual is still above tol.  An
         # undamped fixed-point polish contracts the residual; a candidate

@@ -41,6 +41,10 @@ def test_config_rejects_unknown_key(tmp_path):
     cfg.write_text("volume = 11\n")
     with pytest.raises(ValueError):
         main(["constant", "--config", str(cfg)])
+    # a flag of another subcommand is unknown here too
+    cfg.write_text("tol = 1e-8\n")
+    with pytest.raises(ValueError):
+        main(["constant", "--config", str(cfg)])
 
 
 def test_constant_command(capsys):

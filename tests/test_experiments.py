@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from fracsobolev import experiments
 from fracsobolev.experiments import (
     RNG_NAME,
     SweepRecord,
@@ -129,6 +130,27 @@ def test_discrete_constant_sweep_small_window():
     # the solver cannot do worse than its warm start
     for gap, warm in zip(gaps, res.details["warm_deficit"]):
         assert gap <= warm
+
+
+def test_sweep_records_a_refused_level_as_one_failure():
+    # level 13 has 16,385 nodes; the dense form would need about 6.4 GB, so
+    # assemble refuses it before allocating and the sweep fits the rest
+    res = discrete_constant_sweep(1, 0.25, [4, 5, 6, 13])
+    assert [r.level for r in res.records] == [4, 5, 6]
+    assert len(res.failures) == 1
+    level, message = res.failures[0]
+    assert level == 13
+    assert message.startswith("SizeLimitError: dense assembly needs")
+    assert res.fit.points_used == 3
+
+
+def test_sweep_raises_on_a_programming_error(monkeypatch):
+    def broken(*args, **kwargs):
+        raise TypeError("not a level failure")
+
+    monkeypatch.setattr(experiments, "assemble", broken)
+    with pytest.raises(TypeError, match="not a level failure"):
+        discrete_constant_sweep(1, 0.25, [4, 5, 6])
 
 
 # --------------------------------------------------- interpolation rates

@@ -16,7 +16,6 @@ from fracsobolev.gagliardo import (
     QuadSpec,
     assemble,
     complement_weight,
-    dump_matrix,
     seminorm_sq,
     seminorm_sq_direct,
 )
@@ -199,18 +198,6 @@ def test_quadrature_boost_drift_small():
     w1 = seminorm_sq(assemble(mesh2, 0.5), u2)
     w2 = seminorm_sq(assemble(mesh2, 0.5, QuadSpec.for_dim(2).boosted()), u2)
     assert abs(w1 - w2) / w2 < 5e-5
-
-
-def test_dump_matrix_roundtrip(tmp_path):
-    form = assemble(build_mesh(1, 2), 0.25)
-    path = tmp_path / "mat.txt"
-    dump_matrix(form, path)
-    data = np.loadtxt(path)
-    n = form.matrix.shape[0]
-    assert data.shape == (n * n, 3)
-    rebuilt = np.zeros((n, n))
-    rebuilt[data[:, 0].astype(int), data[:, 1].astype(int)] = data[:, 2]
-    assert np.array_equal(rebuilt, form.matrix)
 
 
 # ------------------------------------------- 1D singular-pair mini-oracles

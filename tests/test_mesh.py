@@ -8,7 +8,6 @@ from fracsobolev.mesh import (
     BallMesh,
     FeFunction,
     build_mesh,
-    export_text,
     interpolate,
     make_ball_mesh,
     mesh_quality,
@@ -161,15 +160,3 @@ def test_mesh_quality_detects_degenerate():
     )
     with pytest.raises(ValueError, match="degenerate"):
         mesh_quality(mesh)
-
-
-def test_export_text_roundtrip(tmp_path):
-    mesh = build_mesh(2, 0)
-    path = tmp_path / "mesh.txt"
-    export_text(mesh, path)
-    lines = path.read_text().strip().splitlines()
-    assert len(lines) == mesh.n_nodes + mesh.n_elements
-    # node lines carry exact float reprs
-    first = lines[0].split()
-    assert first[0] == "0"
-    assert np.allclose([float(v) for v in first[1:]], mesh.nodes[0])

@@ -1,10 +1,14 @@
 """Quadrature rules, L^q norms, and the critical-exponent residual vector."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fracsobolev import norms
+from fracsobolev.bubble import truncated_bubble
 from fracsobolev.mesh import FeFunction, build_mesh, interpolate
 from fracsobolev.norms import QuadratureRule, lq_norm, nonlinear_residual, reference_rule
 
@@ -186,6 +190,26 @@ def test_residual_odd_homogeneity():
         nonlinear_residual(u, 2.0)
     with pytest.raises(ValueError):
         nonlinear_residual(FeFunction.from_free(mesh, np.zeros(mesh.free_count)), q)
+
+
+def test_order_cap_warns_and_keeps_the_value(monkeypatch):
+    # a one-signed profile converges at the default tolerances without a
+    # warning; with zero tolerances the doubling driver runs to _MAX_ORDER,
+    # warns, and still returns the highest-order value
+    mesh = build_mesh(2, 1)
+    u = interpolate(mesh, truncated_bubble(1.0, 0.3, 2, 0.3))
+    q = 3.3
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        norm, b = lq_norm(u, q), nonlinear_residual(u, q)
+    monkeypatch.setattr(norms, "_NORM_RTOL", 0.0)
+    monkeypatch.setattr(norms, "_RESIDUAL_RTOL", 0.0)
+    with pytest.warns(RuntimeWarning, match=r"lq_norm: stopped at Gauss order 28"):
+        capped_norm = lq_norm(u, q)
+    with pytest.warns(RuntimeWarning, match=r"nonlinear_residual: stopped at Gauss order 28"):
+        capped_b = nonlinear_residual(u, q)
+    assert abs(capped_norm - norm) <= 1e-8 * norm
+    assert np.max(np.abs(capped_b - b)) <= 1e-10 * np.max(np.abs(b))
 
 
 @settings(max_examples=25, deadline=None)
