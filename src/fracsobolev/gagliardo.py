@@ -6,11 +6,15 @@ For piecewise-linear u, v vanishing outside the unit ball,
                        (u(x)-u(y))(v(x)-v(y)) |x-y|^(-N-2s)
                        + 2 * integral of u v kappa ],
 
-where kappa(x) integrates the kernel over the complement of the mesh
-domain.  Element pairs are integrated by category: identical and
+where kappa(x) integrates the kernel over the complement of the unit
+ball, in closed form.  In 2D the mesh domain B_h is the inscribed
+polygon, so the interaction of B_h with the slivers between it and the
+disk, where the zero extension also vanishes, is left out (ROADMAP
+item 3).  Element pairs are integrated by category: identical and
 touching pairs through tensor transforms that cancel the singularity,
 disjoint pairs by plain Gauss graded with distance, and the complement
-weight by recursive subdivision toward the sphere where it blows up.
+term by breadth-first subdivision toward the sphere where kappa blows
+up.
 """
 
 from __future__ import annotations
@@ -22,8 +26,9 @@ from math import gamma
 
 import numpy as np
 from scipy.interpolate import CubicSpline
+from scipy.special import hyp2f1
 
-from ._quad import periodic_mean, unit_gauss
+from ._quad import unit_gauss
 from .mesh import BallMesh, FeFunction, SizeLimitError, element_geometry
 from .norms import reference_rule
 from .params import check_order
@@ -110,11 +115,26 @@ class NonlocalForm:
 
 # --------------------------------------------------------------- complement
 
+# Barycentric vertex matrices of the 2^N congruent children of a cell.
+_CHILDREN = {
+    1: np.array([[[1.0, 0.0], [0.5, 0.5]], [[0.5, 0.5], [0.0, 1.0]]]),
+    2: np.array(
+        [
+            [[1.0, 0.0, 0.0], [0.5, 0.5, 0.0], [0.5, 0.0, 0.5]],
+            [[0.5, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.5, 0.5]],
+            [[0.5, 0.0, 0.5], [0.0, 0.5, 0.5], [0.0, 0.0, 1.0]],
+            [[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]],
+        ]
+    ),
+}
+
+
 def complement_weight(x, N: int, s: float):
     """kappa(x) = integral of |x-y|^(-N-2s) over the complement of the ball.
 
-    Closed form on the line; on the disk an angular average of
-    r*(theta)^(-2s) where r* is the distance to the sphere along each ray.
+    Closed form in both dimensions: on the disk
+    (pi/s) (1-|x|^2)^(-2s) 2F1(-s, 1-s; 1; |x|^2), whose hypergeometric
+    factor is elementary on the line.
     """
     check_order(N, s)
     if N not in (1, 2):
@@ -124,48 +144,31 @@ def complement_weight(x, N: int, s: float):
         pts = pts[..., None]
     if pts.shape[-1] != N:
         raise ValueError(f"points must have last dimension {N}")
-    radius = np.sqrt(np.sum(pts * pts, axis=-1))
+    rsq = np.sum(pts * pts, axis=-1)
+    radius = np.sqrt(rsq)
     if np.any(radius >= 1.0 - _BOUNDARY_TOL):
         raise ValueError("complement weight diverges at the boundary sphere")
     if N == 1:
         t = pts[..., 0]
         return ((1.0 - t) ** (-2 * s) + (1.0 + t) ** (-2 * s)) / (2 * s)
-
-    flat = pts.reshape(-1, 2)
-    out = np.empty(len(flat))
-    chunk = 512
-    for lo in range(0, len(flat), chunk):
-        blk = flat[lo : lo + chunk]
-        rsq = np.sum(blk * blk, axis=-1, keepdims=True)
-
-        def ray_power(theta, blk=blk, rsq=rsq):
-            om = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-            dot = blk @ om.T
-            root = np.sqrt(1.0 - rsq + dot * dot)
-            # algebraically equivalent branches; the division form stays
-            # accurate when the ray exits close to the start point
-            rstar = np.where(dot < 0, root - dot, (1.0 - rsq) / (root + dot))
-            return rstar ** (-2 * s)
-
-        mean, _, _ = periodic_mean(ray_power, rtol=1e-11, n_max=16384)
-        out[lo : lo + chunk] = (np.pi / s) * mean
-    return out.reshape(pts.shape[:-1])
+    gap = (1.0 - radius) * (1.0 + radius)
+    return (np.pi / s) * gap ** (-2 * s) * hyp2f1(-s, 1 - s, 1, rsq)
 
 
 @lru_cache(maxsize=8)
 def _radial_complement_table(s: float) -> CubicSpline:
     """Spline of kappa * depth^(2s) against log depth, depth = 1 - |x|.
 
-    kappa depends on |x| only, so the angular quadrature is paid once on
-    a fixed radial grid; interpolation error stays below 3e-8 relative
-    for depths the cell subdivision can reach (about 1e-8 and up).
+    kappa depends on |x| only, and a hypergeometric call near the sphere
+    costs far more than a spline lookup, so the closed form is tabulated
+    once per s, directly in the depth d:
+    (pi/s) (2-d)^(-2s) 2F1(-s, 1-s; 1; (1-d)^2).  Interpolation error
+    stays below 1e-8 relative for depths 1e-11..1 at s = 1/4..3/4.
     """
     t = np.linspace(np.log(5e-12), 0.0, 3072)
-    depth = np.exp(t)
-    rho = 1.0 - depth
-    rho[-1] = 0.0
-    kap = complement_weight(np.column_stack([rho, np.zeros_like(rho)]), 2, s)
-    return CubicSpline(t, kap * depth ** (2 * s))
+    d = np.exp(t)
+    scaled = (np.pi / s) * (2.0 - d) ** (-2 * s) * hyp2f1(-s, 1 - s, 1, (1.0 - d) ** 2)
+    return CubicSpline(t, scaled)
 
 
 def _kappa_fast(pts: np.ndarray, dim: int, s: float) -> np.ndarray:
@@ -180,88 +183,60 @@ def _kappa_fast(pts: np.ndarray, dim: int, s: float) -> np.ndarray:
     return spl(np.log(depth)) * depth ** (-2.0 * s)
 
 
-def _halves_1d():
-    eye = np.eye(2)
-    mid = np.array([0.5, 0.5])
-    return [np.stack([eye[0], mid]), np.stack([mid, eye[1]])]
-
-
-def _quarters_2d():
-    e = np.eye(3)
-    m01, m12, m02 = (e[0] + e[1]) / 2, (e[1] + e[2]) / 2, (e[0] + e[2]) / 2
-    return [
-        np.stack([e[0], m01, m02]),
-        np.stack([m01, e[1], m12]),
-        np.stack([m02, m12, e[2]]),
-        np.stack([m01, m12, m02]),
-    ]
-
-
 def _complement_cells(mesh: BallMesh, geo, spec: QuadSpec):
-    """Subdivide elements toward the sphere until kappa is resolvable.
+    """Split elements breadth first toward the sphere until kappa is resolvable.
 
-    Returns (element index, barycentric vertex matrix, measure fraction)
-    arrays plus the count of cells still touching the sphere at the
-    depth cap.
+    A cell passes once its distance to the sphere is at least its
+    diameter; the others split into their children, down to
+    ``boundary_depth``.  Returns (element index, barycentric vertex
+    matrix, depth) arrays, a cell's measure fraction being
+    2^(-N*depth), plus the count of cells still failing at the cap.
     """
-    children = _halves_1d() if mesh.dim == 1 else _quarters_2d()
-    cell_elem, cell_bary, cell_frac = [], [], []
-    capped = 0
-    for e in range(mesh.n_elements):
-        verts = geo.verts[e]
-        stack = [(np.eye(mesh.dim + 1), 0)]
-        while stack:
-            bary, depth = stack.pop()
-            sub = bary @ verts
-            rmax = float(np.max(np.sqrt(np.sum(sub * sub, axis=-1))))
-            d = sub[:, None, :] - sub[None, :, :]
-            diam = float(np.sqrt(np.max(np.sum(d * d, axis=-1))))
-            if 1.0 - rmax >= diam:
-                pass
-            elif depth < spec.boundary_depth:
-                stack.extend((c @ bary, depth + 1) for c in children)
-                continue
-            else:
-                capped += 1
-            cell_elem.append(e)
-            cell_bary.append(bary)
-            cell_frac.append(_measure_fraction(bary))
-    return (
-        np.array(cell_elem, dtype=np.int64),
-        np.stack(cell_bary),
-        np.array(cell_frac),
-        capped,
-    )
-
-
-def _measure_fraction(bary: np.ndarray) -> float:
-    edges = bary[1:, 1:] - bary[0, 1:]
-    if edges.shape == (1, 1):
-        return abs(float(edges[0, 0]))
-    return 2.0 * abs(0.5 * float(np.linalg.det(edges)))
+    k = mesh.dim + 1
+    children = _CHILDREN[mesh.dim]
+    elem = np.arange(mesh.n_elements)
+    bary = np.broadcast_to(np.eye(k), (len(elem), k, k))
+    parts = []
+    for depth in range(spec.boundary_depth + 1):
+        sub = bary @ geo.verts[elem]
+        rmax = np.sqrt(np.max(np.sum(sub * sub, axis=-1), axis=-1))
+        d = sub[:, :, None, :] - sub[:, None, :, :]
+        diam = np.sqrt(np.max(np.sum(d * d, axis=-1), axis=(1, 2)))
+        ok = 1.0 - rmax >= diam
+        parts.append((elem[ok], bary[ok], np.full(np.count_nonzero(ok), depth)))
+        elem, bary = elem[~ok], bary[~ok]
+        if depth < spec.boundary_depth:
+            bary = (children @ bary[:, None]).reshape(-1, k, k)
+            elem = np.repeat(elem, len(children))
+    parts.append((elem, bary, np.full(len(elem), spec.boundary_depth)))
+    cell_elem, cell_bary, cell_depth = (np.concatenate(a) for a in zip(*parts))
+    return cell_elem, cell_bary, cell_depth, len(elem)
 
 
 def _complement_local_blocks(mesh, s, spec, geo, counters):
     """Yield masked per-cell local blocks of C_ij = integral of phi_i phi_j kappa."""
-    cell_elem, cell_bary, cell_frac, capped = _complement_cells(mesh, geo, spec)
+    cell_elem, cell_bary, cell_depth, capped = _complement_cells(mesh, geo, spec)
     counters["complement_cells"] = len(cell_elem)
     counters["budget_exceeded"] = capped
+    k = mesh.dim + 1
     rule = reference_rule(mesh.dim, spec.complement_order)
     lam = rule.barycentric()
-    bmask = mesh.boundary_mask[mesh.elements]
+    # row q holds w_q lam_q lam_q^T, so the point sum of a block is one matmul
+    outer = rule.weights[:, None, None] * lam[:, :, None] * lam[:, None, :]
+    outer = outer.reshape(-1, k * k)
+    scale = 2.0 ** (-mesh.dim * cell_depth) * geo.jacobian[cell_elem]
+    keep = ~mesh.boundary_mask[mesh.elements[cell_elem]]
     npts = 0
     chunk = 8192
     for lo in range(0, len(cell_elem), chunk):
-        elems = cell_elem[lo : lo + chunk]
-        bary = cell_bary[lo : lo + chunk]
-        lam_sub = np.einsum("qa,cab->cqb", lam, bary)
-        pts = np.einsum("cqa,cad->cqd", lam_sub, geo.verts[elems])
-        kap = _kappa_fast(pts, mesh.dim, s)
+        part = slice(lo, lo + chunk)
+        elems = cell_elem[part]
+        bary = cell_bary[part]
+        kap = _kappa_fast(lam @ (bary @ geo.verts[elems]), mesh.dim, s)
         npts += kap.size
-        local = np.einsum("q,cq,cqi,cqj->cij", rule.weights, kap, lam_sub, lam_sub)
-        local *= (cell_frac[lo : lo + chunk] * geo.jacobian[elems])[:, None, None]
-        keep = ~bmask[elems]
-        local *= keep[:, :, None] * keep[:, None, :]
+        local = np.swapaxes(bary, 1, 2) @ (kap @ outer).reshape(-1, k, k) @ bary
+        local *= scale[part, None, None]
+        local *= keep[part, :, None] * keep[part, None, :]
         yield "complement", mesh.elements[elems], local
     counters["complement_points"] = npts
 

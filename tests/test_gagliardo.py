@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
 from scipy import integrate
+from scipy.special import ellipe
 
 from fracsobolev.bubble import truncated_bubble
 from fracsobolev.gagliardo import (
@@ -21,8 +22,10 @@ from fracsobolev.gagliardo import (
 )
 from fracsobolev.gagliardo import (
     _classify_pairs,
+    _complement_cells,
     _edge_blocks_2d,
     _ident_blocks_2d,
+    _kappa_fast,
     _new_counters,
     _vertex_blocks_2d,
 )
@@ -146,6 +149,23 @@ def test_complement_weight_2d_rotation_invariance():
         assert np.max(np.abs(vals - vals[0])) <= 1e-8 * vals[0]
 
 
+def test_complement_weight_2d_elliptic_identity():
+    # at s = 1/2 the disk weight is 2 pi (1-r^2)^(-1) 2F1(-1/2, 1/2; 1; r^2)
+    # = 4 E(r^2) / (1-r^2), with E Legendre's complete elliptic integral
+    r = 1.0 - np.concatenate([np.linspace(1.0, 0.01, 25), np.geomspace(1e-2, 1e-11, 40)])
+    got = complement_weight(np.column_stack([r, np.zeros_like(r)]), 2, 0.5)
+    ref = 4.0 * ellipe(r * r) / ((1.0 - r) * (1.0 + r))
+    assert np.max(np.abs(got / ref - 1.0)) < 1e-12
+
+
+def test_kappa_fast_table_matches_closed_form():
+    depth = np.geomspace(5e-12, 1.0, 400)
+    pts = np.column_stack([1.0 - depth, np.zeros_like(depth)])
+    for s in (0.25, 0.5, 0.75):
+        rel = _kappa_fast(pts, 2, s) / complement_weight(pts, 2, s) - 1.0
+        assert np.max(np.abs(rel)) < 3e-8, s
+
+
 def test_complement_weight_monotone_and_divergent():
     for N, s in [(1, 0.25), (2, 0.5)]:
         rs = np.linspace(0.0, 0.999, 40)
@@ -157,6 +177,26 @@ def test_complement_weight_monotone_and_divergent():
         complement_weight(np.array([[1.0]]), 1, 0.25)
     with pytest.raises(ValueError):
         complement_weight(np.zeros((1, 3)), 3, 0.4)
+
+
+def test_complement_cells_tile_each_element():
+    # the 2D level 1 counts pin the subdivision rule: a cell passes once
+    # its distance to the sphere is at least its diameter
+    expect = {(2, False): (32964, 1080), (2, True): (39444, 1080)}
+    for dim, level in [(1, 4), (2, 1)]:
+        mesh = build_mesh(dim, level)
+        geo = element_geometry(mesh)
+        for boosted in (False, True):
+            spec = QuadSpec.for_dim(dim)
+            spec = spec.boosted() if boosted else spec
+            elem, bary, depth, capped = _complement_cells(mesh, geo, spec)
+            frac = 2.0 ** (-dim * depth)
+            edges = bary[:, 1:, 1:] - bary[:, :1, 1:]
+            assert np.allclose(np.abs(np.linalg.det(edges)), frac, rtol=1e-12, atol=0.0)
+            assert np.all(np.bincount(elem, weights=frac) == 1.0)
+            assert 0 < capped <= np.count_nonzero(depth == spec.boundary_depth)
+            if (dim, boosted) in expect:
+                assert (len(elem), capped) == expect[dim, boosted]
 
 
 # ---------------------------------------------------- seminorm evaluation

@@ -1,4 +1,5 @@
-"""Package layout: modules reach each other only through public names."""
+"""Package layout: modules reach each other only through public names,
+and keep no import they do not use."""
 
 import ast
 from pathlib import Path
@@ -30,5 +31,40 @@ def test_no_private_imports_across_modules():
         f"{path.name}:{line}: {name} from {module or '.'}"
         for path in modules
         for line, module, name in _private_imports(path)
+    ]
+    assert offences == []
+
+
+def _unused_imports(path: Path) -> list:
+    """(line, name) for each imported name the module never reads.
+
+    Names listed in ``__all__`` count as read, so re-exports pass.
+    """
+    tree = ast.parse(path.read_text(), filename=str(path))
+    bound = {}
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+    return sorted((line, name) for name, line in bound.items() if name not in used)
+
+
+def test_no_unused_imports():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert modules, f"no modules found under {PACKAGE}"
+    offences = [
+        f"{path.name}:{line}: {name}"
+        for path in modules
+        for line, name in _unused_imports(path)
     ]
     assert offences == []
