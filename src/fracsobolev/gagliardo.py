@@ -382,7 +382,6 @@ def _vertex_blocks_2d(mesh, s, geo, pairs, spec, counters):
     x01, w01 = unit_gauss(n)
     Sg, Tg, Mg = (a.ravel() for a in np.meshgrid(x01, x01, x01, indexing="ij"))
     Wg = (w01[:, None, None] * w01[None, :, None] * w01[None, None, :]).ravel()
-    one = np.ones_like(Mg)
     g_br = (
         np.stack([Mg - 1, 1 - Sg, Sg, -Mg * (1 - Tg), -Mg * Tg]),
         np.stack([1 - Mg, Mg * (1 - Sg), Mg * Sg, -(1 - Tg), -Tg]),

@@ -1,5 +1,5 @@
 """Package layout: modules reach each other only through public names,
-and keep no import they do not use."""
+and keep no import or local variable they do not use."""
 
 import ast
 from pathlib import Path
@@ -66,5 +66,44 @@ def test_no_unused_imports():
         f"{path.name}:{line}: {name}"
         for path in modules
         for line, name in _unused_imports(path)
+    ]
+    assert offences == []
+
+
+def _dead_locals(path: Path) -> list:
+    """(line, function, name) for each local a package function assigns
+    but never reads.
+
+    Reads anywhere in the function count, nested functions included;
+    names starting with ``_`` and names declared global or nonlocal are
+    exempt.
+    """
+    found = set()
+    for func in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        stored, read, shared = {}, set(), set()
+        for node in ast.walk(func):
+            if isinstance(node, (ast.Global, ast.Nonlocal)):
+                shared.update(node.names)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Name) and not node.id.startswith("_"):
+                stored.setdefault(node.id, node.lineno)
+        found.update(
+            (line, func.name, name)
+            for name, line in stored.items()
+            if name not in read and name not in shared
+        )
+    return sorted(found)
+
+
+def test_no_dead_locals():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert modules, f"no modules found under {PACKAGE}"
+    offences = [
+        f"{path.name}:{line}: {name} in {func}"
+        for path in modules
+        for line, func, name in _dead_locals(path)
     ]
     assert offences == []

@@ -1,8 +1,12 @@
 """Rayleigh-quotient minimization and manifold-distance fitting."""
 
+import dataclasses
+import functools
+
 import numpy as np
 import pytest
 
+import fracsobolev.solver as solver_module
 from fracsobolev.bubble import Bubble, normalize_lambda, truncated_bubble
 from fracsobolev.gagliardo import assemble, seminorm_sq
 from fracsobolev.mesh import FeFunction, build_mesh, interpolate
@@ -24,7 +28,8 @@ def test_solve_converges_with_monotone_history(small_problem):
     assert rep.tolerance_used == 1e-10
     hist = np.array(rep.quotient_history)
     assert np.all(np.diff(hist) <= 0.0)
-    # after the polish phase s_h may sit a few ulp above the history floor
+    # a step that ticks the quotient up by rounding is not recorded, so
+    # s_h may sit a few ulp above the history floor
     assert abs(rep.s_h - hist[-1]) <= 32 * np.finfo(float).eps * hist[-1]
     assert rep.iterations >= 1
 
@@ -81,8 +86,7 @@ def test_quadrature_slack_small(reports_1d_s025):
 def test_solve_slack_optional_and_validation():
     mesh = build_mesh(1, 3)
     form = assemble(mesh, 0.25)
-    rep = solve(form, compute_slack=False, tol=1e-8)
-    assert rep.quadrature_slack is None
+    rep = solve(form, tol=1e-8)
     assert rep.converged
     with pytest.raises(ValueError):
         solve(form, init=FeFunction.from_free(mesh, np.zeros(mesh.free_count)))
@@ -143,3 +147,47 @@ def test_fit_manifold_rejects_zero(small_problem):
     mesh = form.mesh
     with pytest.raises(ValueError):
         fit_manifold(form, FeFunction.from_free(mesh, np.zeros(mesh.free_count)))
+
+
+@functools.cache
+def _form(dim, level, s):
+    return assemble(build_mesh(dim, level), s)
+
+
+@pytest.mark.parametrize("dim, level, s", [(1, 4, 0.25), (2, 1, 0.5)])
+def test_iteration_counts_do_not_depend_on_rounding(dim, level, s):
+    form = _form(dim, level, s)
+    ref = solve(form)
+    A = form.matrix
+    for seed in (1, 2, 3):
+        R = np.random.default_rng(seed).standard_normal(A.shape)
+        nudged = dataclasses.replace(form, matrix=A * (1 + 1e-15 * (R + R.T) / 2))
+        rep = solve(nudged)
+        assert (rep.iterations, rep.converged) == (ref.iterations, ref.converged)
+        assert abs(rep.s_h - ref.s_h) <= 1e-13 * ref.s_h
+
+
+def test_quotient_rise_beyond_rounding_raises(monkeypatch):
+    form = _form(1, 5, 0.25)
+    exact = solver_module.nonlinear_residual
+    rng = np.random.default_rng(1)
+
+    def noisy(u, q):
+        b = exact(u, q)
+        return b * (1 + 0.05 * rng.standard_normal(b.shape))
+
+    monkeypatch.setattr(solver_module, "nonlinear_residual", noisy)
+    with pytest.raises(RuntimeError, match="quotient rose"):
+        solve(form)
+
+
+@pytest.mark.parametrize("dim, level, s", [(1, 5, 0.25), (2, 1, 0.5), (2, 1, 0.25)])
+def test_inverse_power_step_does_not_raise_the_quotient(dim, level, s):
+    form = _form(dim, level, s)
+    mesh = form.mesh
+    q = problem_params(dim, s).two_star
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        u = FeFunction.from_free(mesh, rng.uniform(0.05, 1.0, mesh.free_count))
+        v = FeFunction.from_free(mesh, np.linalg.solve(form.matrix, nonlinear_residual(u, q)))
+        assert quotient(form, v) <= quotient(form, u) * (1 + 16 * np.finfo(float).eps)
