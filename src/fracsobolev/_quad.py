@@ -1,8 +1,7 @@
 """Shared quadrature building blocks.
 
 Gauss-Legendre rules on [0, 1], collapsed tensor rules on the reference
-triangle, trapezoid averaging for periodic integrands, and a partial-sum
-accelerator for slowly alternating tail series.
+triangle, and the error a quadrature raises when it misses its target.
 """
 
 from __future__ import annotations
@@ -50,48 +49,3 @@ def triangle_rule(n: int):
     wts = np.outer(w, w) * (1.0 - a)
     pts = np.column_stack([a.ravel(), (b * (1.0 - a)).ravel()])
     return pts, wts.ravel()
-
-
-def periodic_mean(f, rtol=1e-12, n0=64, n_max=32768):
-    """Mean value of a 2*pi-periodic function by doubling trapezoid sums.
-
-    ``f`` maps an array of angles (last axis) to values; broadcasting over
-    leading axes is the caller's business. Spectrally accurate for smooth
-    integrands. Returns (mean, error_estimate, n_used).
-    """
-    n = int(n0)
-    angles = 2.0 * np.pi * np.arange(n) / n
-    est = np.mean(f(angles), axis=-1)
-    err = np.inf
-    while n < n_max:
-        mids = angles + np.pi / n
-        est_new = 0.5 * (est + np.mean(f(mids), axis=-1))
-        err = float(np.max(np.abs(est_new - est)))
-        scale = float(np.max(np.abs(est_new))) + 1e-300
-        est = est_new
-        n *= 2
-        angles = 2.0 * np.pi * np.arange(n) / n
-        if err <= rtol * scale:
-            break
-    return est, err, n
-
-
-def averaged_tail_sum(panel_integrals):
-    """Sum an infinite series from its first panels by iterated averaging.
-
-    ``panel_integrals`` holds integrals over consecutive half-period panels
-    of a decaying oscillatory function, so the partial sums oscillate around
-    the limit; repeated pairwise averaging (Euler transformation) converges
-    far faster than the raw tail. Returns (sum_estimate, error_estimate).
-    """
-    panels = np.asarray(panel_integrals, dtype=float)
-    if panels.size < 4:
-        raise ValueError("need at least 4 panels to accelerate")
-    rows = np.cumsum(panels)
-    prev = rows[-1]
-    err = np.inf
-    for _ in range(min(16, panels.size - 1)):
-        rows = 0.5 * (rows[:-1] + rows[1:])
-        err = abs(rows[-1] - prev)
-        prev = rows[-1]
-    return float(prev), float(err)

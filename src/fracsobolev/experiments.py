@@ -174,6 +174,13 @@ def read_records(path) -> list:
 # ---------------------------------------------------------------- sweeps
 
 
+def _check_problem(N, s) -> None:
+    """check_order, and a dimension the meshes cover."""
+    check_order(N, s)
+    if N not in (1, 2):
+        raise ValueError(f"experiments cover dimensions 1 and 2, not dimension {N}")
+
+
 def _check_levels(levels) -> list:
     levels = [int(l) for l in levels]
     if any(b <= a for a, b in zip(levels, levels[1:])):
@@ -223,7 +230,7 @@ def upper_bound_sweep(N: int, s: float, levels) -> SweepResult:
     The theory predicts deficit ~ h^alpha for the concentration choice
     c_h = optimal_concentration(h); the fitted slope estimates alpha.
     """
-    check_order(N, s)
+    _check_problem(N, s)
     q = problem_params(N, s).two_star
     S = exact_constant(N, s)
     spec = QuadSpec.for_dim(N)
@@ -254,7 +261,7 @@ def discrete_constant_sweep(N: int, s: float, levels, tol: float = 1e-10) -> Swe
     against h is reported in details (the balancing heuristic predicts
     slope 2(2-s)/(N+4(1-s)), recorded for inspection, not asserted).
     """
-    check_order(N, s)
+    _check_problem(N, s)
     S = exact_constant(N, s)
 
     def measure(mesh):
@@ -334,7 +341,7 @@ def verify_interp_error(N: int, s: float, q: float, c: float, levels) -> InterpR
     the L^q error grows like c^-(N/2 - N/q + 2 - s).  Profiles carry the
     unit-critical-norm amplitude so the c-regression matches that exponent.
     """
-    check_order(N, s)
+    _check_problem(N, s)
     if q < 1:
         raise ValueError("q must be >= 1")
     levels = _check_levels(levels)
@@ -394,7 +401,7 @@ def verify_covering(N: int, s: float, samples: int, seed: int = 0) -> dict:
     positive.  In 1D the radii where the only second derivative changes
     sign are excluded by construction (the relative radius band (1/2, 1)).
     """
-    check_order(N, s)
+    _check_problem(N, s)
     if samples < 1000:
         raise ValueError("need at least 1000 samples")
     rng = make_rng(seed)
@@ -458,7 +465,7 @@ def verify_minimizing_sequence(N: int, s: float, eps_list) -> dict:
     serves as the evaluation proxy; the quotient decreases along the list
     and the deficit scales like eps^(N-2s).
     """
-    check_order(N, s)
+    _check_problem(N, s)
     eps = [float(e) for e in eps_list]
     if any(b >= a for a, b in zip(eps, eps[1:])):
         raise ValueError("eps_list must be strictly decreasing")
@@ -560,11 +567,13 @@ def verify_functional_inequalities(
     smooth profiles since piecewise-linear functions have no integrable
     second derivative.
     """
-    check_order(N, s)
+    _check_problem(N, s)
     funcs = list(sample_functions)
     if not funcs:
         raise ValueError("need at least one sample function")
     mesh = funcs[0].mesh
+    if mesh.dim != N:
+        raise ValueError(f"samples live on a {mesh.dim}D mesh, not in dimension {N}")
     for u in funcs:
         if u.mesh is not mesh:
             raise ValueError("all samples must share one mesh")

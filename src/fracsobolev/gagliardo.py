@@ -46,6 +46,8 @@ __all__ = [
 ]
 
 _BOUNDARY_TOL = 1e-12
+# extra Gauss points per direction on "near" disjoint pairs (see _classify_pairs)
+_NEAR_BONUS = 2
 _DENSE_BYTES_CAP = 2e9
 
 
@@ -62,7 +64,6 @@ class QuadSpec:
     """
 
     disjoint_order: int
-    near_bonus: int = 2
     vertex_order: int = 24
     edge_order: int = 12
     angular_order: int = 24
@@ -533,7 +534,7 @@ def _pair_local_blocks(mesh, s, spec, geo, counters):
 
     t0 = time.perf_counter()
     yield from _disjoint_blocks(
-        mesh, s, geo, near, spec.disjoint_order + spec.near_bonus, "disjoint_near", counters
+        mesh, s, geo, near, spec.disjoint_order + _NEAR_BONUS, "disjoint_near", counters
     )
     yield from _disjoint_blocks(
         mesh, s, geo, far, spec.disjoint_order, "disjoint_far", counters

@@ -256,3 +256,24 @@ def test_functional_inequalities_validation():
     ]
     with pytest.raises(ValueError):
         verify_functional_inequalities(1, 0.25, mixed)
+
+
+@pytest.mark.parametrize(
+    "audit, dim",
+    [
+        pytest.param(
+            lambda: verify_minimizing_sequence(3, 0.5, [0.2, 0.1]), 3, id="sequence-3d"
+        ),
+        pytest.param(lambda: verify_covering(3, 0.5, 1000), 3, id="covering-3d"),
+        pytest.param(
+            lambda: verify_functional_inequalities(
+                2, 0.25, _random_fe_functions(build_mesh(1, 3), 2, 0)
+            ),
+            2,
+            id="inequalities-1d-mesh",
+        ),
+    ],
+)
+def test_audits_name_an_unsupported_dimension(audit, dim):
+    with pytest.raises(ValueError, match=f"not (in )?dimension {dim}"):
+        audit()

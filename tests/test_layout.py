@@ -1,5 +1,5 @@
 """Package layout: modules reach each other only through public names,
-and keep no import or local variable they do not use."""
+and keep no import, local variable or function they do not use."""
 
 import ast
 from pathlib import Path
@@ -35,6 +35,15 @@ def test_no_private_imports_across_modules():
     assert offences == []
 
 
+def _exported(node) -> list:
+    """The names an ``__all__ = [...]`` assignment lists; [] for any other node."""
+    if isinstance(node, ast.Assign) and any(
+        isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+    ):
+        return ast.literal_eval(node.value)
+    return []
+
+
 def _unused_imports(path: Path) -> list:
     """(line, name) for each imported name the module never reads.
 
@@ -52,10 +61,7 @@ def _unused_imports(path: Path) -> list:
                 bound[alias.asname or alias.name] = node.lineno
         elif isinstance(node, ast.Name):
             used.add(node.id)
-        elif isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
-            used.update(ast.literal_eval(node.value))
+        used.update(_exported(node))
     return sorted((line, name) for name, line in bound.items() if name not in used)
 
 
@@ -105,5 +111,38 @@ def test_no_dead_locals():
         f"{path.name}:{line}: {name} in {func}"
         for path in modules
         for line, func, name in _dead_locals(path)
+    ]
+    assert offences == []
+
+
+def _uncalled_definitions(paths) -> list:
+    """(module, line, name) for each module-level function or class that
+    no module of the package references and no ``__all__`` lists.
+
+    A reference is any read of the name, plain or as an attribute.
+    """
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in paths}
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            used.update(_exported(node))
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    return sorted(
+        (module, node.lineno, node.name)
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, kinds) and node.name not in used
+    )
+
+
+def test_no_uncalled_functions():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert modules, f"no modules found under {PACKAGE}"
+    offences = [
+        f"{module}:{line} {name}" for module, line, name in _uncalled_definitions(modules)
     ]
     assert offences == []

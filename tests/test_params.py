@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from fracsobolev.params import (
     check_order,
@@ -60,6 +61,24 @@ def test_kernel_integral_closed_forms(goldens):
         N, s = key.split(",")
         got = cosine_kernel_integral(int(N), float(s))
         assert abs(got - float(ref)) / float(ref) < 1e-9, key
+    # beyond the meshed dimensions: in 3D the sphere mean of cos(r w_1) is
+    # sin(r)/r, so I(3, s) = 4 pi int_0^inf r^(-1-2s) (1 - sin(r)/r) dr
+    val3 = cosine_kernel_integral(3, 0.5)
+    assert abs(val3 - math.pi**2) / val3 < 1e-12
+    s = 0.25
+    inner, _ = integrate.quad(
+        lambda r: r ** (-1 - 2 * s) * (1 - math.sin(r) / r),
+        0,
+        1,
+        epsabs=1e-12,
+        epsrel=1e-12,
+    )
+    tail, _ = integrate.quad(
+        lambda r: r ** (-2 - 2 * s), 1, np.inf, weight="sin", wvar=1.0, epsabs=1e-12
+    )
+    radial = 4 * math.pi * (inner + 1 / (2 * s) - tail)
+    got = cosine_kernel_integral(3, s)
+    assert abs(got - radial) / radial < 1e-9, (got, radial)
 
 
 def test_exact_constant_against_goldens(goldens):
