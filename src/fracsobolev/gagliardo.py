@@ -15,6 +15,12 @@ touching pairs through tensor transforms that cancel the singularity,
 disjoint pairs by plain Gauss graded with distance, and the complement
 term by breadth-first subdivision toward the sphere where kappa blows
 up.
+
+Each category yields terms (category, node idx, g, wK), one row per
+element pair or cell: row b adds sum_q wK[b, q] (g_q . u[idx[b]])^2.
+``assemble`` scatters each term's block sum_q wK g_q g_q^T into the
+matrix; ``seminorm_sq_direct`` sums the terms at the points and forms
+no block.
 """
 
 from __future__ import annotations
@@ -49,10 +55,12 @@ _BOUNDARY_TOL = 1e-12
 # extra Gauss points per direction on "near" disjoint pairs (see _classify_pairs)
 _NEAR_BONUS = 2
 _DENSE_BYTES_CAP = 2e9
+# quadrature points per yielded term, in every category
+_TERM_POINTS = 1 << 20
 
 
 class AssemblyError(RuntimeError):
-    """Assembly produced an invalid matrix or local block."""
+    """Assembly produced an invalid matrix, local block or quadrature sum."""
 
 
 @dataclass(frozen=True)
@@ -112,6 +120,27 @@ class NonlocalForm:
     matrix: np.ndarray
     assembly_report: AssemblyReport
     quad_spec: QuadSpec
+
+
+# -------------------------------------------------------------------- terms
+
+def _row_chunks(rows, points):
+    """Slices of rows holding at most _TERM_POINTS quadrature points each."""
+    step = max(1, _TERM_POINTS // points)
+    return (slice(lo, lo + step) for lo in range(0, rows, step))
+
+
+def _term_block(g, wK):
+    """Local blocks sum_q wK[b, q] g_q g_q^T of one term.
+
+    A shared g, (points, n), takes one matmul against its point outer
+    products; a per-row g, (B, points, n), one batched matmul.
+    """
+    if g.ndim == 2:
+        n = g.shape[1]
+        outer = (g[:, :, None] * g[:, None, :]).reshape(len(g), n * n)
+        return (wK @ outer).reshape(len(wK), n, n)
+    return np.swapaxes(g * wK[:, :, None], 1, 2) @ g
 
 
 # --------------------------------------------------------------- complement
@@ -214,32 +243,31 @@ def _complement_cells(mesh: BallMesh, geo, spec: QuadSpec):
     return cell_elem, cell_bary, cell_depth, len(elem)
 
 
-def _complement_local_blocks(mesh, s, spec, geo, counters):
-    """Yield masked per-cell local blocks of C_ij = integral of phi_i phi_j kappa."""
+def _complement_terms(mesh, s, spec, geo, counters):
+    """Yield 2 * integral of u v kappa, one subdivision cell per row.
+
+    A cell's g holds the parent element's hats at its points,
+    lam @ bary, with the columns of boundary nodes zeroed.
+    """
+    t0 = time.perf_counter()
     cell_elem, cell_bary, cell_depth, capped = _complement_cells(mesh, geo, spec)
     counters["complement_cells"] = len(cell_elem)
     counters["budget_exceeded"] = capped
-    k = mesh.dim + 1
     rule = reference_rule(mesh.dim, spec.complement_order)
     lam = rule.barycentric()
-    # row q holds w_q lam_q lam_q^T, so the point sum of a block is one matmul
-    outer = rule.weights[:, None, None] * lam[:, :, None] * lam[:, None, :]
-    outer = outer.reshape(-1, k * k)
-    scale = 2.0 ** (-mesh.dim * cell_depth) * geo.jacobian[cell_elem]
+    scale = 2.0 * 2.0 ** (-mesh.dim * cell_depth) * geo.jacobian[cell_elem]
     keep = ~mesh.boundary_mask[mesh.elements[cell_elem]]
     npts = 0
-    chunk = 8192
-    for lo in range(0, len(cell_elem), chunk):
-        part = slice(lo, lo + chunk)
+    for part in _row_chunks(len(cell_elem), len(lam)):
         elems = cell_elem[part]
         bary = cell_bary[part]
         kap = _kappa_fast(lam @ (bary @ geo.verts[elems]), mesh.dim, s)
         npts += kap.size
-        local = np.swapaxes(bary, 1, 2) @ (kap @ outer).reshape(-1, k, k) @ bary
-        local *= scale[part, None, None]
-        local *= keep[part, :, None] * keep[part, None, :]
-        yield "complement", mesh.elements[elems], local
+        g = lam @ (bary * keep[part, None, :])
+        wK = (scale[part, None] * rule.weights) * kap
+        yield "complement", mesh.elements[elems], g, wK
     counters["complement_points"] = npts
+    counters["phase_seconds"]["complement"] = time.perf_counter() - t0
 
 
 # ------------------------------------------------------------ pair category
@@ -286,22 +314,20 @@ def _shared_first(els_a, els_b):
 
 # ----------------------------------------------------------- local formulas
 
-def _ident_blocks_1d(mesh, s, geo, counters):
+def _ident_terms_1d(mesh, s, geo, counters):
     h = geo.measure
-    g = np.stack([-1.0 / h, 1.0 / h], axis=1)
-    factor = 2.0 * h ** (3 - 2 * s) / ((2 - 2 * s) * (3 - 2 * s))
-    local = factor[:, None, None] * g[:, :, None] * g[:, None, :]
+    g = np.stack([-1.0 / h, 1.0 / h], axis=1)[:, None, :]
+    wK = (2.0 * h ** (3 - 2 * s) / ((2 - 2 * s) * (3 - 2 * s)))[:, None]
     counters["pair_counts"]["identical"] = mesh.n_elements
     counters["kernel_evals"]["identical"] = 0
-    yield "identical", mesh.elements.copy(), local
+    for part in _row_chunks(mesh.n_elements, 1):
+        yield "identical", mesh.elements[part], g[part], wK[part]
 
 
-def _vertex_blocks_1d(mesh, s, geo, pairs, spec, counters):
-    counters["pair_counts"]["vertex"] = len(pairs)
-    if not len(pairs):
-        counters["kernel_evals"]["vertex"] = 0
-        return
+def _vertex_terms_1d(mesh, s, geo, pairs, spec, counters):
     mu, wmu = unit_gauss(spec.vertex_order)
+    counters["pair_counts"]["vertex"] = len(pairs)
+    counters["kernel_evals"]["vertex"] = 2 * len(pairs) * len(mu)
     nodes_a = mesh.elements[pairs[:, 0]]
     nodes_b = mesh.elements[pairs[:, 1]]
     coords = mesh.nodes[:, 0]
@@ -317,43 +343,38 @@ def _vertex_blocks_1d(mesh, s, geo, pairs, spec, counters):
     right = np.where(coords[other_a] < coords[shared], other_b, other_a)
     h1 = coords[shared] - coords[left]
     h2 = coords[right] - coords[shared]
-    g0 = np.stack([np.ones_like(mu), mu - 1.0, -mu])
-    g1 = np.stack([mu, 1.0 - mu, -np.ones_like(mu)])
-    out = np.zeros((len(pairs), 3, 3))
-    for g, gap in ((g0, h1[:, None] + np.outer(h2, mu)), (g1, np.outer(h1, mu) + h2[:, None])):
-        K = gap ** (-1.0 - 2 * s)
-        out += np.einsum("bq,iq,jq->bij", wmu * K, g, g)
-    out *= (h1 * h2 / (3 - 2 * s))[:, None, None]
-    counters["kernel_evals"]["vertex"] = 2 * len(pairs) * len(mu)
     idx = np.stack([left, shared, right], axis=1)
-    yield "vertex", idx, 2.0 * out
+    scale = 2.0 * h1 * h2 / (3 - 2 * s)
+    g0 = np.stack([np.ones_like(mu), mu - 1.0, -mu], axis=1)
+    g1 = np.stack([mu, 1.0 - mu, -np.ones_like(mu)], axis=1)
+    for part in _row_chunks(len(pairs), len(mu)):
+        a, b = h1[part, None], h2[part, None]
+        for g, gap in ((g0, a + b * mu), (g1, a * mu + b)):
+            wK = (scale[part, None] * wmu) * gap ** (-1.0 - 2 * s)
+            yield "vertex", idx[part], g, wK
 
 
-def _ident_blocks_2d(mesh, s, geo, spec, counters):
+def _ident_terms_2d(mesh, s, geo, spec, counters):
+    """Identical pairs by angular sector; each sector runs over the elements in order."""
     m = mesh.n_elements
     verts = geo.verts
-    grads = geo.grads
-    area = geo.measure
     beta = gamma(2 - 2 * s) * gamma(3) / gamma(5 - 2 * s)
     L = np.stack([verts[:, 1] - verts[:, 0], verts[:, 2] - verts[:, 1]], axis=-1)
+    scale = 4.0 * beta * geo.measure * geo.measure
     xg, wg = np.polynomial.legendre.leggauss(spec.angular_order)
-    total = np.zeros((m, 3, 3))
-    evals = 0
+    counters["pair_counts"]["identical"] = m
+    counters["kernel_evals"]["identical"] = 3 * m * len(xg)
     for a, b in ((0, np.pi / 4), (np.pi / 4, np.pi / 2), (np.pi / 2, np.pi)):
         th = 0.5 * (b - a) * xg + 0.5 * (a + b)
         w = 0.5 * (b - a) * wg
         om = np.stack([np.cos(th), np.sin(th)], axis=-1)
         tau = 0.5 * (np.abs(om[:, 0]) + np.abs(om[:, 1]) + np.abs(om[:, 0] - om[:, 1]))
-        z = np.einsum("nc,bdc->bnd", om, L)
-        kz = np.sum(z * z, axis=-1) ** (-(2 + 2 * s) / 2)
-        gz = np.einsum("bkd,bnd->bkn", grads, z)
-        f = kz * (tau ** (2 * s - 2) * w)
-        total += np.einsum("bin,bjn,bn->bij", gz, gz, f)
-        evals += m * len(th)
-    local = (4.0 * beta * area * area)[:, None, None] * total
-    counters["pair_counts"]["identical"] = m
-    counters["kernel_evals"]["identical"] = evals
-    yield "identical", mesh.elements.copy(), local
+        for part in _row_chunks(m, len(th)):
+            z = np.einsum("nc,bdc->bnd", om, L[part])
+            kz = np.sum(z * z, axis=-1) ** (-(2 + 2 * s) / 2)
+            gz = np.einsum("bkd,bnd->bnk", geo.grads[part], z)
+            wK = kz * (tau ** (2 * s - 2) * w) * scale[part, None]
+            yield "identical", mesh.elements[part], gz, wK
 
 
 def element_self_interaction(mesh: BallMesh, s: float) -> np.ndarray:
@@ -367,49 +388,41 @@ def element_self_interaction(mesh: BallMesh, s: float) -> np.ndarray:
     geo = element_geometry(mesh)
     counters = _new_counters()
     if mesh.dim == 1:
-        blocks = _ident_blocks_1d(mesh, s, geo, counters)
+        terms = _ident_terms_1d(mesh, s, geo, counters)
     else:
-        blocks = _ident_blocks_2d(mesh, s, geo, QuadSpec.for_dim(2), counters)
-    ((_, _, local),) = blocks
-    return local
+        terms = _ident_terms_2d(mesh, s, geo, QuadSpec.for_dim(2), counters)
+    local = np.concatenate([_term_block(g, wK) for _, _, g, wK in terms])
+    k = mesh.dim + 1
+    return local.reshape(-1, mesh.n_elements, k, k).sum(axis=0)
 
 
-def _vertex_blocks_2d(mesh, s, geo, pairs, spec, counters):
-    counters["pair_counts"]["vertex"] = len(pairs)
-    if not len(pairs):
-        counters["kernel_evals"]["vertex"] = 0
-        return
-    n = spec.vertex_order
-    x01, w01 = unit_gauss(n)
+def _vertex_terms_2d(mesh, s, geo, pairs, spec, counters):
+    x01, w01 = unit_gauss(spec.vertex_order)
     Sg, Tg, Mg = (a.ravel() for a in np.meshgrid(x01, x01, x01, indexing="ij"))
     Wg = (w01[:, None, None] * w01[None, :, None] * w01[None, None, :]).ravel()
     g_br = (
-        np.stack([Mg - 1, 1 - Sg, Sg, -Mg * (1 - Tg), -Mg * Tg]),
-        np.stack([1 - Mg, Mg * (1 - Sg), Mg * Sg, -(1 - Tg), -Tg]),
+        np.stack([Mg - 1, 1 - Sg, Sg, -Mg * (1 - Tg), -Mg * Tg], axis=1),
+        np.stack([1 - Mg, Mg * (1 - Sg), Mg * Sg, -(1 - Tg), -Tg], axis=1),
     )
-    evals = 0
-    chunk = max(1, (1 << 21) // len(Mg))
-    for lo in range(0, len(pairs), chunk):
-        sub = pairs[lo : lo + chunk]
-        na, nb = _shared_first(mesh.elements[sub[:, 0]], mesh.elements[sub[:, 1]])
-        Va = mesh.nodes[na]
-        Vb = mesh.nodes[nb]
-        E1a, E2a = Va[:, 1] - Va[:, 0], Va[:, 2] - Va[:, 0]
-        E1b, E2b = Vb[:, 1] - Vb[:, 0], Vb[:, 2] - Vb[:, 0]
-        ea = np.einsum("q,bd->bqd", 1 - Sg, E1a) + np.einsum("q,bd->bqd", Sg, E2a)
-        eb = np.einsum("q,bd->bqd", 1 - Tg, E1b) + np.einsum("q,bd->bqd", Tg, E2b)
-        out = np.zeros((len(sub), 5, 5))
+    counters["pair_counts"]["vertex"] = len(pairs)
+    counters["kernel_evals"]["vertex"] = 2 * len(pairs) * len(Mg)
+    na, nb = _shared_first(mesh.elements[pairs[:, 0]], mesh.elements[pairs[:, 1]])
+    idx = np.column_stack([na, nb[:, 1:]])
+    Va = mesh.nodes[na]
+    Vb = mesh.nodes[nb]
+    E1a, E2a = Va[:, 1] - Va[:, 0], Va[:, 2] - Va[:, 0]
+    E1b, E2b = Vb[:, 1] - Vb[:, 0], Vb[:, 2] - Vb[:, 0]
+    area_a = geo.measure[pairs[:, 0]]
+    area_b = geo.measure[pairs[:, 1]]
+    scale = 2.0 * 4.0 * area_a * area_b / (4 - 2 * s)
+    for part in _row_chunks(len(pairs), len(Mg)):
+        a1, a2, b1, b2 = E1a[part], E2a[part], E1b[part], E2b[part]
+        ea = np.einsum("q,bd->bqd", 1 - Sg, a1) + np.einsum("q,bd->bqd", Sg, a2)
+        eb = np.einsum("q,bd->bqd", 1 - Tg, b1) + np.einsum("q,bd->bqd", Tg, b2)
         for branch, g in enumerate(g_br):
             z = ea - Mg[None, :, None] * eb if branch == 0 else Mg[None, :, None] * ea - eb
             K = np.sum(z * z, axis=-1) ** (-(2 + 2 * s) / 2)
-            out += np.einsum("bq,iq,jq->bij", (Wg * Mg) * K, g, g, optimize=True)
-        area_a = geo.measure[sub[:, 0]]
-        area_b = geo.measure[sub[:, 1]]
-        out *= (4.0 * area_a * area_b / (4 - 2 * s))[:, None, None]
-        evals += 2 * len(sub) * len(Mg)
-        idx = np.column_stack([na, nb[:, 1:]])
-        yield "vertex", idx, 2.0 * out
-    counters["kernel_evals"]["vertex"] = evals
+            yield "vertex", idx[part], g, (scale[part, None] * (Wg * Mg)) * K
 
 
 def _edge_subregions(n):
@@ -428,93 +441,69 @@ def _edge_subregions(n):
     ]
 
 
-def _edge_blocks_2d(mesh, s, geo, pairs, spec, counters):
-    counters["pair_counts"]["edge"] = len(pairs)
-    if not len(pairs):
-        counters["kernel_evals"]["edge"] = 0
-        return
+def _edge_terms_2d(mesh, s, geo, pairs, spec, counters):
     regions = _edge_subregions(spec.edge_order)
-    gs = [np.stack([-d - b + dl, d, b, -dl]) for d, b, dl, _ in regions]
-    evals = 0
-    chunk = 4096
-    for lo in range(0, len(pairs), chunk):
-        sub = pairs[lo : lo + chunk]
-        na = mesh.elements[sub[:, 0]]
-        nb = mesh.elements[sub[:, 1]]
-        eq = na[:, :, None] == nb[:, None, :]
-        apex_a = np.argmin(eq.any(axis=2), axis=1)
-        apex_b = np.argmin(eq.any(axis=1), axis=1)
-        rows = np.arange(len(sub))
-        v1 = na[rows, (apex_a + 1) % 3]
-        v2 = na[rows, (apex_a + 2) % 3]
-        pa = na[rows, apex_a]
-        pb = nb[rows, apex_b]
-        X1 = mesh.nodes[v1]
-        E = mesh.nodes[v2] - X1
-        Ga = mesh.nodes[pa] - X1
-        Gb = mesh.nodes[pb] - X1
-        out = np.zeros((len(sub), 4, 4))
-        for (d, b, dl, w), g in zip(regions, gs):
+    counters["pair_counts"]["edge"] = len(pairs)
+    counters["kernel_evals"]["edge"] = len(pairs) * sum(len(r[0]) for r in regions)
+    na = mesh.elements[pairs[:, 0]]
+    nb = mesh.elements[pairs[:, 1]]
+    eq = na[:, :, None] == nb[:, None, :]
+    apex_a = np.argmin(eq.any(axis=2), axis=1)
+    apex_b = np.argmin(eq.any(axis=1), axis=1)
+    rows = np.arange(len(pairs))
+    v1 = na[rows, (apex_a + 1) % 3]
+    v2 = na[rows, (apex_a + 2) % 3]
+    pa = na[rows, apex_a]
+    pb = nb[rows, apex_b]
+    idx = np.column_stack([v1, v2, pa, pb])
+    X1 = mesh.nodes[v1]
+    E = mesh.nodes[v2] - X1
+    Ga = mesh.nodes[pa] - X1
+    Gb = mesh.nodes[pb] - X1
+    area_a = geo.measure[pairs[:, 0]]
+    area_b = geo.measure[pairs[:, 1]]
+    scale = 2.0 * 4.0 * area_a * area_b / ((3 - 2 * s) * (4 - 2 * s))
+    for d, b, dl, w in regions:
+        g = np.stack([-d - b + dl, d, b, -dl], axis=1)
+        for part in _row_chunks(len(pairs), len(d)):
             M = (
-                np.einsum("q,bd->bqd", d, E)
-                + np.einsum("q,bd->bqd", b, Ga)
-                - np.einsum("q,bd->bqd", dl, Gb)
+                np.einsum("q,bd->bqd", d, E[part])
+                + np.einsum("q,bd->bqd", b, Ga[part])
+                - np.einsum("q,bd->bqd", dl, Gb[part])
             )
             K = np.sum(M * M, axis=-1) ** (-(2 + 2 * s) / 2)
-            out += np.einsum("bq,iq,jq->bij", w * K, g, g, optimize=True)
-            evals += len(sub) * len(d)
-        area_a = geo.measure[sub[:, 0]]
-        area_b = geo.measure[sub[:, 1]]
-        out *= (4.0 * area_a * area_b / ((3 - 2 * s) * (4 - 2 * s)))[:, None, None]
-        idx = np.column_stack([v1, v2, pa, pb])
-        yield "edge", idx, 2.0 * out
-    counters["kernel_evals"]["edge"] = evals
+            yield "edge", idx[part], g, (scale[part, None] * w) * K
 
 
-def _disjoint_blocks(mesh, s, geo, pairs, order, tag, counters):
-    counters["pair_counts"][tag] = len(pairs)
-    if not len(pairs):
-        counters["kernel_evals"][tag] = 0
-        return
-    dim = mesh.dim
-    rule = reference_rule(dim, order)
+def _disjoint_terms(mesh, s, geo, pairs, order, tag, counters):
+    """Plain Gauss on both elements; a point pair (p, q) has g = [lam_p, -lam_q]."""
+    rule = reference_rule(mesh.dim, order)
     lam = rule.barycentric()
-    w = rule.weights
-    k = dim + 1
-    expo = -(dim + 2 * s) / 2.0
-    evals = 0
-    chunk = max(1, (1 << 22) // (len(w) * len(w)))
-    for lo in range(0, len(pairs), chunk):
-        sub = pairs[lo : lo + chunk]
-        ia, ib = sub[:, 0], sub[:, 1]
-        Xa = np.einsum("qk,bkd->bqd", lam, geo.verts[ia])
-        Xb = np.einsum("qk,bkd->bqd", lam, geo.verts[ib])
+    nq = len(lam)
+    counters["pair_counts"][tag] = len(pairs)
+    counters["kernel_evals"][tag] = len(pairs) * nq * nq
+    g = np.concatenate([np.repeat(lam, nq, axis=0), -np.tile(lam, (nq, 1))], axis=1)
+    ww = 2.0 * np.outer(rule.weights, rule.weights).ravel()
+    expo = -(mesh.dim + 2 * s) / 2.0
+    ia, ib = pairs[:, 0], pairs[:, 1]
+    idx = np.concatenate([mesh.elements[ia], mesh.elements[ib]], axis=1)
+    jac = geo.jacobian[ia] * geo.jacobian[ib]
+    for part in _row_chunks(len(pairs), nq * nq):
+        Xa = np.einsum("qk,bkd->bqd", lam, geo.verts[ia[part]])
+        Xb = np.einsum("qk,bkd->bqd", lam, geo.verts[ib[part]])
         D = Xa[:, :, None, :] - Xb[:, None, :, :]
-        K = np.sum(D * D, axis=-1) ** expo
-        evals += K.size
-        row = K @ w
-        col = np.einsum("p,bpq->bq", w, K)
-        M1 = np.einsum("bp,p,pi,pj->bij", row, w, lam, lam)
-        M2 = np.einsum("bq,q,qi,qj->bij", col, w, lam, lam)
-        T = np.einsum("bpq,q,qj->bpj", K, w, lam)
-        M3 = np.einsum("bpj,p,pi->bij", T, w, lam)
-        block = np.empty((len(sub), 2 * k, 2 * k))
-        block[:, :k, :k] = M1
-        block[:, k:, k:] = M2
-        block[:, :k, k:] = -M3
-        block[:, k:, :k] = -np.swapaxes(M3, 1, 2)
-        block *= (geo.jacobian[ia] * geo.jacobian[ib])[:, None, None]
-        idx = np.concatenate([mesh.elements[ia], mesh.elements[ib]], axis=1)
-        yield tag, idx, 2.0 * block
-    counters["kernel_evals"][tag] = evals
+        K = np.sum(D * D, axis=-1).reshape(len(D), -1) ** expo
+        yield tag, idx[part], g, K * ww * jac[part, None]
 
 
-def _pair_local_blocks(mesh, s, spec, geo, counters):
-    """Yield (category, node indices, local blocks) covering B_h x B_h.
+def _terms(mesh, s, spec, geo, counters):
+    """Yield (category, node idx (B, n), g, wK) covering the whole form.
 
-    Locals are final contributions to the double integral: unordered
-    distinct pairs carry the factor 2 for the two orderings, identical
-    pairs are already complete.
+    Row b of a term contributes sum_q wK[b, q] (g_q . u[idx[b]])^2 to
+    the double integral over B_h x B_h plus twice the complement
+    integral; g is shared, (points, n), or per row, (B, points, n).
+    Unordered distinct pairs and the complement carry their factor 2
+    in wK.  Rows may repeat across terms (branches, regions, sectors).
     """
     t0 = time.perf_counter()
     vertex, edge, near, far = _classify_pairs(mesh, geo)
@@ -522,24 +511,26 @@ def _pair_local_blocks(mesh, s, spec, geo, counters):
 
     t0 = time.perf_counter()
     if mesh.dim == 1:
-        yield from _ident_blocks_1d(mesh, s, geo, counters)
-        yield from _vertex_blocks_1d(mesh, s, geo, vertex, spec, counters)
+        yield from _ident_terms_1d(mesh, s, geo, counters)
+        yield from _vertex_terms_1d(mesh, s, geo, vertex, spec, counters)
         counters["pair_counts"]["edge"] = 0
         counters["kernel_evals"]["edge"] = 0
     else:
-        yield from _ident_blocks_2d(mesh, s, geo, spec, counters)
-        yield from _vertex_blocks_2d(mesh, s, geo, vertex, spec, counters)
-        yield from _edge_blocks_2d(mesh, s, geo, edge, spec, counters)
+        yield from _ident_terms_2d(mesh, s, geo, spec, counters)
+        yield from _vertex_terms_2d(mesh, s, geo, vertex, spec, counters)
+        yield from _edge_terms_2d(mesh, s, geo, edge, spec, counters)
     counters["phase_seconds"]["singular"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    yield from _disjoint_blocks(
+    yield from _disjoint_terms(
         mesh, s, geo, near, spec.disjoint_order + _NEAR_BONUS, "disjoint_near", counters
     )
-    yield from _disjoint_blocks(
+    yield from _disjoint_terms(
         mesh, s, geo, far, spec.disjoint_order, "disjoint_far", counters
     )
     counters["phase_seconds"]["disjoint"] = time.perf_counter() - t0
+
+    yield from _complement_terms(mesh, s, spec, geo, counters)
 
 
 def _new_counters():
@@ -553,9 +544,9 @@ def _new_counters():
     }
 
 
-def _check_finite(category, local):
-    if not np.all(np.isfinite(local)):
-        raise AssemblyError(f"non-finite local block in {category} pair quadrature")
+def _check_finite(category, values):
+    if not np.all(np.isfinite(values)):
+        raise AssemblyError(f"non-finite values in {category} quadrature")
 
 
 def assemble(mesh: BallMesh, s: float, quad_spec: QuadSpec | None = None) -> NonlocalForm:
@@ -573,23 +564,15 @@ def assemble(mesh: BallMesh, s: float, quad_spec: QuadSpec | None = None) -> Non
     counters = _new_counters()
     t_total = time.perf_counter()
 
-    flat_d = np.zeros(n * n)
-    for category, idx, local in _pair_local_blocks(mesh, s, spec, geo, counters):
+    flat = np.zeros(n * n)
+    for category, idx, g, wK in _terms(mesh, s, spec, geo, counters):
+        local = _term_block(g, wK)
         _check_finite(category, local)
         pos = (idx[:, :, None] * n + idx[:, None, :]).ravel()
-        flat_d += np.bincount(pos, weights=local.ravel(), minlength=n * n)
-
-    t0 = time.perf_counter()
-    flat_c = np.zeros(n * n)
-    for category, idx, local in _complement_local_blocks(mesh, s, spec, geo, counters):
-        _check_finite(category, local)
-        pos = (idx[:, :, None] * n + idx[:, None, :]).ravel()
-        flat_c += np.bincount(pos, weights=local.ravel(), minlength=n * n)
-    counters["phase_seconds"]["complement"] = time.perf_counter() - t0
-
-    full = s * (1 - s) * (flat_d + 2.0 * flat_c).reshape(n, n)
+        flat += np.bincount(pos, weights=local.ravel(), minlength=n * n)
+    flat *= s * (1 - s)
     fc = mesh.free_count
-    matrix = np.ascontiguousarray(full[:fc, :fc])
+    matrix = np.ascontiguousarray(flat.reshape(n, n)[:fc, :fc])
 
     scale = float(np.max(np.abs(matrix))) or 1.0
     skew = float(np.max(np.abs(matrix - matrix.T)))
@@ -623,26 +606,23 @@ def seminorm_sq(form: NonlocalForm, u: FeFunction) -> float:
 def seminorm_sq_direct(
     mesh: BallMesh, s: float, u: FeFunction, quad_spec: QuadSpec | None = None
 ) -> float:
-    """Squared seminorm by direct per-block contraction, no matrix storage.
+    """Squared seminorm summed at the quadrature points, no matrix or block.
 
-    Shares the quadrature engine with assemble; useful for meshes too
-    large for a dense matrix and for independent-order audits.
+    Every term adds sum wK (g . u)^2 from the quadrature that assemble
+    scatters; useful for meshes too large for a dense matrix and for
+    independent-order audits.
     """
     check_order(mesh.dim, s)
     if u.mesh is not mesh:
         raise ValueError("function does not live on the given mesh")
     spec = quad_spec if quad_spec is not None else QuadSpec.for_dim(mesh.dim)
     geo = element_geometry(mesh)
-    counters = _new_counters()
     vals = u.values
     acc = 0.0
-    for category, idx, local in _pair_local_blocks(mesh, s, spec, geo, counters):
-        _check_finite(category, local)
+    for category, idx, g, wK in _terms(mesh, s, spec, geo, _new_counters()):
         w = vals[idx]
-        acc += float(np.einsum("bij,bi,bj->", local, w, w))
-    comp = 0.0
-    for category, idx, local in _complement_local_blocks(mesh, s, spec, geo, counters):
-        _check_finite(category, local)
-        w = vals[idx]
-        comp += float(np.einsum("bij,bi,bj->", local, w, w))
-    return s * (1 - s) * (acc + 2.0 * comp)
+        gu = w @ g.T if g.ndim == 2 else (g @ w[:, :, None])[..., 0]
+        part = float(np.sum(wK * gu * gu))
+        _check_finite(category, part)
+        acc += part
+    return s * (1 - s) * acc

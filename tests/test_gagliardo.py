@@ -12,8 +12,10 @@ from numpy.polynomial.legendre import leggauss
 from scipy import integrate
 from scipy.special import ellipe
 
+from fracsobolev import gagliardo
 from fracsobolev.bubble import truncated_bubble
 from fracsobolev.gagliardo import (
+    AssemblyError,
     QuadSpec,
     assemble,
     complement_weight,
@@ -23,11 +25,14 @@ from fracsobolev.gagliardo import (
 from fracsobolev.gagliardo import (
     _classify_pairs,
     _complement_cells,
-    _edge_blocks_2d,
-    _ident_blocks_2d,
+    _edge_terms_2d,
+    _ident_terms_1d,
+    _ident_terms_2d,
     _kappa_fast,
     _new_counters,
-    _vertex_blocks_2d,
+    _term_block,
+    _vertex_terms_1d,
+    _vertex_terms_2d,
 )
 from fracsobolev.mesh import (
     FeFunction,
@@ -49,6 +54,23 @@ def _mesh_for_key(key):
     if key.startswith("custom"):
         return _custom_1d_mesh()
     return build_mesh(1, int(key.split(",")[0][5:]))
+
+
+def _pair_blocks(terms):
+    """Per-row node indices and local blocks of a term stream.
+
+    Applies the package's block former to each term and sums the terms
+    of a row (rows repeat across branches, regions and sectors); rows
+    keep the order in which they first appear.
+    """
+    terms = list(terms)
+    idx = np.concatenate([t[1] for t in terms])
+    blocks = np.concatenate([_term_block(t[2], t[3]) for t in terms])
+    _, first, inv = np.unique(idx, axis=0, return_index=True, return_inverse=True)
+    rank = np.argsort(np.argsort(first))
+    out = np.zeros((len(first),) + blocks.shape[1:])
+    np.add.at(out, rank[inv.ravel()], blocks)
+    return idx[np.sort(first)], out
 
 
 def _sorted_free_matrix(form):
@@ -217,14 +239,55 @@ def test_seminorm_matches_matrix_quadratic_form():
 
 
 def test_seminorm_direct_agrees_with_assembled():
-    for dim, level, s in [(1, 3, 0.25), (2, 0, 0.5)]:
+    cases = [
+        (1, 3, 0.25, False),
+        (2, 0, 0.5, False),
+        (1, 3, 0.25, True),
+        (2, 0, 0.5, True),
+        (2, 1, 0.25, False),
+    ]
+    for dim, level, s, boost in cases:
         mesh = build_mesh(dim, level)
+        spec = QuadSpec.for_dim(dim).boosted() if boost else None
         rng = np.random.default_rng(4 + dim)
         u = FeFunction.from_free(mesh, rng.normal(size=mesh.free_count))
-        form = assemble(mesh, s)
+        form = assemble(mesh, s, spec)
         a = seminorm_sq(form, u)
-        b = seminorm_sq_direct(mesh, s, u)
-        assert abs(a - b) / a < 1e-12
+        b = seminorm_sq_direct(mesh, s, u, spec)
+        assert abs(a - b) / a < 1e-12, (dim, level, s, boost)
+
+
+def test_non_finite_complement_raises_on_both_paths(monkeypatch):
+    mesh = build_mesh(2, 0)
+    u = FeFunction.from_free(mesh, np.ones(mesh.free_count))
+    monkeypatch.setattr(
+        gagliardo, "_kappa_fast", lambda pts, dim, s: np.full(pts.shape[:-1], np.inf)
+    )
+    with np.errstate(invalid="ignore"), pytest.raises(AssemblyError, match="complement"):
+        assemble(mesh, 0.5)
+    with np.errstate(invalid="ignore"), pytest.raises(AssemblyError, match="complement"):
+        seminorm_sq_direct(mesh, 0.5, u)
+
+
+@pytest.mark.parametrize("dim, level, s", [(1, 5, 0.25), (2, 1, 0.5)])
+def test_term_chunks_do_not_change_the_form(monkeypatch, dim, level, s):
+    # the fast meshes fit one chunk per term; a 256-point cap splits every category
+    # whose rows carry more than one point
+    mesh = build_mesh(dim, level)
+    u = FeFunction.from_free(mesh, np.random.default_rng(7).normal(size=mesh.free_count))
+    runs = []
+    for cap in (gagliardo._TERM_POINTS, 256):
+        monkeypatch.setattr(gagliardo, "_TERM_POINTS", cap)
+        runs.append((assemble(mesh, s), seminorm_sq_direct(mesh, s, u)))
+    (whole, a), (sliced, b) = runs
+    scale = np.max(np.abs(whole.matrix))
+    assert np.max(np.abs(whole.matrix - sliced.matrix)) <= 1e-14 * scale
+    assert abs(a - b) <= 1e-14 * abs(a)
+    r, q = whole.assembly_report, sliced.assembly_report
+    assert r.kernel_evals == q.kernel_evals
+    assert r.pair_counts == q.pair_counts
+    assert r.complement_cells == q.complement_cells
+    assert r.complement_points == q.complement_points
 
 
 def test_quadrature_boost_drift_small():
@@ -263,10 +326,8 @@ def test_ident_block_1d_against_nested_quad():
     assert abs(closed - brute) / abs(brute) < 1e-9
     # the in-package identical block carries exactly this closed form
     mesh = _custom_1d_mesh()
-    from fracsobolev.gagliardo import _ident_blocks_1d
-
     geo = element_geometry(mesh)
-    ((_, els, loc),) = list(_ident_blocks_1d(mesh, s, geo, _new_counters()))
+    _, loc = _pair_blocks(_ident_terms_1d(mesh, s, geo, _new_counters()))
     for e in range(mesh.n_elements):
         he = geo.measure[e]
         ref = 2.0 * he ** (3 - 2 * s) / ((2 - 2 * s) * (3 - 2 * s)) / he**2
@@ -279,13 +340,9 @@ def test_vertex_block_1d_against_nested_quad():
     s = 0.31
     mesh = _custom_1d_mesh()
     geo = element_geometry(mesh)
-    from fracsobolev.gagliardo import _vertex_blocks_1d
-
     vertex, _, _, _ = _classify_pairs(mesh, geo)
     ctr = _new_counters()
-    blocks = list(_vertex_blocks_1d(mesh, s, geo, vertex, QuadSpec.for_dim(1), ctr))
-    idx = np.concatenate([b[1] for b in blocks])
-    loc = np.concatenate([b[2] for b in blocks])
+    idx, loc = _pair_blocks(_vertex_terms_1d(mesh, s, geo, vertex, QuadSpec.for_dim(1), ctr))
     coords = mesh.nodes[:, 0]
     for row in range(len(idx)):
         xl, xm, xr = coords[idx[row]]
@@ -496,8 +553,8 @@ def disk_pairs():
 @pytest.mark.parametrize("s", [0.5, 0.75])
 def test_ident_blocks_2d_vs_covariogram(disk_pairs, s):
     mesh, geo, _, _ = disk_pairs
-    ((_, _, loc),) = list(
-        _ident_blocks_2d(mesh, s, geo, QuadSpec.for_dim(2), _new_counters())
+    _, loc = _pair_blocks(
+        _ident_terms_2d(mesh, s, geo, QuadSpec.for_dim(2), _new_counters())
     )
     for e in (0, 7):
         ref = _ident_oracle_covariogram(geo.verts[e], s)
@@ -507,11 +564,9 @@ def test_ident_blocks_2d_vs_covariogram(disk_pairs, s):
 @pytest.mark.parametrize("s", [0.5, 0.75])
 def test_vertex_blocks_2d_vs_subdivision(disk_pairs, s):
     mesh, geo, vertex, _ = disk_pairs
-    blocks = list(
-        _vertex_blocks_2d(mesh, s, geo, vertex, QuadSpec.for_dim(2), _new_counters())
+    idxs, locs = _pair_blocks(
+        _vertex_terms_2d(mesh, s, geo, vertex, QuadSpec.for_dim(2), _new_counters())
     )
-    idxs = np.concatenate([b[1] for b in blocks])
-    locs = np.concatenate([b[2] for b in blocks])
     for pick in (0, len(idxs) // 2):
         idx, loc = idxs[pick], locs[pick]
         Va = mesh.nodes[idx[:3]]
@@ -534,11 +589,9 @@ def test_edge_blocks_2d_vs_subdivision(disk_pairs):
     # the deepest touching case; one pair per order, Aitken-extrapolated
     mesh, geo, _, edge = disk_pairs
     for s, depths, tol in [(0.5, (5, 6, 7), 1e-4), (0.75, (4, 5, 6), 1e-3)]:
-        blocks = list(
-            _edge_blocks_2d(mesh, s, geo, edge, QuadSpec.for_dim(2), _new_counters())
+        idxs, locs = _pair_blocks(
+            _edge_terms_2d(mesh, s, geo, edge, QuadSpec.for_dim(2), _new_counters())
         )
-        idxs = np.concatenate([b[1] for b in blocks])
-        locs = np.concatenate([b[2] for b in blocks])
         idx, loc = idxs[0], locs[0]
         Va = mesh.nodes[idx[:3]]
         Vb = mesh.nodes[[idx[0], idx[1], idx[3]]]
