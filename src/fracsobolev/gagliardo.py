@@ -14,7 +14,8 @@ item 3).  Element pairs are integrated by category: identical and
 touching pairs through tensor transforms that cancel the singularity,
 disjoint pairs by plain Gauss graded with distance, and the complement
 term by breadth-first subdivision toward the sphere where kappa blows
-up.
+up.  The pair categories and the shared-node order of touching pairs
+come from ``mesh.element_pairs``, decided once per mesh.
 
 Each category yields terms (category, node idx, g, wK), one row per
 element pair or cell: row b adds sum_q wK[b, q] (g_q . u[idx[b]])^2.
@@ -35,7 +36,7 @@ from scipy.interpolate import CubicSpline
 from scipy.special import hyp2f1
 
 from ._quad import unit_gauss
-from .mesh import BallMesh, FeFunction, SizeLimitError, element_geometry
+from .mesh import BallMesh, FeFunction, SizeLimitError, element_geometry, element_pairs
 from .norms import reference_rule
 from .params import check_order
 
@@ -52,7 +53,7 @@ __all__ = [
 ]
 
 _BOUNDARY_TOL = 1e-12
-# extra Gauss points per direction on "near" disjoint pairs (see _classify_pairs)
+# extra Gauss points per direction on "near" disjoint pairs (see mesh.element_pairs)
 _NEAR_BONUS = 2
 _DENSE_BYTES_CAP = 2e9
 # quadrature points per yielded term, in every category
@@ -246,8 +247,7 @@ def _complement_cells(mesh: BallMesh, geo, spec: QuadSpec):
 def _complement_terms(mesh, s, spec, geo, counters):
     """Yield 2 * integral of u v kappa, one subdivision cell per row.
 
-    A cell's g holds the parent element's hats at its points,
-    lam @ bary, with the columns of boundary nodes zeroed.
+    A cell's g holds the parent element's hats at its points, lam @ bary.
     """
     t0 = time.perf_counter()
     cell_elem, cell_bary, cell_depth, capped = _complement_cells(mesh, geo, spec)
@@ -256,60 +256,17 @@ def _complement_terms(mesh, s, spec, geo, counters):
     rule = reference_rule(mesh.dim, spec.complement_order)
     lam = rule.barycentric()
     scale = 2.0 * 2.0 ** (-mesh.dim * cell_depth) * geo.jacobian[cell_elem]
-    keep = ~mesh.boundary_mask[mesh.elements[cell_elem]]
     npts = 0
     for part in _row_chunks(len(cell_elem), len(lam)):
         elems = cell_elem[part]
         bary = cell_bary[part]
         kap = _kappa_fast(lam @ (bary @ geo.verts[elems]), mesh.dim, s)
         npts += kap.size
-        g = lam @ (bary * keep[part, None, :])
+        g = lam @ bary
         wK = (scale[part, None] * rule.weights) * kap
         yield "complement", mesh.elements[elems], g, wK
     counters["complement_points"] = npts
     counters["phase_seconds"]["complement"] = time.perf_counter() - t0
-
-
-# ------------------------------------------------------------ pair category
-
-def _classify_pairs(mesh: BallMesh, geo):
-    """Split unordered distinct element pairs by shared-node topology.
-
-    Returns (vertex, edge, near, far) pair-index arrays; "near" disjoint
-    pairs sit closer than the larger of the two element diameters.
-    """
-    m = mesh.n_elements
-    els = mesh.elements
-    verts = geo.verts
-    diam = geo.diameter
-    I, J = np.triu_indices(m, 1)
-    vertex, edge, near, far = [], [], [], []
-    chunk = 1 << 16
-    for lo in range(0, len(I), chunk):
-        ii, jj = I[lo : lo + chunk], J[lo : lo + chunk]
-        eq = els[ii][:, :, None] == els[jj][:, None, :]
-        shared = eq.sum(axis=(1, 2))
-        d = verts[ii][:, :, None, :] - verts[jj][:, None, :, :]
-        mind = np.sqrt(np.min(np.sum(d * d, axis=-1), axis=(1, 2)))
-        big = np.maximum(diam[ii], diam[jj])
-        pick = lambda mask: np.stack([ii[mask], jj[mask]], axis=1)
-        vertex.append(pick(shared == 1))
-        edge.append(pick(shared == 2))
-        near.append(pick((shared == 0) & (mind < big)))
-        far.append(pick((shared == 0) & (mind >= big)))
-    cat = lambda parts: np.concatenate(parts) if parts else np.zeros((0, 2), np.int64)
-    return cat(vertex), cat(edge), cat(near), cat(far)
-
-
-def _shared_first(els_a, els_b):
-    """Reorder two node triples so the shared node leads both."""
-    eq = els_a[:, :, None] == els_b[:, None, :]
-    pa = np.argmax(eq.any(axis=2), axis=1)
-    pb = np.argmax(eq.any(axis=1), axis=1)
-    rows = np.arange(len(els_a))
-    order_a = np.stack([pa, (pa + 1) % 3, (pa + 2) % 3], axis=1)
-    order_b = np.stack([pb, (pb + 1) % 3, (pb + 2) % 3], axis=1)
-    return els_a[rows[:, None], order_a], els_b[rows[:, None], order_b]
 
 
 # ----------------------------------------------------------- local formulas
@@ -324,20 +281,13 @@ def _ident_terms_1d(mesh, s, geo, counters):
         yield "identical", mesh.elements[part], g[part], wK[part]
 
 
-def _vertex_terms_1d(mesh, s, geo, pairs, spec, counters):
+def _vertex_terms_1d(mesh, s, pairs, spec, counters):
     mu, wmu = unit_gauss(spec.vertex_order)
-    counters["pair_counts"]["vertex"] = len(pairs)
-    counters["kernel_evals"]["vertex"] = 2 * len(pairs) * len(mu)
-    nodes_a = mesh.elements[pairs[:, 0]]
-    nodes_b = mesh.elements[pairs[:, 1]]
+    n_pairs = len(pairs.vertex)
+    counters["pair_counts"]["vertex"] = n_pairs
+    counters["kernel_evals"]["vertex"] = 2 * n_pairs * len(mu)
     coords = mesh.nodes[:, 0]
-    eq = nodes_a[:, :, None] == nodes_b[:, None, :]
-    pa = np.argmax(eq.any(axis=2), axis=1)
-    pb = np.argmax(eq.any(axis=1), axis=1)
-    rows = np.arange(len(pairs))
-    shared = nodes_a[rows, pa]
-    other_a = nodes_a[rows, 1 - pa]
-    other_b = nodes_b[rows, 1 - pb]
+    shared, other_a, other_b = pairs.vertex_nodes.T
     # orient: left element's far node lies below the shared node
     left = np.where(coords[other_a] < coords[shared], other_a, other_b)
     right = np.where(coords[other_a] < coords[shared], other_b, other_a)
@@ -347,7 +297,7 @@ def _vertex_terms_1d(mesh, s, geo, pairs, spec, counters):
     scale = 2.0 * h1 * h2 / (3 - 2 * s)
     g0 = np.stack([np.ones_like(mu), mu - 1.0, -mu], axis=1)
     g1 = np.stack([mu, 1.0 - mu, -np.ones_like(mu)], axis=1)
-    for part in _row_chunks(len(pairs), len(mu)):
+    for part in _row_chunks(n_pairs, len(mu)):
         a, b = h1[part, None], h2[part, None]
         for g, gap in ((g0, a + b * mu), (g1, a * mu + b)):
             wK = (scale[part, None] * wmu) * gap ** (-1.0 - 2 * s)
@@ -404,19 +354,15 @@ def _vertex_terms_2d(mesh, s, geo, pairs, spec, counters):
         np.stack([Mg - 1, 1 - Sg, Sg, -Mg * (1 - Tg), -Mg * Tg], axis=1),
         np.stack([1 - Mg, Mg * (1 - Sg), Mg * Sg, -(1 - Tg), -Tg], axis=1),
     )
-    counters["pair_counts"]["vertex"] = len(pairs)
-    counters["kernel_evals"]["vertex"] = 2 * len(pairs) * len(Mg)
-    na, nb = _shared_first(mesh.elements[pairs[:, 0]], mesh.elements[pairs[:, 1]])
-    idx = np.column_stack([na, nb[:, 1:]])
-    Va = mesh.nodes[na]
-    Vb = mesh.nodes[nb]
-    E1a, E2a = Va[:, 1] - Va[:, 0], Va[:, 2] - Va[:, 0]
-    E1b, E2b = Vb[:, 1] - Vb[:, 0], Vb[:, 2] - Vb[:, 0]
-    area_a = geo.measure[pairs[:, 0]]
-    area_b = geo.measure[pairs[:, 1]]
-    scale = 2.0 * 4.0 * area_a * area_b / (4 - 2 * s)
-    for part in _row_chunks(len(pairs), len(Mg)):
-        a1, a2, b1, b2 = E1a[part], E2a[part], E1b[part], E2b[part]
+    counters["pair_counts"]["vertex"] = len(pairs.vertex)
+    counters["kernel_evals"]["vertex"] = 2 * len(pairs.vertex) * len(Mg)
+    idx = pairs.vertex_nodes
+    # edges from the shared node: two of the first element, two of the second
+    edges = mesh.nodes[idx[:, 1:]] - mesh.nodes[idx[:, :1]]
+    area = geo.measure[pairs.vertex]
+    scale = 2.0 * 4.0 * area[:, 0] * area[:, 1] / (4 - 2 * s)
+    for part in _row_chunks(len(idx), len(Mg)):
+        a1, a2, b1, b2 = np.moveaxis(edges[part], 1, 0)
         ea = np.einsum("q,bd->bqd", 1 - Sg, a1) + np.einsum("q,bd->bqd", Sg, a2)
         eb = np.einsum("q,bd->bqd", 1 - Tg, b1) + np.einsum("q,bd->bqd", Tg, b2)
         for branch, g in enumerate(g_br):
@@ -443,29 +389,16 @@ def _edge_subregions(n):
 
 def _edge_terms_2d(mesh, s, geo, pairs, spec, counters):
     regions = _edge_subregions(spec.edge_order)
-    counters["pair_counts"]["edge"] = len(pairs)
-    counters["kernel_evals"]["edge"] = len(pairs) * sum(len(r[0]) for r in regions)
-    na = mesh.elements[pairs[:, 0]]
-    nb = mesh.elements[pairs[:, 1]]
-    eq = na[:, :, None] == nb[:, None, :]
-    apex_a = np.argmin(eq.any(axis=2), axis=1)
-    apex_b = np.argmin(eq.any(axis=1), axis=1)
-    rows = np.arange(len(pairs))
-    v1 = na[rows, (apex_a + 1) % 3]
-    v2 = na[rows, (apex_a + 2) % 3]
-    pa = na[rows, apex_a]
-    pb = nb[rows, apex_b]
-    idx = np.column_stack([v1, v2, pa, pb])
-    X1 = mesh.nodes[v1]
-    E = mesh.nodes[v2] - X1
-    Ga = mesh.nodes[pa] - X1
-    Gb = mesh.nodes[pb] - X1
-    area_a = geo.measure[pairs[:, 0]]
-    area_b = geo.measure[pairs[:, 1]]
-    scale = 2.0 * 4.0 * area_a * area_b / ((3 - 2 * s) * (4 - 2 * s))
+    counters["pair_counts"]["edge"] = len(pairs.edge)
+    counters["kernel_evals"]["edge"] = len(pairs.edge) * sum(len(r[0]) for r in regions)
+    # rows (v1, v2, apex a, apex b): shared edge v1 -> v2, then the two apexes
+    idx = pairs.edge_nodes
+    E, Ga, Gb = np.moveaxis(mesh.nodes[idx[:, 1:]] - mesh.nodes[idx[:, :1]], 1, 0)
+    area = geo.measure[pairs.edge]
+    scale = 2.0 * 4.0 * area[:, 0] * area[:, 1] / ((3 - 2 * s) * (4 - 2 * s))
     for d, b, dl, w in regions:
         g = np.stack([-d - b + dl, d, b, -dl], axis=1)
-        for part in _row_chunks(len(pairs), len(d)):
+        for part in _row_chunks(len(idx), len(d)):
             M = (
                 np.einsum("q,bd->bqd", d, E[part])
                 + np.einsum("q,bd->bqd", b, Ga[part])
@@ -506,27 +439,27 @@ def _terms(mesh, s, spec, geo, counters):
     in wK.  Rows may repeat across terms (branches, regions, sectors).
     """
     t0 = time.perf_counter()
-    vertex, edge, near, far = _classify_pairs(mesh, geo)
+    pairs = element_pairs(mesh)
     counters["phase_seconds"]["classify"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     if mesh.dim == 1:
         yield from _ident_terms_1d(mesh, s, geo, counters)
-        yield from _vertex_terms_1d(mesh, s, geo, vertex, spec, counters)
+        yield from _vertex_terms_1d(mesh, s, pairs, spec, counters)
         counters["pair_counts"]["edge"] = 0
         counters["kernel_evals"]["edge"] = 0
     else:
         yield from _ident_terms_2d(mesh, s, geo, spec, counters)
-        yield from _vertex_terms_2d(mesh, s, geo, vertex, spec, counters)
-        yield from _edge_terms_2d(mesh, s, geo, edge, spec, counters)
+        yield from _vertex_terms_2d(mesh, s, geo, pairs, spec, counters)
+        yield from _edge_terms_2d(mesh, s, geo, pairs, spec, counters)
     counters["phase_seconds"]["singular"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     yield from _disjoint_terms(
-        mesh, s, geo, near, spec.disjoint_order + _NEAR_BONUS, "disjoint_near", counters
+        mesh, s, geo, pairs.near, spec.disjoint_order + _NEAR_BONUS, "disjoint_near", counters
     )
     yield from _disjoint_terms(
-        mesh, s, geo, far, spec.disjoint_order, "disjoint_far", counters
+        mesh, s, geo, pairs.far, spec.disjoint_order, "disjoint_far", counters
     )
     counters["phase_seconds"]["disjoint"] = time.perf_counter() - t0
 

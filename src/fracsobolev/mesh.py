@@ -8,6 +8,7 @@ last, so the free (interior) degrees of freedom are a prefix.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -341,6 +342,58 @@ class _ElementGeometry:
     diameter: np.ndarray
     jacobian: np.ndarray
     grads: np.ndarray
+
+
+_ElementPairs = namedtuple("_ElementPairs", "vertex edge near far vertex_nodes edge_nodes")
+
+
+def element_pairs(mesh):
+    """Cached shared-node topology of the unordered distinct element pairs.
+
+    Returns an object with (P, 2) element-index arrays vertex and edge
+    (one and two shared nodes), near and far (no shared node; near when
+    the smallest vertex distance is below the larger element diameter),
+    and the node tables vertex_nodes (P, 2N+1) and edge_nodes (P, 2N).
+    A table row holds the first element's nodes in cyclic order from its
+    first shared node, then the second element's unshared nodes in
+    cyclic order, so the shared nodes lead.
+    """
+    if "pairs" not in mesh._cache:
+        mesh._cache["pairs"] = _enumerate_pairs(mesh)
+    return mesh._cache["pairs"]
+
+
+def _enumerate_pairs(mesh):
+    els = mesh.elements
+    geo = element_geometry(mesh)
+    I, J = np.triu_indices(mesh.n_elements, 1)
+    parts = {name: [] for name in _ElementPairs._fields}
+    chunk = 1 << 16
+    # at least one pass, so every array keeps its width when there are no pairs
+    for lo in range(0, max(len(I), 1), chunk):
+        ii, jj = I[lo : lo + chunk], J[lo : lo + chunk]
+        eq = els[ii][:, :, None] == els[jj][:, None, :]
+        shared = eq.sum(axis=(1, 2))
+        d = geo.verts[ii][:, :, None, :] - geo.verts[jj][:, None, :, :]
+        mind = np.sqrt(np.min(np.sum(d * d, axis=-1), axis=(1, 2)))
+        close = mind < np.maximum(geo.diameter[ii], geo.diameter[jj])
+        masks = dict(vertex=shared == 1, edge=shared == 2, near=(shared == 0) & close)
+        masks["far"] = (shared == 0) & ~close
+        for name, mask in masks.items():
+            parts[name].append(np.stack([ii[mask], jj[mask]], axis=1))
+        for n_shared, name in ((1, "vertex"), (2, "edge")):
+            mask = masks[name]
+            a = _from_first_shared(els[ii[mask]], eq[mask].any(axis=2))
+            b = _from_first_shared(els[jj[mask]], eq[mask].any(axis=1))
+            parts[name + "_nodes"].append(np.concatenate([a, b[:, n_shared:]], axis=1))
+    return _ElementPairs(**{name: np.concatenate(arrs) for name, arrs in parts.items()})
+
+
+def _from_first_shared(nodes, shared):
+    """Rotate rows cyclically to start at the shared node after an unshared one."""
+    k = nodes.shape[1]
+    start = np.argmax(shared & ~np.roll(shared, 1, axis=1), axis=1)
+    return nodes[np.arange(len(nodes))[:, None], (start[:, None] + np.arange(k)) % k]
 
 
 def interpolate(mesh, f):

@@ -1,7 +1,7 @@
 """Nonlocal form assembly against independent quadrature oracles.
 
 The 1D matrices are pinned to frozen adaptive-quadrature references; the
-2D singular-pair reductions are checked against a recursive subdivision
+2D singular-pair reductions are checked against a level-by-level subdivision
 oracle (touching pairs) and a covariogram reduction (identical pairs),
 both implemented here from scratch.
 """
@@ -13,6 +13,7 @@ from scipy import integrate
 from scipy.special import ellipe
 
 from fracsobolev import gagliardo
+from fracsobolev import mesh as mesh_module
 from fracsobolev.bubble import truncated_bubble
 from fracsobolev.gagliardo import (
     AssemblyError,
@@ -23,7 +24,6 @@ from fracsobolev.gagliardo import (
     seminorm_sq_direct,
 )
 from fracsobolev.gagliardo import (
-    _classify_pairs,
     _complement_cells,
     _edge_terms_2d,
     _ident_terms_1d,
@@ -38,6 +38,7 @@ from fracsobolev.mesh import (
     FeFunction,
     build_mesh,
     element_geometry,
+    element_pairs,
     interpolate,
     make_ball_mesh,
 )
@@ -111,6 +112,49 @@ def test_assembly_report_pair_coverage():
         assert form.assembly_report.complement_cells > 0
         assert form.assembly_report.complement_points > 0
         assert set(form.assembly_report.phase_seconds) >= {"classify", "singular", "disjoint"}
+
+
+@pytest.mark.parametrize(
+    "make_mesh", [lambda: build_mesh(1, 3), _custom_1d_mesh, lambda: build_mesh(2, 1)]
+)
+def test_element_pairs_cover_and_orient(make_mesh):
+    mesh = make_mesh()
+    pairs = element_pairs(mesh)
+    m, k = mesh.n_elements, mesh.dim + 1
+    cats = {0: (pairs.near, pairs.far), 1: (pairs.vertex,), 2: (pairs.edge,)}
+    every = np.concatenate([p for group in cats.values() for p in group])
+    assert len(every) == m * (m - 1) // 2
+    assert np.all(every[:, 0] < every[:, 1])
+    assert len(np.unique(every, axis=0)) == len(every)
+    for n_shared, group in cats.items():
+        for ea, eb in np.concatenate(group):
+            assert len(set(mesh.elements[ea]) & set(mesh.elements[eb])) == n_shared
+    for n_shared, elems, table in (
+        (1, pairs.vertex, pairs.vertex_nodes),
+        (2, pairs.edge, pairs.edge_nodes),
+    ):
+        assert table.shape == (len(elems), 2 * k - n_shared)
+        for (ea, eb), row in zip(elems, table.tolist()):
+            na, nb = mesh.elements[ea].tolist(), mesh.elements[eb].tolist()
+            shared = set(na) & set(nb)
+            assert set(row[:n_shared]) == shared
+            i, j = na.index(row[0]), nb.index(row[0])
+            assert row[:k] == na[i:] + na[:i]
+            assert row[k:] == [x for x in nb[j:] + nb[:j] if x not in shared]
+
+
+def test_element_pairs_enumerated_once_per_mesh(monkeypatch):
+    calls = []
+    enumerate_pairs = mesh_module._enumerate_pairs
+    monkeypatch.setattr(
+        mesh_module, "_enumerate_pairs", lambda mesh: calls.append(1) or enumerate_pairs(mesh)
+    )
+    mesh = build_mesh(1, 4)
+    u = FeFunction.from_free(mesh, np.ones(mesh.free_count))
+    assemble(mesh, 0.25)
+    seminorm_sq_direct(mesh, 0.25, u)
+    seminorm_sq_direct(mesh, 0.25, u, QuadSpec.for_dim(1).boosted())
+    assert len(calls) == 1
 
 
 def test_assemble_rejects_bad_order():
@@ -339,10 +383,9 @@ def test_vertex_block_1d_against_nested_quad():
     # adjacent nonuniform intervals sharing one node
     s = 0.31
     mesh = _custom_1d_mesh()
-    geo = element_geometry(mesh)
-    vertex, _, _, _ = _classify_pairs(mesh, geo)
+    pairs = element_pairs(mesh)
     ctr = _new_counters()
-    idx, loc = _pair_blocks(_vertex_terms_1d(mesh, s, geo, vertex, QuadSpec.for_dim(1), ctr))
+    idx, loc = _pair_blocks(_vertex_terms_1d(mesh, s, pairs, QuadSpec.for_dim(1), ctr))
     coords = mesh.nodes[:, 0]
     for row in range(len(idx)):
         xl, xm, xr = coords[idx[row]]
@@ -457,73 +500,93 @@ def _collapsed_tri_rule(n):
     return np.column_stack([A.ravel(), (B * (1 - A)).ravel()]), W.ravel()
 
 
+_TRI_RULE = _collapsed_tri_rule(5)
+
+
 def _tri_area(V):
-    return 0.5 * abs(np.linalg.det(np.column_stack([V[1] - V[0], V[2] - V[0]])))
+    """Areas of a stack of triangles V (..., 3, 2)."""
+    edges = np.stack([V[..., 1, :] - V[..., 0, :], V[..., 2, :] - V[..., 0, :]], axis=-1)
+    return 0.5 * np.abs(np.linalg.det(edges))
 
 
 def _map_tri(V, P):
-    return V[0] + P[:, :1] * (V[1] - V[0]) + P[:, 1:] * (V[2] - V[0])
+    """Reference points P (n, 2) mapped into each triangle of V (B, 3, 2)."""
+    V0 = V[:, None, 0]
+    return V0 + P[:, :1] * (V[:, None, 1] - V0) + P[:, 1:] * (V[:, None, 2] - V0)
 
 
-def _gauss_pair(Va, Vb, s, phi_a, phi_b, n=5):
-    P, W = _collapsed_tri_rule(n)
-    Xa, Xb = _map_tri(Va, P), _map_tri(Vb, P)
-    wa, wb = W * 2 * _tri_area(Va), W * 2 * _tri_area(Vb)
-    fa, fb = phi_a(Xa), phi_b(Xb)
-    D = Xa[:, None, :] - Xb[None, :, :]
-    K = np.sum(D * D, axis=-1) ** (-(2 + 2 * s) / 2)
-    t1 = np.einsum("p,q,pq,ip,jp->ij", wa, wb, K, fa, fa)
-    t2 = np.einsum("p,q,pq,ip,jq->ij", wa, wb, K, fa, fb)
-    t3 = np.einsum("p,q,pq,iq,jq->ij", wa, wb, K, fb, fb)
-    return t1 - t2 - t2.T + t3
+def _gauss_pairs(Va, Vb, s, phi_a, phi_b):
+    """Tensor Gauss blocks of separated triangle pairs (B, 3, 2), summed over the pairs."""
+    P, W = _TRI_RULE
+    total = 0.0
+    chunk = 2048
+    for lo in range(0, len(Va), chunk):
+        Ta, Tb = Va[lo : lo + chunk], Vb[lo : lo + chunk]
+        Xa, Xb = _map_tri(Ta, P), _map_tri(Tb, P)
+        wa = W * 2 * _tri_area(Ta)[:, None]
+        wb = W * 2 * _tri_area(Tb)[:, None]
+        fa = phi_a(Xa.reshape(-1, 2)).reshape(-1, *Xa.shape[:2])
+        fb = phi_b(Xb.reshape(-1, 2)).reshape(-1, *Xb.shape[:2])
+        D = Xa[:, :, None, :] - Xb[:, None, :, :]
+        K = np.sum(D * D, axis=-1) ** (-(2 + 2 * s) / 2) * wa[:, :, None] * wb[:, None, :]
+        t1 = np.einsum("bp,ibp,jbp->bij", K.sum(axis=2), fa, fa)
+        t2 = np.einsum("bpq,ibp,jbq->bij", K, fa, fb, optimize=True)
+        t3 = np.einsum("bq,ibq,jbq->bij", K.sum(axis=1), fb, fb)
+        # combine per pair before summing: the four parts nearly cancel
+        total = total + np.sum(t1 - t2 - np.swapaxes(t2, 1, 2) + t3, axis=0)
+    return total
 
 
 def _split4(V):
-    m01, m12, m02 = 0.5 * (V[0] + V[1]), 0.5 * (V[1] + V[2]), 0.5 * (V[0] + V[2])
-    return [
-        np.array([V[0], m01, m02]),
-        np.array([m01, V[1], m12]),
-        np.array([m02, m12, V[2]]),
-        np.array([m01, m12, m02]),
-    ]
+    """The four midpoint children of each triangle of V (B, 3, 2): (B, 4, 3, 2)."""
+    m01, m12, m02 = (0.5 * (V[:, i] + V[:, j]) for i, j in ((0, 1), (1, 2), (0, 2)))
+    return np.stack(
+        [
+            np.stack([V[:, 0], m01, m02], axis=1),
+            np.stack([m01, V[:, 1], m12], axis=1),
+            np.stack([m02, m12, V[:, 2]], axis=1),
+            np.stack([m01, m12, m02], axis=1),
+        ],
+        axis=1,
+    )
 
 
-def _seg_dist(p, q, a, b):
-    def pt_seg(x, a, b):
-        d = b - a
-        t = np.clip(np.dot(x - a, d) / max(float(d @ d), 1e-300), 0.0, 1.0)
-        return float(np.linalg.norm(x - (a + t * d)))
-
-    return min(pt_seg(p, a, b), pt_seg(q, a, b), pt_seg(a, p, q), pt_seg(b, p, q))
+def _pt_seg(x, a, b):
+    d = b - a
+    t = np.sum((x - a) * d, axis=-1) / np.maximum(np.sum(d * d, axis=-1), 1e-300)
+    t = np.clip(t, 0.0, 1.0)
+    return np.linalg.norm(x - (a + t[..., None] * d), axis=-1)
 
 
 def _touching(Va, Vb):
-    best = np.inf
-    for i in range(3):
-        for j in range(3):
-            best = min(
-                best, _seg_dist(Va[i], Va[(i + 1) % 3], Vb[j], Vb[(j + 1) % 3])
-            )
-            if best < 1e-12:
-                return True
-    return False
+    """Whether each triangle pair of Va, Vb (B, 3, 2) has edges closer than 1e-12."""
+    p, q = Va[:, :, None], np.roll(Va, -1, axis=1)[:, :, None]
+    a, b = Vb[:, None], np.roll(Vb, -1, axis=1)[:, None]
+    dist = np.minimum.reduce(
+        [_pt_seg(p, a, b), _pt_seg(q, a, b), _pt_seg(a, p, q), _pt_seg(b, p, q)]
+    )
+    return np.min(dist, axis=(1, 2)) < 1e-12
 
 
-def _subdiv_oracle(Va, Vb, s, phi_a, phi_b, depth):
-    """Refine toward the touching set; integrate separated descendants."""
+def _subdiv_oracle(Va, Vb, s, phi_a, phi_b, depths):
+    """Refine toward the touching set level by level; integrate separated descendants.
+
+    Returns {depth: block}, the sum over separated child pairs of levels
+    1..depth for each requested depth, so deeper results extend shallower ones.
+    """
     m = phi_a(Va[:1]).shape[0]
     total = np.zeros((m, m))
-    stack = [(Va, Vb, 0)]
-    while stack:
-        Ta, Tb, k = stack.pop()
-        for sa in _split4(Ta):
-            for sb in _split4(Tb):
-                if _touching(sa, sb):
-                    if k + 1 < depth:
-                        stack.append((sa, sb, k + 1))
-                else:
-                    total += _gauss_pair(sa, sb, s, phi_a, phi_b)
-    return total
+    out = {}
+    Ta, Tb = Va[None], Vb[None]
+    for level in range(1, max(depths) + 1):
+        ca = np.repeat(_split4(Ta), 4, axis=1).reshape(-1, 3, 2)
+        cb = np.tile(_split4(Tb), (1, 4, 1, 1)).reshape(-1, 3, 2)
+        touch = _touching(ca, cb)
+        total = total + _gauss_pairs(ca[~touch], cb[~touch], s, phi_a, phi_b)
+        if level in depths:
+            out[level] = total
+        Ta, Tb = ca[touch], cb[touch]
+    return out
 
 
 def _aitken(x0, x1, x2):
@@ -545,14 +608,12 @@ def _phi_of(V):
 @pytest.fixture(scope="module")
 def disk_pairs():
     mesh = build_mesh(2, 0)
-    geo = element_geometry(mesh)
-    vertex, edge, _, _ = _classify_pairs(mesh, geo)
-    return mesh, geo, vertex, edge
+    return mesh, element_geometry(mesh), element_pairs(mesh)
 
 
 @pytest.mark.parametrize("s", [0.5, 0.75])
 def test_ident_blocks_2d_vs_covariogram(disk_pairs, s):
-    mesh, geo, _, _ = disk_pairs
+    mesh, geo, _ = disk_pairs
     _, loc = _pair_blocks(
         _ident_terms_2d(mesh, s, geo, QuadSpec.for_dim(2), _new_counters())
     )
@@ -563,9 +624,9 @@ def test_ident_blocks_2d_vs_covariogram(disk_pairs, s):
 
 @pytest.mark.parametrize("s", [0.5, 0.75])
 def test_vertex_blocks_2d_vs_subdivision(disk_pairs, s):
-    mesh, geo, vertex, _ = disk_pairs
+    mesh, geo, pairs = disk_pairs
     idxs, locs = _pair_blocks(
-        _vertex_terms_2d(mesh, s, geo, vertex, QuadSpec.for_dim(2), _new_counters())
+        _vertex_terms_2d(mesh, s, geo, pairs, QuadSpec.for_dim(2), _new_counters())
     )
     for pick in (0, len(idxs) // 2):
         idx, loc = idxs[pick], locs[pick]
@@ -580,17 +641,17 @@ def test_vertex_blocks_2d_vs_subdivision(disk_pairs, s):
             lam = pb(X)
             return np.vstack([lam[:1], np.zeros((2, len(X))), lam[1:]])
 
-        o = {d: _subdiv_oracle(Va, Vb, s, phi_a, phi_b, d) for d in (5, 6, 7)}
+        o = _subdiv_oracle(Va, Vb, s, phi_a, phi_b, (5, 6, 7))
         ref = 2.0 * _aitken(o[5], o[6], o[7])
         assert np.max(np.abs(loc - ref)) / np.max(np.abs(ref)) < 5e-5
 
 
 def test_edge_blocks_2d_vs_subdivision(disk_pairs):
     # the deepest touching case; one pair per order, Aitken-extrapolated
-    mesh, geo, _, edge = disk_pairs
+    mesh, geo, pairs = disk_pairs
     for s, depths, tol in [(0.5, (5, 6, 7), 1e-4), (0.75, (4, 5, 6), 1e-3)]:
         idxs, locs = _pair_blocks(
-            _edge_terms_2d(mesh, s, geo, edge, QuadSpec.for_dim(2), _new_counters())
+            _edge_terms_2d(mesh, s, geo, pairs, QuadSpec.for_dim(2), _new_counters())
         )
         idx, loc = idxs[0], locs[0]
         Va = mesh.nodes[idx[:3]]
@@ -604,6 +665,6 @@ def test_edge_blocks_2d_vs_subdivision(disk_pairs):
             lam = pb(X)
             return np.vstack([lam[:2], np.zeros((1, len(X))), lam[2:]])
 
-        o = {d: _subdiv_oracle(Va, Vb, s, phi_a, phi_b, d) for d in depths}
+        o = _subdiv_oracle(Va, Vb, s, phi_a, phi_b, depths)
         ref = 2.0 * _aitken(*(o[d] for d in depths))
         assert np.max(np.abs(loc - ref)) / np.max(np.abs(ref)) < tol, s
