@@ -53,13 +53,11 @@ from .mesh import (
 )
 from .norms import QuadratureRule, lq_norm, nonlinear_residual, reference_rule
 from .params import (
-    ProblemParams,
     check_order,
     cosine_kernel_integral,
     critical_exponent,
     exact_constant,
     optimal_concentration,
-    problem_params,
     rate_exponent,
 )
 from .solver import ManifoldFit, SolverReport, deficit, fit_manifold, quotient, solve
@@ -75,7 +73,6 @@ __all__ = [
     "InterpRates",
     "ManifoldFit",
     "NonlocalForm",
-    "ProblemParams",
     "QuadSpec",
     "QuadratureRule",
     "RateFit",
@@ -107,7 +104,6 @@ __all__ = [
     "nonlinear_residual",
     "normalize_lambda",
     "optimal_concentration",
-    "problem_params",
     "quotient",
     "rate_exponent",
     "read_records",

@@ -235,14 +235,18 @@ def _radial_lq_power(f, q, N, upper, split):
 def bubble_lq_norm(b, q, region="ball"):
     """L^q norm of a (possibly truncated) profile by radial reduction.
 
-    region is "ball" (the unit ball) or "all_space"; the latter needs
-    q (N - 2s) > N for integrability and an untruncated profile. Relative
-    accuracy around 1e-10, enforced through the adaptive tolerance.
+    region is "ball" (the unit ball around the origin, so the profile must
+    be centered there; a truncated profile is by construction) or
+    "all_space"; the latter needs q (N - 2s) > N for integrability and an
+    untruncated profile. Relative accuracy around 1e-10, enforced through
+    the adaptive tolerance.
     """
     if q < 1.0:
         raise ValueError("q must be at least 1")
     N = b.dim
     if region == "ball":
+        if isinstance(b, Bubble) and np.any(b.center != 0.0):
+            raise ValueError("the ball norm needs a profile centered at the origin")
         upper = 1.0
     elif region == "all_space":
         if isinstance(b, TruncatedBubble):

@@ -1,9 +1,14 @@
 """L^q norms of piecewise-linear functions and the critical-exponent residual.
 
 Per-element Gauss quadrature with a doubling audit.  An affine function
-raised to a non-integer power is smooth except where it vanishes, so
-elements on which the function changes sign are split along the exact
-zero set before integrating.
+raised to a non-integer power is smooth except where it vanishes, so the
+elements on which the function changes sign are cut along the exact zero
+set, all in one array pass, by one rule for segments and triangles: take
+the lone vertex ``a`` (the only positive vertex, or else the only
+non-positive one), cut the edges from ``a`` where u = 0 and keep the corner
+``[a, cuts]``, and fan the rest from the first cut (``[cut, b]`` in 1D,
+``[cut_b, b, c]`` and ``[cut_b, c, cut_c]`` in 2D).  A cut on a vertex
+where u is exactly zero gives a piece of zero measure.
 """
 
 from __future__ import annotations
@@ -70,60 +75,39 @@ def reference_rule(dim: int, order: int) -> QuadratureRule:
     raise ValueError("dim must be 1 or 2")
 
 
-def _split_simplices(w: np.ndarray) -> list[tuple[np.ndarray, float]]:
-    """Partition the reference simplex along the zero set of an affine function.
+def _sign_split(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cut M sign-changing simplices, vertex values ``w`` (M, k), by the module's rule.
 
-    ``w`` holds the vertex values, with min(w) < 0 < max(w).  Returns
-    (barycentric vertex matrix, reference-measure fraction) pairs; the
-    function is one-signed on each piece.
+    Returns the barycentric vertex matrices of the k pieces per simplex,
+    shape (k, M, k, k), and their fractions |det| of the reference
+    measure, shape (k, M); u is one-signed at the vertices of every piece.
     """
-    k = len(w)
-    if k == 2:
-        t = w[0] / (w[0] - w[1])
-        left = np.array([[1.0, 0.0], [1.0 - t, t]])
-        right = np.array([[1.0 - t, t], [0.0, 1.0]])
-        return [(left, t), (right, 1.0 - t)]
-
-    eye = np.eye(3)
-
-    def cross_point(i, j):
-        t = w[i] / (w[i] - w[j])
-        return (1.0 - t) * eye[i] + t * eye[j]
-
-    pos = np.flatnonzero(w > 0)
-    neg = np.flatnonzero(w < 0)
-    pieces: list[np.ndarray] = []
-    if len(pos) == 1 and len(neg) == 1:
-        # one vertex sits exactly on the zero line
-        zero = int(np.flatnonzero(w == 0)[0])
-        i, j = int(pos[0]), int(neg[0])
-        z = cross_point(i, j)
-        pieces = [np.stack([eye[zero], eye[i], z]), np.stack([eye[zero], z, eye[j]])]
-    else:
-        a = int(pos[0]) if len(pos) == 1 else int(neg[0])
-        b, c = [v for v in range(3) if v != a]
-        zb = cross_point(a, b)
-        zc = cross_point(a, c)
-        pieces = [
-            np.stack([eye[a], zb, zc]),
-            np.stack([zb, eye[b], eye[c]]),
-            np.stack([zb, eye[c], zc]),
-        ]
-    out = []
-    for bary in pieces:
-        edges = bary[1:, 1:] - bary[0, 1:]
-        frac = 2.0 * abs(0.5 * np.linalg.det(edges))
-        out.append((bary, frac))
-    return out
+    k = w.shape[1]
+    pos = w > 0
+    a = np.where(pos.sum(axis=1) == 1, pos.argmax(axis=1), (~pos).argmax(axis=1))
+    order = (a[:, None] + np.arange(k)) % k
+    vert = np.eye(k)[order]
+    wv = np.take_along_axis(w, order, axis=1)
+    t = (wv[:, :1] / (wv[:, :1] - wv[:, 1:]))[..., None]
+    cut = (1.0 - t) * vert[:, :1] + t * vert[:, 1:]
+    v, z = np.swapaxes(vert, 0, 1), np.swapaxes(cut, 0, 1)
+    pieces = [[v[0], *z], [z[0], *v[1:]]]
+    if k == 3:
+        pieces.append([z[0], v[2], z[1]])
+    bary = np.stack([np.stack(p, axis=1) for p in pieces])
+    return bary, np.abs(np.linalg.det(bary[..., 1:, 1:] - bary[..., :1, 1:]))
 
 
 def _element_integrals(u: FeFunction, order: int, integrand) -> np.ndarray:
     """Per-element integrals of ``integrand`` over the mesh, one rule lookup.
 
-    ``integrand(vals, lam, weights)`` contracts function values at the
-    rule points (leading axes are elements or none) against the rule
-    weights; ``lam`` holds the barycentric coordinates of those points.
-    Elements on which u changes sign are integrated piece by piece.
+    ``integrand(vals, lam, weights)`` contracts the values at the rule
+    points, whose barycentric coordinates are ``lam``, against the weights:
+    to a scalar, or tested against ``lam`` to one entry per simplex vertex.
+    The leading axes of ``vals`` are the elements or, for the elements cut
+    by ``_sign_split``, the pieces and then the elements; per-vertex results
+    of a piece go back to its element's vertices through its barycentric
+    vertex matrix.  Without a sign-changing element the split is skipped.
     """
     mesh = u.mesh
     rule = reference_rule(mesh.dim, order)
@@ -132,12 +116,13 @@ def _element_integrals(u: FeFunction, order: int, integrand) -> np.ndarray:
 
     per_elem = integrand(w_elem @ lam.T, lam, rule.weights)
     mixed = np.flatnonzero((w_elem.min(axis=1) < 0) & (w_elem.max(axis=1) > 0))
-    for e in mixed:
-        total = 0.0
-        for bary, frac in _split_simplices(w_elem[e]):
-            lam_sub = lam @ bary
-            total += frac * integrand(lam_sub @ w_elem[e], lam_sub, rule.weights)
-        per_elem[e] = total
+    if mixed.size:
+        bary, frac = _sign_split(w_elem[mixed])
+        corners = np.einsum("pmjb,mb->pmj", bary, w_elem[mixed])
+        parts = integrand(corners @ lam.T, lam, rule.weights)
+        if parts.ndim == 3:
+            parts = np.einsum("pmj,pmjb->pmb", parts, bary)
+        per_elem[mixed] = np.einsum("pm,pm...->m...", frac, parts)
     # transposes so the Jacobian scales the element axis, scalar or vector
     return (per_elem.T * element_geometry(mesh).jacobian).T
 

@@ -13,13 +13,10 @@ generated high-precision oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "ProblemParams",
-    "problem_params",
     "rate_exponent",
     "critical_exponent",
     "exact_constant",
@@ -101,25 +98,3 @@ def exact_constant(N, s):
         * (g(N / 2.0) / g(float(N))) ** (2.0 * s / N)
     )
 
-
-@dataclass(frozen=True)
-class ProblemParams:
-    """Bundle of the derived quantities for one admissible (N, s)."""
-
-    N: int
-    s: float
-    two_star: float
-    alpha: float
-    sobolev_constant: float
-
-
-def problem_params(N, s):
-    """Build a ProblemParams with all derived fields filled in."""
-    check_order(N, s)
-    return ProblemParams(
-        N=int(N),
-        s=float(s),
-        two_star=critical_exponent(N, s),
-        alpha=rate_exponent(N, s),
-        sobolev_constant=exact_constant(N, s),
-    )

@@ -20,7 +20,7 @@ from .bubble import Bubble, normalize_lambda, truncated_bubble
 from .gagliardo import NonlocalForm, seminorm_sq, seminorm_sq_direct
 from .mesh import FeFunction, interpolate
 from .norms import lq_norm, nonlinear_residual
-from .params import exact_constant, optimal_concentration, problem_params
+from .params import critical_exponent, exact_constant, optimal_concentration
 
 __all__ = ["ManifoldFit", "SolverReport", "deficit", "fit_manifold", "quotient", "solve"]
 
@@ -58,7 +58,7 @@ def quotient(form: NonlocalForm, u: FeFunction) -> float:
     """Rayleigh quotient seminorm_sq / (critical L^q norm)^2."""
     if not np.any(u.values):
         raise ValueError("quotient of the zero function is undefined")
-    q = problem_params(form.mesh.dim, form.s).two_star
+    q = critical_exponent(form.mesh.dim, form.s)
     return seminorm_sq(form, u) / lq_norm(u, q) ** 2
 
 
@@ -118,7 +118,7 @@ def solve(
     s_h with the quotient under the boosted quadrature.
     """
     mesh = form.mesh
-    q = problem_params(mesh.dim, form.s).two_star
+    q = critical_exponent(mesh.dim, form.s)
     if init is None:
         init = default_start(form)
     if init.mesh is not mesh:

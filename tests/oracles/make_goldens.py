@@ -278,7 +278,7 @@ def main():
     from fracsobolev.gagliardo import assemble
     from fracsobolev.mesh import build_mesh, interpolate
     from fracsobolev.bubble import normalize_lambda, truncated_bubble
-    from fracsobolev.params import exact_constant, optimal_concentration, problem_params
+    from fracsobolev.params import critical_exponent, exact_constant, optimal_concentration
     from fracsobolev.norms import lq_norm
     from fracsobolev.gagliardo import seminorm_sq
 
@@ -287,7 +287,7 @@ def main():
     lam = normalize_lambda(c_h, 1, 0.3)
     u = interpolate(mesh, truncated_bubble(lam, c_h, 1, 0.3))
     form = assemble(mesh, 0.3)
-    q = problem_params(1, 0.3).two_star
+    q = critical_exponent(1, 0.3)
     dfc = seminorm_sq(form, u) / lq_norm(u, q) ** 2 - exact_constant(1, 0.3)
     goldens["regression"] = {
         "deficit,1,0.3,level8": repr(float(dfc)),

@@ -30,7 +30,7 @@ from fracsobolev.experiments import (
 from fracsobolev.gagliardo import assemble, complement_weight
 from fracsobolev.mesh import FeFunction, build_mesh, make_ball_mesh
 from fracsobolev.norms import lq_norm
-from fracsobolev.params import exact_constant, problem_params, rate_exponent
+from fracsobolev.params import critical_exponent, exact_constant, rate_exponent
 from fracsobolev.solver import deficit, fit_manifold, solve
 
 
@@ -220,7 +220,7 @@ def test_criterion_07_discrete_constant_sweep(acceptance_log):
 
 def test_criterion_08_stability_ratio_band(acceptance_log):
     ratios = []
-    q = problem_params(1, 0.25).two_star
+    q = critical_exponent(1, 0.25)
     for lev in range(5, 9):
         mesh = build_mesh(1, lev)
         form = assemble(mesh, 0.25)

@@ -185,6 +185,20 @@ def test_lq_norm_divergence_guard():
         bubble_lq_norm(b, 2.0, region="annulus")
 
 
+def test_lq_norm_ball_needs_a_centered_profile():
+    # the ball is the unit ball around the origin: an off-center profile is
+    # refused there, while the all-space norm is translation invariant
+    for N, s, center in [(1, 0.25, [0.5]), (2, 0.5, [0.6, 0.0])]:
+        shifted = Bubble(dim=N, s=s, amplitude=1.0, concentration=0.3, center=center)
+        with pytest.raises(ValueError, match="centered"):
+            bubble_lq_norm(shifted, 4.0)
+        centered = Bubble(dim=N, s=s, amplitude=1.0, concentration=0.3)
+        q = 6.0  # q (N - 2s) > N in both cases
+        assert bubble_lq_norm(shifted, q, region="all_space") == bubble_lq_norm(
+            centered, q, region="all_space"
+        )
+
+
 def test_normalize_lambda_unit_norm():
     for N, s, c in [(1, 0.25, 0.125), (2, 0.5, 0.25), (1, 0.3, 0.07)]:
         lam = normalize_lambda(c, N, s)

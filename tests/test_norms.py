@@ -1,7 +1,9 @@
 """Quadrature rules, L^q norms, and the critical-exponent residual vector."""
 
+import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -143,6 +145,80 @@ def test_lq_norm_sign_splitting_2d():
         np.sum((geo.measure / 0.5) * ((vals**2 * vals) @ rule.weights))
     )
     assert abs(signed) < 1e-12
+
+
+def _hermite_genocchi_power(values, q, N):
+    """N! times the divided difference F[w_0..w_N] of F with F^(N)(t) = |t|^q.
+
+    By the Hermite-Genocchi formula this is the mean of |u|^q over a
+    simplex on which u is affine with vertex values w.  Repeated values
+    take the confluent form F^(j)(w)/j!; mpmath at 40 digits keeps nearly
+    equal values from cancelling.
+    """
+    with mpmath.workdps(40):
+        qq = mpmath.mpf(q)
+
+        def deriv(t, j):
+            # F^(j)(t) = sign(t)^(N-j) |t|^(q+N-j) / ((q+1)...(q+N-j))
+            p = N - j
+            den = mpmath.fprod(qq + i for i in range(1, p + 1))
+            return mpmath.sign(t) ** p * abs(t) ** (qq + p) / den
+
+        w = sorted(mpmath.mpf(float(v)) for v in values)
+        table = [deriv(t, 0) for t in w]
+        for width in range(1, N + 1):
+            table = [
+                deriv(w[i], width) / math.factorial(width)
+                if w[i + width] == w[i]
+                else (table[i + 1] - table[i]) / (w[i + width] - w[i])
+                for i in range(N + 1 - width)
+            ]
+        return math.factorial(N) * table[0]
+
+
+@pytest.mark.parametrize("dim,level", [(1, 3), (2, 1), (2, 2)])
+@pytest.mark.parametrize("q", [2.5, 8.0 / 3.0, 3.0, 3.3, 4.0])
+def test_lq_norm_against_hermite_genocchi(dim, level, q):
+    # exact per-element integrals of |u|^q, u affine: |T| times N! F[w_0..w_N]
+    mesh = build_mesh(dim, level)
+    rng = np.random.default_rng(100 * dim + level)
+    coeffs = rng.normal(size=mesh.free_count)
+    coeffs[::4] = 0.0
+    u = FeFunction.from_free(mesh, coeffs)
+    corners = mesh.nodes[mesh.elements]
+    edges = corners[:, 1:] - corners[:, :1]
+    measure = np.abs(np.linalg.det(edges)) / math.factorial(dim)
+    with mpmath.workdps(40):
+        power = mpmath.fsum(
+            mpmath.mpf(float(m)) * _hermite_genocchi_power(w, q, dim)
+            for m, w in zip(measure, u.values[mesh.elements])
+        )
+        ref = float(power ** (1 / mpmath.mpf(q)))
+    rtol = 1e-13 if q == int(q) else norms._NORM_RTOL
+    assert abs(lq_norm(u, q) - ref) <= rtol * ref
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_sign_split_pieces(k):
+    # seeded sign patterns with 20% exact zeros: the pieces partition the
+    # reference measure, u is one-signed at each piece's vertices, and a
+    # piece has zero measure only where the simplex has an exact zero vertex
+    rng = np.random.default_rng(k)
+    w = rng.normal(size=(4000, k))
+    w[rng.random(w.shape) < 0.2] = 0.0
+    w = w[(w.min(axis=1) < 0) & (w.max(axis=1) > 0)]
+    bary, frac = norms._sign_split(w)
+    assert bary.shape == (k, len(w), k, k) and frac.shape == (k, len(w))
+    assert np.all(np.abs(frac.sum(axis=0) - 1.0) <= 1e-14)
+    assert np.all(bary >= 0.0) and np.allclose(bary.sum(axis=-1), 1.0, rtol=0, atol=1e-15)
+    at_vertices = np.einsum("pmjb,mb->pmj", bary, w)
+    tol = 1e-14 * np.abs(w).max(axis=1)[:, None]
+    one_signed = np.all(at_vertices >= -tol, axis=-1) | np.all(at_vertices <= tol, axis=-1)
+    assert one_signed.all()
+    has_zero = np.any(w == 0.0, axis=1)
+    assert np.all(has_zero[np.any(frac == 0.0, axis=0)])
+    if k == 3:  # a sign-changing segment has no zero vertex; a triangle can
+        assert has_zero.any() and np.any(frac == 0.0)
 
 
 def test_residual_euler_identity():

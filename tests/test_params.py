@@ -12,7 +12,6 @@ from fracsobolev.params import (
     critical_exponent,
     exact_constant,
     optimal_concentration,
-    problem_params,
     rate_exponent,
 )
 
@@ -94,14 +93,6 @@ def test_exact_constant_closed_forms():
     assert abs(S1 - ref1) / ref1 < 1e-10
     S2 = exact_constant(2, 0.5)
     assert abs(S2 - math.pi**1.5) / S2 < 1e-10
-
-
-def test_problem_params_bundle():
-    p = problem_params(1, 0.25)
-    assert p.N == 1 and p.s == 0.25
-    assert p.two_star == critical_exponent(1, 0.25)
-    assert p.alpha == rate_exponent(1, 0.25)
-    assert p.sobolev_constant == exact_constant(1, 0.25)
 
 
 def test_exact_constant_rejects_bad_order():

@@ -11,7 +11,7 @@ from fracsobolev.bubble import Bubble, normalize_lambda, truncated_bubble
 from fracsobolev.gagliardo import assemble, seminorm_sq
 from fracsobolev.mesh import FeFunction, build_mesh, interpolate
 from fracsobolev.norms import lq_norm, nonlinear_residual
-from fracsobolev.params import exact_constant, optimal_concentration, problem_params
+from fracsobolev.params import critical_exponent, exact_constant, optimal_concentration
 from fracsobolev.solver import deficit, fit_manifold, quotient, solve
 
 
@@ -37,7 +37,7 @@ def test_solve_converges_with_monotone_history(small_problem):
 def test_minimizer_is_admissible(small_problem):
     form, rep = small_problem
     u = rep.minimizer
-    q = problem_params(1, 0.25).two_star
+    q = critical_exponent(1, 0.25)
     assert abs(lq_norm(u, q) - 1.0) < 1e-12
     # constrained nodes stay pinned at zero
     assert np.all(u.values[form.mesh.free_count :] == 0.0)
@@ -47,7 +47,7 @@ def test_minimizer_is_admissible(small_problem):
 def test_minimizer_satisfies_euler_lagrange(small_problem):
     form, rep = small_problem
     u = rep.minimizer
-    q = problem_params(1, 0.25).two_star
+    q = critical_exponent(1, 0.25)
     w = u.free_values
     Aw = form.matrix @ w
     mu = float(w @ Aw)
@@ -185,7 +185,7 @@ def test_quotient_rise_beyond_rounding_raises(monkeypatch):
 def test_inverse_power_step_does_not_raise_the_quotient(dim, level, s):
     form = _form(dim, level, s)
     mesh = form.mesh
-    q = problem_params(dim, s).two_star
+    q = critical_exponent(dim, s)
     rng = np.random.default_rng(3)
     for _ in range(20):
         u = FeFunction.from_free(mesh, rng.uniform(0.05, 1.0, mesh.free_count))
