@@ -131,6 +131,22 @@ def _row_chunks(rows, points):
     return (slice(lo, lo + step) for lo in range(0, rows, step))
 
 
+def _sum_sq(coords):
+    """Sum of squares of per-coordinate arrays, added in index order.
+
+    The floats of np.sum(z * z, axis=-1) over a trailing coordinate
+    axis, without numpy's slow reduction over that short axis.  Each
+    array is squared in place, so pass arrays nothing else reads.
+    """
+    coords = iter(coords)
+    total = next(coords)
+    np.multiply(total, total, out=total)
+    for z in coords:
+        np.multiply(z, z, out=z)
+        total += z
+    return total
+
+
 def _term_block(g, wK):
     """Local blocks sum_q wK[b, q] g_q g_q^T of one term.
 
@@ -175,10 +191,7 @@ def complement_weight(x, N: int, s: float):
         pts = pts[..., None]
     if pts.shape[-1] != N:
         raise ValueError(f"points must have last dimension {N}")
-    rsq = np.sum(pts * pts, axis=-1)
-    radius = np.sqrt(rsq)
-    if np.any(radius >= 1.0 - _BOUNDARY_TOL):
-        raise ValueError("complement weight diverges at the boundary sphere")
+    rsq, radius = _radius(pts)
     if N == 1:
         t = pts[..., 0]
         return ((1.0 - t) ** (-2 * s) + (1.0 + t) ** (-2 * s)) / (2 * s)
@@ -202,14 +215,20 @@ def _radial_complement_table(s: float) -> CubicSpline:
     return CubicSpline(t, scaled)
 
 
+def _radius(pts):
+    """|x|^2 and |x| of points (..., N); raises on or beyond the sphere."""
+    rsq = _sum_sq(pts[..., d].copy() for d in range(pts.shape[-1]))
+    radius = np.sqrt(rsq)
+    if np.any(radius >= 1.0 - _BOUNDARY_TOL):
+        raise ValueError("complement weight diverges at the boundary sphere")
+    return rsq, radius
+
+
 def _kappa_fast(pts: np.ndarray, dim: int, s: float) -> np.ndarray:
     """Complement weight for assembly batches; tabulated on the disk."""
     if dim == 1:
         return complement_weight(pts, 1, s)
-    radius = np.sqrt(np.sum(pts * pts, axis=-1))
-    if np.any(radius >= 1.0 - _BOUNDARY_TOL):
-        raise ValueError("complement weight diverges at the boundary sphere")
-    depth = 1.0 - radius
+    depth = 1.0 - _radius(pts)[1]
     spl = _radial_complement_table(s)
     return spl(np.log(depth)) * depth ** (-2.0 * s)
 
@@ -361,13 +380,18 @@ def _vertex_terms_2d(mesh, s, geo, pairs, spec, counters):
     edges = mesh.nodes[idx[:, 1:]] - mesh.nodes[idx[:, :1]]
     area = geo.measure[pairs.vertex]
     scale = 2.0 * 4.0 * area[:, 0] * area[:, 1] / (4 - 2 * s)
+    Sc, Tc = 1 - Sg, 1 - Tg
     for part in _row_chunks(len(idx), len(Mg)):
-        a1, a2, b1, b2 = np.moveaxis(edges[part], 1, 0)
-        ea = np.einsum("q,bd->bqd", 1 - Sg, a1) + np.einsum("q,bd->bqd", Sg, a2)
-        eb = np.einsum("q,bd->bqd", 1 - Tg, b1) + np.einsum("q,bd->bqd", Tg, b2)
+        # per coordinate c: (B, points) points on the two far edges
+        a1, a2, b1, b2 = (e[:, :, None] for e in np.moveaxis(edges[part], 1, 0))
+        ea = [Sc * a1[:, c] + Sg * a2[:, c] for c in range(2)]
+        eb = [Tc * b1[:, c] + Tg * b2[:, c] for c in range(2)]
         for branch, g in enumerate(g_br):
-            z = ea - Mg[None, :, None] * eb if branch == 0 else Mg[None, :, None] * ea - eb
-            K = np.sum(z * z, axis=-1) ** (-(2 + 2 * s) / 2)
+            if branch == 0:
+                K = _sum_sq(ea[c] - Mg * eb[c] for c in range(2))
+            else:
+                K = _sum_sq(Mg * ea[c] - eb[c] for c in range(2))
+            K **= -(2 + 2 * s) / 2
             yield "vertex", idx[part], g, (scale[part, None] * (Wg * Mg)) * K
 
 
@@ -399,17 +423,18 @@ def _edge_terms_2d(mesh, s, geo, pairs, spec, counters):
     for d, b, dl, w in regions:
         g = np.stack([-d - b + dl, d, b, -dl], axis=1)
         for part in _row_chunks(len(idx), len(d)):
-            M = (
-                np.einsum("q,bd->bqd", d, E[part])
-                + np.einsum("q,bd->bqd", b, Ga[part])
-                - np.einsum("q,bd->bqd", dl, Gb[part])
-            )
-            K = np.sum(M * M, axis=-1) ** (-(2 + 2 * s) / 2)
+            e, ga, gb = (x[part, :, None] for x in (E, Ga, Gb))
+            K = _sum_sq(d * e[:, c] + b * ga[:, c] - dl * gb[:, c] for c in range(2))
+            K **= -(2 + 2 * s) / 2
             yield "edge", idx[part], g, (scale[part, None] * w) * K
 
 
 def _disjoint_terms(mesh, s, geo, pairs, order, tag, counters):
-    """Plain Gauss on both elements; a point pair (p, q) has g = [lam_p, -lam_q]."""
+    """Plain Gauss on both elements; a point pair (p, q) has g = [lam_p, -lam_q].
+
+    The rule's points on every element are formed once, coordinate
+    major, and each chunk gathers its rows from that table.
+    """
     rule = reference_rule(mesh.dim, order)
     lam = rule.barycentric()
     nq = len(lam)
@@ -421,12 +446,14 @@ def _disjoint_terms(mesh, s, geo, pairs, order, tag, counters):
     ia, ib = pairs[:, 0], pairs[:, 1]
     idx = np.concatenate([mesh.elements[ia], mesh.elements[ib]], axis=1)
     jac = geo.jacobian[ia] * geo.jacobian[ib]
+    X = np.einsum("qk,mkd->dmq", lam, geo.verts)
     for part in _row_chunks(len(pairs), nq * nq):
-        Xa = np.einsum("qk,bkd->bqd", lam, geo.verts[ia[part]])
-        Xb = np.einsum("qk,bkd->bqd", lam, geo.verts[ib[part]])
-        D = Xa[:, :, None, :] - Xb[:, None, :, :]
-        K = np.sum(D * D, axis=-1).reshape(len(D), -1) ** expo
-        yield tag, idx[part], g, K * ww * jac[part, None]
+        a, b = ia[part], ib[part]
+        K = _sum_sq(x[a][:, :, None] - x[b][:, None, :] for x in X).reshape(len(a), -1)
+        K **= expo
+        K *= ww
+        K *= jac[part, None]
+        yield tag, idx[part], g, K
 
 
 def _terms(mesh, s, spec, geo, counters):

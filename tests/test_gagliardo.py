@@ -2,14 +2,16 @@
 
 The 1D matrices are pinned to frozen adaptive-quadrature references; the
 2D singular-pair reductions are checked against a level-by-level subdivision
-oracle (touching pairs) and a covariogram reduction (identical pairs),
-both implemented here from scratch.
+oracle (touching pairs) and a covariogram reduction (identical pairs), and
+the 2D disjoint pairs against a per-pair loop over the kernel at the same
+Gauss points, all implemented here from scratch.
 """
 
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
 from scipy import integrate
+from scipy.spatial.distance import cdist
 from scipy.special import ellipe
 
 from fracsobolev import gagliardo
@@ -24,7 +26,9 @@ from fracsobolev.gagliardo import (
     seminorm_sq_direct,
 )
 from fracsobolev.gagliardo import (
+    _NEAR_BONUS,
     _complement_cells,
+    _disjoint_terms,
     _edge_terms_2d,
     _ident_terms_1d,
     _ident_terms_2d,
@@ -313,20 +317,30 @@ def test_non_finite_complement_raises_on_both_paths(monkeypatch):
         seminorm_sq_direct(mesh, 0.5, u)
 
 
-@pytest.mark.parametrize("dim, level, s", [(1, 5, 0.25), (2, 1, 0.5)])
-def test_term_chunks_do_not_change_the_form(monkeypatch, dim, level, s):
+@pytest.mark.parametrize(
+    "dim, level, s, boost, direct_tol",
+    [
+        pytest.param(1, 5, 0.25, False, 1e-14, id="1-5-0.25"),
+        pytest.param(2, 1, 0.5, False, 1e-14, id="2-1-0.5"),
+        pytest.param(2, 1, 0.5, True, 1e-13, id="2-1-0.5-boosted"),
+    ],
+)
+def test_term_chunks_do_not_change_the_form(monkeypatch, dim, level, s, boost, direct_tol):
     # the fast meshes fit one chunk per term; a 256-point cap splits every category
-    # whose rows carry more than one point
+    # whose rows carry more than one point (boosted: near pairs at order 7, 2401 points).
+    # The direct path adds one float per term in sequence: 44,799 terms in the boosted
+    # sliced run, whose rounding walk is about sqrt(44,799) eps = 4.7e-14 relative.
     mesh = build_mesh(dim, level)
+    spec = QuadSpec.for_dim(dim).boosted() if boost else QuadSpec.for_dim(dim)
     u = FeFunction.from_free(mesh, np.random.default_rng(7).normal(size=mesh.free_count))
     runs = []
     for cap in (gagliardo._TERM_POINTS, 256):
         monkeypatch.setattr(gagliardo, "_TERM_POINTS", cap)
-        runs.append((assemble(mesh, s), seminorm_sq_direct(mesh, s, u)))
+        runs.append((assemble(mesh, s, spec), seminorm_sq_direct(mesh, s, u, spec)))
     (whole, a), (sliced, b) = runs
     scale = np.max(np.abs(whole.matrix))
     assert np.max(np.abs(whole.matrix - sliced.matrix)) <= 1e-14 * scale
-    assert abs(a - b) <= 1e-14 * abs(a)
+    assert abs(a - b) <= direct_tol * abs(a)
     r, q = whole.assembly_report, sliced.assembly_report
     assert r.kernel_evals == q.kernel_evals
     assert r.pair_counts == q.pair_counts
@@ -668,3 +682,46 @@ def test_edge_blocks_2d_vs_subdivision(disk_pairs):
         o = _subdiv_oracle(Va, Vb, s, phi_a, phi_b, depths)
         ref = 2.0 * _aitken(*(o[d] for d in depths))
         assert np.max(np.abs(loc - ref)) / np.max(np.abs(ref)) < tol, s
+
+
+def _disjoint_block_loop(Va, Vb, s, order):
+    """Block of one disjoint triangle pair, one kernel matrix per pair.
+
+    Collapsed Gauss rule on each triangle at ``order`` points per
+    direction; g over the six nodes is [lam_a(x), -lam_b(y)], and the
+    factor 2 counts the pair in both orders.
+    """
+    P, W = _collapsed_tri_rule(order)
+    lam = np.column_stack([1.0 - P.sum(axis=1), P])
+    Xa, Xb = _map_tri(Va[None], P)[0], _map_tri(Vb[None], P)[0]
+    wa = W * 2 * _tri_area(Va)
+    wb = W * 2 * _tri_area(Vb)
+    K = cdist(Xa, Xb) ** (-2 - 2 * s) * wa[:, None] * wb[None, :]
+    block = np.zeros((6, 6))
+    for p in range(len(P)):
+        for q in range(len(P)):
+            g = np.concatenate([lam[p], -lam[q]])
+            block += 2.0 * K[p, q] * np.outer(g, g)
+    return block
+
+
+@pytest.mark.parametrize("s", [0.25, 0.5])
+@pytest.mark.parametrize("boost", [False, True], ids=["default", "boosted"])
+def test_disjoint_blocks_2d_vs_pointwise_kernel(s, boost):
+    mesh = build_mesh(2, 1)
+    geo, pairs = element_geometry(mesh), element_pairs(mesh)
+    spec = QuadSpec.for_dim(2).boosted() if boost else QuadSpec.for_dim(2)
+    for tag, chosen, order in (
+        ("disjoint_near", pairs.near, spec.disjoint_order + _NEAR_BONUS),
+        ("disjoint_far", pairs.far, spec.disjoint_order),
+    ):
+        picks = chosen[[0, 1, len(chosen) // 2, len(chosen) - 1]]
+        idxs, locs = _pair_blocks(
+            _disjoint_terms(mesh, s, geo, picks, order, tag, _new_counters())
+        )
+        assert len(locs) == len(picks)
+        for (ea, eb), idx, loc in zip(picks, idxs, locs):
+            Va, Vb = mesh.nodes[mesh.elements[ea]], mesh.nodes[mesh.elements[eb]]
+            assert np.array_equal(idx, np.concatenate([mesh.elements[ea], mesh.elements[eb]]))
+            ref = _disjoint_block_loop(Va, Vb, s, order)
+            assert np.max(np.abs(loc - ref)) <= 1e-13 * np.max(np.abs(ref)), (tag, ea, eb)
