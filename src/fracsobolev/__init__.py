@@ -8,7 +8,6 @@ constant approaches the sharp one under mesh refinement.
 
 from .bubble import (
     Bubble,
-    TruncatedBubble,
     bubble_lq_norm,
     normalize_lambda,
     truncated_bubble,
@@ -80,7 +79,6 @@ __all__ = [
     "SolverReport",
     "SweepRecord",
     "SweepResult",
-    "TruncatedBubble",
     "assemble",
     "bubble_lq_norm",
     "build_mesh",

@@ -15,14 +15,12 @@ from numpy.polynomial.legendre import leggauss
 class QuadratureError(RuntimeError):
     """A quadrature did not reach its accuracy target.
 
-    ``estimate`` carries the best available value, ``error_estimate`` the
-    achieved (not the requested) error bound.
+    ``estimate`` carries the best available value.
     """
 
-    def __init__(self, message, estimate=None, error_estimate=None):
+    def __init__(self, message, estimate=None):
         super().__init__(message)
         self.estimate = estimate
-        self.error_estimate = error_estimate
 
 
 @lru_cache(maxsize=128)

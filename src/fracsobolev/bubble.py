@@ -20,7 +20,6 @@ from .params import check_order, critical_exponent
 
 __all__ = [
     "Bubble",
-    "TruncatedBubble",
     "truncated_bubble",
     "normalize_lambda",
     "bubble_lq_norm",
@@ -29,10 +28,12 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class Bubble:
-    """One point of the extremal manifold.
+    """One point of the extremal manifold, less a constant offset.
 
     dim, s fix the ambient problem; amplitude may be negative, concentration
     must be positive. center is stored as a float vector of length dim.
+    offset is subtracted from every value, not from the derivatives; a
+    nonzero offset needs the center at the origin (see truncated_bubble).
     """
 
     dim: int
@@ -40,6 +41,7 @@ class Bubble:
     amplitude: float
     concentration: float
     center: np.ndarray = field(default=None)
+    offset: float = 0.0
 
     def __post_init__(self):
         check_order(self.dim, self.s)
@@ -53,6 +55,8 @@ class Bubble:
         center = np.atleast_1d(np.asarray(center, dtype=float))
         if center.shape != (self.dim,):
             raise ValueError(f"center must have shape ({self.dim},)")
+        if self.offset != 0.0 and np.any(center != 0.0):
+            raise ValueError("offset profiles are centered at the origin")
         object.__setattr__(self, "center", center)
 
     @property
@@ -60,7 +64,7 @@ class Bubble:
         """The codecay exponent N - 2s (the profile falls off like r^-(N-2s))."""
         return self.dim - 2.0 * self.s
 
-    def _squared_offset(self, x):
+    def _scaled_sq_distance(self, x):
         x = np.asarray(x, dtype=float)
         d = x - self.center
         return np.sum(d * d, axis=-1) / self.concentration**2, d
@@ -69,17 +73,17 @@ class Bubble:
         """Profile value at distance r from the center."""
         r = np.asarray(r, dtype=float)
         w = (r / self.concentration) ** 2
-        return self.amplitude * (1.0 + w) ** (-0.5 * self.decay)
+        return self.amplitude * (1.0 + w) ** (-0.5 * self.decay) - self.offset
 
     def evaluate(self, x):
-        w, _ = self._squared_offset(x)
-        return self.amplitude * (1.0 + w) ** (-0.5 * self.decay)
+        w, _ = self._scaled_sq_distance(x)
+        return self.amplitude * (1.0 + w) ** (-0.5 * self.decay) - self.offset
 
     __call__ = evaluate
 
     def gradient(self, x):
         """Exact gradient; points along -(x - center) for positive amplitude."""
-        w, d = self._squared_offset(x)
+        w, d = self._scaled_sq_distance(x)
         coeff = (
             -self.amplitude
             * self.decay
@@ -95,7 +99,7 @@ class Bubble:
         the r = 0 singularity of that decomposition is removable and the
         analytic limit -(amplitude * decay / c^2) * Identity is used there.
         """
-        w, d = self._squared_offset(x)
+        w, d = self._scaled_sq_distance(x)
         scale = self.amplitude * self.decay / self.concentration**2
         radial = -scale * (1.0 + w) ** (-0.5 * (self.decay + 4.0)) * (
             1.0 - (self.decay + 1.0) * w
@@ -119,7 +123,7 @@ class Bubble:
         |D2 Phi|^2 = (amp*(N-2s)/c^2)^2 (1+w)^{-(N-2s+4)}
                      [ (1-(N-2s+1) w)^2 + (N-1)(1+w)^2 ],  w = |x-X0|^2/c^2.
         """
-        w, _ = self._squared_offset(x)
+        w, _ = self._scaled_sq_distance(x)
         scale = abs(self.amplitude) * self.decay / self.concentration**2
         return (
             scale
@@ -133,135 +137,56 @@ class Bubble:
     def hessian_envelope(self, x):
         """Natural curvature scale (|amp|/c^2)(1+w)^{-(N-2s+2)/2}; the Hessian
         is bounded by a fixed multiple of this everywhere."""
-        w, _ = self._squared_offset(x)
+        w, _ = self._scaled_sq_distance(x)
         return (
             abs(self.amplitude)
             / self.concentration**2
             * (1.0 + w) ** (-0.5 * (self.decay + 2.0))
         )
 
-    def inflection_radius(self):
-        """Distance from the center where the radial second derivative
-        changes sign: c / sqrt(N - 2s + 1)."""
-        return self.concentration / np.sqrt(self.decay + 1.0)
-
-
-@dataclass(frozen=True, eq=False)
-class TruncatedBubble:
-    """Centered profile shifted to vanish on the unit sphere.
-
-    value = base(x) - offset with offset = base value at |x| = 1, so the
-    function is nonnegative on the closed unit ball for positive amplitude.
-    Gradient and Hessian coincide with the base profile's.
-    """
-
-    base: Bubble
-    offset: float
-
-    def __post_init__(self):
-        if np.any(self.base.center != 0.0):
-            raise ValueError("truncated profiles are centered at the origin")
-
-    @property
-    def dim(self):
-        return self.base.dim
-
-    @property
-    def s(self):
-        return self.base.s
-
-    @property
-    def amplitude(self):
-        return self.base.amplitude
-
-    @property
-    def concentration(self):
-        return self.base.concentration
-
-    def radial_value(self, r):
-        return self.base.radial_value(r) - self.offset
-
-    def evaluate(self, x):
-        return self.base.evaluate(x) - self.offset
-
-    __call__ = evaluate
-
-    def gradient(self, x):
-        return self.base.gradient(x)
-
-    def hessian(self, x):
-        return self.base.hessian(x)
-
 
 def truncated_bubble(amplitude, concentration, N, s):
-    """Profile minus its value on the unit sphere, so it vanishes there."""
-    base = Bubble(dim=N, s=s, amplitude=amplitude, concentration=concentration)
-    offset = amplitude * (1.0 + 1.0 / concentration**2) ** (
-        -0.5 * (N - 2.0 * s)
-    )
-    return TruncatedBubble(base=base, offset=float(offset))
+    """Centered profile minus its value on the unit sphere, so it vanishes there.
+
+    The result is nonnegative on the closed unit ball for positive amplitude,
+    and its gradient and Hessian are the untruncated profile's.
+    """
+    offset = amplitude * (1.0 + 1.0 / concentration**2) ** (-0.5 * (N - 2.0 * s))
+    return Bubble(N, s, amplitude, concentration, offset=float(offset))
 
 
 def _surface_measure(N):
     return 2.0 if N == 1 else 2.0 * np.pi
 
 
-def _radial_lq_power(f, q, N, upper, split):
-    """int_0^upper r^{N-1} |f(r)|^q dr by adaptive quadrature."""
+def _radial_lq_power(f, q, N, split):
+    """int_0^1 r^{N-1} |f(r)|^q dr by adaptive quadrature, broken at split."""
 
     def integrand(r):
         return r ** (N - 1.0) * abs(f(r)) ** q
 
-    points = [p for p in split if 0.0 < p < upper] if np.isfinite(upper) else None
-    if np.isfinite(upper):
-        val, err = integrate.quad(
-            integrand, 0.0, upper, points=points, limit=300, epsabs=0.0,
-            epsrel=1e-12,
-        )
-    else:
-        inner, err1 = integrate.quad(
-            integrand, 0.0, 1.0, points=[p for p in split if 0.0 < p < 1.0],
-            limit=300, epsabs=0.0, epsrel=1e-12,
-        )
-        outer, err2 = integrate.quad(
-            integrand, 1.0, np.inf, limit=300, epsabs=0.0, epsrel=1e-12
-        )
-        val, err = inner + outer, err1 + err2
+    val, _ = integrate.quad(
+        integrand, 0.0, 1.0, points=[split] if split < 1.0 else [], limit=300,
+        epsabs=0.0, epsrel=1e-12,
+    )
     if not np.isfinite(val):
         raise QuadratureError("radial norm quadrature diverged", estimate=val)
-    return val, err
+    return val
 
 
-def bubble_lq_norm(b, q, region="ball"):
-    """L^q norm of a (possibly truncated) profile by radial reduction.
+def bubble_lq_norm(b, q):
+    """L^q norm of a profile over the unit ball by radial reduction.
 
-    region is "ball" (the unit ball around the origin, so the profile must
-    be centered there; a truncated profile is by construction) or
-    "all_space"; the latter needs q (N - 2s) > N for integrability and an
-    untruncated profile. Relative accuracy around 1e-10, enforced through
-    the adaptive tolerance.
+    The ball is centered at the origin, so the profile must be too; a
+    truncated profile is by construction. Relative accuracy around 1e-10,
+    enforced through the adaptive tolerance.
     """
     if q < 1.0:
         raise ValueError("q must be at least 1")
-    N = b.dim
-    if region == "ball":
-        if isinstance(b, Bubble) and np.any(b.center != 0.0):
-            raise ValueError("the ball norm needs a profile centered at the origin")
-        upper = 1.0
-    elif region == "all_space":
-        if isinstance(b, TruncatedBubble):
-            raise ValueError("truncated profiles are only integrable on the ball")
-        if q * b.decay <= N:
-            raise ValueError(
-                f"L^{q} norm over all space diverges: need q(N-2s) > N"
-            )
-        upper = np.inf
-    else:
-        raise ValueError(f"unknown region {region!r}")
-    power, _ = _radial_lq_power(
-        b.radial_value, q, N, upper, split=[b.concentration]
-    )
-    return (_surface_measure(N) * power) ** (1.0 / q)
+    if np.any(b.center != 0.0):
+        raise ValueError("the ball norm needs a profile centered at the origin")
+    power = _radial_lq_power(b.radial_value, q, b.dim, split=b.concentration)
+    return (_surface_measure(b.dim) * power) ** (1.0 / q)
 
 
 def normalize_lambda(concentration, N, s):
@@ -284,9 +209,7 @@ def normalize_lambda(concentration, N, s):
         raise ValueError("concentration must be positive")
     q = critical_exponent(N, s)
     unit = truncated_bubble(1.0, concentration, N, s)
-    norm = bubble_lq_norm(unit, q, region="ball")
+    norm = bubble_lq_norm(unit, q)
     if not (np.isfinite(norm) and norm > 0.0):
-        raise QuadratureError(
-            "normalization quadrature failed", estimate=norm
-        )
+        raise QuadratureError("normalization quadrature failed", estimate=norm)
     return 1.0 / norm

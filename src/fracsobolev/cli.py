@@ -51,24 +51,20 @@ def _parse_config(path: str) -> dict:
     return out
 
 
-def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace):
-    """Override the flags of ``args.command`` from the key=value file ``args.config``.
+def _parse_args(parser: argparse.ArgumentParser, argv: list) -> argparse.Namespace:
+    """Parse argv, then again with the key=value file of --config appended as flags.
 
-    Each value is converted with the type its flag declares; a key that is
-    not a flag of this subcommand raises ValueError.
+    The appended flags come last, so the config overrides the command line,
+    and each value goes through its flag's type and choices; a key that is
+    not a flag of the subcommand raises ValueError.
     """
+    args = parser.parse_args(argv)
     if not args.config:
         return args
-    (commands,) = [a for a in parser._actions if a.dest == "command"]
-    casts = {
-        a.dest: a.type
-        for a in commands.choices[args.command]._actions
-        if a.option_strings and a.type is not None and a.dest != "config"
-    }
-    for key, val in _parse_config(args.config).items():
-        if key not in casts:
-            raise ValueError(f"unknown config key for {args.command}: {key}")
-        setattr(args, key, casts[key](val))
+    extra = [f"--{key}={val}" for key, val in _parse_config(args.config).items()]
+    args, unknown = parser.parse_known_args(argv + extra)
+    if unknown:
+        raise ValueError(f"unknown config keys for {args.command}: {' '.join(unknown)}")
     return args
 
 
@@ -209,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = _apply_config(parser, parser.parse_args(argv))
+    args = _parse_args(parser, sys.argv[1:] if argv is None else list(argv))
     return args.func(args)
 
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from math import gamma
+from math import fsum, gamma
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -102,7 +102,15 @@ class QuadSpec:
 
 @dataclass(frozen=True)
 class AssemblyReport:
-    """Work statistics for one assembly run."""
+    """Work statistics for one assembly run.
+
+    phase_seconds times each phase of the term generators (classify,
+    singular, disjoint, complement) across its yields, so it includes the
+    caller's per-term work while the generator waits: in assemble, the block
+    and the scatter of every term. At 1D level 10, disjoint reads about
+    1.5 s in assemble against 0.6 s for the generators alone. "total" is
+    the whole assemble call.
+    """
 
     pair_counts: dict
     kernel_evals: dict
@@ -570,7 +578,8 @@ def seminorm_sq_direct(
 
     Every term adds sum wK (g . u)^2 from the quadrature that assemble
     scatters; useful for meshes too large for a dense matrix and for
-    independent-order audits.
+    independent-order audits. The per-term sums are added exactly (fsum),
+    so the order and number of terms add no rounding of their own.
     """
     check_order(mesh.dim, s)
     if u.mesh is not mesh:
@@ -578,11 +587,11 @@ def seminorm_sq_direct(
     spec = quad_spec if quad_spec is not None else QuadSpec.for_dim(mesh.dim)
     geo = element_geometry(mesh)
     vals = u.values
-    acc = 0.0
+    parts = []
     for category, idx, g, wK in _terms(mesh, s, spec, geo, _new_counters()):
         w = vals[idx]
         gu = w @ g.T if g.ndim == 2 else (g @ w[:, :, None])[..., 0]
         part = float(np.sum(wK * gu * gu))
         _check_finite(category, part)
-        acc += part
-    return s * (1 - s) * acc
+        parts.append(part)
+    return s * (1 - s) * fsum(parts)

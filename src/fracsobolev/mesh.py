@@ -399,17 +399,16 @@ def _from_first_shared(nodes, shared):
 def interpolate(mesh, f):
     """Nodal interpolant of f as an FeFunction.
 
-    f is called with the (n_nodes, dim) node array and may return the whole
-    value vector; a per-node fallback handles scalar-only callables. Boundary
-    values are forced to zero so the result lies in the discrete space
-    whether or not f vanishes on the sphere.
+    f is called once with the (n_nodes, dim) node array and must return the
+    whole value vector, shape (n_nodes,). Boundary values are forced to zero
+    so the result lies in the discrete space whether or not f vanishes on
+    the sphere.
     """
-    try:
-        vals = np.asarray(f(mesh.nodes), dtype=float)
-        if vals.shape != (mesh.n_nodes,):
-            raise ValueError
-    except (TypeError, ValueError, IndexError):
-        vals = np.array([float(f(x)) for x in mesh.nodes])
+    vals = np.asarray(f(mesh.nodes), dtype=float)
+    if vals.shape != (mesh.n_nodes,):
+        raise ValueError(
+            f"interpolated function returned shape {vals.shape}, expected ({mesh.n_nodes},)"
+        )
     if not np.all(np.isfinite(vals)):
         raise ValueError("interpolated function returned a non-finite value")
     vals = vals.copy()

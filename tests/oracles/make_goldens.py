@@ -117,12 +117,6 @@ def critical_amplitude(c, N, s):
     return integral ** (-1 / q)
 
 
-def profile_l4_1d():
-    """||(1+x^2)^{-1/4}||_{L^4(R)} = pi^{1/4} (N=1, s=1/4 profile)."""
-    val = (2 * mp.quad(lambda x: (1 + x**2) ** (-1), [0, mp.inf, mp.inf])) ** mp.mpf("0.25")
-    return val
-
-
 # ------------------------------------------- 1D adaptive assembly oracle
 
 
@@ -255,10 +249,6 @@ def main():
     amps["1,0.25,0.1"] = mp.nstr(critical_amplitude(mp.mpf("0.1"), 1, 0.25), 30)
     goldens["critical_amplitude"] = amps
     print(f"  lambda_c(0.1; 1, 0.25) = {amps['1,0.25,0.1']}")
-
-    l4 = profile_l4_1d()
-    assert abs(l4 - mp.pi ** mp.mpf("0.25")) < mp.mpf("1e-40")
-    goldens["profile_l4_norm_1d"] = mp.nstr(mp.pi ** mp.mpf("0.25"), 30)
 
     print("== 1D assembly oracle (slow) ==", flush=True)
     matrices = {}

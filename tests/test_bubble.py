@@ -6,7 +6,6 @@ from scipy import special
 
 from fracsobolev.bubble import (
     Bubble,
-    TruncatedBubble,
     bubble_lq_norm,
     normalize_lambda,
     truncated_bubble,
@@ -101,20 +100,6 @@ def test_hessian_envelope_dominates_quadratic_forms():
             assert np.all(q / env <= bound + 1e-12)
 
 
-def test_inflection_radius_sign_change():
-    for b in _random_bubbles(15):
-        r0 = b.inflection_radius()
-        assert r0 == pytest.approx(b.concentration / np.sqrt(b.decay + 1.0))
-        # radial second derivative flips sign across r0: compare the radial
-        # Hessian component e_r^T H e_r just inside and just outside
-        e = np.zeros(b.dim)
-        e[0] = 1.0
-        for factor, sign in [(0.9, 1.0), (1.1, -1.0)]:
-            x = b.center + factor * r0 * e
-            val = b.hessian(x)[0, 0] * np.sign(b.amplitude)
-            assert sign * val < 0.0  # inside: same sign as -amp; outside: flips
-
-
 def test_broadcasting_shapes():
     b = Bubble(dim=2, s=0.5, amplitude=1.0, concentration=0.7, center=[0.0, 0.0])
     xs = RNG.uniform(-1, 1, size=(4, 5, 2))
@@ -142,26 +127,33 @@ def test_truncated_bubble_vanishes_on_sphere():
         x[0] = 1.0
         assert abs(tb.evaluate(x)) < 1e-15
         assert abs(tb.radial_value(1.0)) < 1e-15
-        # centered truncations only
-        base = Bubble(dim=N, s=s, amplitude=1.0, concentration=0.5, center=0.3 * x)
-        with pytest.raises(ValueError):
-            TruncatedBubble(base=base, offset=0.1)
+        # offset profiles are centered
+        with pytest.raises(ValueError, match="centered"):
+            Bubble(dim=N, s=s, amplitude=1.0, concentration=0.5, center=0.3 * x, offset=0.1)
 
 
 def test_truncated_bubble_derivatives_are_base():
     tb = truncated_bubble(2.0, 0.4, 2, 0.5)
+    base = Bubble(dim=2, s=0.5, amplitude=2.0, concentration=0.4)
+    assert tb.offset == pytest.approx(base.radial_value(1.0), rel=1e-15)
     xs = RNG.uniform(-0.9, 0.9, size=(10, 2))
-    assert np.array_equal(tb.gradient(xs), tb.base.gradient(xs))
-    assert np.array_equal(tb.hessian(xs), tb.base.hessian(xs))
-    assert np.allclose(tb.evaluate(xs), tb.base.evaluate(xs) - tb.offset)
+    assert np.array_equal(tb.gradient(xs), base.gradient(xs))
+    assert np.array_equal(tb.hessian(xs), base.hessian(xs))
+    assert np.allclose(tb.evaluate(xs), base.evaluate(xs) - tb.offset)
 
 
-def test_profile_l4_norm_full_space(goldens):
-    # N=1, s=1/4 unit profile: the full-space critical norm is pi^(1/4)
-    b = Bubble(dim=1, s=0.25, amplitude=1.0, concentration=1.0)
-    val = bubble_lq_norm(b, 4.0, region="all_space")
-    ref = float(goldens["profile_l4_norm_1d"])
-    assert abs(val - ref) / ref < 1e-9
+def test_ball_l4_norm_closed_form():
+    # at q = 4 the ball integrals of the untruncated unit profile are elementary:
+    # N=1, s=1/4: int_{-1}^{1} (1 + x^2/c^2)^-1 dx = 2c atan(1/c);
+    # N=2, s=1/2: int_{|x|<1} (1 + |x|^2/c^2)^-2 dx = pi c^2 / (1 + c^2)
+    for c in (0.05, 0.3, 1.0, 4.0):
+        cases = [
+            (1, 0.25, 2.0 * c * np.arctan(1.0 / c)),
+            (2, 0.5, np.pi * c**2 / (1.0 + c**2)),
+        ]
+        for N, s, exact in cases:
+            b = Bubble(dim=N, s=s, amplitude=1.0, concentration=c)
+            assert abs(bubble_lq_norm(b, 4.0) ** 4 - exact) <= 1e-10 * exact, (N, c)
 
 
 def test_lq_norm_amplitude_homogeneity():
@@ -174,29 +166,17 @@ def test_lq_norm_amplitude_homogeneity():
 
 def test_lq_norm_divergence_guard():
     b = Bubble(dim=1, s=0.25, amplitude=1.0, concentration=1.0)
-    # q (N-2s) = N exactly: logarithmic divergence must be refused
-    with pytest.raises(ValueError):
-        bubble_lq_norm(b, 2.0, region="all_space")
-    with pytest.raises(ValueError):
-        bubble_lq_norm(truncated_bubble(1.0, 0.5, 1, 0.25), 4.0, region="all_space")
     with pytest.raises(ValueError):
         bubble_lq_norm(b, 0.5)
-    with pytest.raises(ValueError):
-        bubble_lq_norm(b, 2.0, region="annulus")
 
 
 def test_lq_norm_ball_needs_a_centered_profile():
     # the ball is the unit ball around the origin: an off-center profile is
-    # refused there, while the all-space norm is translation invariant
+    # refused there
     for N, s, center in [(1, 0.25, [0.5]), (2, 0.5, [0.6, 0.0])]:
         shifted = Bubble(dim=N, s=s, amplitude=1.0, concentration=0.3, center=center)
         with pytest.raises(ValueError, match="centered"):
             bubble_lq_norm(shifted, 4.0)
-        centered = Bubble(dim=N, s=s, amplitude=1.0, concentration=0.3)
-        q = 6.0  # q (N - 2s) > N in both cases
-        assert bubble_lq_norm(shifted, q, region="all_space") == bubble_lq_norm(
-            centered, q, region="all_space"
-        )
 
 
 def test_normalize_lambda_unit_norm():

@@ -47,6 +47,16 @@ def test_config_rejects_unknown_key(tmp_path):
         main(["constant", "--config", str(cfg)])
 
 
+def test_config_values_meet_the_flag_checks(tmp_path):
+    # a config value passes its flag's choices, like the same value on the command line
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("dim = 3\n")
+    with pytest.raises(SystemExit):
+        main(["constant", "--dim", "3"])
+    with pytest.raises(SystemExit):
+        main(["constant", "--config", str(cfg)])
+
+
 def test_constant_command(capsys):
     assert main(["constant", "--dim", "2", "--s", "0.5"]) == 0
     out = capsys.readouterr().out

@@ -322,14 +322,14 @@ def test_non_finite_complement_raises_on_both_paths(monkeypatch):
     [
         pytest.param(1, 5, 0.25, False, 1e-14, id="1-5-0.25"),
         pytest.param(2, 1, 0.5, False, 1e-14, id="2-1-0.5"),
-        pytest.param(2, 1, 0.5, True, 1e-13, id="2-1-0.5-boosted"),
+        pytest.param(2, 1, 0.5, True, 1e-14, id="2-1-0.5-boosted"),
     ],
 )
 def test_term_chunks_do_not_change_the_form(monkeypatch, dim, level, s, boost, direct_tol):
     # the fast meshes fit one chunk per term; a 256-point cap splits every category
     # whose rows carry more than one point (boosted: near pairs at order 7, 2401 points).
-    # The direct path adds one float per term in sequence: 44,799 terms in the boosted
-    # sliced run, whose rounding walk is about sqrt(44,799) eps = 4.7e-14 relative.
+    # The direct path adds its per-term sums exactly (fsum), so the 44,799 terms of
+    # the boosted sliced run add no rounding walk of their own to the total.
     mesh = build_mesh(dim, level)
     spec = QuadSpec.for_dim(dim).boosted() if boost else QuadSpec.for_dim(dim)
     u = FeFunction.from_free(mesh, np.random.default_rng(7).normal(size=mesh.free_count))

@@ -126,10 +126,12 @@ def test_interpolate_zeroes_boundary():
     assert np.allclose(u.values[inner], b.evaluate(mesh.nodes[inner]))
 
 
-def test_interpolate_scalar_callable_fallback():
-    # scalar-only callables take the per-node path and agree with vectorized
+def test_interpolate_needs_the_whole_value_vector():
+    # f is called once on all nodes; a column of values or a scalar-only
+    # callable is refused, not rerun node by node
     mesh = build_mesh(1, 4)
-    u_vec = interpolate(mesh, lambda x: np.cos(np.asarray(x)[..., 0]))
+    with pytest.raises(ValueError, match=r"\(33, 1\).*\(33,\)"):
+        interpolate(mesh, lambda x: np.cos(np.asarray(x)[:, :1]))
 
     def scalar_only(x):
         x = np.asarray(x)
@@ -137,10 +139,8 @@ def test_interpolate_scalar_callable_fallback():
             raise TypeError("one node at a time")
         return float(np.cos(x[0]))
 
-    u_scl = interpolate(mesh, scalar_only)
-    assert np.array_equal(u_vec.values, u_scl.values)
-    inner = ~mesh.boundary_mask
-    assert np.allclose(u_vec.values[inner], np.cos(mesh.nodes[inner, 0]))
+    with pytest.raises(TypeError):
+        interpolate(mesh, scalar_only)
     with pytest.raises(ValueError):
         interpolate(mesh, lambda x: np.full(mesh.n_nodes, np.inf))
 
