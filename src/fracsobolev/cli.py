@@ -104,11 +104,17 @@ def _cmd_sweep(args) -> int:
         res = upper_bound_sweep(args.dim, args.s, levels)
     else:
         res = discrete_constant_sweep(args.dim, args.s, levels, tol=args.tol)
-    for r in res.records:
-        print(
+    for i, r in enumerate(res.records):
+        line = (
             f"level {r.level}: h={r.h:.6g} c_h={r.c_h:.6g} value={r.value:.8e} "
             f"slack={r.slack:.2e} wall={r.wall_time:.2f}s"
         )
+        if args.mode == "solve":
+            steps = res.details["iterations"][i]
+            line += f" steps={steps} residual={res.details['residual'][i]:.2e}"
+        print(line)
+        if args.mode == "solve" and not res.details["converged"][i]:
+            print(f"level {r.level} not converged after {steps} steps", file=sys.stderr)
     for lev, msg in res.failures:
         print(f"level {lev} FAILED: {msg}", file=sys.stderr)
     _print_fit("rate", res.fit)

@@ -276,6 +276,8 @@ def discrete_constant_sweep(N: int, s: float, levels, tol: float = 1e-10) -> Swe
             "s_h": rep.s_h,
             "warm_deficit": warm_q - S,
             "converged": rep.converged,
+            "iterations": rep.iterations,
+            "residual": rep.residual,
             "c_fit": mf.concentration,
             "fit_centers": mf.center,
         }

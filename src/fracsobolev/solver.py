@@ -4,12 +4,17 @@ The discrete constant is the minimum of seminorm_sq(u) over functions
 with unit critical-exponent norm.  The nonlinear inverse power method
 (Hein & Buehler, NIPS 2010) solves A v = b(u) with one Cholesky factor
 and renormalizes; Hoelder and Cauchy-Schwarz in the A-inner product give
-Q(v) <= Q(u), so every full step is a descent step and no line search
-is needed.
+Q(v) <= Q(u), so the plain step never raises the quotient.  It contracts
+only linearly, slowly as q approaches 2, so each step also forms an
+Anderson-mixed candidate (Walker & Ni, SIAM J. Numer. Anal. 2011) from
+the recent plain steps and takes it only when its quotient is no higher
+than the plain step's; the plain step stays the safeguard, and no line
+search or second factorization is needed.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +33,14 @@ _MAX_ITER = 280
 # A rise above the last recorded quotient beyond this relative margin
 # breaks the descent bound and is a defect, not rounding.
 _RISE_TOL = 16 * np.finfo(float).eps
+# Anderson mixing of depth _MIX_DEPTH (Walker & Ni's m) fits its
+# candidate to the differences of the last _MIX_DEPTH + 1 (g, g - u)
+# pairs.  The mixed candidate is taken when its quotient exceeds the
+# plain step's by at most _MIX_MARGIN relative: near convergence the two
+# differ by rounding, and a strict comparison lets a 1e-15 change of the
+# matrix flip acceptances and with them the step count.
+_MIX_DEPTH = 5
+_MIX_MARGIN = 8 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -39,6 +52,7 @@ class SolverReport:
     iterations: int
     quotient_history: list
     converged: bool
+    residual: float
     tolerance_used: float
     quadrature_slack: float
 
@@ -75,25 +89,45 @@ def default_start(form: NonlocalForm) -> FeFunction:
     return interpolate(mesh, truncated_bubble(lam, c_h, mesh.dim, form.s))
 
 
-def _unit_positive(mesh, values, q) -> FeFunction:
-    u = FeFunction(mesh, values)
+def _unit_positive(mesh, free, q) -> FeFunction:
+    """The function with free values ``free`` scaled to unit critical
+    norm, its sign chosen so that the free values have a positive mean."""
+    u = FeFunction.from_free(mesh, free)
     nrm = lq_norm(u, q)
     if nrm == 0.0:
         raise ValueError("iterate collapsed to zero")
-    vals = values / nrm
-    if vals[: mesh.free_count].mean() < 0:
+    vals = free / nrm
+    if vals.mean() < 0:
         vals = -vals
-    return FeFunction(mesh, vals)
+    return FeFunction.from_free(mesh, vals)
 
 
-def _euler_lagrange(A, u: FeFunction, q: float):
-    """(mu, b, residual) of a unit iterate: its quotient u^T A u, the
-    vector b(u), and norm(A u - mu b) / norm(A u)."""
-    w = u.free_values
-    Aw = A @ w
-    mu = float(w @ Aw)
+def _euler_lagrange(u: FeFunction, Au, mu: float, q: float):
+    """(b, residual) of a unit iterate with A u and mu = u^T A u: the
+    vector b(u) and norm(A u - mu b) / norm(A u)."""
     b = nonlinear_residual(u, q)
-    return mu, b, float(np.linalg.norm(Aw - mu * b) / np.linalg.norm(Aw))
+    return b, float(np.linalg.norm(Au - mu * b) / np.linalg.norm(Au))
+
+
+def _candidate(A, mesh, free, q):
+    """(u, A u, u^T A u) of ``free`` normalized by _unit_positive."""
+    u = _unit_positive(mesh, free, q)
+    Au = A @ u.free_values
+    return u, Au, float(u.free_values @ Au)
+
+
+def _mixed(pairs):
+    """Anderson-mixed free values from the recorded (g, g - u) pairs.
+
+    The coefficients gamma minimize norm(f_k - dF gamma) over the
+    differences of successive residuals f = g - u (Walker & Ni 2011,
+    type II); the candidate is g_k - dG gamma.
+    """
+    G = np.array([g for g, _ in pairs])
+    F = np.array([f for _, f in pairs])
+    dG, dF = np.diff(G, axis=0), np.diff(F, axis=0)
+    gamma = np.linalg.lstsq(dF.T, F[-1], rcond=None)[0]
+    return G[-1] - gamma @ dG
 
 
 def solve(
@@ -101,21 +135,27 @@ def solve(
     init: FeFunction | None = None,
     tol: float = 1e-10,
 ) -> SolverReport:
-    """Minimize the discrete quotient by the nonlinear inverse power method.
+    """Minimize the discrete quotient by Anderson-mixed inverse power steps.
 
     Per step: solve A v = b(u) with the one Cholesky factor and normalize
-    v to unit critical norm.  For unit u, Hoelder gives <v, b> <= |v|_q
-    and Cauchy-Schwarz in the A-inner product gives
-    1 = <u, b>^2 <= (u^T A u)(b^T A^-1 b), so Q(v) <= Q(u): every full
-    step descends.  Stops once the Euler-Lagrange residual
-    norm(A u - mu b)/norm(A u) is at most ``tol``; _MAX_ITER steps
-    without that return converged=False.
+    v to unit critical norm, the plain iterate g.  For unit u, Hoelder
+    gives <v, b> <= |v|_q and Cauchy-Schwarz in the A-inner product gives
+    1 = <u, b>^2 <= (u^T A u)(b^T A^-1 b), so Q(g) <= Q(u).  Least
+    squares over the differences of the last _MIX_DEPTH + 1 pairs
+    (g, g - u) gives a second, mixed candidate w (Walker & Ni, SIAM J. Numer. Anal. 2011).  The step
+    takes w when Q(w) <= Q(g) within _MIX_MARGIN, and otherwise takes g
+    and restarts the mixing history, so every accepted iterate satisfies
+    Q(u_+) <= Q(g) <= Q(u) up to rounding.  Stops once the
+    Euler-Lagrange residual norm(A u - mu b)/norm(A u) is at most
+    ``tol``; _MAX_ITER steps without that warn and return
+    converged=False with the residual reached.
 
-    quotient_history records each quotient that does not exceed the last
-    one recorded, so it is non-increasing bitwise and ends at s_h unless
-    the last steps ticked up by rounding.  A rise beyond _RISE_TOL breaks
-    the descent bound and raises RuntimeError.  quadrature_slack compares
-    s_h with the quotient under the boosted quadrature.
+    quotient_history records each accepted quotient that does not exceed
+    the last one recorded, so it is non-increasing bitwise and ends at
+    s_h unless the last steps ticked up by rounding.  A rise beyond
+    _RISE_TOL breaks the descent bound and raises RuntimeError.
+    quadrature_slack compares s_h with the quotient under the boosted
+    quadrature.
     """
     mesh = form.mesh
     q = critical_exponent(mesh.dim, form.s)
@@ -135,16 +175,24 @@ def solve(
             "the assembled form is corrupted"
         ) from exc
 
-    u = _unit_positive(mesh, init.values, q)
-    mu, b, residual = _euler_lagrange(A, u, q)
+    u, Au, mu = _candidate(A, mesh, init.free_values, q)
+    b, residual = _euler_lagrange(u, Au, mu, q)
     history = [mu]
+    pairs = []
     steps = 0
     while residual > tol and steps < _MAX_ITER:
-        step = np.zeros(mesh.n_nodes)
-        step[: mesh.free_count] = cho_solve(factor, b, check_finite=False)
+        g, Ag, mu_g = _candidate(A, mesh, cho_solve(factor, b, check_finite=False), q)
         steps += 1
-        u = _unit_positive(mesh, step, q)
-        mu, b, residual = _euler_lagrange(A, u, q)
+        pairs.append((g.free_values, g.free_values - u.free_values))
+        del pairs[: -_MIX_DEPTH - 1]
+        u, Au, mu = g, Ag, mu_g
+        if len(pairs) > 1:
+            w, Aw, mu_w = _candidate(A, mesh, _mixed(pairs), q)
+            if mu_w <= mu_g * (1.0 + _MIX_MARGIN):
+                u, Au, mu = w, Aw, mu_w
+            else:
+                del pairs[:-1]
+        b, residual = _euler_lagrange(u, Au, mu, q)
         if mu > history[-1] * (1.0 + _RISE_TOL):
             raise RuntimeError(
                 f"inverse-power step {steps}: quotient rose from {history[-1]!r} "
@@ -152,6 +200,13 @@ def solve(
             )
         if mu <= history[-1]:
             history.append(mu)
+    if residual > tol:
+        warnings.warn(
+            f"solve: stopped after {steps} steps at Euler-Lagrange residual "
+            f"{residual:.3g}, above the tolerance {tol:.0e}",
+            RuntimeWarning,
+            stacklevel=2,
+        )
 
     fine_semi = seminorm_sq_direct(mesh, form.s, u, form.quad_spec.boosted())
     fine_norm = lq_norm(u, q, order=12)
@@ -162,6 +217,7 @@ def solve(
         iterations=steps,
         quotient_history=history,
         converged=residual <= tol,
+        residual=residual,
         tolerance_used=tol,
         quadrature_slack=abs(fine_semi / fine_norm**2 - mu),
     )

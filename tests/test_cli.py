@@ -80,7 +80,20 @@ def test_sweep_upper_writes_csv(tmp_path, capsys):
 def test_sweep_solve_small(capsys):
     rc = main(["sweep", "solve", "--dim", "1", "--s", "0.25", "--levels", "4,5,6"])
     assert rc == 0
-    assert "rate: slope=" in capsys.readouterr().out
+    captured = capsys.readouterr()
+    assert "rate: slope=" in captured.out
+    assert " steps=" in captured.out and " residual=" in captured.out
+    assert "not converged" not in captured.err
+
+
+def test_sweep_solve_reports_unconverged_levels(capsys):
+    with pytest.warns(RuntimeWarning, match="stopped after 280 steps"):
+        rc = main(["sweep", "solve", "--dim", "1", "--s", "0.25", "--levels", "3..5", "--tol", "0"])
+    assert rc == 0
+    captured = capsys.readouterr()
+    for lev in (3, 4, 5):
+        assert f"level {lev} not converged after 280 steps" in captured.err.splitlines()
+    assert "steps=280 residual=" in captured.out
 
 
 def test_verify_covering_command(tmp_path, capsys):

@@ -5,6 +5,7 @@ import functools
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
 
 import fracsobolev.solver as solver_module
 from fracsobolev.bubble import Bubble, normalize_lambda, truncated_bubble
@@ -154,7 +155,7 @@ def _form(dim, level, s):
     return assemble(build_mesh(dim, level), s)
 
 
-@pytest.mark.parametrize("dim, level, s", [(1, 4, 0.25), (2, 1, 0.5)])
+@pytest.mark.parametrize("dim, level, s", [(1, 4, 0.25), (2, 1, 0.5), (1, 8, 0.25)])
 def test_iteration_counts_do_not_depend_on_rounding(dim, level, s):
     form = _form(dim, level, s)
     ref = solve(form)
@@ -165,6 +166,49 @@ def test_iteration_counts_do_not_depend_on_rounding(dim, level, s):
         rep = solve(nudged)
         assert (rep.iterations, rep.converged) == (ref.iterations, ref.converged)
         assert abs(rep.s_h - ref.s_h) <= 1e-13 * ref.s_h
+
+
+def test_step_cap_warns_and_reports_the_residual():
+    form = _form(1, 3, 0.25)
+    with pytest.warns(RuntimeWarning, match=r"stopped after 280 steps .* tolerance 0e\+00"):
+        rep = solve(form, tol=0.0)
+    assert rep.iterations == solver_module._MAX_ITER == 280
+    assert not rep.converged
+    assert rep.residual > 0.0
+
+
+def _plain_inverse_power(form, tol):
+    """Reference minimizer: the unmixed inverse power iteration, no step cap.
+
+    Returns (quotient, steps) at the first unit iterate whose
+    Euler-Lagrange residual is at most ``tol``.
+    """
+    mesh, s = form.mesh, form.s
+    q = critical_exponent(mesh.dim, s)
+    c_h = optimal_concentration(mesh.h, mesh.dim, s)
+    w = interpolate(mesh, truncated_bubble(normalize_lambda(c_h, mesh.dim, s), c_h, mesh.dim, s))
+    w = w.free_values
+    factor = cho_factor(form.matrix)
+    for steps in range(5000):
+        u = FeFunction.from_free(mesh, w / lq_norm(FeFunction.from_free(mesh, w), q))
+        Aw = form.matrix @ u.free_values
+        mu = float(u.free_values @ Aw)
+        b = nonlinear_residual(u, q)
+        if np.linalg.norm(Aw - mu * b) <= tol * np.linalg.norm(Aw):
+            return mu, steps
+        w = cho_solve(factor, b)
+    raise AssertionError("reference iteration did not converge")
+
+
+@pytest.mark.parametrize("level", [6, 8])
+def test_small_s_converges_under_the_cap(level):
+    form = _form(1, level, 0.1)
+    rep = solve(form)
+    assert rep.converged and rep.residual <= 1e-10
+    assert rep.iterations < solver_module._MAX_ITER
+    ref, ref_steps = _plain_inverse_power(form, 1e-10)
+    assert ref_steps > solver_module._MAX_ITER
+    assert abs(rep.s_h - ref) <= 1e-13 * ref
 
 
 def test_quotient_rise_beyond_rounding_raises(monkeypatch):
