@@ -111,7 +111,10 @@ def _cmd_sweep(args) -> int:
         )
         if args.mode == "solve":
             steps = res.details["iterations"][i]
-            line += f" steps={steps} residual={res.details['residual'][i]:.2e}"
+            line += (
+                f" steps={steps} residual={res.details['residual'][i]:.2e}"
+                f" mixed={res.details['mixed_steps'][i]}"
+            )
         print(line)
         if args.mode == "solve" and not res.details["converged"][i]:
             print(f"level {r.level} not converged after {steps} steps", file=sys.stderr)

@@ -277,6 +277,7 @@ def discrete_constant_sweep(N: int, s: float, levels, tol: float = 1e-10) -> Swe
             "warm_deficit": warm_q - S,
             "converged": rep.converged,
             "iterations": rep.iterations,
+            "mixed_steps": rep.mixed_steps,
             "residual": rep.residual,
             "c_fit": mf.concentration,
             "fit_centers": mf.center,

@@ -12,6 +12,7 @@ from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 __all__ = [
     "BallMesh",
@@ -364,29 +365,38 @@ def element_pairs(mesh):
 
 
 def _enumerate_pairs(mesh):
+    """Classify the element pairs, testing only those a near search finds.
+
+    A vertex lies within one diameter D (the largest) of its element's
+    centroid, so centroids more than 3 D apart put every vertex pair more
+    than D apart: no shared node and not close, hence far.  The search
+    radius 4 D leaves a margin for rounding in the tree's distances.  The
+    candidates run the exact test in triu order, and far is the triu
+    complement of the pairs that are not.
+    """
     els = mesh.elements
     geo = element_geometry(mesh)
-    I, J = np.triu_indices(mesh.n_elements, 1)
-    parts = {name: [] for name in _ElementPairs._fields}
-    chunk = 1 << 16
-    # at least one pass, so every array keeps its width when there are no pairs
-    for lo in range(0, max(len(I), 1), chunk):
-        ii, jj = I[lo : lo + chunk], J[lo : lo + chunk]
-        eq = els[ii][:, :, None] == els[jj][:, None, :]
-        shared = eq.sum(axis=(1, 2))
-        d = geo.verts[ii][:, :, None, :] - geo.verts[jj][:, None, :, :]
-        mind = np.sqrt(np.min(np.sum(d * d, axis=-1), axis=(1, 2)))
-        close = mind < np.maximum(geo.diameter[ii], geo.diameter[jj])
-        masks = dict(vertex=shared == 1, edge=shared == 2, near=(shared == 0) & close)
-        masks["far"] = (shared == 0) & ~close
-        for name, mask in masks.items():
-            parts[name].append(np.stack([ii[mask], jj[mask]], axis=1))
-        for n_shared, name in ((1, "vertex"), (2, "edge")):
-            mask = masks[name]
-            a = _from_first_shared(els[ii[mask]], eq[mask].any(axis=2))
-            b = _from_first_shared(els[jj[mask]], eq[mask].any(axis=1))
-            parts[name + "_nodes"].append(np.concatenate([a, b[:, n_shared:]], axis=1))
-    return _ElementPairs(**{name: np.concatenate(arrs) for name, arrs in parts.items()})
+    m = mesh.n_elements
+    found = cKDTree(geo.verts.mean(axis=1)).query_pairs(
+        4.0 * float(np.max(geo.diameter)), output_type="ndarray"
+    )
+    ii, jj = np.divmod(np.sort(found[:, 0] * m + found[:, 1]), m)
+    eq = els[ii][:, :, None] == els[jj][:, None, :]
+    shared = eq.sum(axis=(1, 2))
+    d = geo.verts[ii][:, :, None, :] - geo.verts[jj][:, None, :, :]
+    mind = np.sqrt(np.min(np.sum(d * d, axis=-1), axis=(1, 2)))
+    close = mind < np.maximum(geo.diameter[ii], geo.diameter[jj])
+    masks = dict(vertex=shared == 1, edge=shared == 2, near=(shared == 0) & close)
+    tables = {name: np.stack([ii[mask], jj[mask]], axis=1) for name, mask in masks.items()}
+    not_far = (shared > 0) | close
+    for n_shared, name in ((1, "vertex"), (2, "edge")):
+        mask = masks[name]
+        a = _from_first_shared(els[ii[mask]], eq[mask].any(axis=2))
+        b = _from_first_shared(els[jj[mask]], eq[mask].any(axis=1))
+        tables[name + "_nodes"] = np.concatenate([a, b[:, n_shared:]], axis=1)
+    far = np.triu(np.ones((m, m), dtype=bool), 1)
+    far[ii[not_far], jj[not_far]] = False
+    return _ElementPairs(far=np.argwhere(far), **tables)
 
 
 def _from_first_shared(nodes, shared):

@@ -50,6 +50,7 @@ class SolverReport:
     s_h: float
     minimizer: FeFunction
     iterations: int
+    mixed_steps: int  # steps that took the Anderson-mixed candidate
     quotient_history: list
     converged: bool
     residual: float
@@ -145,7 +146,8 @@ def solve(
     (g, g - u) gives a second, mixed candidate w (Walker & Ni, SIAM J. Numer. Anal. 2011).  The step
     takes w when Q(w) <= Q(g) within _MIX_MARGIN, and otherwise takes g
     and restarts the mixing history, so every accepted iterate satisfies
-    Q(u_+) <= Q(g) <= Q(u) up to rounding.  Stops once the
+    Q(u_+) <= Q(g) <= Q(u) up to rounding; mixed_steps counts the steps
+    that took w.  Stops once the
     Euler-Lagrange residual norm(A u - mu b)/norm(A u) is at most
     ``tol``; _MAX_ITER steps without that warn and return
     converged=False with the residual reached.
@@ -179,7 +181,7 @@ def solve(
     b, residual = _euler_lagrange(u, Au, mu, q)
     history = [mu]
     pairs = []
-    steps = 0
+    steps = mixed_steps = 0
     while residual > tol and steps < _MAX_ITER:
         g, Ag, mu_g = _candidate(A, mesh, cho_solve(factor, b, check_finite=False), q)
         steps += 1
@@ -190,6 +192,7 @@ def solve(
             w, Aw, mu_w = _candidate(A, mesh, _mixed(pairs), q)
             if mu_w <= mu_g * (1.0 + _MIX_MARGIN):
                 u, Au, mu = w, Aw, mu_w
+                mixed_steps += 1
             else:
                 del pairs[:-1]
         b, residual = _euler_lagrange(u, Au, mu, q)
@@ -215,6 +218,7 @@ def solve(
         s_h=mu,
         minimizer=u,
         iterations=steps,
+        mixed_steps=mixed_steps,
         quotient_history=history,
         converged=residual <= tol,
         residual=residual,

@@ -83,6 +83,7 @@ def test_sweep_solve_small(capsys):
     captured = capsys.readouterr()
     assert "rate: slope=" in captured.out
     assert " steps=" in captured.out and " residual=" in captured.out
+    assert " mixed=" in captured.out
     assert "not converged" not in captured.err
 
 

@@ -127,6 +127,7 @@ def test_discrete_constant_sweep_small_window():
     assert res.fit.slope > 0
     assert all(res.details["converged"])
     assert all(c > 0 for c in res.details["c_fit"])
+    assert all(0 < k <= n for k, n in zip(res.details["mixed_steps"], res.details["iterations"]))
     # the solver cannot do worse than its warm start
     for gap, warm in zip(gaps, res.details["warm_deficit"]):
         assert gap <= warm

@@ -35,6 +35,7 @@ from fracsobolev.gagliardo import (
     _kappa_fast,
     _new_counters,
     _term_block,
+    _terms,
     _vertex_terms_1d,
     _vertex_terms_2d,
 )
@@ -159,6 +160,113 @@ def test_element_pairs_enumerated_once_per_mesh(monkeypatch):
     seminorm_sq_direct(mesh, 0.25, u)
     seminorm_sq_direct(mesh, 0.25, u, QuadSpec.for_dim(1).boosted())
     assert len(calls) == 1
+
+
+def _brute_force_pairs(mesh):
+    """All m(m-1)/2 element pairs classified row by row, in triu order.
+
+    Shared nodes by set intersection, the smallest vertex distance by
+    cdist; a touching pair's node row is the first element's nodes
+    rotated to start at the shared node that follows an unshared one,
+    then the second element's unshared nodes in its own cyclic order.
+    """
+    els = mesh.elements.tolist()
+    verts = mesh.nodes[mesh.elements]
+    diam = np.array([cdist(v, v).max() for v in verts])
+    out = {name: [] for name in ("vertex", "edge", "near", "far", "vertex_nodes", "edge_nodes")}
+
+    def rotated(nodes, shared):
+        i = next(i for i in range(len(nodes)) if nodes[i] in shared and nodes[i - 1] not in shared)
+        return nodes[i:] + nodes[:i]
+
+    for a in range(len(els)):
+        for b in range(a + 1, len(els)):
+            shared = set(els[a]) & set(els[b])
+            if shared:
+                name = {1: "vertex", 2: "edge"}[len(shared)]
+                out[name].append([a, b])
+                tail = [x for x in rotated(els[b], shared) if x not in shared]
+                out[name + "_nodes"].append(rotated(els[a], shared) + tail)
+            elif cdist(verts[a], verts[b]).min() < max(diam[a], diam[b]):
+                out["near"].append([a, b])
+            else:
+                out["far"].append([a, b])
+    k = mesh.dim + 1
+    widths = dict(vertex_nodes=2 * k - 1, edge_nodes=2 * k - 2)
+    return {
+        name: np.array(rows, dtype=np.intp).reshape(-1, widths.get(name, 2))
+        for name, rows in out.items()
+    }
+
+
+def _graded_1d_mesh():
+    # nodes 0, +-(1 - 2^-j) and +-1: the largest diameter, 1/2, is 512 times the
+    # smallest, 2^-10, at the ends
+    half = 1.0 - 2.0 ** -np.arange(1, 11)
+    nodes = np.concatenate([-half[::-1], [0.0], half, [-1.0, 1.0]])
+    order = np.argsort(nodes)
+    elements = np.column_stack([order[:-1], order[1:]])
+    return make_ball_mesh(1, nodes, elements)
+
+
+def _disk_polygon_mesh(corners):
+    """The inscribed regular polygon with ``corners`` vertices, fanned from vertex 0."""
+    ang = 2.0 * np.pi * np.arange(corners) / corners
+    nodes = np.column_stack([np.cos(ang), np.sin(ang)])
+    elements = np.column_stack([np.zeros(corners - 2, int), np.arange(1, corners - 1), np.arange(2, corners)])
+    return make_ball_mesh(2, nodes, elements)
+
+
+@pytest.mark.parametrize(
+    "make_mesh",
+    [pytest.param(lambda level=level: build_mesh(1, level), id=f"1d-L{level}") for level in range(1, 7)]
+    + [
+        pytest.param(_custom_1d_mesh, id="1d-custom"),
+        pytest.param(_graded_1d_mesh, id="1d-graded"),
+    ]
+    + [pytest.param(lambda level=level: build_mesh(2, level), id=f"2d-L{level}") for level in range(3)]
+    # one and two elements: the tables keep their widths when they have no rows
+    + [
+        pytest.param(lambda: make_ball_mesh(1, np.array([-1.0, 1.0]), np.array([[0, 1]])), id="1d-one"),
+        pytest.param(
+            lambda: make_ball_mesh(1, np.array([-1.0, 0.3, 1.0]), np.array([[0, 1], [1, 2]])),
+            id="1d-two",
+        ),
+        pytest.param(lambda: _disk_polygon_mesh(3), id="2d-one"),
+        pytest.param(lambda: _disk_polygon_mesh(4), id="2d-two"),
+    ],
+)
+def test_element_pairs_match_brute_force(make_mesh):
+    mesh = make_mesh()
+    pairs = element_pairs(mesh)
+    ref = _brute_force_pairs(mesh)
+    for name, want in ref.items():
+        got = getattr(pairs, name)
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert np.array_equal(got, want), name
+
+
+@pytest.mark.parametrize(
+    "dim, level, s, boost",
+    [
+        pytest.param(1, 6, 0.25, False, id="1-6"),
+        pytest.param(1, 6, 0.25, True, id="1-6-boosted"),
+        pytest.param(2, 1, 0.5, False, id="2-1"),
+        pytest.param(2, 1, 0.5, True, id="2-1-boosted"),
+    ],
+)
+def test_scatter_matches_dense_accumulation(dim, level, s, boost):
+    mesh = build_mesh(dim, level)
+    spec = QuadSpec.for_dim(dim).boosted() if boost else QuadSpec.for_dim(dim)
+    n = mesh.n_nodes
+    dense = np.zeros(n * n)
+    for _, idx, g, wK in _terms(mesh, s, spec, element_geometry(mesh), _new_counters()):
+        pos = (idx[:, :, None] * n + idx[:, None, :]).ravel()
+        dense += np.bincount(pos, weights=_term_block(g, wK).ravel(), minlength=n * n)
+    fc = mesh.free_count
+    ref = s * (1 - s) * dense.reshape(n, n)[:fc, :fc]
+    A = assemble(mesh, s, spec).matrix
+    assert np.max(np.abs(A - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 def test_assemble_rejects_bad_order():
@@ -326,8 +434,10 @@ def test_non_finite_complement_raises_on_both_paths(monkeypatch):
     ],
 )
 def test_term_chunks_do_not_change_the_form(monkeypatch, dim, level, s, boost, direct_tol):
-    # the fast meshes fit one chunk per term; a 256-point cap splits every category
-    # whose rows carry more than one point (boosted: near pairs at order 7, 2401 points).
+    # at 2^16 points per term the 1D level-5 mesh still fits one term per category
+    # and branch, while the 2D level-1 terms already split (33 complement terms by
+    # default, 87 boosted); a 256-point cap splits every category whose rows carry
+    # more than one point (boosted: near pairs at order 7, 2401 points).
     # The direct path adds its per-term sums exactly (fsum), so the 44,799 terms of
     # the boosted sliced run add no rounding walk of their own to the total.
     mesh = build_mesh(dim, level)

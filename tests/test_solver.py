@@ -168,6 +168,11 @@ def test_iteration_counts_do_not_depend_on_rounding(dim, level, s):
         assert abs(rep.s_h - ref.s_h) <= 1e-13 * ref.s_h
 
 
+def test_mixed_steps_are_counted():
+    rep = solve(_form(1, 6, 0.25))
+    assert 0 < rep.mixed_steps <= rep.iterations
+
+
 def test_step_cap_warns_and_reports_the_residual():
     form = _form(1, 3, 0.25)
     with pytest.warns(RuntimeWarning, match=r"stopped after 280 steps .* tolerance 0e\+00"):
