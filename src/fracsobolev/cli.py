@@ -30,11 +30,20 @@ _VERIFY_MESH_LEVEL = {1: 5, 2: 1}
 
 
 def _parse_levels(text: str) -> list:
-    """Parse 'a..b' into [a, ..., b] or 'a,b,c' into a list."""
+    """Parse 'a..b' into [a, ..., b] or 'a,b,c' into a list.
+
+    The ``type`` of both ``--levels`` flags: argparse rejects a value it
+    cannot parse, or an empty range like '8..4', with exit status 2 and
+    names the value.
+    """
     if ".." in text:
         a, b = text.split("..")
-        return list(range(int(a), int(b) + 1))
-    return [int(p) for p in text.split(",")]
+        levels = list(range(int(a), int(b) + 1))
+    else:
+        levels = [int(p) for p in text.split(",")]
+    if not levels:
+        raise ValueError(f"empty level range {text!r}")
+    return levels
 
 
 def _parse_config(path: str) -> dict:
@@ -99,11 +108,10 @@ def _cmd_constant(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    levels = _parse_levels(args.levels)
     if args.mode == "upper":
-        res = upper_bound_sweep(args.dim, args.s, levels)
+        res = upper_bound_sweep(args.dim, args.s, args.levels)
     else:
-        res = discrete_constant_sweep(args.dim, args.s, levels, tol=args.tol)
+        res = discrete_constant_sweep(args.dim, args.s, args.levels, tol=args.tol)
     for i, r in enumerate(res.records):
         line = (
             f"level {r.level}: h={r.h:.6g} c_h={r.c_h:.6g} value={r.value:.8e} "
@@ -141,7 +149,7 @@ def _random_fe_functions(dim: int, seed: int, count: int = 50):
 
 def _cmd_verify(args) -> int:
     if args.kind == "interp":
-        levels = _parse_levels(args.levels) if args.levels else list(range(4, 10))
+        levels = args.levels or list(range(4, 10))
         res = verify_interp_error(args.dim, args.s, args.q, args.c, levels)
         _print_fit("value rate in h (expect 2)", res.lq_h)
         _print_fit("gradient rate in h (expect 1)", res.grad_h)
@@ -193,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     p1 = sub.add_parser("sweep", help="rate sweep over mesh levels")
     p1.add_argument("mode", choices=("upper", "solve"))
     common(p1)
-    p1.add_argument("--levels", type=str, default="4..8")
+    p1.add_argument("--levels", type=_parse_levels, default="4..8")
     p1.add_argument("--tol", type=float, default=1e-10)
     p1.add_argument("--out", type=str, default=None)
     p1.set_defaults(func=_cmd_sweep)
@@ -203,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p2)
     p2.add_argument("--q", type=float, default=2.0)
     p2.add_argument("--c", type=float, default=0.25)
-    p2.add_argument("--levels", type=str, default=None)
+    p2.add_argument("--levels", type=_parse_levels, default=None)
     p2.add_argument("--samples", type=int, default=10000)
     p2.add_argument("--seed", type=int, default=0)
     p2.add_argument("--eps", type=str, default="0.2,0.1,0.05")

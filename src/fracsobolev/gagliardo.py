@@ -211,19 +211,25 @@ def complement_weight(x, N: int, s: float):
 
 
 @lru_cache(maxsize=8)
-def _radial_complement_table(s: float) -> CubicSpline:
-    """Spline of kappa * depth^(2s) against log depth, depth = 1 - |x|.
+def _radial_complement_table(s: float) -> tuple[np.ndarray, np.ndarray]:
+    """Cubic table of kappa * depth^(2s) against log depth, depth = 1 - |x|.
 
     kappa depends on |x| only, and a hypergeometric call near the sphere
-    costs far more than a spline lookup, so the closed form is tabulated
+    costs far more than a table lookup, so the closed form is tabulated
     once per s, directly in the depth d:
-    (pi/s) (2-d)^(-2s) 2F1(-s, 1-s; 1; (1-d)^2).  Interpolation error
-    stays below 1e-8 relative for depths 1e-11..1 at s = 1/4..3/4.
+    (pi/s) (2-d)^(-2s) 2F1(-s, 1-s; 1; (1-d)^2), as a not-a-knot cubic
+    spline on a uniform grid in log d from log(5e-12) to 0.  Returns its
+    knots t and its coefficients c, shape (4, len(t) - 1), the piece on
+    [t[i], t[i+1]] being sum_k c[k, i] (x - t[i])^(3-k).  Interpolation
+    error stays below 1e-8 relative for depths 1e-11..1 at s = 1/4..3/4.
     """
     t = np.linspace(np.log(5e-12), 0.0, 3072)
     d = np.exp(t)
     scaled = (np.pi / s) * (2.0 - d) ** (-2 * s) * hyp2f1(-s, 1 - s, 1, (1.0 - d) ** 2)
-    return CubicSpline(t, scaled)
+    spline = CubicSpline(t, scaled)
+    # cached and shared by every caller
+    spline.x.flags.writeable = spline.c.flags.writeable = False
+    return spline.x, spline.c
 
 
 def _radius(pts):
@@ -236,12 +242,32 @@ def _radius(pts):
 
 
 def _kappa_fast(pts: np.ndarray, dim: int, s: float) -> np.ndarray:
-    """Complement weight for assembly batches; tabulated on the disk."""
+    """Complement weight for assembly batches; read from the table on the disk.
+
+    The piece of a point is found by direct index on the uniform knot
+    grid, clipped to the end pieces, so depths below the first knot
+    extrapolate its cubic as the spline does; the offset is taken from
+    the knot itself.  The cubic is summed term by term in the order
+    scipy's piecewise-polynomial evaluation uses, so the values are
+    CubicSpline's to the last bit, except within rounding of a knot,
+    where the neighbouring piece may be read, 1 ulp apart.
+    """
     if dim == 1:
         return complement_weight(pts, 1, s)
     depth = 1.0 - _radius(pts)[1]
-    spl = _radial_complement_table(s)
-    return spl(np.log(depth)) * depth ** (-2.0 * s)
+    t, c = _radial_complement_table(s)
+    x = np.log(depth)
+    piece = ((x - t[0]) * ((len(t) - 1) / (t[-1] - t[0]))).astype(np.intp)
+    np.clip(piece, 0, len(t) - 2, out=piece)
+    dx = x - t.take(piece)
+    val = c[3].take(piece)
+    val += c[2].take(piece) * dx
+    power = dx * dx
+    val += c[1].take(piece) * power
+    power *= dx
+    val += c[0].take(piece) * power
+    val *= depth ** (-2.0 * s)
+    return val
 
 
 def _complement_cells(mesh: BallMesh, geo, spec: QuadSpec):
@@ -254,15 +280,17 @@ def _complement_cells(mesh: BallMesh, geo, spec: QuadSpec):
     2^(-N*depth), plus the count of cells still failing at the cap.
     """
     k = mesh.dim + 1
+    # a cell's diameter is its longest edge: vertex pairs va < vb
+    va, vb = np.triu_indices(k, 1)
     children = _CHILDREN[mesh.dim]
     elem = np.arange(mesh.n_elements)
     bary = np.broadcast_to(np.eye(k), (len(elem), k, k))
     parts = []
     for depth in range(spec.boundary_depth + 1):
         sub = bary @ geo.verts[elem]
-        rmax = np.sqrt(np.max(np.sum(sub * sub, axis=-1), axis=-1))
-        d = sub[:, :, None, :] - sub[:, None, :, :]
-        diam = np.sqrt(np.max(np.sum(d * d, axis=-1), axis=(1, 2)))
+        coords = [sub[..., c] for c in range(mesh.dim)]
+        rmax = np.sqrt(np.max(_sum_sq(x.copy() for x in coords), axis=-1))
+        diam = np.sqrt(np.max(_sum_sq(x[:, va] - x[:, vb] for x in coords), axis=-1))
         ok = 1.0 - rmax >= diam
         parts.append((elem[ok], bary[ok], np.full(np.count_nonzero(ok), depth)))
         elem, bary = elem[~ok], bary[~ok]

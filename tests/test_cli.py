@@ -15,6 +15,34 @@ def test_parse_levels_forms():
     assert _parse_levels("7") == [7]
     with pytest.raises(ValueError):
         _parse_levels("a..b")
+    with pytest.raises(ValueError, match="empty"):
+        _parse_levels("8..4")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "solve", "--levels", "8..4"],
+        ["sweep", "upper", "--levels", "5..x"],
+        ["verify", "interp", "--levels", "9..4"],
+    ],
+)
+def test_bad_levels_exit_through_argparse(argv, capsys):
+    # rejected while parsing, before any mesh is built or sweep run
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--levels" in err and repr(argv[-1]) in err
+
+
+def test_config_levels_meet_the_same_check(tmp_path, capsys):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("levels = 8..4\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "solve", "--config", str(cfg)])
+    assert exc.value.code == 2
+    assert "'8..4'" in capsys.readouterr().err
 
 
 def test_parse_config_file(tmp_path):

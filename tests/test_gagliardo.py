@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
 from scipy import integrate
+from scipy.interpolate import CubicSpline
 from scipy.spatial.distance import cdist
-from scipy.special import ellipe
+from scipy.special import ellipe, hyp2f1
 
 from fracsobolev import gagliardo
 from fracsobolev import mesh as mesh_module
@@ -26,6 +27,7 @@ from fracsobolev.gagliardo import (
     seminorm_sq_direct,
 )
 from fracsobolev.gagliardo import (
+    _CHILDREN,
     _NEAR_BONUS,
     _complement_cells,
     _disjoint_terms,
@@ -34,6 +36,7 @@ from fracsobolev.gagliardo import (
     _ident_terms_2d,
     _kappa_fast,
     _new_counters,
+    _radial_complement_table,
     _term_block,
     _terms,
     _vertex_terms_1d,
@@ -342,6 +345,66 @@ def test_kappa_fast_table_matches_closed_form():
     for s in (0.25, 0.5, 0.75):
         rel = _kappa_fast(pts, 2, s) / complement_weight(pts, 2, s) - 1.0
         assert np.max(np.abs(rel)) < 3e-8, s
+
+
+@pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
+def test_kappa_fast_matches_spline_on_its_table(s):
+    # the table's own not-a-knot spline, rebuilt here, at random depths,
+    # at every knot (the last, depth 1, is the centre) and in the band
+    # extrapolated below the first knot, depth 5e-12
+    t, coef = _radial_complement_table(s)
+    d = np.exp(t)
+    scaled = (np.pi / s) * (2.0 - d) ** (-2 * s) * hyp2f1(-s, 1 - s, 1, (1.0 - d) ** 2)
+    spline = CubicSpline(t, scaled)
+    assert np.array_equal(spline.x, t) and np.array_equal(spline.c, coef)
+    rng = np.random.default_rng(7)
+    depth = np.concatenate(
+        [
+            np.exp(rng.uniform(t[0], 0.0, 20000)),
+            d,
+            np.geomspace(1.05e-12, 5e-12, 50),
+        ]
+    )
+    pts = np.column_stack([1.0 - depth, np.zeros_like(depth)])
+    depth = 1.0 - pts[:, 0]
+    ref = spline(np.log(depth)) * depth ** (-2.0 * s)
+    got = _kappa_fast(pts, 2, s)
+    assert np.max(np.abs(got / ref - 1.0)) < 1e-15
+
+
+def _complement_cells_reference(mesh, geo, spec):
+    """The subdivision rule with squared lengths summed by np.sum over coordinates."""
+    k = mesh.dim + 1
+    elem = np.arange(mesh.n_elements)
+    bary = np.broadcast_to(np.eye(k), (len(elem), k, k))
+    parts = []
+    for depth in range(spec.boundary_depth + 1):
+        sub = bary @ geo.verts[elem]
+        rmax = np.sqrt(np.max(np.sum(sub * sub, axis=-1), axis=-1))
+        d = sub[:, :, None, :] - sub[:, None, :, :]
+        diam = np.sqrt(np.max(np.sum(d * d, axis=-1), axis=(1, 2)))
+        ok = 1.0 - rmax >= diam
+        parts.append((elem[ok], bary[ok], np.full(np.count_nonzero(ok), depth)))
+        elem, bary = elem[~ok], bary[~ok]
+        if depth < spec.boundary_depth:
+            bary = (_CHILDREN[mesh.dim] @ bary[:, None]).reshape(-1, k, k)
+            elem = np.repeat(elem, 2**mesh.dim)
+    parts.append((elem, bary, np.full(len(elem), spec.boundary_depth)))
+    return [np.concatenate(a) for a in zip(*parts)] + [len(elem)]
+
+
+@pytest.mark.parametrize("dim, level", [(1, 4), (2, 0), (2, 1), (2, 2)])
+@pytest.mark.parametrize("boost", [False, True])
+def test_complement_cells_bitwise_equal_to_reference(dim, level, boost):
+    mesh = build_mesh(dim, level)
+    geo = element_geometry(mesh)
+    spec = QuadSpec.for_dim(dim)
+    spec = spec.boosted() if boost else spec
+    got = _complement_cells(mesh, geo, spec)
+    ref = _complement_cells_reference(mesh, geo, spec)
+    for a, b in zip(got[:3], ref[:3]):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    assert got[3] == ref[3]
 
 
 def test_complement_weight_monotone_and_divergent():
