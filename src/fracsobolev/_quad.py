@@ -1,7 +1,8 @@
 """Shared quadrature building blocks.
 
-Gauss-Legendre rules on [0, 1], collapsed tensor rules on the reference
-triangle, and the error a quadrature raises when it misses its target.
+Gauss-Legendre rules on [0, 1], Gauss rules on the reference simplex in
+barycentric form, and the error a quadrature raises when it misses its
+target.
 """
 
 from __future__ import annotations
@@ -13,14 +14,7 @@ from numpy.polynomial.legendre import leggauss
 
 
 class QuadratureError(RuntimeError):
-    """A quadrature did not reach its accuracy target.
-
-    ``estimate`` carries the best available value.
-    """
-
-    def __init__(self, message, estimate=None):
-        super().__init__(message)
-        self.estimate = estimate
+    """A quadrature did not reach its accuracy target."""
 
 
 @lru_cache(maxsize=128)
@@ -34,16 +28,28 @@ def unit_gauss(n: int):
     return 0.5 * (x + 1.0), 0.5 * w
 
 
-@lru_cache(maxsize=128)
-def triangle_rule(n: int):
-    """Tensor Gauss rule collapsed onto the triangle {a, b >= 0, a + b <= 1}.
+@lru_cache(maxsize=None)
+def reference_rule(dim: int, order: int):
+    """Gauss rule on the reference simplex with ``order`` points per direction.
 
-    Returns (points (n*n, 2), weights (n*n,)); weights sum to the reference
-    area 1/2. Exact for total degree <= 2n - 2 (the collapse map raises the
-    degree in the first coordinate by one).
+    Returns (lam (n, dim+1), weights (n,)): the barycentric coordinates of
+    the points and weights summing to the reference measure, 1 or 1/2.  In
+    1D it is Gauss on [0, 1], exact to degree 2 order - 1; in 2D the tensor
+    rule collapsed onto {a, b >= 0, a + b <= 1}, exact to total degree
+    2 order - 2 (the collapse raises the degree in a by one).  The arrays
+    are shared and read-only.
     """
-    x, w = unit_gauss(int(n))
-    a, b = np.meshgrid(x, x, indexing="ij")
-    wts = np.outer(w, w) * (1.0 - a)
-    pts = np.column_stack([a.ravel(), (b * (1.0 - a)).ravel()])
-    return pts, wts.ravel()
+    if order < 1:
+        raise ValueError("order must be >= 1")
+    x, w = unit_gauss(order)
+    if dim == 1:
+        pts, wts = x[:, None], w.copy()
+    elif dim == 2:
+        a, b = np.meshgrid(x, x, indexing="ij")
+        pts = np.column_stack([a.ravel(), (b * (1.0 - a)).ravel()])
+        wts = (np.outer(w, w) * (1.0 - a)).ravel()
+    else:
+        raise ValueError("dim must be 1 or 2")
+    lam = np.column_stack([1.0 - pts.sum(axis=1), pts])
+    lam.flags.writeable = wts.flags.writeable = False
+    return lam, wts

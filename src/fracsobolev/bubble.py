@@ -170,7 +170,7 @@ def _radial_lq_power(f, q, N, split):
         epsabs=0.0, epsrel=1e-12,
     )
     if not np.isfinite(val):
-        raise QuadratureError("radial norm quadrature diverged", estimate=val)
+        raise QuadratureError("radial norm quadrature diverged")
     return val
 
 
@@ -211,5 +211,5 @@ def normalize_lambda(concentration, N, s):
     unit = truncated_bubble(1.0, concentration, N, s)
     norm = bubble_lq_norm(unit, q)
     if not (np.isfinite(norm) and norm > 0.0):
-        raise QuadratureError("normalization quadrature failed", estimate=norm)
+        raise QuadratureError("normalization quadrature failed")
     return 1.0 / norm

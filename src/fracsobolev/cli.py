@@ -24,7 +24,7 @@ from .experiments import (
     write_records,
 )
 from .mesh import FeFunction, build_mesh
-from .params import critical_exponent, exact_constant, rate_exponent
+from .params import check_order, critical_exponent, exact_constant, rate_exponent
 
 _VERIFY_MESH_LEVEL = {1: 5, 2: 1}
 
@@ -33,8 +33,8 @@ def _parse_levels(text: str) -> list:
     """Parse 'a..b' into [a, ..., b] or 'a,b,c' into a list.
 
     The ``type`` of both ``--levels`` flags: argparse rejects a value it
-    cannot parse, or an empty range like '8..4', with exit status 2 and
-    names the value.
+    cannot parse, an empty range like '8..4', a negative level or a list
+    that is not strictly increasing, with exit status 2 and names the value.
     """
     if ".." in text:
         a, b = text.split("..")
@@ -43,6 +43,8 @@ def _parse_levels(text: str) -> list:
         levels = [int(p) for p in text.split(",")]
     if not levels:
         raise ValueError(f"empty level range {text!r}")
+    if min(levels) < 0 or any(b <= a for a, b in zip(levels, levels[1:])):
+        raise ValueError(f"levels {text!r} are not nonnegative and strictly increasing")
     return levels
 
 
@@ -223,6 +225,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = _parse_args(parser, sys.argv[1:] if argv is None else list(argv))
+    try:
+        check_order(args.dim, args.s)
+    except ValueError as exc:
+        parser.error(str(exc))
     return args.func(args)
 
 

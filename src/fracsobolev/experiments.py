@@ -12,7 +12,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from ._quad import QuadratureError
+from ._quad import QuadratureError, reference_rule
 from .bubble import Bubble, normalize_lambda, truncated_bubble
 from .gagliardo import (
     AssemblyError,
@@ -29,7 +29,7 @@ from .mesh import (
     element_geometry,
     interpolate,
 )
-from .norms import lq_norm, reference_rule
+from .norms import lq_norm
 from .params import (
     check_order,
     critical_exponent,
@@ -309,30 +309,28 @@ _INTERP_WIDTHS = [2.0**-k for k in range(2, 6)]
 
 def _element_quad_points(mesh: BallMesh, order: int):
     geo = element_geometry(mesh)
-    rule = reference_rule(mesh.dim, order)
-    bary = rule.barycentric()
-    verts = geo.verts
-    pts = np.einsum("qa,bad->bqd", bary, verts)
-    scale = geo.measure / rule.weights.sum()
-    return geo, rule, bary, pts, scale
+    bary, weights = reference_rule(mesh.dim, order)
+    pts = np.einsum("qa,bad->bqd", bary, geo.verts)
+    scale = geo.measure / weights.sum()
+    return geo, bary, weights, pts, scale
 
 
 def _interp_errors(mesh, psi, u, q, order=10):
     """(L^q error, L^2 gradient error) of psi minus its interpolant."""
-    geo, rule, bary, pts, scale = _element_quad_points(mesh, order)
+    geo, bary, weights, pts, scale = _element_quad_points(mesh, order)
     flat = pts.reshape(-1, mesh.dim)
     exact = psi.evaluate(flat).reshape(pts.shape[:2])
     u_elem = u.values[mesh.elements]
     approx = np.einsum("qa,ba->bq", bary, u_elem)
     err_q = float(
-        np.sum(scale * (np.abs(exact - approx) ** q @ rule.weights))
+        np.sum(scale * (np.abs(exact - approx) ** q @ weights))
     ) ** (1.0 / q)
 
     grad_exact = psi.gradient(flat).reshape(*pts.shape[:2], mesh.dim)
     grad_fe = np.einsum("bad,ba->bd", geo.grads, u_elem)
     diff = grad_exact - grad_fe[:, None, :]
     mags = np.sqrt(np.sum(diff * diff, axis=-1))
-    err_p = float(np.sum(scale * (mags**2 @ rule.weights))) ** 0.5
+    err_p = float(np.sum(scale * (mags**2 @ weights))) ** 0.5
     return err_q, err_p
 
 
@@ -517,15 +515,14 @@ def _poincare_max_ratio(mesh, s, funcs) -> float:
     geo = element_geometry(mesh)
     locals_ = element_self_interaction(mesh, s)
     const = geo.diameter ** (mesh.dim + 2 * s) / geo.measure
-    rule = reference_rule(mesh.dim, 2)
-    bary = rule.barycentric()
-    scale = geo.measure / rule.weights.sum()
+    bary, weights = reference_rule(mesh.dim, 2)
+    scale = geo.measure / weights.sum()
     worst = 0.0
     for u in funcs:
         vals = u.values[mesh.elements]
         at_pts = np.einsum("qa,ba->bq", bary, vals)
-        mean = (at_pts @ rule.weights) / rule.weights.sum()
-        lhs = scale * (((at_pts - mean[:, None]) ** 2) @ rule.weights)
+        mean = (at_pts @ weights) / weights.sum()
+        lhs = scale * (((at_pts - mean[:, None]) ** 2) @ weights)
         rhs = const * np.einsum("bij,bi,bj->b", locals_, vals, vals)
         floor = 1e-14 * float(np.max(vals * vals) + 1.0)
         keep = rhs > floor

@@ -35,9 +35,8 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 from scipy.special import hyp2f1
 
-from ._quad import unit_gauss
+from ._quad import reference_rule, unit_gauss
 from .mesh import BallMesh, FeFunction, SizeLimitError, element_geometry, element_pairs
-from .norms import reference_rule
 from .params import check_order
 
 __all__ = [
@@ -311,8 +310,7 @@ def _complement_terms(mesh, s, spec, geo, counters):
     cell_elem, cell_bary, cell_depth, capped = _complement_cells(mesh, geo, spec)
     counters["complement_cells"] = len(cell_elem)
     counters["budget_exceeded"] = capped
-    rule = reference_rule(mesh.dim, spec.complement_order)
-    lam = rule.barycentric()
+    lam, weights = reference_rule(mesh.dim, spec.complement_order)
     scale = 2.0 * 2.0 ** (-mesh.dim * cell_depth) * geo.jacobian[cell_elem]
     npts = 0
     for part in _row_chunks(len(cell_elem), len(lam)):
@@ -321,7 +319,7 @@ def _complement_terms(mesh, s, spec, geo, counters):
         kap = _kappa_fast(lam @ (bary @ geo.verts[elems]), mesh.dim, s)
         npts += kap.size
         g = lam @ bary
-        wK = (scale[part, None] * rule.weights) * kap
+        wK = (scale[part, None] * weights) * kap
         yield "complement", mesh.elements[elems], g, wK
     counters["complement_points"] = npts
     counters["phase_seconds"]["complement"] = time.perf_counter() - t0
@@ -438,9 +436,8 @@ def _edge_subregions(n):
     x01, w01 = unit_gauss(n)
     U, Vv = (a.ravel() for a in np.meshgrid(x01, x01, indexing="ij"))
     Wsq = np.outer(w01, w01).ravel()
-    tri = reference_rule(2, n)
-    At, Bt = tri.points[:, 0], tri.points[:, 1]
-    Wt = tri.weights
+    lam, Wt = reference_rule(2, n)
+    At, Bt = lam[:, 1], lam[:, 2]
     one_t = np.ones_like(At)
     return [
         (1 - U, U, Vv, Wsq),
@@ -474,13 +471,12 @@ def _disjoint_terms(mesh, s, geo, pairs, order, tag, counters):
     The rule's points on every element are formed once, coordinate
     major, and each chunk gathers its rows from that table.
     """
-    rule = reference_rule(mesh.dim, order)
-    lam = rule.barycentric()
+    lam, weights = reference_rule(mesh.dim, order)
     nq = len(lam)
     counters["pair_counts"][tag] = len(pairs)
     counters["kernel_evals"][tag] = len(pairs) * nq * nq
     g = np.concatenate([np.repeat(lam, nq, axis=0), -np.tile(lam, (nq, 1))], axis=1)
-    ww = 2.0 * np.outer(rule.weights, rule.weights).ravel()
+    ww = 2.0 * np.outer(weights, weights).ravel()
     expo = -(mesh.dim + 2 * s) / 2.0
     ia, ib = pairs[:, 0], pairs[:, 1]
     idx = np.concatenate([mesh.elements[ia], mesh.elements[ib]], axis=1)

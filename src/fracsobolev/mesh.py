@@ -99,45 +99,20 @@ class FeFunction:
         return FeFunction(self.mesh, self.values * float(t))
 
 
-def _element_metrics(dim, verts):
-    """Per-element (measure, diameter, inscribed-ball diameter).
-
-    verts has shape (m, dim+1, dim). For segments the inscribed ball is the
-    segment itself; for triangles its diameter is 4*area/perimeter.
-    """
-    if dim == 1:
-        lengths = np.abs(verts[:, 1, 0] - verts[:, 0, 0])
-        return lengths, lengths, lengths
-    e01 = verts[:, 1] - verts[:, 0]
-    e12 = verts[:, 2] - verts[:, 1]
-    e20 = verts[:, 0] - verts[:, 2]
-    l01 = np.linalg.norm(e01, axis=1)
-    l12 = np.linalg.norm(e12, axis=1)
-    l20 = np.linalg.norm(e20, axis=1)
-    area = 0.5 * np.abs(e01[:, 0] * (-e20[:, 1]) - e01[:, 1] * (-e20[:, 0]))
-    diam = np.maximum(np.maximum(l01, l12), l20)
-    perim = l01 + l12 + l20
-    inball = 4.0 * area / perim
-    return area, diam, inball
-
-
 def mesh_quality(mesh):
-    """Recompute (sigma, rho, h, h_min) from scratch.
+    """(sigma, rho, h, h_min) of the mesh, from its element geometry.
 
     sigma is the worst element diameter over inscribed-ball diameter, rho the
     smallest over largest element diameter. Degenerate elements are reported
     by index.
     """
-    verts = mesh.nodes[mesh.elements]
-    measure, diam, inball = _element_metrics(mesh.dim, verts)
-    bad = np.nonzero(measure <= 1e-14 * diam**mesh.dim)[0]
-    if bad.size:
-        raise ValueError(f"degenerate element {bad[0]} (measure ~ 0)")
-    h = float(np.max(diam))
-    h_min = float(np.min(diam))
-    sigma = float(np.max(diam / inball))
-    rho = h_min / h
-    return sigma, rho, h, h_min
+    return _quality(element_geometry(mesh))
+
+
+def _quality(geo):
+    h = float(np.max(geo.diameter))
+    h_min = float(np.min(geo.diameter))
+    return float(np.max(geo.diameter / geo.inball)), h_min / h, h, h_min
 
 
 def _check_conformity(dim, n_nodes, elements, boundary_mask, nodes):
@@ -170,7 +145,7 @@ def make_ball_mesh(dim, nodes, elements):
 
     Detects boundary nodes (distance to the unit sphere below 1e-12),
     reorders nodes interior-first, checks conformity and orientation, and
-    computes the quality metrics.
+    builds the element geometry once, from which the quality metrics come.
     """
     nodes = np.ascontiguousarray(np.asarray(nodes, dtype=float))
     if nodes.ndim == 1:
@@ -202,17 +177,8 @@ def make_ball_mesh(dim, nodes, elements):
         elements[flip] = elements[flip][:, [0, 2, 1]]
 
     _check_conformity(dim, len(nodes), elements, boundary, nodes)
-    probe = BallMesh(
-        dim=dim,
-        nodes=nodes,
-        elements=elements,
-        boundary_mask=boundary,
-        h=np.nan,
-        h_min=np.nan,
-        sigma=np.nan,
-        rho=np.nan,
-    )
-    sigma, rho, h, h_min = mesh_quality(probe)
+    geo = _build_geometry(dim, nodes[elements])
+    sigma, rho, h, h_min = _quality(geo)
     return BallMesh(
         dim=dim,
         nodes=nodes,
@@ -222,6 +188,7 @@ def make_ball_mesh(dim, nodes, elements):
         h_min=h_min,
         sigma=sigma,
         rho=rho,
+        _cache={"geometry": geo},
     )
 
 
@@ -300,40 +267,57 @@ def build_mesh(N, level):
 
 
 def element_geometry(mesh):
-    """Cached per-element arrays used by quadrature and assembly.
+    """Cached per-element arrays used by quadrature, assembly and mesh quality.
 
     Returns an object with verts (m, k, dim), measure (m,), diameter (m,),
-    jacobian (m,), the measure over that of the reference simplex, and
-    grads (m, k, dim) holding the constant gradients of the k nodal basis
-    functions.
+    inball (m,), the inscribed-ball diameter, jacobian (m,), the measure
+    over that of the reference simplex, and grads (m, k, dim) holding the
+    constant gradients of the k nodal basis functions.  ``make_ball_mesh``
+    seeds the cache.
     """
-    geo = mesh._cache.get("geometry")
-    if geo is not None:
-        return geo
-    verts = mesh.nodes[mesh.elements]
-    measure, diam, _ = _element_metrics(mesh.dim, verts)
-    if mesh.dim == 1:
+    if "geometry" not in mesh._cache:
+        mesh._cache["geometry"] = _build_geometry(mesh.dim, mesh.nodes[mesh.elements])
+    return mesh._cache["geometry"]
+
+
+def _build_geometry(dim, verts):
+    """Element geometry of the simplices ``verts`` (m, dim+1, dim).
+
+    A degenerate element raises before anything divides by its length or
+    determinant.  The inscribed ball of a segment is the segment itself;
+    that of a triangle has diameter 4 area / perimeter.
+    """
+    if dim == 1:
         lengths = verts[:, 1, 0] - verts[:, 0, 0]
-        grads = np.stack(
-            [-1.0 / lengths, 1.0 / lengths], axis=1
-        )[:, :, None]
+        measure = diameter = np.abs(lengths)
     else:
         e1 = verts[:, 1] - verts[:, 0]
         e2 = verts[:, 2] - verts[:, 0]
         det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+        e12 = verts[:, 2] - verts[:, 1]
+        l01, l12, l20 = (np.linalg.norm(e, axis=1) for e in (e1, e12, e2))
+        measure = 0.5 * np.abs(det)
+        diameter = np.maximum(np.maximum(l01, l12), l20)
+    bad = np.nonzero(measure <= 1e-14 * diameter**dim)[0]
+    if bad.size:
+        raise ValueError(f"degenerate element {bad[0]} (measure ~ 0)")
+    if dim == 1:
+        inball = measure
+        grads = np.stack([-1.0 / lengths, 1.0 / lengths], axis=1)[:, :, None]
+    else:
+        inball = 4.0 * measure / (l01 + l12 + l20)
         # rows of J^{-T} applied to the reference gradients
         gx1 = np.column_stack([e2[:, 1], -e2[:, 0]]) / det[:, None]
         gx2 = np.column_stack([-e1[:, 1], e1[:, 0]]) / det[:, None]
         grads = np.stack([-gx1 - gx2, gx1, gx2], axis=1)
-    geo = _ElementGeometry(
+    return _ElementGeometry(
         verts=verts,
         measure=measure,
-        diameter=diam,
-        jacobian=measure / (1.0 if mesh.dim == 1 else 0.5),
+        diameter=diameter,
+        inball=inball,
+        jacobian=measure / (1.0 if dim == 1 else 0.5),
         grads=grads,
     )
-    mesh._cache["geometry"] = geo
-    return geo
 
 
 @dataclass(frozen=True, eq=False)
@@ -341,6 +325,7 @@ class _ElementGeometry:
     verts: np.ndarray
     measure: np.ndarray
     diameter: np.ndarray
+    inball: np.ndarray
     jacobian: np.ndarray
     grads: np.ndarray
 

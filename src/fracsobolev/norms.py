@@ -14,65 +14,18 @@ where u is exactly zero gives a piece of zero measure.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from ._quad import triangle_rule, unit_gauss
+from ._quad import reference_rule
 from .mesh import FeFunction, element_geometry
 
-__all__ = ["QuadratureRule", "reference_rule", "lq_norm", "nonlinear_residual"]
+__all__ = ["lq_norm", "nonlinear_residual"]
 
 _DEFAULT_ORDER = 6
 _MAX_ORDER = 14
 _NORM_RTOL = 1e-8
 _RESIDUAL_RTOL = 1e-10
-
-
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Point/weight set on the reference simplex.
-
-    ``points`` has shape (n_points, dim) in reference coordinates
-    (interval [0,1] or the unit triangle), ``weights`` sums to the
-    reference measure, and ``degree`` is the polynomial exactness.
-    """
-
-    points: np.ndarray
-    weights: np.ndarray
-    degree: int
-
-    def __post_init__(self):
-        if self.points.ndim != 2 or self.weights.ndim != 1:
-            raise ValueError("points must be (n, dim), weights (n,)")
-        if len(self.points) != len(self.weights):
-            raise ValueError("points/weights length mismatch")
-        if not np.all(self.weights > 0):
-            raise ValueError("quadrature weights must be positive")
-
-    @property
-    def dim(self) -> int:
-        return self.points.shape[1]
-
-    def barycentric(self) -> np.ndarray:
-        """Barycentric coordinates of the points, shape (n, dim+1)."""
-        first = 1.0 - self.points.sum(axis=1)
-        return np.column_stack([first, self.points])
-
-
-@lru_cache(maxsize=None)
-def reference_rule(dim: int, order: int) -> QuadratureRule:
-    """Gauss rule on the reference simplex with ``order`` points per direction."""
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    if dim == 1:
-        x, w = unit_gauss(order)
-        return QuadratureRule(x[:, None].copy(), w.copy(), 2 * order - 1)
-    if dim == 2:
-        pts, wts = triangle_rule(order)
-        return QuadratureRule(pts.copy(), wts.copy(), 2 * order - 2)
-    raise ValueError("dim must be 1 or 2")
 
 
 def _sign_split(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -110,16 +63,15 @@ def _element_integrals(u: FeFunction, order: int, integrand) -> np.ndarray:
     vertex matrix.  Without a sign-changing element the split is skipped.
     """
     mesh = u.mesh
-    rule = reference_rule(mesh.dim, order)
-    lam = rule.barycentric()
+    lam, weights = reference_rule(mesh.dim, order)
     w_elem = u.values[mesh.elements]
 
-    per_elem = integrand(w_elem @ lam.T, lam, rule.weights)
+    per_elem = integrand(w_elem @ lam.T, lam, weights)
     mixed = np.flatnonzero((w_elem.min(axis=1) < 0) & (w_elem.max(axis=1) > 0))
     if mixed.size:
         bary, frac = _sign_split(w_elem[mixed])
         corners = np.einsum("pmjb,mb->pmj", bary, w_elem[mixed])
-        parts = integrand(corners @ lam.T, lam, rule.weights)
+        parts = integrand(corners @ lam.T, lam, weights)
         if parts.ndim == 3:
             parts = np.einsum("pmj,pmjb->pmb", parts, bary)
         per_elem[mixed] = np.einsum("pm,pm...->m...", frac, parts)

@@ -17,6 +17,9 @@ def test_parse_levels_forms():
         _parse_levels("a..b")
     with pytest.raises(ValueError, match="empty"):
         _parse_levels("8..4")
+    for text in ("4,4,5", "5,4", "-1..1"):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            _parse_levels(text)
 
 
 @pytest.mark.parametrize(
@@ -25,6 +28,9 @@ def test_parse_levels_forms():
         ["sweep", "solve", "--levels", "8..4"],
         ["sweep", "upper", "--levels", "5..x"],
         ["verify", "interp", "--levels", "9..4"],
+        ["sweep", "upper", "--levels", "4,4,5"],
+        ["sweep", "upper", "--levels=-1..1"],
+        ["verify", "interp", "--levels", "5,4"],
     ],
 )
 def test_bad_levels_exit_through_argparse(argv, capsys):
@@ -33,7 +39,14 @@ def test_bad_levels_exit_through_argparse(argv, capsys):
         main(argv)
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert "--levels" in err and repr(argv[-1]) in err
+    assert "--levels" in err and repr(argv[-1].rpartition("=")[2]) in err
+
+
+def test_bad_order_exits_through_argparse(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "upper", "--s", "0.9"])
+    assert exc.value.code == 2
+    assert "s=0.9 outside the admissible range" in capsys.readouterr().err
 
 
 def test_config_levels_meet_the_same_check(tmp_path, capsys):

@@ -272,6 +272,36 @@ def test_scatter_matches_dense_accumulation(dim, level, s, boost):
     assert np.max(np.abs(A - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
+@pytest.mark.parametrize("boost", [False, True], ids=["default", "boosted"])
+@pytest.mark.parametrize("dim, level, s", [(1, 5, 0.25), (2, 1, 0.5), (2, 2, 0.5)])
+def test_work_counts_follow_the_term_stream(dim, level, s, boost):
+    # the report's hand-written counts against what the terms really carry
+    mesh = build_mesh(dim, level)
+    spec = QuadSpec.for_dim(dim).boosted() if boost else QuadSpec.for_dim(dim)
+    report = assemble(mesh, s, spec).assembly_report
+    evals = dict.fromkeys(report.kernel_evals, 0)
+    cells = 0
+    for category, _, _, wK in _terms(mesh, s, spec, element_geometry(mesh), _new_counters()):
+        if category == "complement":
+            cells += len(wK)
+        evals[category] = evals.get(category, 0) + wK.size
+    if dim == 1:
+        # the identical pairs are integrated in closed form: no kernel evaluation
+        assert report.kernel_evals["identical"] == 0
+        evals["identical"] = 0
+    assert report.complement_points == evals.pop("complement")
+    assert report.complement_cells == cells
+    assert report.kernel_evals == evals
+    pairs = element_pairs(mesh)
+    assert report.pair_counts == {
+        "identical": mesh.n_elements,
+        "vertex": len(pairs.vertex),
+        "edge": len(pairs.edge),
+        "disjoint_near": len(pairs.near),
+        "disjoint_far": len(pairs.far),
+    }
+
+
 def test_assemble_rejects_bad_order():
     mesh = build_mesh(1, 1)
     with pytest.raises(ValueError):

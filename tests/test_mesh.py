@@ -1,5 +1,7 @@
 """Mesh construction, conformity, interpolation, quality metrics."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -160,3 +162,22 @@ def test_mesh_quality_detects_degenerate():
     )
     with pytest.raises(ValueError, match="degenerate"):
         mesh_quality(mesh)
+
+
+@pytest.mark.parametrize(
+    "dim, nodes, elements, bad",
+    [
+        # a zero-length segment
+        (1, [-1.0, 0.0, 0.0, 1.0], [[0, 1], [1, 2], [2, 3]], 1),
+        # a flat triangle on a diameter of the disk, in a conforming mesh
+        (2, [[1, 0], [-1, 0], [0, 0], [0, 1], [0, -1]],
+         [[0, 2, 1], [0, 1, 3], [0, 2, 4], [2, 1, 4]], 0),
+    ],
+)
+def test_degenerate_element_raises_before_dividing(dim, nodes, elements, bad):
+    # through the public constructor, the check fires before any gradient
+    # divides by the element's length or determinant
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"degenerate element {bad}"):
+            make_ball_mesh(dim, nodes, elements)
