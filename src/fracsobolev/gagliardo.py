@@ -13,12 +13,14 @@ disk, where the zero extension also vanishes, is left out (ROADMAP
 item 3).  Element pairs are integrated by category: identical and
 touching pairs through tensor transforms that cancel the singularity,
 disjoint pairs by plain Gauss graded with distance, and the complement
-term by breadth-first subdivision toward the sphere where kappa blows
-up.  The pair categories and the shared-node order of touching pairs
-come from ``mesh.element_pairs``, decided once per mesh.
+term by one Gauss rule per element: kappa blows up like depth^(-2s) at
+the sphere, but u vanishes linearly there, so u^2 kappa behaves like
+depth^(2-2s), which plain Gauss resolves.  The pair categories and the
+shared-node order of touching pairs come from ``mesh.element_pairs``,
+decided once per mesh.
 
 Each category yields terms (category, node idx, g, wK), one row per
-element pair or cell: row b adds sum_q wK[b, q] (g_q . u[idx[b]])^2.
+element pair or element: row b adds sum_q wK[b, q] (g_q . u[idx[b]])^2.
 ``assemble`` scatters each term's block sum_q wK g_q g_q^T into the
 matrix; ``seminorm_sq_direct`` sums the terms at the points and forms
 no block.
@@ -70,8 +72,8 @@ class AssemblyError(RuntimeError):
 class QuadSpec:
     """Quadrature configuration for one assembly.
 
-    Orders count Gauss points per direction.  ``boundary_depth`` caps
-    the recursive subdivision of complement cells toward the sphere.
+    Orders count Gauss points per direction; ``complement_order`` is
+    the rule on each element for the complement term.
     """
 
     disjoint_order: int
@@ -79,14 +81,13 @@ class QuadSpec:
     edge_order: int = 12
     angular_order: int = 24
     complement_order: int = 8
-    boundary_depth: int = 12
 
     @classmethod
     def for_dim(cls, dim: int) -> "QuadSpec":
         if dim == 1:
-            return cls(disjoint_order=4, vertex_order=24, boundary_depth=20)
+            return cls(disjoint_order=4, vertex_order=24)
         if dim == 2:
-            return cls(disjoint_order=3, vertex_order=10, boundary_depth=12)
+            return cls(disjoint_order=3, vertex_order=10)
         raise ValueError("dim must be 1 or 2")
 
     def boosted(self) -> "QuadSpec":
@@ -98,7 +99,6 @@ class QuadSpec:
             edge_order=self.edge_order + 4,
             angular_order=self.angular_order + 16,
             complement_order=self.complement_order + 4,
-            boundary_depth=self.boundary_depth + 2,
         )
 
 
@@ -111,7 +111,10 @@ class AssemblyReport:
     caller's per-term work while the generator waits: in assemble, the block
     and the scatter of every term. At 1D level 10, disjoint reads about
     0.9 s in assemble against 0.55 s for the generators alone. "total" is
-    the whole assemble call.
+    the whole assemble call. complement_cells is the element count, one
+    complement rule per element; budget_exceeded is always 0, kept because
+    perfbench reads it by name until its capped-cells metric goes
+    (ROADMAP item 9).
     """
 
     pair_counts: dict
@@ -171,20 +174,6 @@ def _term_block(g, wK):
 
 
 # --------------------------------------------------------------- complement
-
-# Barycentric vertex matrices of the 2^N congruent children of a cell.
-_CHILDREN = {
-    1: np.array([[[1.0, 0.0], [0.5, 0.5]], [[0.5, 0.5], [0.0, 1.0]]]),
-    2: np.array(
-        [
-            [[1.0, 0.0, 0.0], [0.5, 0.5, 0.0], [0.5, 0.0, 0.5]],
-            [[0.5, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.5, 0.5]],
-            [[0.5, 0.0, 0.5], [0.0, 0.5, 0.5], [0.0, 0.0, 1.0]],
-            [[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]],
-        ]
-    ),
-}
-
 
 def complement_weight(x, N: int, s: float):
     """kappa(x) = integral of |x-y|^(-N-2s) over the complement of the ball.
@@ -269,58 +258,20 @@ def _kappa_fast(pts: np.ndarray, dim: int, s: float) -> np.ndarray:
     return val
 
 
-def _complement_cells(mesh: BallMesh, geo, spec: QuadSpec):
-    """Split elements breadth first toward the sphere until kappa is resolvable.
-
-    A cell passes once its distance to the sphere is at least its
-    diameter; the others split into their children, down to
-    ``boundary_depth``.  Returns (element index, barycentric vertex
-    matrix, depth) arrays, a cell's measure fraction being
-    2^(-N*depth), plus the count of cells still failing at the cap.
-    """
-    k = mesh.dim + 1
-    # a cell's diameter is its longest edge: vertex pairs va < vb
-    va, vb = np.triu_indices(k, 1)
-    children = _CHILDREN[mesh.dim]
-    elem = np.arange(mesh.n_elements)
-    bary = np.broadcast_to(np.eye(k), (len(elem), k, k))
-    parts = []
-    for depth in range(spec.boundary_depth + 1):
-        sub = bary @ geo.verts[elem]
-        coords = [sub[..., c] for c in range(mesh.dim)]
-        rmax = np.sqrt(np.max(_sum_sq(x.copy() for x in coords), axis=-1))
-        diam = np.sqrt(np.max(_sum_sq(x[:, va] - x[:, vb] for x in coords), axis=-1))
-        ok = 1.0 - rmax >= diam
-        parts.append((elem[ok], bary[ok], np.full(np.count_nonzero(ok), depth)))
-        elem, bary = elem[~ok], bary[~ok]
-        if depth < spec.boundary_depth:
-            bary = (children @ bary[:, None]).reshape(-1, k, k)
-            elem = np.repeat(elem, len(children))
-    parts.append((elem, bary, np.full(len(elem), spec.boundary_depth)))
-    cell_elem, cell_bary, cell_depth = (np.concatenate(a) for a in zip(*parts))
-    return cell_elem, cell_bary, cell_depth, len(elem)
-
-
 def _complement_terms(mesh, s, spec, geo, counters):
-    """Yield 2 * integral of u v kappa, one subdivision cell per row.
+    """Yield 2 * integral of u v kappa, one element per row.
 
-    A cell's g holds the parent element's hats at its points, lam @ bary.
+    Every element takes the complement rule; g is its shared lam.
     """
     t0 = time.perf_counter()
-    cell_elem, cell_bary, cell_depth, capped = _complement_cells(mesh, geo, spec)
-    counters["complement_cells"] = len(cell_elem)
-    counters["budget_exceeded"] = capped
     lam, weights = reference_rule(mesh.dim, spec.complement_order)
-    scale = 2.0 * 2.0 ** (-mesh.dim * cell_depth) * geo.jacobian[cell_elem]
+    counters["complement_cells"] = mesh.n_elements
+    scale = 2.0 * geo.jacobian
     npts = 0
-    for part in _row_chunks(len(cell_elem), len(lam)):
-        elems = cell_elem[part]
-        bary = cell_bary[part]
-        kap = _kappa_fast(lam @ (bary @ geo.verts[elems]), mesh.dim, s)
+    for part in _row_chunks(mesh.n_elements, len(lam)):
+        kap = _kappa_fast(lam @ geo.verts[part], mesh.dim, s)
         npts += kap.size
-        g = lam @ bary
-        wK = (scale[part, None] * weights) * kap
-        yield "complement", mesh.elements[elems], g, wK
+        yield "complement", mesh.elements[part], lam, (scale[part, None] * weights) * kap
     counters["complement_points"] = npts
     counters["phase_seconds"]["complement"] = time.perf_counter() - t0
 

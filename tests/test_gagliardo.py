@@ -2,9 +2,10 @@
 
 The 1D matrices are pinned to frozen adaptive-quadrature references; the
 2D singular-pair reductions are checked against a level-by-level subdivision
-oracle (touching pairs) and a covariogram reduction (identical pairs), and
+oracle (touching pairs) and a covariogram reduction (identical pairs),
 the 2D disjoint pairs against a per-pair loop over the kernel at the same
-Gauss points, all implemented here from scratch.
+Gauss points, and the 1D complement term against per-element adaptive
+quadrature of the closed-form weight, all implemented here from scratch.
 """
 
 import numpy as np
@@ -27,9 +28,8 @@ from fracsobolev.gagliardo import (
     seminorm_sq_direct,
 )
 from fracsobolev.gagliardo import (
-    _CHILDREN,
     _NEAR_BONUS,
-    _complement_cells,
+    _complement_terms,
     _disjoint_terms,
     _edge_terms_2d,
     _ident_terms_1d,
@@ -110,16 +110,20 @@ def test_assembled_matrix_symmetric_positive():
 
 
 def test_assembly_report_pair_coverage():
-    for dim, level in [(1, 3), (2, 1)]:
-        form = assemble(build_mesh(dim, level), 0.25 if dim == 1 else 0.5)
-        counts = form.assembly_report.pair_counts
+    for dim, level, boost in [(1, 3, False), (1, 3, True), (2, 1, False), (2, 1, True)]:
+        spec = QuadSpec.for_dim(dim).boosted() if boost else QuadSpec.for_dim(dim)
+        form = assemble(build_mesh(dim, level), 0.25 if dim == 1 else 0.5, spec)
+        report = form.assembly_report
+        counts = report.pair_counts
         m = form.mesh.n_elements
         assert counts["identical"] == m
         distinct = counts["vertex"] + counts["edge"] + counts["disjoint_near"] + counts["disjoint_far"]
         assert distinct == m * (m - 1) // 2
-        assert form.assembly_report.complement_cells > 0
-        assert form.assembly_report.complement_points > 0
-        assert set(form.assembly_report.phase_seconds) >= {"classify", "singular", "disjoint"}
+        # one complement rule per element, nothing to cap
+        assert report.complement_cells == m
+        assert report.budget_exceeded == 0
+        assert report.complement_points > 0
+        assert set(report.phase_seconds) >= {"classify", "singular", "disjoint"}
 
 
 @pytest.mark.parametrize(
@@ -402,41 +406,6 @@ def test_kappa_fast_matches_spline_on_its_table(s):
     assert np.max(np.abs(got / ref - 1.0)) < 1e-15
 
 
-def _complement_cells_reference(mesh, geo, spec):
-    """The subdivision rule with squared lengths summed by np.sum over coordinates."""
-    k = mesh.dim + 1
-    elem = np.arange(mesh.n_elements)
-    bary = np.broadcast_to(np.eye(k), (len(elem), k, k))
-    parts = []
-    for depth in range(spec.boundary_depth + 1):
-        sub = bary @ geo.verts[elem]
-        rmax = np.sqrt(np.max(np.sum(sub * sub, axis=-1), axis=-1))
-        d = sub[:, :, None, :] - sub[:, None, :, :]
-        diam = np.sqrt(np.max(np.sum(d * d, axis=-1), axis=(1, 2)))
-        ok = 1.0 - rmax >= diam
-        parts.append((elem[ok], bary[ok], np.full(np.count_nonzero(ok), depth)))
-        elem, bary = elem[~ok], bary[~ok]
-        if depth < spec.boundary_depth:
-            bary = (_CHILDREN[mesh.dim] @ bary[:, None]).reshape(-1, k, k)
-            elem = np.repeat(elem, 2**mesh.dim)
-    parts.append((elem, bary, np.full(len(elem), spec.boundary_depth)))
-    return [np.concatenate(a) for a in zip(*parts)] + [len(elem)]
-
-
-@pytest.mark.parametrize("dim, level", [(1, 4), (2, 0), (2, 1), (2, 2)])
-@pytest.mark.parametrize("boost", [False, True])
-def test_complement_cells_bitwise_equal_to_reference(dim, level, boost):
-    mesh = build_mesh(dim, level)
-    geo = element_geometry(mesh)
-    spec = QuadSpec.for_dim(dim)
-    spec = spec.boosted() if boost else spec
-    got = _complement_cells(mesh, geo, spec)
-    ref = _complement_cells_reference(mesh, geo, spec)
-    for a, b in zip(got[:3], ref[:3]):
-        assert a.dtype == b.dtype and np.array_equal(a, b)
-    assert got[3] == ref[3]
-
-
 def test_complement_weight_monotone_and_divergent():
     for N, s in [(1, 0.25), (2, 0.5)]:
         rs = np.linspace(0.0, 0.999, 40)
@@ -450,24 +419,57 @@ def test_complement_weight_monotone_and_divergent():
         complement_weight(np.zeros((1, 3)), 3, 0.4)
 
 
-def test_complement_cells_tile_each_element():
-    # the 2D level 1 counts pin the subdivision rule: a cell passes once
-    # its distance to the sphere is at least its diameter
-    expect = {(2, False): (32964, 1080), (2, True): (39444, 1080)}
-    for dim, level in [(1, 4), (2, 1)]:
-        mesh = build_mesh(dim, level)
-        geo = element_geometry(mesh)
-        for boosted in (False, True):
-            spec = QuadSpec.for_dim(dim)
-            spec = spec.boosted() if boosted else spec
-            elem, bary, depth, capped = _complement_cells(mesh, geo, spec)
-            frac = 2.0 ** (-dim * depth)
-            edges = bary[:, 1:, 1:] - bary[:, :1, 1:]
-            assert np.allclose(np.abs(np.linalg.det(edges)), frac, rtol=1e-12, atol=0.0)
-            assert np.all(np.bincount(elem, weights=frac) == 1.0)
-            assert 0 < capped <= np.count_nonzero(depth == spec.boundary_depth)
-            if (dim, boosted) in expect:
-                assert (len(elem), capped) == expect[dim, boosted]
+@pytest.mark.parametrize("level", [12, 13])
+def test_boosted_complement_finite_on_fine_1d_meshes(level):
+    # the boosted rule keeps every point off the sphere on the finest meshes
+    mesh = build_mesh(1, level)
+    counters = _new_counters()
+    spec = QuadSpec.for_dim(1).boosted()
+    terms = list(_complement_terms(mesh, 0.25, spec, element_geometry(mesh), counters))
+    assert all(np.all(np.isfinite(wK)) and np.all(wK > 0.0) for _, _, _, wK in terms)
+    assert counters["complement_cells"] == mesh.n_elements
+    assert counters["complement_points"] == mesh.n_elements * spec.complement_order
+
+
+def _complement_integral_oracle(u, s):
+    """2 * integral of u^2 kappa by adaptive quadrature, element by element.
+
+    kappa is the closed form ((1-x)^(-2s) + (1+x)^(-2s)) / (2s) and u the
+    hat expansion of the nodal values, both written out here.
+    """
+    x = u.mesh.nodes[:, 0]
+    total = 0.0
+    for i, j in u.mesh.elements:
+        a, b, ua, ub = x[i], x[j], u.values[i], u.values[j]
+
+        def f(t):
+            val = ua + (ub - ua) * (t - a) / (b - a)
+            return val * val * ((1 - t) ** (-2 * s) + (1 + t) ** (-2 * s)) / (2 * s)
+
+        val, _ = integrate.quad(f, min(a, b), max(a, b), epsabs=0.0, epsrel=1e-13, limit=200)
+        total += val
+    return 2.0 * total
+
+
+@pytest.mark.parametrize("s", [0.1, 0.25, 0.4])
+def test_complement_term_matches_adaptive_oracle(s):
+    # u^2 kappa behaves like depth^(2-2s) at the sphere: one Gauss rule per
+    # element resolves it, and the boosted rule more closely
+    mesh = build_mesh(1, 4)
+    geo = element_geometry(mesh)
+    u = FeFunction.from_free(mesh, np.random.default_rng(11).normal(size=mesh.free_count))
+    ref = _complement_integral_oracle(u, s)
+    errors = []
+    for spec in (QuadSpec.for_dim(1), QuadSpec.for_dim(1).boosted()):
+        got = 0.0
+        for _, idx, g, wK in _complement_terms(mesh, s, spec, geo, _new_counters()):
+            gu = u.values[idx] @ g.T
+            got += float(np.sum(wK * gu * gu))
+        errors.append(abs(got - ref) / ref)
+    default, boosted = errors
+    assert default <= 1.5e-6, errors
+    assert boosted <= 3e-7, errors
+    assert boosted < default, errors
 
 
 # ---------------------------------------------------- seminorm evaluation
@@ -528,10 +530,10 @@ def test_non_finite_complement_raises_on_both_paths(monkeypatch):
 )
 def test_term_chunks_do_not_change_the_form(monkeypatch, dim, level, s, boost, direct_tol):
     # at 2^16 points per term the 1D level-5 mesh still fits one term per category
-    # and branch, while the 2D level-1 terms already split (33 complement terms by
-    # default, 87 boosted); a 256-point cap splits every category whose rows carry
+    # and branch, while the 2D level-1 terms already split (12 vertex terms by
+    # default, 32 boosted); a 256-point cap splits every category whose rows carry
     # more than one point (boosted: near pairs at order 7, 2401 points).
-    # The direct path adds its per-term sums exactly (fsum), so the 44,799 terms of
+    # The direct path adds its per-term sums exactly (fsum), so the 5,451 terms of
     # the boosted sliced run add no rounding walk of their own to the total.
     mesh = build_mesh(dim, level)
     spec = QuadSpec.for_dim(dim).boosted() if boost else QuadSpec.for_dim(dim)
