@@ -12,12 +12,17 @@ polygon, so the interaction of B_h with the slivers between it and the
 disk, where the zero extension also vanishes, is left out (ROADMAP
 item 3).  Element pairs are integrated by category: identical and
 touching pairs through tensor transforms that cancel the singularity,
-disjoint pairs by plain Gauss graded with distance, and the complement
-term by one Gauss rule per element: kappa blows up like depth^(-2s) at
-the sphere, but u vanishes linearly there, so u^2 kappa behaves like
+disjoint pairs by plain Gauss on both elements, and the complement term
+by one Gauss rule per element: kappa blows up like depth^(-2s) at the
+sphere, but u vanishes linearly there, so u^2 kappa behaves like
 depth^(2-2s), which plain Gauss resolves.  The pair categories and the
 shared-node order of touching pairs come from ``mesh.element_pairs``,
-decided once per mesh.
+decided once per mesh.  Near disjoint pairs come from its table and take
+_NEAR_BONUS more points per direction; the far pairs, almost all of the
+m^2/2, are streamed in row blocks by ``mesh.far_pairs`` and never held
+whole.  A spec whose distant_order differs from disjoint_order (the
+boosted audit) integrates far pairs _DISTANT_RATIO diameters apart at
+distant_order.
 
 Each category yields terms (category, node idx, g, wK), one row per
 element pair or element: row b adds sum_q wK[b, q] (g_q . u[idx[b]])^2.
@@ -38,7 +43,14 @@ from scipy.interpolate import CubicSpline
 from scipy.special import hyp2f1
 
 from ._quad import reference_rule, unit_gauss
-from .mesh import BallMesh, FeFunction, SizeLimitError, element_geometry, element_pairs
+from .mesh import (
+    BallMesh,
+    FeFunction,
+    SizeLimitError,
+    element_geometry,
+    element_pairs,
+    far_pairs,
+)
 from .params import check_order
 
 __all__ = [
@@ -56,6 +68,9 @@ __all__ = [
 _BOUNDARY_TOL = 1e-12
 # extra Gauss points per direction on "near" disjoint pairs (see mesh.element_pairs)
 _NEAR_BONUS = 2
+# far pairs whose centroids lie at least this many larger diameters apart
+# take QuadSpec.distant_order
+_DISTANT_RATIO = 4.0
 _DENSE_BYTES_CAP = 2e9
 # quadrature points per yielded term, in every category: 2^16 keeps a
 # term's float arrays at 512 KiB, small enough for a typical L2 cache,
@@ -73,10 +88,17 @@ class QuadSpec:
     """Quadrature configuration for one assembly.
 
     Orders count Gauss points per direction; ``complement_order`` is
-    the rule on each element for the complement term.
+    the rule on each element for the complement term.  ``disjoint_order``
+    serves the far pairs (near ones take _NEAR_BONUS more), except those
+    whose centroids lie at least _DISTANT_RATIO larger diameters apart,
+    which take ``distant_order``.  ``for_dim`` sets the two equal, so the
+    default rule does not split the far pairs; ``boosted`` adds 2 to
+    disjoint_order and 1 to distant_order, which keeps the audit finer on
+    every pair for less work than 2 on all of them.
     """
 
     disjoint_order: int
+    distant_order: int
     vertex_order: int = 24
     edge_order: int = 12
     angular_order: int = 24
@@ -85,9 +107,9 @@ class QuadSpec:
     @classmethod
     def for_dim(cls, dim: int) -> "QuadSpec":
         if dim == 1:
-            return cls(disjoint_order=4, vertex_order=24)
+            return cls(disjoint_order=4, distant_order=4, vertex_order=24)
         if dim == 2:
-            return cls(disjoint_order=3, vertex_order=10)
+            return cls(disjoint_order=3, distant_order=3, vertex_order=10)
         raise ValueError("dim must be 1 or 2")
 
     def boosted(self) -> "QuadSpec":
@@ -95,6 +117,7 @@ class QuadSpec:
         return replace(
             self,
             disjoint_order=self.disjoint_order + 2,
+            distant_order=self.distant_order + 1,
             vertex_order=self.vertex_order + 4,
             edge_order=self.edge_order + 4,
             angular_order=self.angular_order + 16,
@@ -110,7 +133,7 @@ class AssemblyReport:
     singular, disjoint, complement) across its yields, so it includes the
     caller's per-term work while the generator waits: in assemble, the block
     and the scatter of every term. At 1D level 10, disjoint reads about
-    0.9 s in assemble against 0.55 s for the generators alone. "total" is
+    0.9 s in assemble against 0.5 s for the generators alone. "total" is
     the whole assemble call. complement_cells is the element count, one
     complement rule per element; budget_exceeded is always 0, kept because
     perfbench reads it by name until its capped-cells metric goes
@@ -416,30 +439,56 @@ def _edge_terms_2d(mesh, s, geo, pairs, spec, counters):
             yield "edge", idx[part], g, (scale[part, None] * w) * K
 
 
-def _disjoint_terms(mesh, s, geo, pairs, order, tag, counters):
-    """Plain Gauss on both elements; a point pair (p, q) has g = [lam_p, -lam_q].
+def _disjoint_terms(mesh, s, geo, blocks, tag, counters):
+    """Plain Gauss on both elements of each (ia, ib, order) block.
 
-    The rule's points on every element are formed once, coordinate
-    major, and each chunk gathers its rows from that table.
+    A point pair (p, q) has g = [lam_p, -lam_q].  The rule's points on
+    every element are formed once per order as a (dim, points, m)
+    table, and each chunk gathers its rows from it point-major: the
+    kernel passes run along the rows, and wK is the transpose of a
+    (points, rows) array.
     """
-    lam, weights = reference_rule(mesh.dim, order)
-    nq = len(lam)
-    counters["pair_counts"][tag] = len(pairs)
-    counters["kernel_evals"][tag] = len(pairs) * nq * nq
-    g = np.concatenate([np.repeat(lam, nq, axis=0), -np.tile(lam, (nq, 1))], axis=1)
-    ww = 2.0 * np.outer(weights, weights).ravel()
     expo = -(mesh.dim + 2 * s) / 2.0
-    ia, ib = pairs[:, 0], pairs[:, 1]
-    idx = np.concatenate([mesh.elements[ia], mesh.elements[ib]], axis=1)
-    jac = geo.jacobian[ia] * geo.jacobian[ib]
-    X = np.einsum("qk,mkd->dmq", lam, geo.verts)
-    for part in _row_chunks(len(pairs), nq * nq):
-        a, b = ia[part], ib[part]
-        K = _sum_sq(x[a][:, :, None] - x[b][:, None, :] for x in X).reshape(len(a), -1)
-        K **= expo
-        K *= ww
-        K *= jac[part, None]
-        yield tag, idx[part], g, K
+    rules = {}
+    counters["pair_counts"][tag] = counters["kernel_evals"][tag] = 0
+    for ia, ib, order in blocks:
+        if order not in rules:
+            lam, weights = reference_rule(mesh.dim, order)
+            nq = len(lam)
+            g = np.concatenate([np.repeat(lam, nq, axis=0), -np.tile(lam, (nq, 1))], axis=1)
+            ww = 2.0 * np.outer(weights, weights).reshape(-1, 1)
+            rules[order] = g, ww, np.einsum("qk,mkd->dqm", lam, geo.verts, order="C")
+        g, ww, X = rules[order]
+        counters["pair_counts"][tag] += len(ia)
+        counters["kernel_evals"][tag] += len(ia) * len(g)
+        for part in _row_chunks(len(ia), len(g)):
+            a, b = ia[part], ib[part]
+            K = _sum_sq(x[:, None, a] - x[None, :, b] for x in X).reshape(len(g), len(a))
+            K **= expo
+            K *= ww
+            K *= geo.jacobian[a] * geo.jacobian[b]
+            idx = np.concatenate([mesh.elements[a], mesh.elements[b]], axis=1)
+            yield tag, idx, g, K.T
+
+
+def _far_blocks(mesh, geo, spec):
+    """Far pairs as (ia, ib, order) blocks, in the order ``far_pairs`` streams them.
+
+    Pairs whose centroids lie at least _DISTANT_RATIO larger diameters
+    apart take distant_order, the rest disjoint_order; a spec with equal
+    orders skips the split.
+    """
+    if spec.distant_order == spec.disjoint_order:
+        for ia, ib in far_pairs(mesh):
+            yield ia, ib, spec.disjoint_order
+        return
+    centroid = geo.verts.mean(axis=1)
+    for ia, ib in far_pairs(mesh):
+        reach = _DISTANT_RATIO * np.maximum(geo.diameter[ia], geo.diameter[ib])
+        sep = _sum_sq(centroid[ia, c] - centroid[ib, c] for c in range(mesh.dim))
+        distant = sep >= reach * reach
+        yield ia[~distant], ib[~distant], spec.disjoint_order
+        yield ia[distant], ib[distant], spec.distant_order
 
 
 def _terms(mesh, s, spec, geo, counters):
@@ -468,12 +517,9 @@ def _terms(mesh, s, spec, geo, counters):
     counters["phase_seconds"]["singular"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    yield from _disjoint_terms(
-        mesh, s, geo, pairs.near, spec.disjoint_order + _NEAR_BONUS, "disjoint_near", counters
-    )
-    yield from _disjoint_terms(
-        mesh, s, geo, pairs.far, spec.disjoint_order, "disjoint_far", counters
-    )
+    near = (pairs.near[:, 0], pairs.near[:, 1], spec.disjoint_order + _NEAR_BONUS)
+    yield from _disjoint_terms(mesh, s, geo, [near], "disjoint_near", counters)
+    yield from _disjoint_terms(mesh, s, geo, _far_blocks(mesh, geo, spec), "disjoint_far", counters)
     counters["phase_seconds"]["disjoint"] = time.perf_counter() - t0
 
     yield from _complement_terms(mesh, s, spec, geo, counters)
@@ -518,6 +564,7 @@ def assemble(mesh: BallMesh, s: float, quad_spec: QuadSpec | None = None) -> Non
     flat *= s * (1 - s)
     fc = mesh.free_count
     matrix = np.ascontiguousarray(flat.reshape(n, n)[:fc, :fc])
+    del flat
 
     scale = float(np.max(np.abs(matrix))) or 1.0
     skew = float(np.max(np.abs(matrix - matrix.T)))
@@ -567,7 +614,13 @@ def seminorm_sq_direct(
     parts = []
     for category, idx, g, wK in _terms(mesh, s, spec, geo, _new_counters()):
         w = vals[idx]
-        gu = w @ g.T if g.ndim == 2 else (g @ w[:, :, None])[..., 0]
+        if g.ndim == 3:
+            gu = (g @ w[:, :, None])[..., 0]
+        elif wK.flags.f_contiguous:
+            # a point-major term: sum in its (points, rows) order
+            wK, gu = wK.T, g @ w.T
+        else:
+            gu = w @ g.T
         part = float(np.sum(wK * gu * gu))
         _check_finite(category, part)
         parts.append(part)

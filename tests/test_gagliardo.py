@@ -28,10 +28,12 @@ from fracsobolev.gagliardo import (
     seminorm_sq_direct,
 )
 from fracsobolev.gagliardo import (
+    _DISTANT_RATIO,
     _NEAR_BONUS,
     _complement_terms,
     _disjoint_terms,
     _edge_terms_2d,
+    _far_blocks,
     _ident_terms_1d,
     _ident_terms_2d,
     _kappa_fast,
@@ -47,6 +49,7 @@ from fracsobolev.mesh import (
     build_mesh,
     element_geometry,
     element_pairs,
+    far_pairs,
     interpolate,
     make_ball_mesh,
 )
@@ -80,6 +83,12 @@ def _pair_blocks(terms):
     out = np.zeros((len(first),) + blocks.shape[1:])
     np.add.at(out, rank[inv.ravel()], blocks)
     return idx[np.sort(first)], out
+
+
+def _streamed_far(mesh):
+    """The far_pairs blocks concatenated into one (P, 2) table."""
+    blocks = [np.stack([ia, ib], axis=1) for ia, ib in far_pairs(mesh)]
+    return np.concatenate([np.empty((0, 2), dtype=np.intp)] + blocks)
 
 
 def _sorted_free_matrix(form):
@@ -133,7 +142,7 @@ def test_element_pairs_cover_and_orient(make_mesh):
     mesh = make_mesh()
     pairs = element_pairs(mesh)
     m, k = mesh.n_elements, mesh.dim + 1
-    cats = {0: (pairs.near, pairs.far), 1: (pairs.vertex,), 2: (pairs.edge,)}
+    cats = {0: (pairs.near, _streamed_far(mesh)), 1: (pairs.vertex,), 2: (pairs.edge,)}
     every = np.concatenate([p for group in cats.values() for p in group])
     assert len(every) == m * (m - 1) // 2
     assert np.all(every[:, 0] < every[:, 1])
@@ -243,14 +252,30 @@ def _disk_polygon_mesh(corners):
         pytest.param(lambda: _disk_polygon_mesh(4), id="2d-two"),
     ],
 )
-def test_element_pairs_match_brute_force(make_mesh):
+def test_element_pairs_match_brute_force(make_mesh, monkeypatch):
     mesh = make_mesh()
     pairs = element_pairs(mesh)
     ref = _brute_force_pairs(mesh)
+    far = ref.pop("far")
     for name, want in ref.items():
         got = getattr(pairs, name)
         assert got.dtype == want.dtype and got.shape == want.shape, name
         assert np.array_equal(got, want), name
+    # the streamed far pairs, whole and in blocks of 7 cells that split rows
+    for cells in (mesh_module._FAR_CELLS, 7):
+        monkeypatch.setattr(mesh_module, "_FAR_CELLS", cells)
+        got = _streamed_far(mesh)
+        assert got.dtype == far.dtype and got.shape == far.shape, cells
+        assert np.array_equal(got, far), cells
+
+
+@pytest.mark.parametrize("dim, level", [(1, 10), (2, 3)])
+def test_cached_pair_tables_stay_linear_in_the_elements(dim, level):
+    # the far pairs are streamed, so the cache holds O(m) bytes, not O(m^2):
+    # an explicit far table would take 33.6 MB at 1D L10 and 19.2 MB at 2D L3
+    mesh = build_mesh(dim, level)
+    held = sum(table.nbytes for table in element_pairs(mesh))
+    assert held < 2e6, held
 
 
 @pytest.mark.parametrize(
@@ -302,7 +327,7 @@ def test_work_counts_follow_the_term_stream(dim, level, s, boost):
         "vertex": len(pairs.vertex),
         "edge": len(pairs.edge),
         "disjoint_near": len(pairs.near),
-        "disjoint_far": len(pairs.far),
+        "disjoint_far": len(_streamed_far(mesh)),
     }
 
 
@@ -916,14 +941,32 @@ def test_disjoint_blocks_2d_vs_pointwise_kernel(s, boost):
     mesh = build_mesh(2, 1)
     geo, pairs = element_geometry(mesh), element_pairs(mesh)
     spec = QuadSpec.for_dim(2).boosted() if boost else QuadSpec.for_dim(2)
+    # the far bands: centroids at least _DISTANT_RATIO larger diameters apart
+    far = _streamed_far(mesh)
+    verts = mesh.nodes[mesh.elements]
+    diam = np.array([cdist(v, v).max() for v in verts])
+    sep = np.linalg.norm(verts[far[:, 0]].mean(axis=1) - verts[far[:, 1]].mean(axis=1), axis=1)
+    distant = sep >= _DISTANT_RATIO * np.maximum(diam[far[:, 0]], diam[far[:, 1]])
+    assert 0 < distant.sum() < len(far)
+    # the stream gives each band its order; the default spec does not split
+    streamed = {}
+    for ia, ib, order in _far_blocks(mesh, geo, spec):
+        streamed.setdefault(order, []).append(np.stack([ia, ib], axis=1))
+    if boost:
+        assert spec.disjoint_order > spec.distant_order
+        assert np.array_equal(np.concatenate(streamed[spec.disjoint_order]), far[~distant])
+        assert np.array_equal(np.concatenate(streamed[spec.distant_order]), far[distant])
+    else:
+        assert spec.disjoint_order == spec.distant_order
+        assert np.array_equal(np.concatenate(streamed[spec.disjoint_order]), far)
     for tag, chosen, order in (
         ("disjoint_near", pairs.near, spec.disjoint_order + _NEAR_BONUS),
-        ("disjoint_far", pairs.far, spec.disjoint_order),
+        ("disjoint_far", far[~distant], spec.disjoint_order),
+        ("disjoint_far", far[distant], spec.distant_order),
     ):
         picks = chosen[[0, 1, len(chosen) // 2, len(chosen) - 1]]
-        idxs, locs = _pair_blocks(
-            _disjoint_terms(mesh, s, geo, picks, order, tag, _new_counters())
-        )
+        block = (picks[:, 0], picks[:, 1], order)
+        idxs, locs = _pair_blocks(_disjoint_terms(mesh, s, geo, [block], tag, _new_counters()))
         assert len(locs) == len(picks)
         for (ea, eb), idx, loc in zip(picks, idxs, locs):
             Va, Vb = mesh.nodes[mesh.elements[ea]], mesh.nodes[mesh.elements[eb]]

@@ -9,7 +9,7 @@ from scipy.linalg import cho_factor, cho_solve
 
 import fracsobolev.solver as solver_module
 from fracsobolev.bubble import Bubble, normalize_lambda, truncated_bubble
-from fracsobolev.gagliardo import assemble, seminorm_sq
+from fracsobolev.gagliardo import assemble, seminorm_sq, seminorm_sq_direct
 from fracsobolev.mesh import FeFunction, build_mesh, interpolate
 from fracsobolev.norms import lq_norm, nonlinear_residual
 from fracsobolev.params import critical_exponent, exact_constant, optimal_concentration
@@ -82,6 +82,21 @@ def test_quadrature_slack_small(reports_1d_s025):
     for rep in reports_1d_s025.values():
         assert rep.quadrature_slack is not None
         assert rep.quadrature_slack < 1e-5
+
+
+@pytest.mark.parametrize("dim, level, s", [(1, 6, 0.25), (2, 1, 0.5)])
+def test_slack_tracks_the_twice_boosted_error(dim, level, s):
+    # the slack is the boosted audit's shift of s_h; a twice-boosted quotient,
+    # over a finer critical norm, shifts it by the same amount to within 1e-3
+    # of the slack (1.00081 and 1.00075), so grading the audit's far field
+    # by distance keeps the audit as fine as the default rule needs
+    mesh = build_mesh(dim, level)
+    form = assemble(mesh, s)
+    rep = solve(form)
+    u = rep.minimizer
+    finer = seminorm_sq_direct(mesh, s, u, form.quad_spec.boosted().boosted())
+    q_bb = finer / lq_norm(u, critical_exponent(dim, s), order=16) ** 2
+    assert abs((q_bb - rep.s_h) / rep.quadrature_slack - 1.0) <= 1e-3
 
 
 def test_solve_slack_optional_and_validation():
