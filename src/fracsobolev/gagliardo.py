@@ -35,11 +35,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from math import fsum, gamma
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 from scipy.special import hyp2f1
 
 from ._quad import reference_rule, unit_gauss
@@ -203,7 +201,8 @@ def complement_weight(x, N: int, s: float):
 
     Closed form in both dimensions: on the disk
     (pi/s) (1-|x|^2)^(-2s) 2F1(-s, 1-s; 1; |x|^2), whose hypergeometric
-    factor is elementary on the line.
+    factor is elementary on the line.  Assembly evaluates it at every
+    point of the complement rule, so this is the package's only kappa.
     """
     check_order(N, s)
     if N not in (1, 2):
@@ -213,72 +212,15 @@ def complement_weight(x, N: int, s: float):
         pts = pts[..., None]
     if pts.shape[-1] != N:
         raise ValueError(f"points must have last dimension {N}")
-    rsq, radius = _radius(pts)
+    rsq = _sum_sq(pts[..., d].copy() for d in range(N))
+    radius = np.sqrt(rsq)
+    if np.any(radius >= 1.0 - _BOUNDARY_TOL):
+        raise ValueError("complement weight diverges at the boundary sphere")
     if N == 1:
         t = pts[..., 0]
         return ((1.0 - t) ** (-2 * s) + (1.0 + t) ** (-2 * s)) / (2 * s)
     gap = (1.0 - radius) * (1.0 + radius)
     return (np.pi / s) * gap ** (-2 * s) * hyp2f1(-s, 1 - s, 1, rsq)
-
-
-@lru_cache(maxsize=8)
-def _radial_complement_table(s: float) -> tuple[np.ndarray, np.ndarray]:
-    """Cubic table of kappa * depth^(2s) against log depth, depth = 1 - |x|.
-
-    kappa depends on |x| only, and a hypergeometric call near the sphere
-    costs far more than a table lookup, so the closed form is tabulated
-    once per s, directly in the depth d:
-    (pi/s) (2-d)^(-2s) 2F1(-s, 1-s; 1; (1-d)^2), as a not-a-knot cubic
-    spline on a uniform grid in log d from log(5e-12) to 0.  Returns its
-    knots t and its coefficients c, shape (4, len(t) - 1), the piece on
-    [t[i], t[i+1]] being sum_k c[k, i] (x - t[i])^(3-k).  Interpolation
-    error stays below 1e-8 relative for depths 1e-11..1 at s = 1/4..3/4.
-    """
-    t = np.linspace(np.log(5e-12), 0.0, 3072)
-    d = np.exp(t)
-    scaled = (np.pi / s) * (2.0 - d) ** (-2 * s) * hyp2f1(-s, 1 - s, 1, (1.0 - d) ** 2)
-    spline = CubicSpline(t, scaled)
-    # cached and shared by every caller
-    spline.x.flags.writeable = spline.c.flags.writeable = False
-    return spline.x, spline.c
-
-
-def _radius(pts):
-    """|x|^2 and |x| of points (..., N); raises on or beyond the sphere."""
-    rsq = _sum_sq(pts[..., d].copy() for d in range(pts.shape[-1]))
-    radius = np.sqrt(rsq)
-    if np.any(radius >= 1.0 - _BOUNDARY_TOL):
-        raise ValueError("complement weight diverges at the boundary sphere")
-    return rsq, radius
-
-
-def _kappa_fast(pts: np.ndarray, dim: int, s: float) -> np.ndarray:
-    """Complement weight for assembly batches; read from the table on the disk.
-
-    The piece of a point is found by direct index on the uniform knot
-    grid, clipped to the end pieces, so depths below the first knot
-    extrapolate its cubic as the spline does; the offset is taken from
-    the knot itself.  The cubic is summed term by term in the order
-    scipy's piecewise-polynomial evaluation uses, so the values are
-    CubicSpline's to the last bit, except within rounding of a knot,
-    where the neighbouring piece may be read, 1 ulp apart.
-    """
-    if dim == 1:
-        return complement_weight(pts, 1, s)
-    depth = 1.0 - _radius(pts)[1]
-    t, c = _radial_complement_table(s)
-    x = np.log(depth)
-    piece = ((x - t[0]) * ((len(t) - 1) / (t[-1] - t[0]))).astype(np.intp)
-    np.clip(piece, 0, len(t) - 2, out=piece)
-    dx = x - t.take(piece)
-    val = c[3].take(piece)
-    val += c[2].take(piece) * dx
-    power = dx * dx
-    val += c[1].take(piece) * power
-    power *= dx
-    val += c[0].take(piece) * power
-    val *= depth ** (-2.0 * s)
-    return val
 
 
 def _complement_terms(mesh, s, spec, geo, counters):
@@ -292,7 +234,7 @@ def _complement_terms(mesh, s, spec, geo, counters):
     scale = 2.0 * geo.jacobian
     npts = 0
     for part in _row_chunks(mesh.n_elements, len(lam)):
-        kap = _kappa_fast(lam @ geo.verts[part], mesh.dim, s)
+        kap = complement_weight(lam @ geo.verts[part], mesh.dim, s)
         npts += kap.size
         yield "complement", mesh.elements[part], lam, (scale[part, None] * weights) * kap
     counters["complement_points"] = npts
@@ -567,7 +509,11 @@ def assemble(mesh: BallMesh, s: float, quad_spec: QuadSpec | None = None) -> Non
     del flat
 
     scale = float(np.max(np.abs(matrix))) or 1.0
-    skew = float(np.max(np.abs(matrix - matrix.T)))
+    # row blocks against column blocks: no fc^2 temporary beside the matrix
+    skew = max(
+        float(np.max(np.abs(matrix[i : i + 256] - matrix[:, i : i + 256].T)))
+        for i in range(0, fc, 256)
+    )
     if skew > 1e-12 * scale:
         raise AssemblyError(f"assembled matrix asymmetry {skew:.2e} exceeds tolerance")
     try:

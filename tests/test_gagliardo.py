@@ -4,17 +4,17 @@ The 1D matrices are pinned to frozen adaptive-quadrature references; the
 2D singular-pair reductions are checked against a level-by-level subdivision
 oracle (touching pairs) and a covariogram reduction (identical pairs),
 the 2D disjoint pairs against a per-pair loop over the kernel at the same
-Gauss points, and the 1D complement term against per-element adaptive
-quadrature of the closed-form weight, all implemented here from scratch.
+Gauss points, and the complement term in both dimensions against
+per-element adaptive quadrature of the closed-form weight, all
+implemented here from scratch.
 """
 
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
 from scipy import integrate
-from scipy.interpolate import CubicSpline
 from scipy.spatial.distance import cdist
-from scipy.special import ellipe, hyp2f1
+from scipy.special import ellipe
 
 from fracsobolev import gagliardo
 from fracsobolev import mesh as mesh_module
@@ -36,9 +36,7 @@ from fracsobolev.gagliardo import (
     _far_blocks,
     _ident_terms_1d,
     _ident_terms_2d,
-    _kappa_fast,
     _new_counters,
-    _radial_complement_table,
     _term_block,
     _terms,
     _vertex_terms_1d,
@@ -398,39 +396,6 @@ def test_complement_weight_2d_elliptic_identity():
     assert np.max(np.abs(got / ref - 1.0)) < 1e-12
 
 
-def test_kappa_fast_table_matches_closed_form():
-    depth = np.geomspace(5e-12, 1.0, 400)
-    pts = np.column_stack([1.0 - depth, np.zeros_like(depth)])
-    for s in (0.25, 0.5, 0.75):
-        rel = _kappa_fast(pts, 2, s) / complement_weight(pts, 2, s) - 1.0
-        assert np.max(np.abs(rel)) < 3e-8, s
-
-
-@pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
-def test_kappa_fast_matches_spline_on_its_table(s):
-    # the table's own not-a-knot spline, rebuilt here, at random depths,
-    # at every knot (the last, depth 1, is the centre) and in the band
-    # extrapolated below the first knot, depth 5e-12
-    t, coef = _radial_complement_table(s)
-    d = np.exp(t)
-    scaled = (np.pi / s) * (2.0 - d) ** (-2 * s) * hyp2f1(-s, 1 - s, 1, (1.0 - d) ** 2)
-    spline = CubicSpline(t, scaled)
-    assert np.array_equal(spline.x, t) and np.array_equal(spline.c, coef)
-    rng = np.random.default_rng(7)
-    depth = np.concatenate(
-        [
-            np.exp(rng.uniform(t[0], 0.0, 20000)),
-            d,
-            np.geomspace(1.05e-12, 5e-12, 50),
-        ]
-    )
-    pts = np.column_stack([1.0 - depth, np.zeros_like(depth)])
-    depth = 1.0 - pts[:, 0]
-    ref = spline(np.log(depth)) * depth ** (-2.0 * s)
-    got = _kappa_fast(pts, 2, s)
-    assert np.max(np.abs(got / ref - 1.0)) < 1e-15
-
-
 def test_complement_weight_monotone_and_divergent():
     for N, s in [(1, 0.25), (2, 0.5)]:
         rs = np.linspace(0.0, 0.999, 40)
@@ -454,6 +419,20 @@ def test_boosted_complement_finite_on_fine_1d_meshes(level):
     assert all(np.all(np.isfinite(wK)) and np.all(wK > 0.0) for _, _, _, wK in terms)
     assert counters["complement_cells"] == mesh.n_elements
     assert counters["complement_points"] == mesh.n_elements * spec.complement_order
+
+
+def _complement_rule_errors(u, s, ref):
+    """Relative errors of 2 * integral of u^2 kappa by the default and boosted rules."""
+    mesh = u.mesh
+    geo = element_geometry(mesh)
+    errors = []
+    for spec in (QuadSpec.for_dim(mesh.dim), QuadSpec.for_dim(mesh.dim).boosted()):
+        got = 0.0
+        for _, idx, g, wK in _complement_terms(mesh, s, spec, geo, _new_counters()):
+            gu = u.values[idx] @ g.T
+            got += float(np.sum(wK * gu * gu))
+        errors.append(abs(got - ref) / ref)
+    return errors
 
 
 def _complement_integral_oracle(u, s):
@@ -481,19 +460,48 @@ def test_complement_term_matches_adaptive_oracle(s):
     # u^2 kappa behaves like depth^(2-2s) at the sphere: one Gauss rule per
     # element resolves it, and the boosted rule more closely
     mesh = build_mesh(1, 4)
-    geo = element_geometry(mesh)
     u = FeFunction.from_free(mesh, np.random.default_rng(11).normal(size=mesh.free_count))
-    ref = _complement_integral_oracle(u, s)
-    errors = []
-    for spec in (QuadSpec.for_dim(1), QuadSpec.for_dim(1).boosted()):
-        got = 0.0
-        for _, idx, g, wK in _complement_terms(mesh, s, spec, geo, _new_counters()):
-            gu = u.values[idx] @ g.T
-            got += float(np.sum(wK * gu * gu))
-        errors.append(abs(got - ref) / ref)
+    errors = _complement_rule_errors(u, s, _complement_integral_oracle(u, s))
     default, boosted = errors
     assert default <= 1.5e-6, errors
     assert boosted <= 3e-7, errors
+    assert boosted < default, errors
+
+
+def _complement_integral_oracle_2d(u):
+    """2 * integral of u^2 kappa at s = 1/2 by adaptive quadrature per triangle.
+
+    kappa is 4 E(|x|^2) / (1 - |x|^2), the elliptic form of the disk weight
+    at s = 1/2, and u the barycentric expansion of the nodal values, both
+    written out here.
+    """
+    total = 0.0
+    for tri in u.mesh.elements:
+        v0, v1, v2 = u.mesh.nodes[tri]
+        u0, u1, u2 = u.values[tri]
+        e1, e2 = v1 - v0, v2 - v0
+        jac = abs(e1[0] * e2[1] - e1[1] * e2[0])
+
+        def f(b, a):
+            x = v0 + a * e1 + b * e2
+            r = np.hypot(x[0], x[1])
+            val = u0 + a * (u1 - u0) + b * (u2 - u0)
+            return val * val * 4.0 * ellipe(r * r) / ((1.0 - r) * (1.0 + r))
+
+        val, _ = integrate.dblquad(f, 0.0, 1.0, 0.0, lambda a: 1.0 - a, epsabs=0.0, epsrel=1e-11)
+        total += jac * val
+    return 2.0 * total
+
+
+def test_complement_term_2d_matches_adaptive_oracle():
+    # the one-rule-per-element complement on the disk, where kappa is the
+    # hypergeometric closed form and u^2 kappa behaves like depth^(2-2s)
+    mesh = build_mesh(2, 0)
+    u = FeFunction.from_free(mesh, np.random.default_rng(11).normal(size=mesh.free_count))
+    errors = _complement_rule_errors(u, 0.5, _complement_integral_oracle_2d(u))
+    default, boosted = errors
+    assert default <= 1e-5, errors
+    assert boosted <= 1e-6, errors
     assert boosted < default, errors
 
 
@@ -537,12 +545,34 @@ def test_non_finite_complement_raises_on_both_paths(monkeypatch):
     mesh = build_mesh(2, 0)
     u = FeFunction.from_free(mesh, np.ones(mesh.free_count))
     monkeypatch.setattr(
-        gagliardo, "_kappa_fast", lambda pts, dim, s: np.full(pts.shape[:-1], np.inf)
+        gagliardo, "complement_weight", lambda pts, N, s: np.full(pts.shape[:-1], np.inf)
     )
     with np.errstate(invalid="ignore"), pytest.raises(AssemblyError, match="complement"):
         assemble(mesh, 0.5)
     with np.errstate(invalid="ignore"), pytest.raises(AssemblyError, match="complement"):
         seminorm_sq_direct(mesh, 0.5, u)
+
+
+@pytest.mark.parametrize("dim, level, s", [(1, 3, 0.25), (2, 1, 0.5)])
+def test_assemble_rejects_an_asymmetric_matrix(monkeypatch, dim, level, s):
+    rng = np.random.default_rng(3)
+
+    def skewed(g, wK):
+        local = _term_block(g, wK)
+        local[:, 0, -1] += rng.random(len(local))
+        return local
+
+    monkeypatch.setattr(gagliardo, "_term_block", skewed)
+    with pytest.raises(AssemblyError, match="asymmetry"):
+        assemble(build_mesh(dim, level), s)
+
+
+@pytest.mark.parametrize("dim, level, s", [(1, 3, 0.25), (2, 1, 0.5)])
+def test_assemble_rejects_an_indefinite_matrix(monkeypatch, dim, level, s):
+    # negated blocks keep the matrix symmetric, so the positivity audit fires
+    monkeypatch.setattr(gagliardo, "_term_block", lambda g, wK: -_term_block(g, wK))
+    with pytest.raises(AssemblyError, match="not positive definite"):
+        assemble(build_mesh(dim, level), s)
 
 
 @pytest.mark.parametrize(
