@@ -33,7 +33,6 @@ from .gagliardo import (
     AssemblyError,
     AssemblyReport,
     NonlocalForm,
-    QuadSpec,
     assemble,
     complement_weight,
     element_self_interaction,
@@ -73,7 +72,6 @@ __all__ = [
     "InterpRates",
     "ManifoldFit",
     "NonlocalForm",
-    "QuadSpec",
     "RateFit",
     "SizeLimitError",
     "SolverReport",

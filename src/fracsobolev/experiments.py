@@ -16,7 +16,6 @@ from ._quad import QuadratureError, reference_rule
 from .bubble import Bubble, normalize_lambda, truncated_bubble
 from .gagliardo import (
     AssemblyError,
-    QuadSpec,
     assemble,
     element_self_interaction,
     seminorm_sq_direct,
@@ -233,15 +232,14 @@ def upper_bound_sweep(N: int, s: float, levels) -> SweepResult:
     _check_problem(N, s)
     q = critical_exponent(N, s)
     S = exact_constant(N, s)
-    spec = QuadSpec.for_dim(N)
 
     def measure(mesh):
         c_h = optimal_concentration(mesh.h, N, s)
         lam = normalize_lambda(c_h, N, s)
         u = interpolate(mesh, truncated_bubble(lam, c_h, N, s))
-        value = seminorm_sq_direct(mesh, s, u, spec) / lq_norm(u, q) ** 2 - S
+        value = seminorm_sq_direct(mesh, s, u) / lq_norm(u, q) ** 2 - S
         boosted = (
-            seminorm_sq_direct(mesh, s, u, spec.boosted())
+            seminorm_sq_direct(mesh, s, u, boost=1)
             / lq_norm(u, q, order=12) ** 2
             - S
         )

@@ -20,9 +20,9 @@ shared-node order of touching pairs come from ``mesh.element_pairs``,
 decided once per mesh.  Near disjoint pairs come from its table and take
 _NEAR_BONUS more points per direction; the far pairs, almost all of the
 m^2/2, are streamed in row blocks by ``mesh.far_pairs`` and never held
-whole.  A spec whose distant_order differs from disjoint_order (the
-boosted audit) integrates far pairs _DISTANT_RATIO diameters apart at
-distant_order.
+whole.  Above rule level 0 (the audits), far pairs _DISTANT_RATIO
+diameters apart take the distant order, which grows more slowly with the
+level than the far order.
 
 Each category yields terms (category, node idx, g, wK), one row per
 element pair or element: row b adds sum_q wK[b, q] (g_q . u[idx[b]])^2.
@@ -34,7 +34,8 @@ no block.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from itertools import chain
 from math import fsum, gamma
 
 import numpy as np
@@ -55,7 +56,6 @@ __all__ = [
     "AssemblyError",
     "AssemblyReport",
     "NonlocalForm",
-    "QuadSpec",
     "assemble",
     "complement_weight",
     "element_self_interaction",
@@ -67,9 +67,11 @@ _BOUNDARY_TOL = 1e-12
 # extra Gauss points per direction on "near" disjoint pairs (see mesh.element_pairs)
 _NEAR_BONUS = 2
 # far pairs whose centroids lie at least this many larger diameters apart
-# take QuadSpec.distant_order
+# take the distant order of _orders
 _DISTANT_RATIO = 4.0
 _DENSE_BYTES_CAP = 2e9
+# the element-pair categories, in the order the terms stream them
+_CATEGORIES = ("identical", "vertex", "edge", "disjoint_near", "disjoint_far")
 # quadrature points per yielded term, in every category: 2^16 keeps a
 # term's float arrays at 512 KiB, small enough for a typical L2 cache,
 # through the kernel passes and the scatter; the matrix is added into in
@@ -81,46 +83,31 @@ class AssemblyError(RuntimeError):
     """Assembly produced an invalid matrix, local block or quadrature sum."""
 
 
-@dataclass(frozen=True)
-class QuadSpec:
-    """Quadrature configuration for one assembly.
+def _orders(dim, boost):
+    """Orders (far, distant, vertex, edge, angular, complement) at rule level boost.
 
-    Orders count Gauss points per direction; ``complement_order`` is
-    the rule on each element for the complement term.  ``disjoint_order``
-    serves the far pairs (near ones take _NEAR_BONUS more), except those
-    whose centroids lie at least _DISTANT_RATIO larger diameters apart,
-    which take ``distant_order``.  ``for_dim`` sets the two equal, so the
-    default rule does not split the far pairs; ``boosted`` adds 2 to
-    disjoint_order and 1 to distant_order, which keeps the audit finer on
-    every pair for less work than 2 on all of them.
+    Orders count Gauss points per direction.  The far order serves the
+    far pairs (near ones take _NEAR_BONUS more), except those whose
+    centroids lie at least _DISTANT_RATIO larger diameters apart, which
+    take the distant order; complement is the rule on each element for
+    the complement term.  Level 0 is the default rule, where far and
+    distant are equal, so the far pairs do not split.  Each level adds 2
+    to far and 1 to distant, which keeps the audit finer on every pair
+    for less work than 2 on all of them, 4 to vertex, edge and complement,
+    and 16 to angular.
     """
-
-    disjoint_order: int
-    distant_order: int
-    vertex_order: int = 24
-    edge_order: int = 12
-    angular_order: int = 24
-    complement_order: int = 8
-
-    @classmethod
-    def for_dim(cls, dim: int) -> "QuadSpec":
-        if dim == 1:
-            return cls(disjoint_order=4, distant_order=4, vertex_order=24)
-        if dim == 2:
-            return cls(disjoint_order=3, distant_order=3, vertex_order=10)
-        raise ValueError("dim must be 1 or 2")
-
-    def boosted(self) -> "QuadSpec":
-        """A strictly finer configuration, used for quadrature audits."""
-        return replace(
-            self,
-            disjoint_order=self.disjoint_order + 2,
-            distant_order=self.distant_order + 1,
-            vertex_order=self.vertex_order + 4,
-            edge_order=self.edge_order + 4,
-            angular_order=self.angular_order + 16,
-            complement_order=self.complement_order + 4,
-        )
+    # a fractional level would reach unit_gauss, which truncates its order
+    if not isinstance(boost, (int, np.integer)) or boost < 0:
+        raise ValueError(f"rule level must be an integer >= 0, got {boost!r}")
+    far, vertex = (4, 24) if dim == 1 else (3, 10)
+    return (
+        far + 2 * boost,
+        far + boost,
+        vertex + 4 * boost,
+        12 + 4 * boost,
+        24 + 16 * boost,
+        8 + 4 * boost,
+    )
 
 
 @dataclass(frozen=True)
@@ -132,10 +119,12 @@ class AssemblyReport:
     caller's per-term work while the generator waits: in assemble, the block
     and the scatter of every term. At 1D level 10, disjoint reads about
     0.9 s in assemble against 0.5 s for the generators alone. "total" is
-    the whole assemble call. complement_cells is the element count, one
-    complement rule per element; budget_exceeded is always 0, kept because
-    perfbench reads it by name until its capped-cells metric goes
-    (ROADMAP item 9).
+    the whole assemble call. kernel_evals counts the quadrature points of
+    each category's terms (0 for the closed-form 1D identical pairs), and
+    complement_points those of the complement terms. complement_cells is
+    the element count, one complement rule per element; budget_exceeded
+    is always 0, kept because perfbench reads it by name until its
+    capped-cells metric goes (ROADMAP item 9).
     """
 
     pair_counts: dict
@@ -154,7 +143,7 @@ class NonlocalForm:
     s: float
     matrix: np.ndarray
     assembly_report: AssemblyReport
-    quad_spec: QuadSpec
+    boost: int
 
 
 # -------------------------------------------------------------------- terms
@@ -223,41 +212,31 @@ def complement_weight(x, N: int, s: float):
     return (np.pi / s) * gap ** (-2 * s) * hyp2f1(-s, 1 - s, 1, rsq)
 
 
-def _complement_terms(mesh, s, spec, geo, counters):
+def _complement_terms(mesh, s, geo, order):
     """Yield 2 * integral of u v kappa, one element per row.
 
     Every element takes the complement rule; g is its shared lam.
     """
-    t0 = time.perf_counter()
-    lam, weights = reference_rule(mesh.dim, spec.complement_order)
-    counters["complement_cells"] = mesh.n_elements
+    lam, weights = reference_rule(mesh.dim, order)
     scale = 2.0 * geo.jacobian
-    npts = 0
     for part in _row_chunks(mesh.n_elements, len(lam)):
         kap = complement_weight(lam @ geo.verts[part], mesh.dim, s)
-        npts += kap.size
         yield "complement", mesh.elements[part], lam, (scale[part, None] * weights) * kap
-    counters["complement_points"] = npts
-    counters["phase_seconds"]["complement"] = time.perf_counter() - t0
 
 
 # ----------------------------------------------------------- local formulas
 
-def _ident_terms_1d(mesh, s, geo, counters):
+def _ident_terms_1d(mesh, s, geo):
     h = geo.measure
     g = np.stack([-1.0 / h, 1.0 / h], axis=1)[:, None, :]
     wK = (2.0 * h ** (3 - 2 * s) / ((2 - 2 * s) * (3 - 2 * s)))[:, None]
-    counters["pair_counts"]["identical"] = mesh.n_elements
-    counters["kernel_evals"]["identical"] = 0
     for part in _row_chunks(mesh.n_elements, 1):
         yield "identical", mesh.elements[part], g[part], wK[part]
 
 
-def _vertex_terms_1d(mesh, s, pairs, spec, counters):
-    mu, wmu = unit_gauss(spec.vertex_order)
+def _vertex_terms_1d(mesh, s, pairs, order):
+    mu, wmu = unit_gauss(order)
     n_pairs = len(pairs.vertex)
-    counters["pair_counts"]["vertex"] = n_pairs
-    counters["kernel_evals"]["vertex"] = 2 * n_pairs * len(mu)
     coords = mesh.nodes[:, 0]
     shared, other_a, other_b = pairs.vertex_nodes.T
     # orient: left element's far node lies below the shared node
@@ -276,16 +255,14 @@ def _vertex_terms_1d(mesh, s, pairs, spec, counters):
             yield "vertex", idx[part], g, wK
 
 
-def _ident_terms_2d(mesh, s, geo, spec, counters):
+def _ident_terms_2d(mesh, s, geo, order):
     """Identical pairs by angular sector; each sector runs over the elements in order."""
     m = mesh.n_elements
     verts = geo.verts
     beta = gamma(2 - 2 * s) * gamma(3) / gamma(5 - 2 * s)
     L = np.stack([verts[:, 1] - verts[:, 0], verts[:, 2] - verts[:, 1]], axis=-1)
     scale = 4.0 * beta * geo.measure * geo.measure
-    xg, wg = np.polynomial.legendre.leggauss(spec.angular_order)
-    counters["pair_counts"]["identical"] = m
-    counters["kernel_evals"]["identical"] = 3 * m * len(xg)
+    xg, wg = np.polynomial.legendre.leggauss(order)
     for a, b in ((0, np.pi / 4), (np.pi / 4, np.pi / 2), (np.pi / 2, np.pi)):
         th = 0.5 * (b - a) * xg + 0.5 * (a + b)
         w = 0.5 * (b - a) * wg
@@ -293,8 +270,9 @@ def _ident_terms_2d(mesh, s, geo, spec, counters):
         tau = 0.5 * (np.abs(om[:, 0]) + np.abs(om[:, 1]) + np.abs(om[:, 0] - om[:, 1]))
         for part in _row_chunks(m, len(th)):
             z = np.einsum("nc,bdc->bnd", om, L[part])
-            kz = np.sum(z * z, axis=-1) ** (-(2 + 2 * s) / 2)
             gz = np.einsum("bkd,bnd->bnk", geo.grads[part], z)
+            # squares z in place: nothing reads it after
+            kz = _sum_sq(z[..., c] for c in range(2)) ** (-(2 + 2 * s) / 2)
             wK = kz * (tau ** (2 * s - 2) * w) * scale[part, None]
             yield "identical", mesh.elements[part], gz, wK
 
@@ -308,26 +286,23 @@ def element_self_interaction(mesh: BallMesh, s: float) -> np.ndarray:
     """
     check_order(mesh.dim, s)
     geo = element_geometry(mesh)
-    counters = _new_counters()
     if mesh.dim == 1:
-        terms = _ident_terms_1d(mesh, s, geo, counters)
+        terms = _ident_terms_1d(mesh, s, geo)
     else:
-        terms = _ident_terms_2d(mesh, s, geo, QuadSpec.for_dim(2), counters)
+        terms = _ident_terms_2d(mesh, s, geo, _orders(2, 0)[4])
     local = np.concatenate([_term_block(g, wK) for _, _, g, wK in terms])
     k = mesh.dim + 1
     return local.reshape(-1, mesh.n_elements, k, k).sum(axis=0)
 
 
-def _vertex_terms_2d(mesh, s, geo, pairs, spec, counters):
-    x01, w01 = unit_gauss(spec.vertex_order)
+def _vertex_terms_2d(mesh, s, geo, pairs, order):
+    x01, w01 = unit_gauss(order)
     Sg, Tg, Mg = (a.ravel() for a in np.meshgrid(x01, x01, x01, indexing="ij"))
     Wg = (w01[:, None, None] * w01[None, :, None] * w01[None, None, :]).ravel()
     g_br = (
         np.stack([Mg - 1, 1 - Sg, Sg, -Mg * (1 - Tg), -Mg * Tg], axis=1),
         np.stack([1 - Mg, Mg * (1 - Sg), Mg * Sg, -(1 - Tg), -Tg], axis=1),
     )
-    counters["pair_counts"]["vertex"] = len(pairs.vertex)
-    counters["kernel_evals"]["vertex"] = 2 * len(pairs.vertex) * len(Mg)
     idx = pairs.vertex_nodes
     # edges from the shared node: two of the first element, two of the second
     edges = mesh.nodes[idx[:, 1:]] - mesh.nodes[idx[:, :1]]
@@ -363,10 +338,8 @@ def _edge_subregions(n):
     ]
 
 
-def _edge_terms_2d(mesh, s, geo, pairs, spec, counters):
-    regions = _edge_subregions(spec.edge_order)
-    counters["pair_counts"]["edge"] = len(pairs.edge)
-    counters["kernel_evals"]["edge"] = len(pairs.edge) * sum(len(r[0]) for r in regions)
+def _edge_terms_2d(mesh, s, geo, pairs, order):
+    regions = _edge_subregions(order)
     # rows (v1, v2, apex a, apex b): shared edge v1 -> v2, then the two apexes
     idx = pairs.edge_nodes
     E, Ga, Gb = np.moveaxis(mesh.nodes[idx[:, 1:]] - mesh.nodes[idx[:, :1]], 1, 0)
@@ -381,7 +354,7 @@ def _edge_terms_2d(mesh, s, geo, pairs, spec, counters):
             yield "edge", idx[part], g, (scale[part, None] * w) * K
 
 
-def _disjoint_terms(mesh, s, geo, blocks, tag, counters):
+def _disjoint_terms(mesh, s, geo, blocks, tag):
     """Plain Gauss on both elements of each (ia, ib, order) block.
 
     A point pair (p, q) has g = [lam_p, -lam_q].  The rule's points on
@@ -392,7 +365,6 @@ def _disjoint_terms(mesh, s, geo, blocks, tag, counters):
     """
     expo = -(mesh.dim + 2 * s) / 2.0
     rules = {}
-    counters["pair_counts"][tag] = counters["kernel_evals"][tag] = 0
     for ia, ib, order in blocks:
         if order not in rules:
             lam, weights = reference_rule(mesh.dim, order)
@@ -401,8 +373,6 @@ def _disjoint_terms(mesh, s, geo, blocks, tag, counters):
             ww = 2.0 * np.outer(weights, weights).reshape(-1, 1)
             rules[order] = g, ww, np.einsum("qk,mkd->dqm", lam, geo.verts, order="C")
         g, ww, X = rules[order]
-        counters["pair_counts"][tag] += len(ia)
-        counters["kernel_evals"][tag] += len(ia) * len(g)
         for part in _row_chunks(len(ia), len(g)):
             a, b = ia[part], ib[part]
             K = _sum_sq(x[:, None, a] - x[None, :, b] for x in X).reshape(len(g), len(a))
@@ -413,69 +383,83 @@ def _disjoint_terms(mesh, s, geo, blocks, tag, counters):
             yield tag, idx, g, K.T
 
 
-def _far_blocks(mesh, geo, spec):
+def _far_blocks(mesh, geo, far_order, distant_order):
     """Far pairs as (ia, ib, order) blocks, in the order ``far_pairs`` streams them.
 
     Pairs whose centroids lie at least _DISTANT_RATIO larger diameters
-    apart take distant_order, the rest disjoint_order; a spec with equal
-    orders skips the split.
+    apart take distant_order, the rest far_order; equal orders skip the
+    split.
     """
-    if spec.distant_order == spec.disjoint_order:
+    if distant_order == far_order:
         for ia, ib in far_pairs(mesh):
-            yield ia, ib, spec.disjoint_order
+            yield ia, ib, far_order
         return
     centroid = geo.verts.mean(axis=1)
     for ia, ib in far_pairs(mesh):
         reach = _DISTANT_RATIO * np.maximum(geo.diameter[ia], geo.diameter[ib])
         sep = _sum_sq(centroid[ia, c] - centroid[ib, c] for c in range(mesh.dim))
         distant = sep >= reach * reach
-        yield ia[~distant], ib[~distant], spec.disjoint_order
-        yield ia[distant], ib[distant], spec.distant_order
+        yield ia[~distant], ib[~distant], far_order
+        yield ia[distant], ib[distant], distant_order
 
 
-def _terms(mesh, s, spec, geo, counters):
-    """Yield (category, node idx (B, n), g, wK) covering the whole form.
+def _terms(mesh, s, boost, geo, work):
+    """Yield (category, node idx (B, n), g, wK) covering the whole form at rule level boost.
 
     Row b of a term contributes sum_q wK[b, q] (g_q . u[idx[b]])^2 to
     the double integral over B_h x B_h plus twice the complement
     integral; g is shared, (points, n), or per row, (B, points, n).
     Unordered distinct pairs and the complement carry their factor 2
     in wK.  Rows may repeat across terms (branches, regions, sectors).
+
+    Once the stream ends, ``work`` holds the AssemblyReport fields
+    pair_counts, kernel_evals, complement_cells, complement_points and
+    phase_seconds, counted from the terms and timed around their yields.
     """
+    far, distant, vertex, edge, angular, complement = _orders(mesh.dim, boost)
+    m = mesh.n_elements
+    seconds = {}
     t0 = time.perf_counter()
     pairs = element_pairs(mesh)
-    counters["phase_seconds"]["classify"] = time.perf_counter() - t0
+    seconds["classify"] = time.perf_counter() - t0
 
-    t0 = time.perf_counter()
     if mesh.dim == 1:
-        yield from _ident_terms_1d(mesh, s, geo, counters)
-        yield from _vertex_terms_1d(mesh, s, pairs, spec, counters)
-        counters["pair_counts"]["edge"] = 0
-        counters["kernel_evals"]["edge"] = 0
+        singular = chain(_ident_terms_1d(mesh, s, geo), _vertex_terms_1d(mesh, s, pairs, vertex))
     else:
-        yield from _ident_terms_2d(mesh, s, geo, spec, counters)
-        yield from _vertex_terms_2d(mesh, s, geo, pairs, spec, counters)
-        yield from _edge_terms_2d(mesh, s, geo, pairs, spec, counters)
-    counters["phase_seconds"]["singular"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    near = (pairs.near[:, 0], pairs.near[:, 1], spec.disjoint_order + _NEAR_BONUS)
-    yield from _disjoint_terms(mesh, s, geo, [near], "disjoint_near", counters)
-    yield from _disjoint_terms(mesh, s, geo, _far_blocks(mesh, geo, spec), "disjoint_far", counters)
-    counters["phase_seconds"]["disjoint"] = time.perf_counter() - t0
-
-    yield from _complement_terms(mesh, s, spec, geo, counters)
-
-
-def _new_counters():
-    return {
-        "pair_counts": {},
-        "kernel_evals": {},
-        "complement_cells": 0,
-        "complement_points": 0,
-        "budget_exceeded": 0,
-        "phase_seconds": {},
-    }
+        singular = chain(
+            _ident_terms_2d(mesh, s, geo, angular),
+            _vertex_terms_2d(mesh, s, geo, pairs, vertex),
+            _edge_terms_2d(mesh, s, geo, pairs, edge),
+        )
+    near = (pairs.near[:, 0], pairs.near[:, 1], far + _NEAR_BONUS)
+    disjoint = chain(
+        _disjoint_terms(mesh, s, geo, [near], "disjoint_near"),
+        _disjoint_terms(mesh, s, geo, _far_blocks(mesh, geo, far, distant), "disjoint_far"),
+    )
+    phases = (
+        ("singular", singular),
+        ("disjoint", disjoint),
+        ("complement", _complement_terms(mesh, s, geo, complement)),
+    )
+    points = dict.fromkeys(_CATEGORIES + ("complement",), 0)
+    for phase, stream in phases:
+        t0 = time.perf_counter()
+        for category, idx, g, wK in stream:
+            points[category] += wK.size
+            yield category, idx, g, wK
+        seconds[phase] = time.perf_counter() - t0
+    if mesh.dim == 1:
+        # the identical pairs are integrated in closed form
+        points["identical"] = 0
+    far_count = m * (m - 1) // 2 - len(pairs.not_far)
+    counts = (m, len(pairs.vertex), len(pairs.edge), len(pairs.near), far_count)
+    work.update(
+        pair_counts=dict(zip(_CATEGORIES, counts)),
+        complement_points=points.pop("complement"),
+        kernel_evals=points,
+        complement_cells=m,
+        phase_seconds=seconds,
+    )
 
 
 def _check_finite(category, values):
@@ -483,10 +467,9 @@ def _check_finite(category, values):
         raise AssemblyError(f"non-finite values in {category} quadrature")
 
 
-def assemble(mesh: BallMesh, s: float, quad_spec: QuadSpec | None = None) -> NonlocalForm:
-    """Assemble the bilinear form matrix on the free nodes of the mesh."""
+def assemble(mesh: BallMesh, s: float, boost: int = 0) -> NonlocalForm:
+    """Assemble the bilinear form matrix on the free nodes at rule level boost."""
     check_order(mesh.dim, s)
-    spec = quad_spec if quad_spec is not None else QuadSpec.for_dim(mesh.dim)
     n = mesh.n_nodes
     need = 3 * n * n * 8
     if need > _DENSE_BYTES_CAP:
@@ -495,11 +478,11 @@ def assemble(mesh: BallMesh, s: float, quad_spec: QuadSpec | None = None) -> Non
             "reduce the refinement level"
         )
     geo = element_geometry(mesh)
-    counters = _new_counters()
+    work = {}
     t_total = time.perf_counter()
 
     flat = np.zeros(n * n)
-    for category, idx, g, wK in _terms(mesh, s, spec, geo, counters):
+    for category, idx, g, wK in _terms(mesh, s, boost, geo, work):
         local = _term_block(g, wK)
         _check_finite(category, local)
         np.add.at(flat, (idx[:, :, None] * n + idx[:, None, :]).ravel(), local.ravel())
@@ -521,16 +504,9 @@ def assemble(mesh: BallMesh, s: float, quad_spec: QuadSpec | None = None) -> Non
     except np.linalg.LinAlgError as exc:
         raise AssemblyError("assembled matrix is not positive definite") from exc
 
-    counters["phase_seconds"]["total"] = time.perf_counter() - t_total
-    report = AssemblyReport(
-        pair_counts=counters["pair_counts"],
-        kernel_evals=counters["kernel_evals"],
-        complement_cells=counters["complement_cells"],
-        complement_points=counters["complement_points"],
-        budget_exceeded=counters["budget_exceeded"],
-        phase_seconds=counters["phase_seconds"],
-    )
-    return NonlocalForm(mesh=mesh, s=s, matrix=matrix, assembly_report=report, quad_spec=spec)
+    work["phase_seconds"]["total"] = time.perf_counter() - t_total
+    report = AssemblyReport(budget_exceeded=0, **work)
+    return NonlocalForm(mesh=mesh, s=s, matrix=matrix, assembly_report=report, boost=boost)
 
 
 def seminorm_sq(form: NonlocalForm, u: FeFunction) -> float:
@@ -541,24 +517,21 @@ def seminorm_sq(form: NonlocalForm, u: FeFunction) -> float:
     return float(w @ form.matrix @ w)
 
 
-def seminorm_sq_direct(
-    mesh: BallMesh, s: float, u: FeFunction, quad_spec: QuadSpec | None = None
-) -> float:
-    """Squared seminorm summed at the quadrature points, no matrix or block.
+def seminorm_sq_direct(mesh: BallMesh, s: float, u: FeFunction, boost: int = 0) -> float:
+    """Squared seminorm at rule level boost, summed at the quadrature points.
 
     Every term adds sum wK (g . u)^2 from the quadrature that assemble
-    scatters; useful for meshes too large for a dense matrix and for
-    independent-order audits. The per-term sums are added exactly (fsum),
-    so the order and number of terms add no rounding of their own.
+    scatters; useful for meshes too large for a dense matrix and for the
+    audits at higher rule levels. The per-term sums are added exactly
+    (fsum), so the order and number of terms add no rounding of their own.
     """
     check_order(mesh.dim, s)
     if u.mesh is not mesh:
         raise ValueError("function does not live on the given mesh")
-    spec = quad_spec if quad_spec is not None else QuadSpec.for_dim(mesh.dim)
     geo = element_geometry(mesh)
     vals = u.values
     parts = []
-    for category, idx, g, wK in _terms(mesh, s, spec, geo, _new_counters()):
+    for category, idx, g, wK in _terms(mesh, s, boost, geo, {}):
         w = vals[idx]
         if g.ndim == 3:
             gu = (g @ w[:, :, None])[..., 0]

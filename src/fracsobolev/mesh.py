@@ -155,6 +155,8 @@ def make_ball_mesh(dim, nodes, elements):
         raise ValueError("dim must be 1 or 2")
     if nodes.shape[1] != dim or elements.shape[1] != dim + 1:
         raise ValueError("node or element array has the wrong width")
+    if np.any((elements < 0) | (elements >= len(nodes))):
+        raise ValueError(f"element node index outside [0, {len(nodes)})")
     radii = np.linalg.norm(nodes, axis=1)
     if np.any(radii > 1.0 + _BOUNDARY_TOL):
         raise ValueError("node outside the closed unit ball")

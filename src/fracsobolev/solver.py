@@ -156,8 +156,8 @@ def solve(
     the last one recorded, so it is non-increasing bitwise and ends at
     s_h unless the last steps ticked up by rounding.  A rise beyond
     _RISE_TOL breaks the descent bound and raises RuntimeError.
-    quadrature_slack compares s_h with the quotient under the boosted
-    quadrature.
+    quadrature_slack compares s_h with the quotient one rule level above
+    the form's.
     """
     mesh = form.mesh
     q = critical_exponent(mesh.dim, form.s)
@@ -211,7 +211,7 @@ def solve(
             stacklevel=2,
         )
 
-    fine_semi = seminorm_sq_direct(mesh, form.s, u, form.quad_spec.boosted())
+    fine_semi = seminorm_sq_direct(mesh, form.s, u, boost=form.boost + 1)
     fine_norm = lq_norm(u, q, order=12)
 
     return SolverReport(

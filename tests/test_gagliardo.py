@@ -9,6 +9,9 @@ per-element adaptive quadrature of the closed-form weight, all
 implemented here from scratch.
 """
 
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
@@ -21,7 +24,6 @@ from fracsobolev import mesh as mesh_module
 from fracsobolev.bubble import truncated_bubble
 from fracsobolev.gagliardo import (
     AssemblyError,
-    QuadSpec,
     assemble,
     complement_weight,
     seminorm_sq,
@@ -36,7 +38,7 @@ from fracsobolev.gagliardo import (
     _far_blocks,
     _ident_terms_1d,
     _ident_terms_2d,
-    _new_counters,
+    _orders,
     _term_block,
     _terms,
     _vertex_terms_1d,
@@ -117,9 +119,8 @@ def test_assembled_matrix_symmetric_positive():
 
 
 def test_assembly_report_pair_coverage():
-    for dim, level, boost in [(1, 3, False), (1, 3, True), (2, 1, False), (2, 1, True)]:
-        spec = QuadSpec.for_dim(dim).boosted() if boost else QuadSpec.for_dim(dim)
-        form = assemble(build_mesh(dim, level), 0.25 if dim == 1 else 0.5, spec)
+    for dim, level, boost in [(1, 3, 0), (1, 3, 1), (2, 1, 0), (2, 1, 1)]:
+        form = assemble(build_mesh(dim, level), 0.25 if dim == 1 else 0.5, boost)
         report = form.assembly_report
         counts = report.pair_counts
         m = form.mesh.n_elements
@@ -172,7 +173,7 @@ def test_element_pairs_enumerated_once_per_mesh(monkeypatch):
     u = FeFunction.from_free(mesh, np.ones(mesh.free_count))
     assemble(mesh, 0.25)
     seminorm_sq_direct(mesh, 0.25, u)
-    seminorm_sq_direct(mesh, 0.25, u, QuadSpec.for_dim(1).boosted())
+    seminorm_sq_direct(mesh, 0.25, u, boost=1)
     assert len(calls) == 1
 
 
@@ -279,36 +280,34 @@ def test_cached_pair_tables_stay_linear_in_the_elements(dim, level):
 @pytest.mark.parametrize(
     "dim, level, s, boost",
     [
-        pytest.param(1, 6, 0.25, False, id="1-6"),
-        pytest.param(1, 6, 0.25, True, id="1-6-boosted"),
-        pytest.param(2, 1, 0.5, False, id="2-1"),
-        pytest.param(2, 1, 0.5, True, id="2-1-boosted"),
+        pytest.param(1, 6, 0.25, 0, id="1-6"),
+        pytest.param(1, 6, 0.25, 1, id="1-6-boosted"),
+        pytest.param(2, 1, 0.5, 0, id="2-1"),
+        pytest.param(2, 1, 0.5, 1, id="2-1-boosted"),
     ],
 )
 def test_scatter_matches_dense_accumulation(dim, level, s, boost):
     mesh = build_mesh(dim, level)
-    spec = QuadSpec.for_dim(dim).boosted() if boost else QuadSpec.for_dim(dim)
     n = mesh.n_nodes
     dense = np.zeros(n * n)
-    for _, idx, g, wK in _terms(mesh, s, spec, element_geometry(mesh), _new_counters()):
+    for _, idx, g, wK in _terms(mesh, s, boost, element_geometry(mesh), {}):
         pos = (idx[:, :, None] * n + idx[:, None, :]).ravel()
         dense += np.bincount(pos, weights=_term_block(g, wK).ravel(), minlength=n * n)
     fc = mesh.free_count
     ref = s * (1 - s) * dense.reshape(n, n)[:fc, :fc]
-    A = assemble(mesh, s, spec).matrix
+    A = assemble(mesh, s, boost).matrix
     assert np.max(np.abs(A - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
-@pytest.mark.parametrize("boost", [False, True], ids=["default", "boosted"])
+@pytest.mark.parametrize("boost", [0, 1], ids=["default", "boosted"])
 @pytest.mark.parametrize("dim, level, s", [(1, 5, 0.25), (2, 1, 0.5), (2, 2, 0.5)])
 def test_work_counts_follow_the_term_stream(dim, level, s, boost):
-    # the report's hand-written counts against what the terms really carry
+    # the report's counts against what the terms really carry
     mesh = build_mesh(dim, level)
-    spec = QuadSpec.for_dim(dim).boosted() if boost else QuadSpec.for_dim(dim)
-    report = assemble(mesh, s, spec).assembly_report
+    report = assemble(mesh, s, boost).assembly_report
     evals = dict.fromkeys(report.kernel_evals, 0)
     cells = 0
-    for category, _, _, wK in _terms(mesh, s, spec, element_geometry(mesh), _new_counters()):
+    for category, _, _, wK in _terms(mesh, s, boost, element_geometry(mesh), {}):
         if category == "complement":
             cells += len(wK)
         evals[category] = evals.get(category, 0) + wK.size
@@ -327,6 +326,43 @@ def test_work_counts_follow_the_term_stream(dim, level, s, boost):
         "disjoint_near": len(pairs.near),
         "disjoint_far": len(_streamed_far(mesh)),
     }
+
+
+@pytest.mark.parametrize(
+    "dim, boost, orders",
+    [
+        (1, 0, (4, 4, 24, 12, 24, 8)),
+        (1, 1, (6, 5, 28, 16, 40, 12)),
+        (1, 2, (8, 6, 32, 20, 56, 16)),
+        (2, 0, (3, 3, 10, 12, 24, 8)),
+        (2, 1, (5, 4, 14, 16, 40, 12)),
+        (2, 2, (7, 5, 18, 20, 56, 16)),
+    ],
+)
+def test_rule_level_orders(dim, boost, orders):
+    # (far, distant, vertex, edge, angular, complement) Gauss orders
+    assert _orders(dim, boost) == orders
+
+
+@pytest.mark.parametrize("boost", [-1, 0.5], ids=["negative", "fractional"])
+def test_bad_rule_level_raises(boost):
+    mesh = build_mesh(1, 2)
+    u = FeFunction.from_free(mesh, np.ones(mesh.free_count))
+    with pytest.raises(ValueError, match="rule level"):
+        _orders(1, boost)
+    with pytest.raises(ValueError, match="rule level"):
+        assemble(mesh, 0.25, boost=boost)
+    with pytest.raises(ValueError, match="rule level"):
+        seminorm_sq_direct(mesh, 0.25, u, boost=boost)
+
+
+@pytest.mark.parametrize("boost", [0, 1], ids=["default", "boosted"])
+@pytest.mark.parametrize("dim, level, s", [(1, 3, 0.25), (2, 1, 0.5)])
+def test_assembly_report_is_json_safe(dim, level, s, boost):
+    # the report is serialised with dataclasses.asdict: plain ints and floats only
+    report = assemble(build_mesh(dim, level), s, boost).assembly_report
+    fields = dataclasses.asdict(report)
+    assert json.loads(json.dumps(fields)) == fields
 
 
 def test_assemble_rejects_bad_order():
@@ -413,12 +449,11 @@ def test_complement_weight_monotone_and_divergent():
 def test_boosted_complement_finite_on_fine_1d_meshes(level):
     # the boosted rule keeps every point off the sphere on the finest meshes
     mesh = build_mesh(1, level)
-    counters = _new_counters()
-    spec = QuadSpec.for_dim(1).boosted()
-    terms = list(_complement_terms(mesh, 0.25, spec, element_geometry(mesh), counters))
+    order = _orders(1, 1)[5]
+    terms = list(_complement_terms(mesh, 0.25, element_geometry(mesh), order))
     assert all(np.all(np.isfinite(wK)) and np.all(wK > 0.0) for _, _, _, wK in terms)
-    assert counters["complement_cells"] == mesh.n_elements
-    assert counters["complement_points"] == mesh.n_elements * spec.complement_order
+    assert sum(len(wK) for _, _, _, wK in terms) == mesh.n_elements
+    assert sum(wK.size for _, _, _, wK in terms) == mesh.n_elements * order
 
 
 def _complement_rule_errors(u, s, ref):
@@ -426,9 +461,9 @@ def _complement_rule_errors(u, s, ref):
     mesh = u.mesh
     geo = element_geometry(mesh)
     errors = []
-    for spec in (QuadSpec.for_dim(mesh.dim), QuadSpec.for_dim(mesh.dim).boosted()):
+    for boost in (0, 1):
         got = 0.0
-        for _, idx, g, wK in _complement_terms(mesh, s, spec, geo, _new_counters()):
+        for _, idx, g, wK in _complement_terms(mesh, s, geo, _orders(mesh.dim, boost)[5]):
             gu = u.values[idx] @ g.T
             got += float(np.sum(wK * gu * gu))
         errors.append(abs(got - ref) / ref)
@@ -524,20 +559,19 @@ def test_seminorm_matches_matrix_quadratic_form():
 
 def test_seminorm_direct_agrees_with_assembled():
     cases = [
-        (1, 3, 0.25, False),
-        (2, 0, 0.5, False),
-        (1, 3, 0.25, True),
-        (2, 0, 0.5, True),
-        (2, 1, 0.25, False),
+        (1, 3, 0.25, 0),
+        (2, 0, 0.5, 0),
+        (1, 3, 0.25, 1),
+        (2, 0, 0.5, 1),
+        (2, 1, 0.25, 0),
     ]
     for dim, level, s, boost in cases:
         mesh = build_mesh(dim, level)
-        spec = QuadSpec.for_dim(dim).boosted() if boost else None
         rng = np.random.default_rng(4 + dim)
         u = FeFunction.from_free(mesh, rng.normal(size=mesh.free_count))
-        form = assemble(mesh, s, spec)
+        form = assemble(mesh, s, boost)
         a = seminorm_sq(form, u)
-        b = seminorm_sq_direct(mesh, s, u, spec)
+        b = seminorm_sq_direct(mesh, s, u, boost)
         assert abs(a - b) / a < 1e-12, (dim, level, s, boost)
 
 
@@ -578,9 +612,9 @@ def test_assemble_rejects_an_indefinite_matrix(monkeypatch, dim, level, s):
 @pytest.mark.parametrize(
     "dim, level, s, boost, direct_tol",
     [
-        pytest.param(1, 5, 0.25, False, 1e-14, id="1-5-0.25"),
-        pytest.param(2, 1, 0.5, False, 1e-14, id="2-1-0.5"),
-        pytest.param(2, 1, 0.5, True, 1e-14, id="2-1-0.5-boosted"),
+        pytest.param(1, 5, 0.25, 0, 1e-14, id="1-5-0.25"),
+        pytest.param(2, 1, 0.5, 0, 1e-14, id="2-1-0.5"),
+        pytest.param(2, 1, 0.5, 1, 1e-14, id="2-1-0.5-boosted"),
     ],
 )
 def test_term_chunks_do_not_change_the_form(monkeypatch, dim, level, s, boost, direct_tol):
@@ -591,12 +625,11 @@ def test_term_chunks_do_not_change_the_form(monkeypatch, dim, level, s, boost, d
     # The direct path adds its per-term sums exactly (fsum), so the 5,451 terms of
     # the boosted sliced run add no rounding walk of their own to the total.
     mesh = build_mesh(dim, level)
-    spec = QuadSpec.for_dim(dim).boosted() if boost else QuadSpec.for_dim(dim)
     u = FeFunction.from_free(mesh, np.random.default_rng(7).normal(size=mesh.free_count))
     runs = []
     for cap in (gagliardo._TERM_POINTS, 256):
         monkeypatch.setattr(gagliardo, "_TERM_POINTS", cap)
-        runs.append((assemble(mesh, s, spec), seminorm_sq_direct(mesh, s, u, spec)))
+        runs.append((assemble(mesh, s, boost), seminorm_sq_direct(mesh, s, u, boost)))
     (whole, a), (sliced, b) = runs
     scale = np.max(np.abs(whole.matrix))
     assert np.max(np.abs(whole.matrix - sliced.matrix)) <= 1e-14 * scale
@@ -612,12 +645,12 @@ def test_quadrature_boost_drift_small():
     mesh = build_mesh(1, 3)
     u = interpolate(mesh, truncated_bubble(1.3, 0.25, 1, 0.25))
     v1 = seminorm_sq(assemble(mesh, 0.25), u)
-    v2 = seminorm_sq(assemble(mesh, 0.25, QuadSpec.for_dim(1).boosted()), u)
+    v2 = seminorm_sq(assemble(mesh, 0.25, boost=1), u)
     assert abs(v1 - v2) / v2 < 1e-7
     mesh2 = build_mesh(2, 1)
     u2 = interpolate(mesh2, truncated_bubble(1.0, 0.4, 2, 0.5))
     w1 = seminorm_sq(assemble(mesh2, 0.5), u2)
-    w2 = seminorm_sq(assemble(mesh2, 0.5, QuadSpec.for_dim(2).boosted()), u2)
+    w2 = seminorm_sq(assemble(mesh2, 0.5, boost=1), u2)
     assert abs(w1 - w2) / w2 < 5e-5
 
 
@@ -645,7 +678,7 @@ def test_ident_block_1d_against_nested_quad():
     # the in-package identical block carries exactly this closed form
     mesh = _custom_1d_mesh()
     geo = element_geometry(mesh)
-    _, loc = _pair_blocks(_ident_terms_1d(mesh, s, geo, _new_counters()))
+    _, loc = _pair_blocks(_ident_terms_1d(mesh, s, geo))
     for e in range(mesh.n_elements):
         he = geo.measure[e]
         ref = 2.0 * he ** (3 - 2 * s) / ((2 - 2 * s) * (3 - 2 * s)) / he**2
@@ -658,8 +691,7 @@ def test_vertex_block_1d_against_nested_quad():
     s = 0.31
     mesh = _custom_1d_mesh()
     pairs = element_pairs(mesh)
-    ctr = _new_counters()
-    idx, loc = _pair_blocks(_vertex_terms_1d(mesh, s, pairs, QuadSpec.for_dim(1), ctr))
+    idx, loc = _pair_blocks(_vertex_terms_1d(mesh, s, pairs, _orders(1, 0)[2]))
     coords = mesh.nodes[:, 0]
     for row in range(len(idx)):
         xl, xm, xr = coords[idx[row]]
@@ -888,9 +920,7 @@ def disk_pairs():
 @pytest.mark.parametrize("s", [0.5, 0.75])
 def test_ident_blocks_2d_vs_covariogram(disk_pairs, s):
     mesh, geo, _ = disk_pairs
-    _, loc = _pair_blocks(
-        _ident_terms_2d(mesh, s, geo, QuadSpec.for_dim(2), _new_counters())
-    )
+    _, loc = _pair_blocks(_ident_terms_2d(mesh, s, geo, _orders(2, 0)[4]))
     for e in (0, 7):
         ref = _ident_oracle_covariogram(geo.verts[e], s)
         assert np.max(np.abs(loc[e] - ref)) / np.max(np.abs(ref)) < 1e-6
@@ -899,9 +929,7 @@ def test_ident_blocks_2d_vs_covariogram(disk_pairs, s):
 @pytest.mark.parametrize("s", [0.5, 0.75])
 def test_vertex_blocks_2d_vs_subdivision(disk_pairs, s):
     mesh, geo, pairs = disk_pairs
-    idxs, locs = _pair_blocks(
-        _vertex_terms_2d(mesh, s, geo, pairs, QuadSpec.for_dim(2), _new_counters())
-    )
+    idxs, locs = _pair_blocks(_vertex_terms_2d(mesh, s, geo, pairs, _orders(2, 0)[2]))
     for pick in (0, len(idxs) // 2):
         idx, loc = idxs[pick], locs[pick]
         Va = mesh.nodes[idx[:3]]
@@ -924,9 +952,7 @@ def test_edge_blocks_2d_vs_subdivision(disk_pairs):
     # the deepest touching case; one pair per order, Aitken-extrapolated
     mesh, geo, pairs = disk_pairs
     for s, depths, tol in [(0.5, (5, 6, 7), 1e-4), (0.75, (4, 5, 6), 1e-3)]:
-        idxs, locs = _pair_blocks(
-            _edge_terms_2d(mesh, s, geo, pairs, QuadSpec.for_dim(2), _new_counters())
-        )
+        idxs, locs = _pair_blocks(_edge_terms_2d(mesh, s, geo, pairs, _orders(2, 0)[3]))
         idx, loc = idxs[0], locs[0]
         Va = mesh.nodes[idx[:3]]
         Vb = mesh.nodes[[idx[0], idx[1], idx[3]]]
@@ -966,11 +992,11 @@ def _disjoint_block_loop(Va, Vb, s, order):
 
 
 @pytest.mark.parametrize("s", [0.25, 0.5])
-@pytest.mark.parametrize("boost", [False, True], ids=["default", "boosted"])
+@pytest.mark.parametrize("boost", [0, 1], ids=["default", "boosted"])
 def test_disjoint_blocks_2d_vs_pointwise_kernel(s, boost):
     mesh = build_mesh(2, 1)
     geo, pairs = element_geometry(mesh), element_pairs(mesh)
-    spec = QuadSpec.for_dim(2).boosted() if boost else QuadSpec.for_dim(2)
+    far_order, distant_order = _orders(2, boost)[:2]
     # the far bands: centroids at least _DISTANT_RATIO larger diameters apart
     far = _streamed_far(mesh)
     verts = mesh.nodes[mesh.elements]
@@ -978,25 +1004,25 @@ def test_disjoint_blocks_2d_vs_pointwise_kernel(s, boost):
     sep = np.linalg.norm(verts[far[:, 0]].mean(axis=1) - verts[far[:, 1]].mean(axis=1), axis=1)
     distant = sep >= _DISTANT_RATIO * np.maximum(diam[far[:, 0]], diam[far[:, 1]])
     assert 0 < distant.sum() < len(far)
-    # the stream gives each band its order; the default spec does not split
+    # the stream gives each band its order; the default rule does not split
     streamed = {}
-    for ia, ib, order in _far_blocks(mesh, geo, spec):
+    for ia, ib, order in _far_blocks(mesh, geo, far_order, distant_order):
         streamed.setdefault(order, []).append(np.stack([ia, ib], axis=1))
     if boost:
-        assert spec.disjoint_order > spec.distant_order
-        assert np.array_equal(np.concatenate(streamed[spec.disjoint_order]), far[~distant])
-        assert np.array_equal(np.concatenate(streamed[spec.distant_order]), far[distant])
+        assert far_order > distant_order
+        assert np.array_equal(np.concatenate(streamed[far_order]), far[~distant])
+        assert np.array_equal(np.concatenate(streamed[distant_order]), far[distant])
     else:
-        assert spec.disjoint_order == spec.distant_order
-        assert np.array_equal(np.concatenate(streamed[spec.disjoint_order]), far)
+        assert far_order == distant_order
+        assert np.array_equal(np.concatenate(streamed[far_order]), far)
     for tag, chosen, order in (
-        ("disjoint_near", pairs.near, spec.disjoint_order + _NEAR_BONUS),
-        ("disjoint_far", far[~distant], spec.disjoint_order),
-        ("disjoint_far", far[distant], spec.distant_order),
+        ("disjoint_near", pairs.near, far_order + _NEAR_BONUS),
+        ("disjoint_far", far[~distant], far_order),
+        ("disjoint_far", far[distant], distant_order),
     ):
         picks = chosen[[0, 1, len(chosen) // 2, len(chosen) - 1]]
         block = (picks[:, 0], picks[:, 1], order)
-        idxs, locs = _pair_blocks(_disjoint_terms(mesh, s, geo, [block], tag, _new_counters()))
+        idxs, locs = _pair_blocks(_disjoint_terms(mesh, s, geo, [block], tag))
         assert len(locs) == len(picks)
         for (ea, eb), idx, loc in zip(picks, idxs, locs):
             Va, Vb = mesh.nodes[mesh.elements[ea]], mesh.nodes[mesh.elements[eb]]

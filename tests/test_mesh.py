@@ -147,6 +147,24 @@ def test_interpolate_needs_the_whole_value_vector():
         interpolate(mesh, lambda x: np.full(mesh.n_nodes, np.inf))
 
 
+_DISK = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]
+
+
+@pytest.mark.parametrize(
+    "dim, nodes, elements",
+    [
+        # a negative index would wrap to node 1 and pass as a conforming square
+        pytest.param(2, _DISK, [[0, 1, 2], [0, 2, 3], [0, 3, 4], [0, 4, -4]], id="2d-negative"),
+        pytest.param(1, [-1.0, 0.0, 1.0], [[0, 1], [1, -1]], id="1d-negative"),
+        pytest.param(2, _DISK, [[0, 1, 2], [0, 2, 3], [0, 3, 4], [0, 4, 5]], id="2d-past-end"),
+        pytest.param(1, [-1.0, 0.0, 1.0], [[0, 1], [1, 3]], id="1d-past-end"),
+    ],
+)
+def test_make_ball_mesh_rejects_out_of_range_node_indices(dim, nodes, elements):
+    with pytest.raises(ValueError, match="index outside"):
+        make_ball_mesh(dim, nodes, elements)
+
+
 def test_mesh_quality_detects_degenerate():
     nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 0.0], [0.0, 1.0]])
     elements = np.array([[0, 1, 2], [0, 2, 3]])
