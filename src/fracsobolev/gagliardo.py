@@ -173,14 +173,11 @@ def _sum_sq(coords):
 def _term_block(g, wK):
     """Local blocks sum_q wK[b, q] g_q g_q^T of one term.
 
-    A shared g, (points, n), takes one matmul against its point outer
-    products; a per-row g, (B, points, n), one batched matmul.
+    One matmul of wK against the point outer products of the shared g.
     """
-    if g.ndim == 2:
-        n = g.shape[1]
-        outer = (g[:, :, None] * g[:, None, :]).reshape(len(g), n * n)
-        return (wK @ outer).reshape(len(wK), n, n)
-    return np.swapaxes(g * wK[:, :, None], 1, 2) @ g
+    n = g.shape[1]
+    outer = (g[:, :, None] * g[:, None, :]).reshape(len(g), n * n)
+    return (wK @ outer).reshape(len(wK), n, n)
 
 
 # --------------------------------------------------------------- complement
@@ -227,11 +224,11 @@ def _complement_terms(mesh, s, geo, order):
 # ----------------------------------------------------------- local formulas
 
 def _ident_terms_1d(mesh, s, geo):
-    h = geo.measure
-    g = np.stack([-1.0 / h, 1.0 / h], axis=1)[:, None, :]
-    wK = (2.0 * h ** (3 - 2 * s) / ((2 - 2 * s) * (3 - 2 * s)))[:, None]
+    # (u(x) - u(y))^2 = (u1 - u0)^2 (x - y)^2 / h^2 on the element
+    g = np.array([[-1.0, 1.0]])
+    wK = (2.0 * geo.measure ** (1 - 2 * s) / ((2 - 2 * s) * (3 - 2 * s)))[:, None]
     for part in _row_chunks(mesh.n_elements, 1):
-        yield "identical", mesh.elements[part], g[part], wK[part]
+        yield "identical", mesh.elements[part], g, wK[part]
 
 
 def _vertex_terms_1d(mesh, s, pairs, order):
@@ -256,7 +253,11 @@ def _vertex_terms_1d(mesh, s, pairs, order):
 
 
 def _ident_terms_2d(mesh, s, geo, order):
-    """Identical pairs by angular sector; each sector runs over the elements in order."""
+    """Identical pairs by angular sector; each sector runs over the elements in order.
+
+    The direction z = om0 (v1 - v0) + om1 (v2 - v1) meets the affine
+    basis in grad phi_k . z = [-om0, om0 - om1, om1]_k, the shared g.
+    """
     m = mesh.n_elements
     verts = geo.verts
     beta = gamma(2 - 2 * s) * gamma(3) / gamma(5 - 2 * s)
@@ -268,13 +269,13 @@ def _ident_terms_2d(mesh, s, geo, order):
         w = 0.5 * (b - a) * wg
         om = np.stack([np.cos(th), np.sin(th)], axis=-1)
         tau = 0.5 * (np.abs(om[:, 0]) + np.abs(om[:, 1]) + np.abs(om[:, 0] - om[:, 1]))
+        g = np.stack([-om[:, 0], om[:, 0] - om[:, 1], om[:, 1]], axis=1)
         for part in _row_chunks(m, len(th)):
             z = np.einsum("nc,bdc->bnd", om, L[part])
-            gz = np.einsum("bkd,bnd->bnk", geo.grads[part], z)
             # squares z in place: nothing reads it after
             kz = _sum_sq(z[..., c] for c in range(2)) ** (-(2 + 2 * s) / 2)
             wK = kz * (tau ** (2 * s - 2) * w) * scale[part, None]
-            yield "identical", mesh.elements[part], gz, wK
+            yield "identical", mesh.elements[part], g, wK
 
 
 def element_self_interaction(mesh: BallMesh, s: float) -> np.ndarray:
@@ -358,10 +359,8 @@ def _disjoint_terms(mesh, s, geo, blocks, tag):
     """Plain Gauss on both elements of each (ia, ib, order) block.
 
     A point pair (p, q) has g = [lam_p, -lam_q].  The rule's points on
-    every element are formed once per order as a (dim, points, m)
-    table, and each chunk gathers its rows from it point-major: the
-    kernel passes run along the rows, and wK is the transpose of a
-    (points, rows) array.
+    every element are formed once per order as a (dim, m, points)
+    table, from which each chunk gathers its rows.
     """
     expo = -(mesh.dim + 2 * s) / 2.0
     rules = {}
@@ -370,17 +369,17 @@ def _disjoint_terms(mesh, s, geo, blocks, tag):
             lam, weights = reference_rule(mesh.dim, order)
             nq = len(lam)
             g = np.concatenate([np.repeat(lam, nq, axis=0), -np.tile(lam, (nq, 1))], axis=1)
-            ww = 2.0 * np.outer(weights, weights).reshape(-1, 1)
-            rules[order] = g, ww, np.einsum("qk,mkd->dqm", lam, geo.verts, order="C")
+            ww = 2.0 * np.outer(weights, weights).ravel()
+            rules[order] = g, ww, np.einsum("qk,mkd->dmq", lam, geo.verts, order="C")
         g, ww, X = rules[order]
         for part in _row_chunks(len(ia), len(g)):
             a, b = ia[part], ib[part]
-            K = _sum_sq(x[:, None, a] - x[None, :, b] for x in X).reshape(len(g), len(a))
+            K = _sum_sq(x[a][:, :, None] - x[b][:, None, :] for x in X).reshape(len(a), len(g))
             K **= expo
             K *= ww
-            K *= geo.jacobian[a] * geo.jacobian[b]
+            K *= (geo.jacobian[a] * geo.jacobian[b])[:, None]
             idx = np.concatenate([mesh.elements[a], mesh.elements[b]], axis=1)
-            yield tag, idx, g, K.T
+            yield tag, idx, g, K
 
 
 def _far_blocks(mesh, geo, far_order, distant_order):
@@ -408,7 +407,8 @@ def _terms(mesh, s, boost, geo, work):
 
     Row b of a term contributes sum_q wK[b, q] (g_q . u[idx[b]])^2 to
     the double integral over B_h x B_h plus twice the complement
-    integral; g is shared, (points, n), or per row, (B, points, n).
+    integral; g, (points, n), is shared by the rows, and wK is a
+    C-ordered (B, points) array.
     Unordered distinct pairs and the complement carry their factor 2
     in wK.  Rows may repeat across terms (branches, regions, sectors).
 
@@ -532,14 +532,7 @@ def seminorm_sq_direct(mesh: BallMesh, s: float, u: FeFunction, boost: int = 0) 
     vals = u.values
     parts = []
     for category, idx, g, wK in _terms(mesh, s, boost, geo, {}):
-        w = vals[idx]
-        if g.ndim == 3:
-            gu = (g @ w[:, :, None])[..., 0]
-        elif wK.flags.f_contiguous:
-            # a point-major term: sum in its (points, rows) order
-            wK, gu = wK.T, g @ w.T
-        else:
-            gu = w @ g.T
+        gu = vals[idx] @ g.T
         part = float(np.sum(wK * gu * gu))
         _check_finite(category, part)
         parts.append(part)

@@ -41,8 +41,6 @@ class BallMesh:
     boundary_mask: np.ndarray  # (n_nodes,) bool
     h: float
     h_min: float
-    sigma: float
-    rho: float
     _cache: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -145,12 +143,16 @@ def make_ball_mesh(dim, nodes, elements):
 
     Detects boundary nodes (distance to the unit sphere below 1e-12),
     reorders nodes interior-first, checks conformity and orientation, and
-    builds the element geometry once, from which the quality metrics come.
+    builds the element geometry once, from which h and h_min come.  Element
+    entries must be integer values; integer-valued floats are accepted.
     """
     nodes = np.ascontiguousarray(np.asarray(nodes, dtype=float))
     if nodes.ndim == 1:
         nodes = nodes[:, None]
-    elements = np.ascontiguousarray(np.asarray(elements, dtype=np.int64))
+    raw = np.asarray(elements)
+    elements = np.ascontiguousarray(raw, dtype=np.int64)
+    if not np.array_equal(elements, raw):
+        raise ValueError("element node indices must be integers")
     if dim not in (1, 2):
         raise ValueError("dim must be 1 or 2")
     if nodes.shape[1] != dim or elements.shape[1] != dim + 1:
@@ -180,7 +182,7 @@ def make_ball_mesh(dim, nodes, elements):
 
     _check_conformity(dim, len(nodes), elements, boundary, nodes)
     geo = _build_geometry(dim, nodes[elements])
-    sigma, rho, h, h_min = _quality(geo)
+    _, _, h, h_min = _quality(geo)
     return BallMesh(
         dim=dim,
         nodes=nodes,
@@ -188,8 +190,6 @@ def make_ball_mesh(dim, nodes, elements):
         boundary_mask=boundary,
         h=h,
         h_min=h_min,
-        sigma=sigma,
-        rho=rho,
         _cache={"geometry": geo},
     )
 

@@ -300,6 +300,23 @@ def test_scatter_matches_dense_accumulation(dim, level, s, boost):
 
 
 @pytest.mark.parametrize("boost", [0, 1], ids=["default", "boosted"])
+@pytest.mark.parametrize(
+    "make_mesh",
+    [lambda: build_mesh(1, 4), _custom_1d_mesh, lambda: build_mesh(2, 1)],
+    ids=["1d-L4", "1d-custom", "2d-L1"],
+)
+def test_term_stream_has_one_format(make_mesh, boost):
+    # every term shares one g (points, n) across its rows, with a C-ordered
+    # (rows, points) wK, so the block product and the direct sum have one path
+    mesh = make_mesh()
+    for _, idx, g, wK in _terms(mesh, 0.25, boost, element_geometry(mesh), {}):
+        assert g.ndim == 2
+        assert g.shape == (wK.shape[1], idx.shape[1])
+        assert wK.shape == (len(idx), len(g))
+        assert wK.flags.c_contiguous
+
+
+@pytest.mark.parametrize("boost", [0, 1], ids=["default", "boosted"])
 @pytest.mark.parametrize("dim, level, s", [(1, 5, 0.25), (2, 1, 0.5), (2, 2, 0.5)])
 def test_work_counts_follow_the_term_stream(dim, level, s, boost):
     # the report's counts against what the terms really carry

@@ -165,6 +165,26 @@ def test_make_ball_mesh_rejects_out_of_range_node_indices(dim, nodes, elements):
         make_ball_mesh(dim, nodes, elements)
 
 
+@pytest.mark.parametrize(
+    "dim, nodes, elements",
+    [
+        # a cast to int would read 2.7 as node 2 and build a valid mesh
+        pytest.param(1, [-1.0, 0.0, 1.0], [[0, 1], [1, 2.7]], id="1d"),
+        pytest.param(2, _DISK, [[0, 1, 2.7], [0, 2, 3], [0, 3, 4], [0, 4, 1]], id="2d"),
+    ],
+)
+def test_make_ball_mesh_rejects_non_integer_node_indices(dim, nodes, elements):
+    with pytest.raises(ValueError, match="must be integers"):
+        make_ball_mesh(dim, nodes, elements)
+
+
+def test_make_ball_mesh_accepts_integer_valued_floats():
+    elements = [[0, 1, 2], [0, 2, 3], [0, 3, 4], [0, 4, 1]]
+    mesh = make_ball_mesh(2, _DISK, np.array(elements, dtype=float))
+    assert mesh.elements.dtype == np.int64
+    assert np.array_equal(mesh.elements, make_ball_mesh(2, _DISK, elements).elements)
+
+
 def test_mesh_quality_detects_degenerate():
     nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 0.0], [0.0, 1.0]])
     elements = np.array([[0, 1, 2], [0, 2, 3]])
@@ -175,8 +195,6 @@ def test_mesh_quality_detects_degenerate():
         boundary_mask=np.zeros(4, dtype=bool),
         h=1.0,
         h_min=1.0,
-        sigma=1.0,
-        rho=1.0,
     )
     with pytest.raises(ValueError, match="degenerate"):
         mesh_quality(mesh)
