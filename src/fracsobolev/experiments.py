@@ -181,7 +181,11 @@ def _check_problem(N, s) -> None:
 
 
 def _check_levels(levels) -> list:
-    levels = [int(l) for l in levels]
+    levels = list(levels)
+    # build_mesh's rule: int(4.7) would silently run level 4
+    if not all(isinstance(lev, (int, np.integer)) for lev in levels):
+        raise ValueError(f"levels must be integers, got {levels}")
+    levels = [int(lev) for lev in levels]
     if any(b <= a for a, b in zip(levels, levels[1:])):
         raise ValueError("levels must be strictly increasing")
     return levels

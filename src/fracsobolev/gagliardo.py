@@ -15,14 +15,12 @@ touching pairs through tensor transforms that cancel the singularity,
 disjoint pairs by plain Gauss on both elements, and the complement term
 by one Gauss rule per element: kappa blows up like depth^(-2s) at the
 sphere, but u vanishes linearly there, so u^2 kappa behaves like
-depth^(2-2s), which plain Gauss resolves.  The pair categories and the
-shared-node order of touching pairs come from ``mesh.element_pairs``,
-decided once per mesh.  Near disjoint pairs come from its table and take
-_NEAR_BONUS more points per direction; the far pairs, almost all of the
-m^2/2, are streamed in row blocks by ``mesh.far_pairs`` and never held
-whole.  Above rule level 0 (the audits), far pairs _DISTANT_RATIO
-diameters apart take the distant order, which grows more slowly with the
-level than the far order.
+depth^(2-2s), which plain Gauss resolves.  The touching pairs and their
+shared-node order come from ``mesh.element_pairs``, decided once per
+mesh.  The disjoint pairs, almost all of the m^2/2, are streamed in row
+blocks by ``mesh.disjoint_pairs`` and never held whole;
+``_disjoint_blocks`` gives each the Gauss order of its band, near, far
+or distant, from its separation.
 
 Each category yields terms (category, node idx, g, wK), one row per
 element pair or element: row b adds sum_q wK[b, q] (g_q . u[idx[b]])^2.
@@ -46,9 +44,9 @@ from .mesh import (
     BallMesh,
     FeFunction,
     SizeLimitError,
+    disjoint_pairs,
     element_geometry,
     element_pairs,
-    far_pairs,
 )
 from .params import check_order
 
@@ -64,10 +62,8 @@ __all__ = [
 ]
 
 _BOUNDARY_TOL = 1e-12
-# extra Gauss points per direction on "near" disjoint pairs (see mesh.element_pairs)
-_NEAR_BONUS = 2
-# far pairs whose centroids lie at least this many larger diameters apart
-# take the distant order of _orders
+# disjoint pairs whose centroids lie at least this many larger diameters
+# apart take the distant order of _orders
 _DISTANT_RATIO = 4.0
 _DENSE_BYTES_CAP = 2e9
 # the element-pair categories, in the order the terms stream them
@@ -84,23 +80,22 @@ class AssemblyError(RuntimeError):
 
 
 def _orders(dim, boost):
-    """Orders (far, distant, vertex, edge, angular, complement) at rule level boost.
+    """Orders (near, far, distant, vertex, edge, angular, complement) at rule level boost.
 
-    Orders count Gauss points per direction.  The far order serves the
-    far pairs (near ones take _NEAR_BONUS more), except those whose
-    centroids lie at least _DISTANT_RATIO larger diameters apart, which
-    take the distant order; complement is the rule on each element for
-    the complement term.  Level 0 is the default rule, where far and
-    distant are equal, so the far pairs do not split.  Each level adds 2
-    to far and 1 to distant, which keeps the audit finer on every pair
-    for less work than 2 on all of them, 4 to vertex, edge and complement,
-    and 16 to angular.
+    Orders count Gauss points per direction.  The first three serve the
+    disjoint pairs by band (see ``_disjoint_blocks``); complement is the
+    rule on each element for the complement term.  Level 0 is the
+    default rule, where far and distant are equal.  Each level adds 2 to
+    near and far and 1 to distant, which keeps the audit finer on every
+    pair for less work than 2 on all of them, 4 to vertex, edge and
+    complement, and 16 to angular.
     """
     # a fractional level would reach unit_gauss, which truncates its order
     if not isinstance(boost, (int, np.integer)) or boost < 0:
         raise ValueError(f"rule level must be an integer >= 0, got {boost!r}")
     far, vertex = (4, 24) if dim == 1 else (3, 10)
     return (
+        far + 2 + 2 * boost,
         far + 2 * boost,
         far + boost,
         vertex + 4 * boost,
@@ -290,7 +285,7 @@ def element_self_interaction(mesh: BallMesh, s: float) -> np.ndarray:
     if mesh.dim == 1:
         terms = _ident_terms_1d(mesh, s, geo)
     else:
-        terms = _ident_terms_2d(mesh, s, geo, _orders(2, 0)[4])
+        terms = _ident_terms_2d(mesh, s, geo, _orders(2, 0)[5])
     local = np.concatenate([_term_block(g, wK) for _, _, g, wK in terms])
     k = mesh.dim + 1
     return local.reshape(-1, mesh.n_elements, k, k).sum(axis=0)
@@ -355,8 +350,8 @@ def _edge_terms_2d(mesh, s, geo, pairs, order):
             yield "edge", idx[part], g, (scale[part, None] * w) * K
 
 
-def _disjoint_terms(mesh, s, geo, blocks, tag):
-    """Plain Gauss on both elements of each (ia, ib, order) block.
+def _disjoint_terms(mesh, s, geo, blocks):
+    """Plain Gauss on both elements of each (category, ia, ib, order) block.
 
     A point pair (p, q) has g = [lam_p, -lam_q].  The rule's points on
     every element are formed once per order as a (dim, m, points)
@@ -364,7 +359,7 @@ def _disjoint_terms(mesh, s, geo, blocks, tag):
     """
     expo = -(mesh.dim + 2 * s) / 2.0
     rules = {}
-    for ia, ib, order in blocks:
+    for category, ia, ib, order in blocks:
         if order not in rules:
             lam, weights = reference_rule(mesh.dim, order)
             nq = len(lam)
@@ -379,27 +374,30 @@ def _disjoint_terms(mesh, s, geo, blocks, tag):
             K *= ww
             K *= (geo.jacobian[a] * geo.jacobian[b])[:, None]
             idx = np.concatenate([mesh.elements[a], mesh.elements[b]], axis=1)
-            yield tag, idx, g, K
+            yield category, idx, g, K
 
 
-def _far_blocks(mesh, geo, far_order, distant_order):
-    """Far pairs as (ia, ib, order) blocks, in the order ``far_pairs`` streams them.
+def _disjoint_blocks(mesh, geo, near, far, distant):
+    """Disjoint pairs as (category, ia, ib, order) blocks, per ``disjoint_pairs`` block.
 
-    Pairs whose centroids lie at least _DISTANT_RATIO larger diameters
-    apart take distant_order, the rest far_order; equal orders skip the
-    split.
+    With D the larger diameter: centroids _DISTANT_RATIO D apart or more
+    take the distant order (their vertices lie over 2 D apart), other
+    pairs with a vertex distance below D the near order, the rest far.
     """
-    if distant_order == far_order:
-        for ia, ib in far_pairs(mesh):
-            yield ia, ib, far_order
-        return
-    centroid = geo.verts.mean(axis=1)
-    for ia, ib in far_pairs(mesh):
-        reach = _DISTANT_RATIO * np.maximum(geo.diameter[ia], geo.diameter[ib])
-        sep = _sum_sq(centroid[ia, c] - centroid[ib, c] for c in range(mesh.dim))
-        distant = sep >= reach * reach
-        yield ia[~distant], ib[~distant], far_order
-        yield ia[distant], ib[distant], distant_order
+    centroid = geo.verts.mean(axis=1).T.copy()
+    for ia, ib in disjoint_pairs(mesh):
+        larger = np.maximum(geo.diameter[ia], geo.diameter[ib])
+        reach = _DISTANT_RATIO * larger
+        sep = _sum_sq(x[ia] - x[ib] for x in centroid)
+        apart = sep >= reach * reach
+        a, b = ia[~apart], ib[~apart]
+        va, vb, k = geo.verts[a], geo.verts[b], range(mesh.dim + 1)
+        # the smallest squared vertex distance, one vertex pair per pass
+        sq = [_sum_sq(va[:, p, c] - vb[:, q, c] for c in range(mesh.dim)) for p in k for q in k]
+        close = np.sqrt(np.min(sq, axis=0)) < larger[~apart]
+        yield "disjoint_near", a[close], b[close], near
+        yield "disjoint_far", a[~close], b[~close], far
+        yield "disjoint_far", ia[apart], ib[apart], distant
 
 
 def _terms(mesh, s, boost, geo, work):
@@ -410,13 +408,14 @@ def _terms(mesh, s, boost, geo, work):
     integral; g, (points, n), is shared by the rows, and wK is a
     C-ordered (B, points) array.
     Unordered distinct pairs and the complement carry their factor 2
-    in wK.  Rows may repeat across terms (branches, regions, sectors).
+    in wK.  Rows may repeat across terms (branches, regions, sectors),
+    but a disjoint pair is one row of one term.
 
     Once the stream ends, ``work`` holds the AssemblyReport fields
     pair_counts, kernel_evals, complement_cells, complement_points and
     phase_seconds, counted from the terms and timed around their yields.
     """
-    far, distant, vertex, edge, angular, complement = _orders(mesh.dim, boost)
+    near, far, distant, vertex, edge, angular, complement = _orders(mesh.dim, boost)
     m = mesh.n_elements
     seconds = {}
     t0 = time.perf_counter()
@@ -431,30 +430,26 @@ def _terms(mesh, s, boost, geo, work):
             _vertex_terms_2d(mesh, s, geo, pairs, vertex),
             _edge_terms_2d(mesh, s, geo, pairs, edge),
         )
-    near = (pairs.near[:, 0], pairs.near[:, 1], far + _NEAR_BONUS)
-    disjoint = chain(
-        _disjoint_terms(mesh, s, geo, [near], "disjoint_near"),
-        _disjoint_terms(mesh, s, geo, _far_blocks(mesh, geo, far, distant), "disjoint_far"),
-    )
     phases = (
         ("singular", singular),
-        ("disjoint", disjoint),
+        ("disjoint", _disjoint_terms(mesh, s, geo, _disjoint_blocks(mesh, geo, near, far, distant))),
         ("complement", _complement_terms(mesh, s, geo, complement)),
     )
+    counts = dict(zip(_CATEGORIES, (m, len(pairs.vertex), len(pairs.edge), 0, 0)))
     points = dict.fromkeys(_CATEGORIES + ("complement",), 0)
     for phase, stream in phases:
         t0 = time.perf_counter()
         for category, idx, g, wK in stream:
             points[category] += wK.size
+            if phase == "disjoint":
+                counts[category] += len(wK)
             yield category, idx, g, wK
         seconds[phase] = time.perf_counter() - t0
     if mesh.dim == 1:
         # the identical pairs are integrated in closed form
         points["identical"] = 0
-    far_count = m * (m - 1) // 2 - len(pairs.not_far)
-    counts = (m, len(pairs.vertex), len(pairs.edge), len(pairs.near), far_count)
     work.update(
-        pair_counts=dict(zip(_CATEGORIES, counts)),
+        pair_counts=counts,
         complement_points=points.pop("complement"),
         kernel_evals=points,
         complement_cells=m,

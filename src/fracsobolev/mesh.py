@@ -332,10 +332,10 @@ class _ElementGeometry:
     grads: np.ndarray
 
 
-_ElementPairs = namedtuple("_ElementPairs", "vertex edge near vertex_nodes edge_nodes not_far")
+_ElementPairs = namedtuple("_ElementPairs", "vertex edge vertex_nodes edge_nodes touching")
 
-# strict-upper-triangle cells per far_pairs block: its index arrays take a
-# few MB, however many elements the mesh has
+# strict-upper-triangle cells per disjoint_pairs block: its index arrays
+# take a few MB, however many elements the mesh has
 _FAR_CELLS = 1 << 16
 
 
@@ -343,29 +343,28 @@ def element_pairs(mesh):
     """Cached shared-node topology of the unordered distinct element pairs.
 
     Returns an object with (P, 2) element-index arrays vertex and edge
-    (one and two shared nodes) and near (no shared node, but the smallest
-    vertex distance is below the larger element diameter), the node
-    tables vertex_nodes (P, 2N+1) and edge_nodes (P, 2N), and not_far,
-    the sorted triu positions of all those pairs.  Every other pair is
-    far; ``far_pairs`` streams them, so the cache stays O(m).  A table
-    row holds the first element's nodes in cyclic order from its first
-    shared node, then the second element's unshared nodes in cyclic
-    order, so the shared nodes lead.
+    (one and two shared nodes), the node tables vertex_nodes (P, 2N+1)
+    and edge_nodes (P, 2N), and touching, the sorted triu positions of
+    all those pairs.  Every other pair is disjoint; ``disjoint_pairs``
+    streams them, so the cache stays O(m).  A table row holds the first
+    element's nodes in cyclic order from its first shared node, then the
+    second element's unshared nodes in cyclic order, so the shared nodes
+    lead.
     """
     if "pairs" not in mesh._cache:
         mesh._cache["pairs"] = _enumerate_pairs(mesh)
     return mesh._cache["pairs"]
 
 
-def far_pairs(mesh):
-    """Yield the far element pairs (a < b) in triu order, as (ia, ib) blocks.
+def disjoint_pairs(mesh):
+    """Yield the disjoint element pairs (a < b) in triu order, as (ia, ib) blocks.
 
     Each block covers the next _FAR_CELLS cells of the strict upper
     triangle in row-major order and drops the positions in
-    ``element_pairs(mesh).not_far``, so the blocks concatenate to every
-    far pair and no O(m^2) array is formed.
+    ``element_pairs(mesh).touching``, so the blocks concatenate to every
+    pair with no shared node and no O(m^2) array is formed.
     """
-    not_far = element_pairs(mesh).not_far
+    touching = element_pairs(mesh).touching
     m = mesh.n_elements
     rows = np.arange(m)
     # triu position of cell (i, i + 1); the last entry is the cell count
@@ -378,42 +377,38 @@ def far_pairs(mesh):
         ia = np.repeat(rows[r0:r1], np.diff(np.clip(first[r0 : r1 + 1], lo, hi)))
         ib = np.arange(lo, hi) - first[ia] + ia + 1
         keep = np.ones(hi - lo, dtype=bool)
-        keep[not_far[np.searchsorted(not_far, lo) : np.searchsorted(not_far, hi)] - lo] = False
+        keep[touching[np.searchsorted(touching, lo) : np.searchsorted(touching, hi)] - lo] = False
         yield ia[keep], ib[keep]
 
 
 def _enumerate_pairs(mesh):
-    """Classify the element pairs, testing only those a near search finds.
+    """Find the touching element pairs, testing only those a centroid search finds.
 
     A vertex lies within one diameter D (the largest) of its element's
-    centroid, so centroids more than 3 D apart put every vertex pair more
-    than D apart: no shared node and not close, hence far.  The search
-    radius 4 D leaves a margin for rounding in the tree's distances.  The
-    candidates run the exact test in triu order, and the ones that are
-    not far keep their triu positions for ``far_pairs`` to skip.
+    centroid, so the centroids of two elements that share a node lie
+    within 2 D of each other.  The search radius 3 D leaves a margin for
+    rounding in the tree's distances.  The candidates compare their
+    nodes in triu order, and the touching ones keep their triu positions
+    for ``disjoint_pairs`` to skip.
     """
     els = mesh.elements
     geo = element_geometry(mesh)
     m = mesh.n_elements
     found = cKDTree(geo.verts.mean(axis=1)).query_pairs(
-        4.0 * float(np.max(geo.diameter)), output_type="ndarray"
+        3.0 * float(np.max(geo.diameter)), output_type="ndarray"
     )
     ii, jj = np.divmod(np.sort(found[:, 0] * m + found[:, 1]), m)
     eq = els[ii][:, :, None] == els[jj][:, None, :]
     shared = eq.sum(axis=(1, 2))
-    d = geo.verts[ii][:, :, None, :] - geo.verts[jj][:, None, :, :]
-    mind = np.sqrt(np.min(np.sum(d * d, axis=-1), axis=(1, 2)))
-    close = mind < np.maximum(geo.diameter[ii], geo.diameter[jj])
-    masks = dict(vertex=shared == 1, edge=shared == 2, near=(shared == 0) & close)
-    tables = {name: np.stack([ii[mask], jj[mask]], axis=1) for name, mask in masks.items()}
+    tables = {}
     for n_shared, name in ((1, "vertex"), (2, "edge")):
-        mask = masks[name]
+        mask = shared == n_shared
+        tables[name] = np.stack([ii[mask], jj[mask]], axis=1)
         a = _from_first_shared(els[ii[mask]], eq[mask].any(axis=2))
         b = _from_first_shared(els[jj[mask]], eq[mask].any(axis=1))
         tables[name + "_nodes"] = np.concatenate([a, b[:, n_shared:]], axis=1)
-    not_far = (shared > 0) | close
-    a, b = ii[not_far], jj[not_far]
-    return _ElementPairs(not_far=a * (2 * m - a - 1) // 2 + b - a - 1, **tables)
+    a, b = ii[shared > 0], jj[shared > 0]
+    return _ElementPairs(touching=a * (2 * m - a - 1) // 2 + b - a - 1, **tables)
 
 
 def _from_first_shared(nodes, shared):

@@ -127,7 +127,7 @@ def lq_norm(u: FeFunction, q: float, order: int = _DEFAULT_ORDER) -> float:
     return _refine("lq_norm", norm_at, order, _NORM_RTOL)
 
 
-def nonlinear_residual(u: FeFunction, q: float, order: int = _DEFAULT_ORDER) -> np.ndarray:
+def nonlinear_residual(u: FeFunction, q: float) -> np.ndarray:
     """Free-node vector b(u)_i = integral of |u|^{q-2} u phi_i.
 
     This is (1/q) times the gradient of the q-th power of the L^q norm
@@ -148,4 +148,4 @@ def nonlinear_residual(u: FeFunction, q: float, order: int = _DEFAULT_ORDER) -> 
         np.add.at(b, mesh.elements, _element_integrals(u, n, tested))
         return b[: mesh.free_count]
 
-    return _refine("nonlinear_residual", residual_at, order, _RESIDUAL_RTOL)
+    return _refine("nonlinear_residual", residual_at, _DEFAULT_ORDER, _RESIDUAL_RTOL)

@@ -150,7 +150,8 @@ def solve(
     that took w.  Stops once the
     Euler-Lagrange residual norm(A u - mu b)/norm(A u) is at most
     ``tol``; _MAX_ITER steps without that warn and return
-    converged=False with the residual reached.
+    converged=False with the residual reached.  A NaN, negative or
+    infinite ``tol`` raises ValueError; 0 runs to the step cap.
 
     quotient_history records each accepted quotient that does not exceed
     the last one recorded, so it is non-increasing bitwise and ends at
@@ -159,6 +160,8 @@ def solve(
     quadrature_slack compares s_h with the quotient one rule level above
     the form's.
     """
+    if not 0.0 <= tol < np.inf:
+        raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
     mesh = form.mesh
     q = critical_exponent(mesh.dim, form.s)
     if init is None:

@@ -174,6 +174,21 @@ def test_interp_error_validation():
         verify_interp_error(1, 0.25, 2.0, 0.25, [3, 4])  # h too coarse for c
 
 
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda levels: upper_bound_sweep(1, 0.3, levels),
+        lambda levels: discrete_constant_sweep(1, 0.3, levels),
+        lambda levels: verify_interp_error(1, 0.3, 4.0, 0.25, levels),
+    ],
+    ids=["upper", "solve", "interp"],
+)
+def test_fractional_levels_raise(run):
+    # int() would truncate these to levels 4, 5 and 6 and run them
+    with pytest.raises(ValueError, match="4.7"):
+        run([4.7, 5.2, 6.9])
+
+
 # --------------------------------------------------------- covering audit
 
 

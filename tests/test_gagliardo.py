@@ -11,6 +11,7 @@ implemented here from scratch.
 
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,11 +32,10 @@ from fracsobolev.gagliardo import (
 )
 from fracsobolev.gagliardo import (
     _DISTANT_RATIO,
-    _NEAR_BONUS,
     _complement_terms,
+    _disjoint_blocks,
     _disjoint_terms,
     _edge_terms_2d,
-    _far_blocks,
     _ident_terms_1d,
     _ident_terms_2d,
     _orders,
@@ -47,9 +47,9 @@ from fracsobolev.gagliardo import (
 from fracsobolev.mesh import (
     FeFunction,
     build_mesh,
+    disjoint_pairs,
     element_geometry,
     element_pairs,
-    far_pairs,
     interpolate,
     make_ball_mesh,
 )
@@ -85,10 +85,19 @@ def _pair_blocks(terms):
     return idx[np.sort(first)], out
 
 
-def _streamed_far(mesh):
-    """The far_pairs blocks concatenated into one (P, 2) table."""
-    blocks = [np.stack([ia, ib], axis=1) for ia, ib in far_pairs(mesh)]
+def _pair_table(blocks):
+    """(ia, ib) blocks concatenated into one (P, 2) table."""
+    blocks = [np.stack([ia, ib], axis=1) for ia, ib in blocks]
     return np.concatenate([np.empty((0, 2), dtype=np.intp)] + blocks)
+
+
+def _streamed_bands(mesh):
+    """The pair tables of _disjoint_blocks by band, its order argument naming the band."""
+    bands = {}
+    for category, ia, ib, band in _disjoint_blocks(mesh, element_geometry(mesh), "near", "far", "distant"):
+        assert category == ("disjoint_near" if band == "near" else "disjoint_far"), band
+        bands.setdefault(band, []).append((ia, ib))
+    return {band: _pair_table(bands.get(band, [])) for band in ("near", "far", "distant")}
 
 
 def _sorted_free_matrix(form):
@@ -141,7 +150,7 @@ def test_element_pairs_cover_and_orient(make_mesh):
     mesh = make_mesh()
     pairs = element_pairs(mesh)
     m, k = mesh.n_elements, mesh.dim + 1
-    cats = {0: (pairs.near, _streamed_far(mesh)), 1: (pairs.vertex,), 2: (pairs.edge,)}
+    cats = {0: (_pair_table(disjoint_pairs(mesh)),), 1: (pairs.vertex,), 2: (pairs.edge,)}
     every = np.concatenate([p for group in cats.values() for p in group])
     assert len(every) == m * (m - 1) // 2
     assert np.all(every[:, 0] < every[:, 1])
@@ -181,14 +190,19 @@ def _brute_force_pairs(mesh):
     """All m(m-1)/2 element pairs classified row by row, in triu order.
 
     Shared nodes by set intersection, the smallest vertex distance by
-    cdist; a touching pair's node row is the first element's nodes
-    rotated to start at the shared node that follows an unshared one,
-    then the second element's unshared nodes in its own cyclic order.
+    cdist; a disjoint pair is distant when its squared centroid distance
+    reaches that of _DISTANT_RATIO larger diameters, else near when its
+    vertices come closer than the larger diameter, else far.  A touching
+    pair's node row is the first element's nodes rotated to start at the
+    shared node that follows an unshared one, then the second element's
+    unshared nodes in its own cyclic order.
     """
     els = mesh.elements.tolist()
     verts = mesh.nodes[mesh.elements]
     diam = np.array([cdist(v, v).max() for v in verts])
-    out = {name: [] for name in ("vertex", "edge", "near", "far", "vertex_nodes", "edge_nodes")}
+    cen = verts.mean(axis=1)
+    names = ("vertex", "edge", "near", "far", "distant", "vertex_nodes", "edge_nodes")
+    out = {name: [] for name in names}
 
     def rotated(nodes, shared):
         i = next(i for i in range(len(nodes)) if nodes[i] in shared and nodes[i - 1] not in shared)
@@ -202,6 +216,8 @@ def _brute_force_pairs(mesh):
                 out[name].append([a, b])
                 tail = [x for x in rotated(els[b], shared) if x not in shared]
                 out[name + "_nodes"].append(rotated(els[a], shared) + tail)
+            elif np.sum((cen[a] - cen[b]) ** 2) >= (_DISTANT_RATIO * max(diam[a], diam[b])) ** 2:
+                out["distant"].append([a, b])
             elif cdist(verts[a], verts[b]).min() < max(diam[a], diam[b]):
                 out["near"].append([a, b])
             else:
@@ -255,26 +271,45 @@ def test_element_pairs_match_brute_force(make_mesh, monkeypatch):
     mesh = make_mesh()
     pairs = element_pairs(mesh)
     ref = _brute_force_pairs(mesh)
-    far = ref.pop("far")
+    bands = {band: ref.pop(band) for band in ("near", "far", "distant")}
     for name, want in ref.items():
         got = getattr(pairs, name)
         assert got.dtype == want.dtype and got.shape == want.shape, name
         assert np.array_equal(got, want), name
-    # the streamed far pairs, whole and in blocks of 7 cells that split rows
+    m = mesh.n_elements
+    a, b = np.concatenate([pairs.vertex, pairs.edge]).T
+    assert np.array_equal(pairs.touching, np.sort(a * (2 * m - a - 1) // 2 + b - a - 1))
+    # the streamed bands, in blocks of all cells and of 7 cells that split rows
     for cells in (mesh_module._FAR_CELLS, 7):
         monkeypatch.setattr(mesh_module, "_FAR_CELLS", cells)
-        got = _streamed_far(mesh)
-        assert got.dtype == far.dtype and got.shape == far.shape, cells
-        assert np.array_equal(got, far), cells
+        for band, got in _streamed_bands(mesh).items():
+            want = bands[band]
+            assert got.dtype == want.dtype and got.shape == want.shape, (cells, band)
+            assert np.array_equal(got, want), (cells, band)
 
 
 @pytest.mark.parametrize("dim, level", [(1, 10), (2, 3)])
 def test_cached_pair_tables_stay_linear_in_the_elements(dim, level):
-    # the far pairs are streamed, so the cache holds O(m) bytes, not O(m^2):
-    # an explicit far table would take 33.6 MB at 1D L10 and 19.2 MB at 2D L3
+    # the disjoint pairs are streamed, so the cache holds O(m) bytes, not
+    # O(m^2): an explicit far table would take 33.6 MB at 1D L10 and 19.2 MB
+    # at 2D L3
     mesh = build_mesh(dim, level)
     held = sum(table.nbytes for table in element_pairs(mesh))
     assert held < 2e6, held
+
+
+def test_classification_holds_no_all_candidate_float_temporary():
+    # element_pairs compares the nodes of the centroid-search candidates
+    # only; a (P, k, k, dim) float array of their vertex distances would
+    # take a 47 MiB peak here
+    mesh = build_mesh(2, 3)
+    tracemalloc.start()
+    try:
+        element_pairs(mesh)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, peak
 
 
 @pytest.mark.parametrize(
@@ -336,28 +371,35 @@ def test_work_counts_follow_the_term_stream(dim, level, s, boost):
     assert report.complement_cells == cells
     assert report.kernel_evals == evals
     pairs = element_pairs(mesh)
+    disjoint = _pair_table(disjoint_pairs(mesh))
+    # the near pairs by their smallest vertex distance, all pairs at once
+    verts = mesh.nodes[mesh.elements]
+    gap = verts[disjoint[:, 0]][:, :, None, :] - verts[disjoint[:, 1]][:, None, :, :]
+    diam = element_geometry(mesh).diameter
+    larger = np.maximum(diam[disjoint[:, 0]], diam[disjoint[:, 1]])
+    near = int(np.sum(np.sqrt(np.min(np.sum(gap**2, axis=-1), axis=(1, 2))) < larger))
     assert report.pair_counts == {
         "identical": mesh.n_elements,
         "vertex": len(pairs.vertex),
         "edge": len(pairs.edge),
-        "disjoint_near": len(pairs.near),
-        "disjoint_far": len(_streamed_far(mesh)),
+        "disjoint_near": near,
+        "disjoint_far": len(disjoint) - near,
     }
 
 
 @pytest.mark.parametrize(
     "dim, boost, orders",
     [
-        (1, 0, (4, 4, 24, 12, 24, 8)),
-        (1, 1, (6, 5, 28, 16, 40, 12)),
-        (1, 2, (8, 6, 32, 20, 56, 16)),
-        (2, 0, (3, 3, 10, 12, 24, 8)),
-        (2, 1, (5, 4, 14, 16, 40, 12)),
-        (2, 2, (7, 5, 18, 20, 56, 16)),
+        (1, 0, (6, 4, 4, 24, 12, 24, 8)),
+        (1, 1, (8, 6, 5, 28, 16, 40, 12)),
+        (1, 2, (10, 8, 6, 32, 20, 56, 16)),
+        (2, 0, (5, 3, 3, 10, 12, 24, 8)),
+        (2, 1, (7, 5, 4, 14, 16, 40, 12)),
+        (2, 2, (9, 7, 5, 18, 20, 56, 16)),
     ],
 )
 def test_rule_level_orders(dim, boost, orders):
-    # (far, distant, vertex, edge, angular, complement) Gauss orders
+    # (near, far, distant, vertex, edge, angular, complement) Gauss orders
     assert _orders(dim, boost) == orders
 
 
@@ -466,7 +508,7 @@ def test_complement_weight_monotone_and_divergent():
 def test_boosted_complement_finite_on_fine_1d_meshes(level):
     # the boosted rule keeps every point off the sphere on the finest meshes
     mesh = build_mesh(1, level)
-    order = _orders(1, 1)[5]
+    order = _orders(1, 1)[6]
     terms = list(_complement_terms(mesh, 0.25, element_geometry(mesh), order))
     assert all(np.all(np.isfinite(wK)) and np.all(wK > 0.0) for _, _, _, wK in terms)
     assert sum(len(wK) for _, _, _, wK in terms) == mesh.n_elements
@@ -480,7 +522,7 @@ def _complement_rule_errors(u, s, ref):
     errors = []
     for boost in (0, 1):
         got = 0.0
-        for _, idx, g, wK in _complement_terms(mesh, s, geo, _orders(mesh.dim, boost)[5]):
+        for _, idx, g, wK in _complement_terms(mesh, s, geo, _orders(mesh.dim, boost)[6]):
             gu = u.values[idx] @ g.T
             got += float(np.sum(wK * gu * gu))
         errors.append(abs(got - ref) / ref)
@@ -708,7 +750,7 @@ def test_vertex_block_1d_against_nested_quad():
     s = 0.31
     mesh = _custom_1d_mesh()
     pairs = element_pairs(mesh)
-    idx, loc = _pair_blocks(_vertex_terms_1d(mesh, s, pairs, _orders(1, 0)[2]))
+    idx, loc = _pair_blocks(_vertex_terms_1d(mesh, s, pairs, _orders(1, 0)[3]))
     coords = mesh.nodes[:, 0]
     for row in range(len(idx)):
         xl, xm, xr = coords[idx[row]]
@@ -937,7 +979,7 @@ def disk_pairs():
 @pytest.mark.parametrize("s", [0.5, 0.75])
 def test_ident_blocks_2d_vs_covariogram(disk_pairs, s):
     mesh, geo, _ = disk_pairs
-    _, loc = _pair_blocks(_ident_terms_2d(mesh, s, geo, _orders(2, 0)[4]))
+    _, loc = _pair_blocks(_ident_terms_2d(mesh, s, geo, _orders(2, 0)[5]))
     for e in (0, 7):
         ref = _ident_oracle_covariogram(geo.verts[e], s)
         assert np.max(np.abs(loc[e] - ref)) / np.max(np.abs(ref)) < 1e-6
@@ -946,7 +988,7 @@ def test_ident_blocks_2d_vs_covariogram(disk_pairs, s):
 @pytest.mark.parametrize("s", [0.5, 0.75])
 def test_vertex_blocks_2d_vs_subdivision(disk_pairs, s):
     mesh, geo, pairs = disk_pairs
-    idxs, locs = _pair_blocks(_vertex_terms_2d(mesh, s, geo, pairs, _orders(2, 0)[2]))
+    idxs, locs = _pair_blocks(_vertex_terms_2d(mesh, s, geo, pairs, _orders(2, 0)[3]))
     for pick in (0, len(idxs) // 2):
         idx, loc = idxs[pick], locs[pick]
         Va = mesh.nodes[idx[:3]]
@@ -969,7 +1011,7 @@ def test_edge_blocks_2d_vs_subdivision(disk_pairs):
     # the deepest touching case; one pair per order, Aitken-extrapolated
     mesh, geo, pairs = disk_pairs
     for s, depths, tol in [(0.5, (5, 6, 7), 1e-4), (0.75, (4, 5, 6), 1e-3)]:
-        idxs, locs = _pair_blocks(_edge_terms_2d(mesh, s, geo, pairs, _orders(2, 0)[3]))
+        idxs, locs = _pair_blocks(_edge_terms_2d(mesh, s, geo, pairs, _orders(2, 0)[4]))
         idx, loc = idxs[0], locs[0]
         Va = mesh.nodes[idx[:3]]
         Vb = mesh.nodes[[idx[0], idx[1], idx[3]]]
@@ -1012,34 +1054,46 @@ def _disjoint_block_loop(Va, Vb, s, order):
 @pytest.mark.parametrize("boost", [0, 1], ids=["default", "boosted"])
 def test_disjoint_blocks_2d_vs_pointwise_kernel(s, boost):
     mesh = build_mesh(2, 1)
-    geo, pairs = element_geometry(mesh), element_pairs(mesh)
-    far_order, distant_order = _orders(2, boost)[:2]
-    # the far bands: centroids at least _DISTANT_RATIO larger diameters apart
-    far = _streamed_far(mesh)
+    geo = element_geometry(mesh)
+    near_order, far_order, distant_order = _orders(2, boost)[:3]
+    # the bands by brute force: centroids at least _DISTANT_RATIO larger
+    # diameters apart, else vertices closer than the larger diameter
+    pairs = _pair_table(disjoint_pairs(mesh))
     verts = mesh.nodes[mesh.elements]
     diam = np.array([cdist(v, v).max() for v in verts])
-    sep = np.linalg.norm(verts[far[:, 0]].mean(axis=1) - verts[far[:, 1]].mean(axis=1), axis=1)
-    distant = sep >= _DISTANT_RATIO * np.maximum(diam[far[:, 0]], diam[far[:, 1]])
-    assert 0 < distant.sum() < len(far)
-    # the stream gives each band its order; the default rule does not split
+    larger = np.maximum(diam[pairs[:, 0]], diam[pairs[:, 1]])
+    sep = np.linalg.norm(verts[pairs[:, 0]].mean(axis=1) - verts[pairs[:, 1]].mean(axis=1), axis=1)
+    distant = sep >= _DISTANT_RATIO * larger
+    mind = np.array([cdist(verts[a], verts[b]).min() for a, b in pairs])
+    near = ~distant & (mind < larger)
+    far = ~distant & ~near
+    assert 0 < near.sum() and 0 < far.sum() and 0 < distant.sum()
+    # the stream gives each band its category and order; at the default
+    # rule far and distant share theirs
     streamed = {}
-    for ia, ib, order in _far_blocks(mesh, geo, far_order, distant_order):
-        streamed.setdefault(order, []).append(np.stack([ia, ib], axis=1))
+    for category, ia, ib, order in _disjoint_blocks(mesh, geo, near_order, far_order, distant_order):
+        streamed.setdefault((category, order), []).append((ia, ib))
+    streamed = {key: _pair_table(blocks) for key, blocks in streamed.items()}
+    want = {("disjoint_near", near_order): pairs[near]}
     if boost:
-        assert far_order > distant_order
-        assert np.array_equal(np.concatenate(streamed[far_order]), far[~distant])
-        assert np.array_equal(np.concatenate(streamed[distant_order]), far[distant])
+        assert near_order > far_order > distant_order
+        want[("disjoint_far", far_order)] = pairs[far]
+        want[("disjoint_far", distant_order)] = pairs[distant]
     else:
-        assert far_order == distant_order
-        assert np.array_equal(np.concatenate(streamed[far_order]), far)
+        assert near_order > far_order == distant_order
+        want[("disjoint_far", far_order)] = pairs[far | distant]
+    assert streamed.keys() == want.keys()
+    for key, got in streamed.items():
+        order = np.lexsort(got.T[::-1])
+        assert np.array_equal(got[order], want[key]), key
     for tag, chosen, order in (
-        ("disjoint_near", pairs.near, far_order + _NEAR_BONUS),
-        ("disjoint_far", far[~distant], far_order),
-        ("disjoint_far", far[distant], distant_order),
+        ("disjoint_near", pairs[near], near_order),
+        ("disjoint_far", pairs[far], far_order),
+        ("disjoint_far", pairs[distant], distant_order),
     ):
         picks = chosen[[0, 1, len(chosen) // 2, len(chosen) - 1]]
-        block = (picks[:, 0], picks[:, 1], order)
-        idxs, locs = _pair_blocks(_disjoint_terms(mesh, s, geo, [block], tag))
+        block = (tag, picks[:, 0], picks[:, 1], order)
+        idxs, locs = _pair_blocks(_disjoint_terms(mesh, s, geo, [block]))
         assert len(locs) == len(picks)
         for (ea, eb), idx, loc in zip(picks, idxs, locs):
             Va, Vb = mesh.nodes[mesh.elements[ea]], mesh.nodes[mesh.elements[eb]]

@@ -109,6 +109,11 @@ def test_solve_slack_optional_and_validation():
     other = build_mesh(1, 2)
     with pytest.raises(ValueError):
         solve(form, init=FeFunction.from_free(other, np.ones(other.free_count)))
+    # NaN would stop at once, -1 would run to the step cap and inf would
+    # report convergence after no step, none with an error
+    for tol in (float("nan"), -1.0, float("inf")):
+        with pytest.raises(ValueError, match="tol"):
+            solve(form, tol=tol)
 
 
 def test_quotient_and_deficit_basics():
