@@ -17,18 +17,22 @@ class QuadratureError(RuntimeError):
     """A quadrature did not reach its accuracy target."""
 
 
-@lru_cache(maxsize=128)
+@lru_cache(maxsize=128, typed=True)
 def unit_gauss(n: int):
     """Gauss-Legendre nodes and weights transplanted to [0, 1].
 
     Exact for polynomials of degree <= 2n - 1. Returned arrays are shared;
-    callers must not mutate them.
+    callers must not mutate them.  A fractional order raises rather than
+    being truncated and cached under its own key.
     """
-    x, w = leggauss(int(n))
+    if not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValueError(f"quadrature order must be an integer >= 1, got {n!r}")
+    x, w = leggauss(n)
     return 0.5 * (x + 1.0), 0.5 * w
 
 
-@lru_cache(maxsize=None)
+# typed, so an order 2.0 misses the entry of 2 and reaches unit_gauss's check
+@lru_cache(maxsize=None, typed=True)
 def reference_rule(dim: int, order: int):
     """Gauss rule on the reference simplex with ``order`` points per direction.
 
@@ -39,8 +43,6 @@ def reference_rule(dim: int, order: int):
     2 order - 2 (the collapse raises the degree in a by one).  The arrays
     are shared and read-only.
     """
-    if order < 1:
-        raise ValueError("order must be >= 1")
     x, w = unit_gauss(order)
     if dim == 1:
         pts, wts = x[:, None], w.copy()

@@ -48,6 +48,11 @@ def _parse_levels(text: str) -> list:
     return levels
 
 
+def _parse_widths(text: str) -> list:
+    """Parse 'a,b,c' into floats: the ``type`` of ``--eps``, so a malformed list exits with status 2."""
+    return [float(p) for p in text.split(",")]
+
+
 def _parse_config(path: str) -> dict:
     out = {}
     with open(path) as f:
@@ -168,8 +173,7 @@ def _cmd_verify(args) -> int:
     elif args.kind == "covering":
         report = verify_covering(args.dim, args.s, args.samples, seed=args.seed)
     elif args.kind == "minseq":
-        eps = [float(e) for e in args.eps.split(",")]
-        report = verify_minimizing_sequence(args.dim, args.s, eps)
+        report = verify_minimizing_sequence(args.dim, args.s, args.eps)
     else:
         funcs = _random_fe_functions(args.dim, args.seed)
         report = verify_functional_inequalities(
@@ -216,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     p2.add_argument("--levels", type=_parse_levels, default=None)
     p2.add_argument("--samples", type=int, default=10000)
     p2.add_argument("--seed", type=int, default=0)
-    p2.add_argument("--eps", type=str, default="0.2,0.1,0.05")
+    p2.add_argument("--eps", type=_parse_widths, default="0.2,0.1,0.05")
     p2.add_argument("--out", type=str, default=None)
     p2.set_defaults(func=_cmd_verify)
     return parser

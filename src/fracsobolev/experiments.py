@@ -466,6 +466,8 @@ def verify_minimizing_sequence(N: int, s: float, eps_list) -> dict:
     """
     _check_problem(N, s)
     eps = [float(e) for e in eps_list]
+    if len(eps) < 2:
+        raise ValueError(f"eps_list needs at least two widths, got {eps_list!r}")
     if any(b >= a for a, b in zip(eps, eps[1:])):
         raise ValueError("eps_list must be strictly decreasing")
     if eps[0] >= 1 / 3 or eps[-1] <= 0:

@@ -24,6 +24,9 @@ or distant, from its separation.
 
 Each category yields terms (category, node idx, g, wK), one row per
 element pair or element: row b adds sum_q wK[b, q] (g_q . u[idx[b]])^2.
+An element-pair category supplies only its rule, pieces (g, w), its
+node rows and a scale per row; ``_pair_terms`` evaluates the kernel for
+all of them from g . X, the rule's point gaps in the row's coordinates.
 ``assemble`` scatters each term's block sum_q wK g_q g_q^T into the
 matrix; ``seminorm_sq_direct`` sums the terms at the points and forms
 no block.
@@ -33,7 +36,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import chain
 from math import fsum, gamma
 
 import numpy as np
@@ -90,7 +92,7 @@ def _orders(dim, boost):
     pair for less work than 2 on all of them, 4 to vertex, edge and
     complement, and 16 to angular.
     """
-    # a fractional level would reach unit_gauss, which truncates its order
+    # unit_gauss rejects a fractional order too; this error names the level
     if not isinstance(boost, (int, np.integer)) or boost < 0:
         raise ValueError(f"rule level must be an integer >= 0, got {boost!r}")
     far, vertex = (4, 24) if dim == 1 else (3, 10)
@@ -113,7 +115,8 @@ class AssemblyReport:
     singular, disjoint, complement) across its yields, so it includes the
     caller's per-term work while the generator waits: in assemble, the block
     and the scatter of every term. At 1D level 10, disjoint reads about
-    0.9 s in assemble against 0.5 s for the generators alone. "total" is
+    0.8 s in assemble against 0.45 s for the generators alone (one
+    thread). "total" is
     the whole assemble call. kernel_evals counts the quadrature points of
     each category's terms (0 for the closed-form 1D identical pairs), and
     complement_points those of the complement terms. complement_cells is
@@ -218,6 +221,28 @@ def _complement_terms(mesh, s, geo, order):
 
 # ----------------------------------------------------------- local formulas
 
+def _pair_terms(mesh, s, category, idx, scale, rule):
+    """Yield the terms of element pairs with node rows idx from their rule.
+
+    rule is a list of pieces (g (points, n), w (points,)).  Each rule is
+    a regularising transform whose g_q . f[idx[b]], for affine f, is a
+    fixed multiple of f(x_q) - f(y_q); the node coordinates are affine,
+    so g_q . X is the same multiple of x_q - y_q, and row b takes
+    wK[b, q] = scale[b] w_q |g_q . X|^(-N-2s).  X holds the row's nodes
+    less its first node: the rows of g sum to 0, so the first node
+    drops out and close pairs keep the digits of their gap.
+    """
+    expo = -(mesh.dim + 2 * s) / 2
+    for g, w in rule:
+        for part in _row_chunks(len(idx), len(g)):
+            rows = idx[part]
+            K = _sum_sq((x[rows] - x[rows[:, :1]]) @ g.T for x in mesh.nodes.T)
+            K **= expo
+            K *= w
+            K *= scale[part, None]
+            yield category, rows, g, K
+
+
 def _ident_terms_1d(mesh, s, geo):
     # (u(x) - u(y))^2 = (u1 - u0)^2 (x - y)^2 / h^2 on the element
     g = np.array([[-1.0, 1.0]])
@@ -226,51 +251,24 @@ def _ident_terms_1d(mesh, s, geo):
         yield "identical", mesh.elements[part], g, wK[part]
 
 
-def _vertex_terms_1d(mesh, s, pairs, order):
-    mu, wmu = unit_gauss(order)
-    n_pairs = len(pairs.vertex)
-    coords = mesh.nodes[:, 0]
-    shared, other_a, other_b = pairs.vertex_nodes.T
-    # orient: left element's far node lies below the shared node
-    left = np.where(coords[other_a] < coords[shared], other_a, other_b)
-    right = np.where(coords[other_a] < coords[shared], other_b, other_a)
-    h1 = coords[shared] - coords[left]
-    h2 = coords[right] - coords[shared]
-    idx = np.stack([left, shared, right], axis=1)
-    scale = 2.0 * h1 * h2 / (3 - 2 * s)
-    g0 = np.stack([np.ones_like(mu), mu - 1.0, -mu], axis=1)
-    g1 = np.stack([mu, 1.0 - mu, -np.ones_like(mu)], axis=1)
-    for part in _row_chunks(n_pairs, len(mu)):
-        a, b = h1[part, None], h2[part, None]
-        for g, gap in ((g0, a + b * mu), (g1, a * mu + b)):
-            wK = (scale[part, None] * wmu) * gap ** (-1.0 - 2 * s)
-            yield "vertex", idx[part], g, wK
-
-
 def _ident_terms_2d(mesh, s, geo, order):
     """Identical pairs by angular sector; each sector runs over the elements in order.
 
     The direction z = om0 (v1 - v0) + om1 (v2 - v1) meets the affine
-    basis in grad phi_k . z = [-om0, om0 - om1, om1]_k, the shared g.
+    basis in grad phi_k . z = [-om0, om0 - om1, om1]_k, the sector's g;
+    the radial integral is closed, leaving the weight tau^(2s-2) w_theta.
     """
-    m = mesh.n_elements
-    verts = geo.verts
     beta = gamma(2 - 2 * s) * gamma(3) / gamma(5 - 2 * s)
-    L = np.stack([verts[:, 1] - verts[:, 0], verts[:, 2] - verts[:, 1]], axis=-1)
-    scale = 4.0 * beta * geo.measure * geo.measure
     xg, wg = np.polynomial.legendre.leggauss(order)
+    rule = []
     for a, b in ((0, np.pi / 4), (np.pi / 4, np.pi / 2), (np.pi / 2, np.pi)):
         th = 0.5 * (b - a) * xg + 0.5 * (a + b)
-        w = 0.5 * (b - a) * wg
-        om = np.stack([np.cos(th), np.sin(th)], axis=-1)
-        tau = 0.5 * (np.abs(om[:, 0]) + np.abs(om[:, 1]) + np.abs(om[:, 0] - om[:, 1]))
-        g = np.stack([-om[:, 0], om[:, 0] - om[:, 1], om[:, 1]], axis=1)
-        for part in _row_chunks(m, len(th)):
-            z = np.einsum("nc,bdc->bnd", om, L[part])
-            # squares z in place: nothing reads it after
-            kz = _sum_sq(z[..., c] for c in range(2)) ** (-(2 + 2 * s) / 2)
-            wK = kz * (tau ** (2 * s - 2) * w) * scale[part, None]
-            yield "identical", mesh.elements[part], g, wK
+        om0, om1 = np.cos(th), np.sin(th)
+        tau = 0.5 * (np.abs(om0) + np.abs(om1) + np.abs(om0 - om1))
+        g = np.stack([-om0, om0 - om1, om1], axis=1)
+        rule.append((g, tau ** (2 * s - 2) * (0.5 * (b - a) * wg)))
+    scale = 4.0 * beta * geo.measure * geo.measure
+    return _pair_terms(mesh, s, "identical", mesh.elements, scale, rule)
 
 
 def element_self_interaction(mesh: BallMesh, s: float) -> np.ndarray:
@@ -291,90 +289,88 @@ def element_self_interaction(mesh: BallMesh, s: float) -> np.ndarray:
     return local.reshape(-1, mesh.n_elements, k, k).sum(axis=0)
 
 
-def _vertex_terms_2d(mesh, s, geo, pairs, order):
+def _vertex_rule(dim, order):
+    """Rule for two elements sharing one node, on rows (shared, far nodes of a, of b).
+
+    From the shared node, x = r p_a and y = t p_b with p_a, p_b on the
+    far faces: (1-S, S) on the far edge in 2D, the far node in 1D.  The
+    branch t = M r gives x - y = r (p_a - M p_b) and the branch r = M t
+    gives t (M p_a - p_b); the radial integral is closed, leaving the
+    weight M^(N-1) of the face coordinates.
+    """
+    x, w = unit_gauss(order)
+    if dim == 1:
+        M, W = x, w
+        face_a = face_b = np.ones((len(x), 1))
+    else:
+        S, T, M = (a.ravel() for a in np.meshgrid(x, x, x, indexing="ij"))
+        W = (w[:, None, None] * w[None, :, None] * w[None, None, :]).ravel() * M
+        face_a, face_b = np.stack([1 - S, S], axis=1), np.stack([1 - T, T], axis=1)
+    return [
+        (np.column_stack([M - 1, face_a, -M[:, None] * face_b]), W),
+        (np.column_stack([1 - M, M[:, None] * face_a, -face_b]), W),
+    ]
+
+
+def _edge_rule(order):
+    """Rule for two triangles sharing an edge, on rows (v1, v2, apex a, apex b).
+
+    Four subregions; a region's point (d, b, dl) gives x - y =
+    d (v2 - v1) + b (apex a - v1) - dl (apex b - v1) up to its radial
+    factor, so its g is [-d - b + dl, d, b, -dl].
+    """
     x01, w01 = unit_gauss(order)
-    Sg, Tg, Mg = (a.ravel() for a in np.meshgrid(x01, x01, x01, indexing="ij"))
-    Wg = (w01[:, None, None] * w01[None, :, None] * w01[None, None, :]).ravel()
-    g_br = (
-        np.stack([Mg - 1, 1 - Sg, Sg, -Mg * (1 - Tg), -Mg * Tg], axis=1),
-        np.stack([1 - Mg, Mg * (1 - Sg), Mg * Sg, -(1 - Tg), -Tg], axis=1),
-    )
-    idx = pairs.vertex_nodes
-    # edges from the shared node: two of the first element, two of the second
-    edges = mesh.nodes[idx[:, 1:]] - mesh.nodes[idx[:, :1]]
-    area = geo.measure[pairs.vertex]
-    scale = 2.0 * 4.0 * area[:, 0] * area[:, 1] / (4 - 2 * s)
-    Sc, Tc = 1 - Sg, 1 - Tg
-    for part in _row_chunks(len(idx), len(Mg)):
-        # per coordinate c: (B, points) points on the two far edges
-        a1, a2, b1, b2 = (e[:, :, None] for e in np.moveaxis(edges[part], 1, 0))
-        ea = [Sc * a1[:, c] + Sg * a2[:, c] for c in range(2)]
-        eb = [Tc * b1[:, c] + Tg * b2[:, c] for c in range(2)]
-        for branch, g in enumerate(g_br):
-            if branch == 0:
-                K = _sum_sq(ea[c] - Mg * eb[c] for c in range(2))
-            else:
-                K = _sum_sq(Mg * ea[c] - eb[c] for c in range(2))
-            K **= -(2 + 2 * s) / 2
-            yield "vertex", idx[part], g, (scale[part, None] * (Wg * Mg)) * K
-
-
-def _edge_subregions(n):
-    x01, w01 = unit_gauss(n)
     U, Vv = (a.ravel() for a in np.meshgrid(x01, x01, indexing="ij"))
     Wsq = np.outer(w01, w01).ravel()
-    lam, Wt = reference_rule(2, n)
+    lam, Wt = reference_rule(2, order)
     At, Bt = lam[:, 1], lam[:, 2]
     one_t = np.ones_like(At)
-    return [
+    regions = (
         (1 - U, U, Vv, Wsq),
         (At, Bt, one_t, Wt),
         (-(1 - U), Vv, U, Wsq),
         (-At, one_t, Bt, Wt),
-    ]
+    )
+    return [(np.stack([-d - b + dl, d, b, -dl], axis=1), w) for d, b, dl, w in regions]
 
 
-def _edge_terms_2d(mesh, s, geo, pairs, order):
-    regions = _edge_subregions(order)
-    # rows (v1, v2, apex a, apex b): shared edge v1 -> v2, then the two apexes
-    idx = pairs.edge_nodes
-    E, Ga, Gb = np.moveaxis(mesh.nodes[idx[:, 1:]] - mesh.nodes[idx[:, :1]], 1, 0)
-    area = geo.measure[pairs.edge]
-    scale = 2.0 * 4.0 * area[:, 0] * area[:, 1] / ((3 - 2 * s) * (4 - 2 * s))
-    for d, b, dl, w in regions:
-        g = np.stack([-d - b + dl, d, b, -dl], axis=1)
-        for part in _row_chunks(len(idx), len(d)):
-            e, ga, gb = (x[part, :, None] for x in (E, Ga, Gb))
-            K = _sum_sq(d * e[:, c] + b * ga[:, c] - dl * gb[:, c] for c in range(2))
-            K **= -(2 + 2 * s) / 2
-            yield "edge", idx[part], g, (scale[part, None] * w) * K
+def _singular_terms(mesh, s, geo, pairs, boost):
+    """Identical and touching pairs at rule level boost.
+
+    The touching pairs' radial integrals are closed: rho^(2N-1) from the
+    transform, rho^2 from (u(x) - u(y))^2 and the kernel's rho^(-N-2s)
+    give 1/(N+2-2s), and the edge transform one more 1/(3-2s).
+    """
+    vertex, edge, angular = _orders(mesh.dim, boost)[3:6]
+    if mesh.dim == 1:
+        yield from _ident_terms_1d(mesh, s, geo)
+    else:
+        yield from _ident_terms_2d(mesh, s, geo, angular)
+    ja, jb = geo.jacobian[pairs.vertex].T
+    scale = 2.0 * ja * jb / (mesh.dim + 2 - 2 * s)
+    yield from _pair_terms(mesh, s, "vertex", pairs.vertex_nodes, scale, _vertex_rule(mesh.dim, vertex))
+    if mesh.dim == 2:
+        ja, jb = geo.jacobian[pairs.edge].T
+        scale = 2.0 * ja * jb / ((3 - 2 * s) * (4 - 2 * s))
+        yield from _pair_terms(mesh, s, "edge", pairs.edge_nodes, scale, _edge_rule(edge))
 
 
 def _disjoint_terms(mesh, s, geo, blocks):
     """Plain Gauss on both elements of each (category, ia, ib, order) block.
 
-    A point pair (p, q) has g = [lam_p, -lam_q].  The rule's points on
-    every element are formed once per order as a (dim, m, points)
-    table, from which each chunk gathers its rows.
+    A point pair (p, q) has g = [lam_p, -lam_q] and w = 2 w_p w_q, and a
+    row's scale is J_a J_b.  The rows and their scales are formed one
+    chunk at a time, never for a whole block.
     """
-    expo = -(mesh.dim + 2 * s) / 2.0
-    rules = {}
     for category, ia, ib, order in blocks:
-        if order not in rules:
-            lam, weights = reference_rule(mesh.dim, order)
-            nq = len(lam)
-            g = np.concatenate([np.repeat(lam, nq, axis=0), -np.tile(lam, (nq, 1))], axis=1)
-            ww = 2.0 * np.outer(weights, weights).ravel()
-            rules[order] = g, ww, np.einsum("qk,mkd->dmq", lam, geo.verts, order="C")
-        g, ww, X = rules[order]
+        lam, weights = reference_rule(mesh.dim, order)
+        nq = len(lam)
+        g = np.concatenate([np.repeat(lam, nq, axis=0), -np.tile(lam, (nq, 1))], axis=1)
+        rule = [(g, 2.0 * np.outer(weights, weights).ravel())]
         for part in _row_chunks(len(ia), len(g)):
             a, b = ia[part], ib[part]
-            K = _sum_sq(x[a][:, :, None] - x[b][:, None, :] for x in X).reshape(len(a), len(g))
-            K **= expo
-            K *= ww
-            K *= (geo.jacobian[a] * geo.jacobian[b])[:, None]
             idx = np.concatenate([mesh.elements[a], mesh.elements[b]], axis=1)
-            yield category, idx, g, K
+            yield from _pair_terms(mesh, s, category, idx, geo.jacobian[a] * geo.jacobian[b], rule)
 
 
 def _disjoint_blocks(mesh, geo, near, far, distant):
@@ -415,23 +411,15 @@ def _terms(mesh, s, boost, geo, work):
     pair_counts, kernel_evals, complement_cells, complement_points and
     phase_seconds, counted from the terms and timed around their yields.
     """
-    near, far, distant, vertex, edge, angular, complement = _orders(mesh.dim, boost)
+    near, far, distant, *_, complement = _orders(mesh.dim, boost)
     m = mesh.n_elements
     seconds = {}
     t0 = time.perf_counter()
     pairs = element_pairs(mesh)
     seconds["classify"] = time.perf_counter() - t0
 
-    if mesh.dim == 1:
-        singular = chain(_ident_terms_1d(mesh, s, geo), _vertex_terms_1d(mesh, s, pairs, vertex))
-    else:
-        singular = chain(
-            _ident_terms_2d(mesh, s, geo, angular),
-            _vertex_terms_2d(mesh, s, geo, pairs, vertex),
-            _edge_terms_2d(mesh, s, geo, pairs, edge),
-        )
     phases = (
-        ("singular", singular),
+        ("singular", _singular_terms(mesh, s, geo, pairs, boost)),
         ("disjoint", _disjoint_terms(mesh, s, geo, _disjoint_blocks(mesh, geo, near, far, distant))),
         ("complement", _complement_terms(mesh, s, geo, complement)),
     )

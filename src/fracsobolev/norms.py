@@ -87,7 +87,7 @@ def _refine(name: str, integral_at, order: int, rtol: float):
     measured in the max norm).  Past _MAX_ORDER the result at 2n is
     returned with a RuntimeWarning naming the change achieved.
     """
-    n = max(int(order), 2)
+    n = max(order, 2)
     coarse = integral_at(n)
     while True:
         fine = integral_at(2 * n)

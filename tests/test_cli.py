@@ -158,6 +158,15 @@ def test_verify_minseq_command(capsys):
     assert "monotone: True" in out
 
 
+@pytest.mark.parametrize("eps", ["0.2,x", "0.2,,0.1", ""])
+def test_bad_widths_exit_through_argparse(eps, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "minseq", "--eps", eps])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--eps" in err and repr(eps) in err
+
+
 def test_verify_interp_command(capsys):
     rc = main(
         ["verify", "interp", "--dim", "1", "--s", "0.25", "--q", "2", "--c", "0.25", "--levels", "5..7"]

@@ -1,6 +1,7 @@
 """Sweep drivers, CSV round trips, and the sampling audits."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -228,6 +229,13 @@ def test_minimizing_sequence_gaps_shrink():
         verify_minimizing_sequence(1, 0.25, [0.1, 0.2])
     with pytest.raises(ValueError):
         verify_minimizing_sequence(1, 0.25, [0.4, 0.2])
+
+
+@pytest.mark.parametrize("eps", [[], [0.1]])
+def test_minimizing_sequence_needs_two_widths(eps):
+    # no ratio to check, so a vacuous "monotone" would read as a pass
+    with pytest.raises(ValueError, match=re.escape(f"two widths, got {eps!r}")):
+        verify_minimizing_sequence(1, 0.25, eps)
 
 
 # ------------------------------------------------- inequality audits

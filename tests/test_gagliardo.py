@@ -13,6 +13,7 @@ import dataclasses
 import json
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
@@ -20,7 +21,7 @@ from scipy import integrate
 from scipy.spatial.distance import cdist
 from scipy.special import ellipe
 
-from fracsobolev import gagliardo
+from fracsobolev import gagliardo, reference_rule
 from fracsobolev import mesh as mesh_module
 from fracsobolev.bubble import truncated_bubble
 from fracsobolev.gagliardo import (
@@ -35,14 +36,12 @@ from fracsobolev.gagliardo import (
     _complement_terms,
     _disjoint_blocks,
     _disjoint_terms,
-    _edge_terms_2d,
     _ident_terms_1d,
     _ident_terms_2d,
     _orders,
+    _singular_terms,
     _term_block,
     _terms,
-    _vertex_terms_1d,
-    _vertex_terms_2d,
 )
 from fracsobolev.mesh import (
     FeFunction,
@@ -83,6 +82,12 @@ def _pair_blocks(terms):
     out = np.zeros((len(first),) + blocks.shape[1:])
     np.add.at(out, rank[inv.ravel()], blocks)
     return idx[np.sort(first)], out
+
+
+def _category_blocks(mesh, s, category):
+    """Per-row node indices and local blocks of one singular category at the default rule."""
+    terms = _singular_terms(mesh, s, element_geometry(mesh), element_pairs(mesh), 0)
+    return _pair_blocks(t for t in terms if t[0] == category)
 
 
 def _pair_table(blocks):
@@ -349,6 +354,54 @@ def test_term_stream_has_one_format(make_mesh, boost):
         assert g.shape == (wK.shape[1], idx.shape[1])
         assert wK.shape == (len(idx), len(g))
         assert wK.flags.c_contiguous
+
+
+@pytest.mark.parametrize("boost", [0, 1, 2])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_every_pair_rule_differences_constants_to_zero(dim, boost):
+    # each row of g sums to 0, so g . X reads x - y whichever node X is
+    # translated to; the complement is a single-element term and is left out
+    meshes = [_custom_1d_mesh(), build_mesh(1, 3)] if dim == 1 else [build_mesh(2, 1)]
+    seen = set()
+    for mesh in meshes:
+        for category, _, g, _ in _terms(mesh, 0.25, boost, element_geometry(mesh), {}):
+            if category == "complement":
+                continue
+            seen.add(category)
+            bound = 4 * np.finfo(float).eps * np.max(np.abs(g))
+            assert np.max(np.abs(g.sum(axis=1))) <= bound, (category, boost)
+    assert seen == set(gagliardo._CATEGORIES) - ({"edge"} if dim == 1 else set())
+
+
+def test_close_disjoint_pairs_keep_their_digits():
+    # pairs one element apart at 1D L12: their points lie h ~ 2.4e-4 apart
+    # at coordinates of size 1, so forming the points first loses the digits
+    # of the gap; the reference forms each point as a0 + lam1 (a1 - a0)
+    s, mp = 0.25, mpmath.mp.clone()
+    mp.dps = 40
+    mesh = build_mesh(1, 12)
+    geo = element_geometry(mesh)
+    left = np.argsort(geo.verts[:, :, 0].min(axis=1))
+    pos = np.linspace(0, mesh.n_elements - 3, 40).astype(int)
+    ia, ib = left[pos], left[pos + 2]
+    for order in sorted(set(_orders(1, 0)[:3])):
+        lam, weights = reference_rule(1, order)
+        terms = list(_disjoint_terms(mesh, s, geo, [("disjoint_near", ia, ib, order)]))
+        assert len(terms) == 1
+        wK = terms[0][3]
+        worst = 0.0
+        for row, (ea, eb) in enumerate(zip(ia, ib)):
+            a0, a1 = (mp.mpf(float(x)) for x in mesh.nodes[mesh.elements[ea], 0])
+            b0, b1 = (mp.mpf(float(x)) for x in mesh.nodes[mesh.elements[eb], 0])
+            assert not set(mesh.elements[ea]) & set(mesh.elements[eb])
+            for p in range(order):
+                for q in range(order):
+                    x = a0 + mp.mpf(float(lam[p, 1])) * (a1 - a0)
+                    y = b0 + mp.mpf(float(lam[q, 1])) * (b1 - b0)
+                    w = 2 * mp.mpf(float(weights[p])) * mp.mpf(float(weights[q]))
+                    ref = w * abs(a1 - a0) * abs(b1 - b0) * abs(x - y) ** (-1 - 2 * s)
+                    worst = max(worst, float(abs(wK[row, p * order + q] / ref - 1)))
+        assert worst < 1e-14, (order, worst)
 
 
 @pytest.mark.parametrize("boost", [0, 1], ids=["default", "boosted"])
@@ -749,11 +802,13 @@ def test_vertex_block_1d_against_nested_quad():
     # adjacent nonuniform intervals sharing one node
     s = 0.31
     mesh = _custom_1d_mesh()
-    pairs = element_pairs(mesh)
-    idx, loc = _pair_blocks(_vertex_terms_1d(mesh, s, pairs, _orders(1, 0)[3]))
+    idx, loc = _category_blocks(mesh, s, "vertex")
     coords = mesh.nodes[:, 0]
     for row in range(len(idx)):
-        xl, xm, xr = coords[idx[row]]
+        # the row leads with the shared node; hat 0, 1, 2 is left, shared, right
+        xm = coords[idx[row, 0]]
+        xl, xr = sorted(coords[idx[row, 1:]])
+        hat_of = [1] + [0 if coords[n] < xm else 2 for n in idx[row, 1:]]
 
         def hat(k):
             def f(x):
@@ -782,7 +837,7 @@ def test_vertex_block_1d_against_nested_quad():
             return 2.0 * val
 
         for i, j in [(0, 0), (0, 1), (1, 1), (0, 2), (1, 2), (2, 2)]:
-            ref = pair_integral(i, j)
+            ref = pair_integral(hat_of[i], hat_of[j])
             scale = max(abs(ref), 1e-3)
             assert abs(loc[row, i, j] - ref) / scale < 1e-6, (row, i, j)
 
@@ -987,8 +1042,8 @@ def test_ident_blocks_2d_vs_covariogram(disk_pairs, s):
 
 @pytest.mark.parametrize("s", [0.5, 0.75])
 def test_vertex_blocks_2d_vs_subdivision(disk_pairs, s):
-    mesh, geo, pairs = disk_pairs
-    idxs, locs = _pair_blocks(_vertex_terms_2d(mesh, s, geo, pairs, _orders(2, 0)[3]))
+    mesh, _, _ = disk_pairs
+    idxs, locs = _category_blocks(mesh, s, "vertex")
     for pick in (0, len(idxs) // 2):
         idx, loc = idxs[pick], locs[pick]
         Va = mesh.nodes[idx[:3]]
@@ -1009,9 +1064,9 @@ def test_vertex_blocks_2d_vs_subdivision(disk_pairs, s):
 
 def test_edge_blocks_2d_vs_subdivision(disk_pairs):
     # the deepest touching case; one pair per order, Aitken-extrapolated
-    mesh, geo, pairs = disk_pairs
+    mesh, _, _ = disk_pairs
     for s, depths, tol in [(0.5, (5, 6, 7), 1e-4), (0.75, (4, 5, 6), 1e-3)]:
-        idxs, locs = _pair_blocks(_edge_terms_2d(mesh, s, geo, pairs, _orders(2, 0)[4]))
+        idxs, locs = _category_blocks(mesh, s, "edge")
         idx, loc = idxs[0], locs[0]
         Va = mesh.nodes[idx[:3]]
         Vb = mesh.nodes[[idx[0], idx[1], idx[3]]]

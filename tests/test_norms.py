@@ -1,6 +1,7 @@
 """Quadrature rules, L^q norms, and the critical-exponent residual vector."""
 
 import math
+import re
 import warnings
 
 import mpmath
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracsobolev import norms, reference_rule
+from fracsobolev._quad import unit_gauss
 from fracsobolev.bubble import truncated_bubble
 from fracsobolev.mesh import FeFunction, build_mesh, interpolate
 from fracsobolev.norms import lq_norm, nonlinear_residual
@@ -53,6 +55,24 @@ def test_reference_rule_validation():
     assert reference_rule(2, 3)[0] is lam
     with pytest.raises(ValueError):
         weights[0] = 1.0
+
+
+@pytest.mark.parametrize("order", [2.5, 2.0, np.float64(3.0), "4"])
+def test_non_integer_quadrature_orders_raise(order):
+    # neither truncated nor cached: an integer-valued float is refused too,
+    # as for rule levels and mesh levels
+    reference_rule(1, 2)
+    for rule in (lambda: reference_rule(1, order), lambda: unit_gauss(order)):
+        with pytest.raises(ValueError, match=re.escape(f"got {order!r}")):
+            rule()
+    assert len(unit_gauss(np.int64(3))[0]) == 3
+
+
+def test_lq_norm_rejects_a_fractional_order():
+    mesh = build_mesh(1, 3)
+    u = interpolate(mesh, lambda x: 1.0 - x[:, 0] ** 2)
+    with pytest.raises(ValueError, match="6.9"):
+        lq_norm(u, 4.0, order=6.9)
 
 
 def test_barycentric_partition_of_unity():
