@@ -49,8 +49,15 @@ def _parse_levels(text: str) -> list:
 
 
 def _parse_widths(text: str) -> list:
-    """Parse 'a,b,c' into floats: the ``type`` of ``--eps``, so a malformed list exits with status 2."""
-    return [float(p) for p in text.split(",")]
+    """Parse 'a,b,c' into floats: the ``type`` of ``--eps``, with the audit's rules.
+
+    At least two widths, strictly decreasing, each in (0, 1/3), so not
+    NaN; argparse rejects any other list with exit status 2.
+    """
+    eps = [float(p) for p in text.split(",")]
+    if len(eps) < 2 or not all(0 < e < 1 / 3 for e in eps) or any(b >= a for a, b in zip(eps, eps[1:])):
+        raise ValueError(f"widths {text!r} are not two or more, strictly decreasing, in (0, 1/3)")
+    return eps
 
 
 def _parse_config(path: str) -> dict:

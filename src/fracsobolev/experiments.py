@@ -109,16 +109,15 @@ class InterpRates:
 def fit_rate(points) -> RateFit:
     """Fit value ~ C * h^slope by least squares on logs.
 
-    Rejects non-positive values and fewer than 3 points.  Callers remove
-    outliers themselves; no point is dropped here.
+    Rejects fewer than 3 points and any point that is not finite and
+    positive.  Callers remove outliers themselves; no point is dropped here.
     """
     pts = [(float(h), float(v)) for h, v in points]
     if len(pts) < 3:
         raise ValueError("rate fit needs at least 3 points")
-    if any(h <= 0 for h, _ in pts):
-        raise ValueError("abscissae must be positive")
-    if any(v <= 0 for _, v in pts):
-        raise ValueError("rate fit requires positive values")
+    for p in pts:
+        if not all(0 < x < np.inf for x in p):
+            raise ValueError(f"rate fit needs finite positive points, got {p}")
     x = np.log([h for h, _ in pts])
     y = np.log([v for _, v in pts])
     slope, intercept = np.polyfit(x, y, 1)
@@ -468,10 +467,11 @@ def verify_minimizing_sequence(N: int, s: float, eps_list) -> dict:
     eps = [float(e) for e in eps_list]
     if len(eps) < 2:
         raise ValueError(f"eps_list needs at least two widths, got {eps_list!r}")
+    # every width, so a NaN anywhere fails it
+    if not all(0 < e < 1 / 3 for e in eps):
+        raise ValueError(f"widths must lie in (0, 1/3), got {eps_list!r}")
     if any(b >= a for a, b in zip(eps, eps[1:])):
-        raise ValueError("eps_list must be strictly decreasing")
-    if eps[0] >= 1 / 3 or eps[-1] <= 0:
-        raise ValueError("widths must lie in (0, 1/3)")
+        raise ValueError(f"widths must be strictly decreasing, got {eps_list!r}")
 
     level, mesh = None, None
     for lev in range(1, _MAX_PROXY_LEVEL[N] + 1):

@@ -22,11 +22,12 @@ blocks by ``mesh.disjoint_pairs`` and never held whole;
 ``_disjoint_blocks`` gives each the Gauss order of its band, near, far
 or distant, from its separation.
 
-Each category yields terms (category, node idx, g, wK), one row per
+The form streams as terms (category, node idx, g, wK), one row per
 element pair or element: row b adds sum_q wK[b, q] (g_q . u[idx[b]])^2.
-An element-pair category supplies only its rule, pieces (g, w), its
-node rows and a scale per row; ``_pair_terms`` evaluates the kernel for
-all of them from g . X, the rule's point gaps in the row's coordinates.
+Each element-pair category, the 1D identical pairs too, is a pair set
+(category, node rows, row scale, rule of pieces (g, w)); ``_terms``
+counts its rows and expands it through ``_pair_terms``, which
+evaluates the kernel from g . X, the rule's point gaps in the rows.
 ``assemble`` scatters each term's block sum_q wK g_q g_q^T into the
 matrix; ``seminorm_sq_direct`` sums the terms at the points and forms
 no block.
@@ -113,16 +114,15 @@ class AssemblyReport:
 
     phase_seconds times each phase of the term generators (classify,
     singular, disjoint, complement) across its yields, so it includes the
-    caller's per-term work while the generator waits: in assemble, the block
-    and the scatter of every term. At 1D level 10, disjoint reads about
-    0.8 s in assemble against 0.45 s for the generators alone (one
-    thread). "total" is
-    the whole assemble call. kernel_evals counts the quadrature points of
-    each category's terms (0 for the closed-form 1D identical pairs), and
-    complement_points those of the complement terms. complement_cells is
-    the element count, one complement rule per element; budget_exceeded
-    is always 0, kept because perfbench reads it by name until its
-    capped-cells metric goes (ROADMAP item 9).
+    caller's per-term work while the generator waits: in assemble, the
+    block and the scatter of every term. At 1D level 10, disjoint reads
+    about 0.8 s in assemble against 0.45 s for the generators alone (one
+    thread). "total" is the whole assemble call. kernel_evals counts the
+    quadrature points of each category's terms (one per element for the
+    1D identical pairs), and complement_points those of the complement
+    terms. complement_cells is the element count, one complement rule per
+    element; budget_exceeded is always 0, kept because perfbench reads it
+    by name until its capped-cells metric goes (ROADMAP item 9).
     """
 
     pair_counts: dict
@@ -221,8 +221,8 @@ def _complement_terms(mesh, s, geo, order):
 
 # ----------------------------------------------------------- local formulas
 
-def _pair_terms(mesh, s, category, idx, scale, rule):
-    """Yield the terms of element pairs with node rows idx from their rule.
+def _pair_terms(mesh, s, idx, scale, rule):
+    """Yield the terms (rows, g, wK) of element pairs with node rows idx from their rule.
 
     rule is a list of pieces (g (points, n), w (points,)).  Each rule is
     a regularising transform whose g_q . f[idx[b]], for affine f, is a
@@ -240,24 +240,20 @@ def _pair_terms(mesh, s, category, idx, scale, rule):
             K **= expo
             K *= w
             K *= scale[part, None]
-            yield category, rows, g, K
+            yield rows, g, K
 
 
-def _ident_terms_1d(mesh, s, geo):
-    # (u(x) - u(y))^2 = (u1 - u0)^2 (x - y)^2 / h^2 on the element
-    g = np.array([[-1.0, 1.0]])
-    wK = (2.0 * geo.measure ** (1 - 2 * s) / ((2 - 2 * s) * (3 - 2 * s)))[:, None]
-    for part in _row_chunks(mesh.n_elements, 1):
-        yield "identical", mesh.elements[part], g, wK[part]
+def _ident_rule(dim, s, order):
+    """Rule for an element with itself, on rows (its nodes), row scale J^2.
 
-
-def _ident_terms_2d(mesh, s, geo, order):
-    """Identical pairs by angular sector; each sector runs over the elements in order.
-
-    The direction z = om0 (v1 - v0) + om1 (v2 - v1) meets the affine
-    basis in grad phi_k . z = [-om0, om0 - om1, om1]_k, the sector's g;
-    the radial integral is closed, leaving the weight tau^(2s-2) w_theta.
+    In 1D, (u(x) - u(y))^2 = (u1 - u0)^2 (x - y)^2 / h^2, so one point
+    g = [-1, 1] carries the closed form.  In 2D, by angular sector: the
+    direction z = om0 (v1 - v0) + om1 (v2 - v1) meets the affine basis in
+    grad phi_k . z = [-om0, om0 - om1, om1]_k, the sector's g; the radial
+    integral is closed, leaving the weight beta tau^(2s-2) w_theta.
     """
+    if dim == 1:
+        return [(np.array([[-1.0, 1.0]]), np.array([2.0 / ((2 - 2 * s) * (3 - 2 * s))]))]
     beta = gamma(2 - 2 * s) * gamma(3) / gamma(5 - 2 * s)
     xg, wg = np.polynomial.legendre.leggauss(order)
     rule = []
@@ -266,9 +262,8 @@ def _ident_terms_2d(mesh, s, geo, order):
         om0, om1 = np.cos(th), np.sin(th)
         tau = 0.5 * (np.abs(om0) + np.abs(om1) + np.abs(om0 - om1))
         g = np.stack([-om0, om0 - om1, om1], axis=1)
-        rule.append((g, tau ** (2 * s - 2) * (0.5 * (b - a) * wg)))
-    scale = 4.0 * beta * geo.measure * geo.measure
-    return _pair_terms(mesh, s, "identical", mesh.elements, scale, rule)
+        rule.append((g, beta * tau ** (2 * s - 2) * (0.5 * (b - a) * wg)))
+    return rule
 
 
 def element_self_interaction(mesh: BallMesh, s: float) -> np.ndarray:
@@ -279,12 +274,9 @@ def element_self_interaction(mesh: BallMesh, s: float) -> np.ndarray:
     s(1-s) factor, at the default quadrature of the dimension.
     """
     check_order(mesh.dim, s)
-    geo = element_geometry(mesh)
-    if mesh.dim == 1:
-        terms = _ident_terms_1d(mesh, s, geo)
-    else:
-        terms = _ident_terms_2d(mesh, s, geo, _orders(2, 0)[5])
-    local = np.concatenate([_term_block(g, wK) for _, _, g, wK in terms])
+    rule = _ident_rule(mesh.dim, s, _orders(mesh.dim, 0)[5])
+    terms = _pair_terms(mesh, s, mesh.elements, element_geometry(mesh).jacobian ** 2, rule)
+    local = np.concatenate([_term_block(g, wK) for _, g, wK in terms])
     k = mesh.dim + 1
     return local.reshape(-1, mesh.n_elements, k, k).sum(axis=0)
 
@@ -334,33 +326,30 @@ def _edge_rule(order):
     return [(np.stack([-d - b + dl, d, b, -dl], axis=1), w) for d, b, dl, w in regions]
 
 
-def _singular_terms(mesh, s, geo, pairs, boost):
-    """Identical and touching pairs at rule level boost.
+def _singular_sets(mesh, s, geo, pairs, boost):
+    """Pair sets (category, node rows, row scale, rule) of the identical and touching pairs.
 
     The touching pairs' radial integrals are closed: rho^(2N-1) from the
     transform, rho^2 from (u(x) - u(y))^2 and the kernel's rho^(-N-2s)
     give 1/(N+2-2s), and the edge transform one more 1/(3-2s).
     """
     vertex, edge, angular = _orders(mesh.dim, boost)[3:6]
-    if mesh.dim == 1:
-        yield from _ident_terms_1d(mesh, s, geo)
-    else:
-        yield from _ident_terms_2d(mesh, s, geo, angular)
+    yield "identical", mesh.elements, geo.jacobian ** 2, _ident_rule(mesh.dim, s, angular)
     ja, jb = geo.jacobian[pairs.vertex].T
     scale = 2.0 * ja * jb / (mesh.dim + 2 - 2 * s)
-    yield from _pair_terms(mesh, s, "vertex", pairs.vertex_nodes, scale, _vertex_rule(mesh.dim, vertex))
+    yield "vertex", pairs.vertex_nodes, scale, _vertex_rule(mesh.dim, vertex)
     if mesh.dim == 2:
         ja, jb = geo.jacobian[pairs.edge].T
         scale = 2.0 * ja * jb / ((3 - 2 * s) * (4 - 2 * s))
-        yield from _pair_terms(mesh, s, "edge", pairs.edge_nodes, scale, _edge_rule(edge))
+        yield "edge", pairs.edge_nodes, scale, _edge_rule(edge)
 
 
-def _disjoint_terms(mesh, s, geo, blocks):
-    """Plain Gauss on both elements of each (category, ia, ib, order) block.
+def _disjoint_sets(mesh, geo, blocks):
+    """Plain Gauss on both elements of each (category, ia, ib, order) block, as pair sets.
 
     A point pair (p, q) has g = [lam_p, -lam_q] and w = 2 w_p w_q, and a
-    row's scale is J_a J_b.  The rows and their scales are formed one
-    chunk at a time, never for a whole block.
+    row's scale is J_a J_b.  One set per ``_row_chunks`` chunk: the rows
+    and their scales are never formed for a whole block.
     """
     for category, ia, ib, order in blocks:
         lam, weights = reference_rule(mesh.dim, order)
@@ -370,7 +359,7 @@ def _disjoint_terms(mesh, s, geo, blocks):
         for part in _row_chunks(len(ia), len(g)):
             a, b = ia[part], ib[part]
             idx = np.concatenate([mesh.elements[a], mesh.elements[b]], axis=1)
-            yield from _pair_terms(mesh, s, category, idx, geo.jacobian[a] * geo.jacobian[b], rule)
+            yield category, idx, geo.jacobian[a] * geo.jacobian[b], rule
 
 
 def _disjoint_blocks(mesh, geo, near, far, distant):
@@ -405,42 +394,43 @@ def _terms(mesh, s, boost, geo, work):
     C-ordered (B, points) array.
     Unordered distinct pairs and the complement carry their factor 2
     in wK.  Rows may repeat across terms (branches, regions, sectors),
-    but a disjoint pair is one row of one term.
+    but an element pair is one row of one pair set.
 
     Once the stream ends, ``work`` holds the AssemblyReport fields
-    pair_counts, kernel_evals, complement_cells, complement_points and
-    phase_seconds, counted from the terms and timed around their yields.
+    pair_counts, counted from the pair sets' rows, kernel_evals,
+    complement_cells and complement_points, from the terms, and
+    phase_seconds, timed around their yields.
     """
     near, far, distant, *_, complement = _orders(mesh.dim, boost)
-    m = mesh.n_elements
     seconds = {}
     t0 = time.perf_counter()
     pairs = element_pairs(mesh)
     seconds["classify"] = time.perf_counter() - t0
+    counts = dict.fromkeys(_CATEGORIES, 0)
+    points = dict.fromkeys(_CATEGORIES + ("complement",), 0)
+
+    def expand(sets):
+        for category, idx, scale, rule in sets:
+            counts[category] += len(idx)
+            for rows, g, wK in _pair_terms(mesh, s, idx, scale, rule):
+                yield category, rows, g, wK
 
     phases = (
-        ("singular", _singular_terms(mesh, s, geo, pairs, boost)),
-        ("disjoint", _disjoint_terms(mesh, s, geo, _disjoint_blocks(mesh, geo, near, far, distant))),
+        ("singular", expand(_singular_sets(mesh, s, geo, pairs, boost))),
+        ("disjoint", expand(_disjoint_sets(mesh, geo, _disjoint_blocks(mesh, geo, near, far, distant)))),
         ("complement", _complement_terms(mesh, s, geo, complement)),
     )
-    counts = dict(zip(_CATEGORIES, (m, len(pairs.vertex), len(pairs.edge), 0, 0)))
-    points = dict.fromkeys(_CATEGORIES + ("complement",), 0)
     for phase, stream in phases:
         t0 = time.perf_counter()
         for category, idx, g, wK in stream:
             points[category] += wK.size
-            if phase == "disjoint":
-                counts[category] += len(wK)
             yield category, idx, g, wK
         seconds[phase] = time.perf_counter() - t0
-    if mesh.dim == 1:
-        # the identical pairs are integrated in closed form
-        points["identical"] = 0
     work.update(
         pair_counts=counts,
         complement_points=points.pop("complement"),
         kernel_evals=points,
-        complement_cells=m,
+        complement_cells=mesh.n_elements,
         phase_seconds=seconds,
     )
 

@@ -158,7 +158,8 @@ def test_verify_minseq_command(capsys):
     assert "monotone: True" in out
 
 
-@pytest.mark.parametrize("eps", ["0.2,x", "0.2,,0.1", ""])
+# unparseable; one width; increasing; a width of 1/3 or more; NaN
+@pytest.mark.parametrize("eps", ["0.2,x", "0.2,,0.1", "", "0.1", "0.05,0.1", "0.5,0.1", "nan,0.1"])
 def test_bad_widths_exit_through_argparse(eps, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "minseq", "--eps", eps])

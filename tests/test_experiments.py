@@ -49,6 +49,10 @@ def test_fit_rate_rejections():
         fit_rate([(0.5, 1.0), (-0.25, 0.5), (0.125, 0.25)])
     with pytest.raises(ValueError):
         fit_rate([(0.5, 1.0), (0.25, 0.0), (0.125, 0.25)])
+    # every comparison with NaN is False, so `v <= 0` lets it through to slope=nan
+    for bad in [(0.25, np.nan), (0.25, np.inf), (np.nan, 0.5), (np.inf, 0.5)]:
+        with pytest.raises(ValueError, match=re.escape(f"got {bad}")):
+            fit_rate([(0.5, 1.0), bad, (0.125, 0.25)])
 
 
 # ------------------------------------------------------------------- CSV
@@ -225,10 +229,16 @@ def test_minimizing_sequence_gaps_shrink():
     assert out["expected_halving_ratio"] == 2.0**0.5
     for r in out["ratios"]:
         assert 1.2 <= r <= 1.7
-    with pytest.raises(ValueError):
-        verify_minimizing_sequence(1, 0.25, [0.1, 0.2])
-    with pytest.raises(ValueError):
-        verify_minimizing_sequence(1, 0.25, [0.4, 0.2])
+    for bad, why in [
+        ([0.1, 0.2], "strictly decreasing"),
+        ([0.4, 0.2], "lie in (0, 1/3)"),
+        # every comparison with NaN is False: only a test that a width must pass refuses it
+        ([np.nan, 0.1], "lie in (0, 1/3)"),
+        ([0.2, np.nan], "lie in (0, 1/3)"),
+        ([0.2, np.inf], "lie in (0, 1/3)"),
+    ]:
+        with pytest.raises(ValueError, match=re.escape(f"{why}, got {bad!r}")):
+            verify_minimizing_sequence(1, 0.25, bad)
 
 
 @pytest.mark.parametrize("eps", [[], [0.1]])

@@ -35,11 +35,10 @@ from fracsobolev.gagliardo import (
     _DISTANT_RATIO,
     _complement_terms,
     _disjoint_blocks,
-    _disjoint_terms,
-    _ident_terms_1d,
-    _ident_terms_2d,
+    _disjoint_sets,
     _orders,
-    _singular_terms,
+    _pair_terms,
+    _singular_sets,
     _term_block,
     _terms,
 )
@@ -67,16 +66,17 @@ def _mesh_for_key(key):
     return build_mesh(1, int(key.split(",")[0][5:]))
 
 
-def _pair_blocks(terms):
-    """Per-row node indices and local blocks of a term stream.
+def _set_blocks(mesh, s, sets):
+    """Per-row node indices and local blocks of pair sets.
 
-    Applies the package's block former to each term and sums the terms
-    of a row (rows repeat across branches, regions and sectors); rows
-    keep the order in which they first appear.
+    Expands each set through the package's kernel evaluator, applies its
+    block former to each term and sums the terms of a row (rows repeat
+    across branches, regions and sectors); rows keep the order in which
+    they first appear.
     """
-    terms = list(terms)
-    idx = np.concatenate([t[1] for t in terms])
-    blocks = np.concatenate([_term_block(t[2], t[3]) for t in terms])
+    terms = [t for _, idx, scale, rule in sets for t in _pair_terms(mesh, s, idx, scale, rule)]
+    idx = np.concatenate([rows for rows, _, _ in terms])
+    blocks = np.concatenate([_term_block(g, wK) for _, g, wK in terms])
     _, first, inv = np.unique(idx, axis=0, return_index=True, return_inverse=True)
     rank = np.argsort(np.argsort(first))
     out = np.zeros((len(first),) + blocks.shape[1:])
@@ -86,8 +86,8 @@ def _pair_blocks(terms):
 
 def _category_blocks(mesh, s, category):
     """Per-row node indices and local blocks of one singular category at the default rule."""
-    terms = _singular_terms(mesh, s, element_geometry(mesh), element_pairs(mesh), 0)
-    return _pair_blocks(t for t in terms if t[0] == category)
+    sets = _singular_sets(mesh, s, element_geometry(mesh), element_pairs(mesh), 0)
+    return _set_blocks(mesh, s, [st for st in sets if st[0] == category])
 
 
 def _pair_table(blocks):
@@ -386,9 +386,11 @@ def test_close_disjoint_pairs_keep_their_digits():
     ia, ib = left[pos], left[pos + 2]
     for order in sorted(set(_orders(1, 0)[:3])):
         lam, weights = reference_rule(1, order)
-        terms = list(_disjoint_terms(mesh, s, geo, [("disjoint_near", ia, ib, order)]))
+        sets = list(_disjoint_sets(mesh, geo, [("disjoint_near", ia, ib, order)]))
+        assert len(sets) == 1
+        terms = list(_pair_terms(mesh, s, *sets[0][1:]))
         assert len(terms) == 1
-        wK = terms[0][3]
+        wK = terms[0][2]
         worst = 0.0
         for row, (ea, eb) in enumerate(zip(ia, ib)):
             a0, a1 = (mp.mpf(float(x)) for x in mesh.nodes[mesh.elements[ea], 0])
@@ -417,9 +419,8 @@ def test_work_counts_follow_the_term_stream(dim, level, s, boost):
             cells += len(wK)
         evals[category] = evals.get(category, 0) + wK.size
     if dim == 1:
-        # the identical pairs are integrated in closed form: no kernel evaluation
-        assert report.kernel_evals["identical"] == 0
-        evals["identical"] = 0
+        # the closed form of a 1D identical pair is one point of its rule
+        assert report.kernel_evals["identical"] == mesh.n_elements
     assert report.complement_points == evals.pop("complement")
     assert report.complement_cells == cells
     assert report.kernel_evals == evals
@@ -790,7 +791,7 @@ def test_ident_block_1d_against_nested_quad():
     # the in-package identical block carries exactly this closed form
     mesh = _custom_1d_mesh()
     geo = element_geometry(mesh)
-    _, loc = _pair_blocks(_ident_terms_1d(mesh, s, geo))
+    _, loc = _category_blocks(mesh, s, "identical")
     for e in range(mesh.n_elements):
         he = geo.measure[e]
         ref = 2.0 * he ** (3 - 2 * s) / ((2 - 2 * s) * (3 - 2 * s)) / he**2
@@ -1034,7 +1035,7 @@ def disk_pairs():
 @pytest.mark.parametrize("s", [0.5, 0.75])
 def test_ident_blocks_2d_vs_covariogram(disk_pairs, s):
     mesh, geo, _ = disk_pairs
-    _, loc = _pair_blocks(_ident_terms_2d(mesh, s, geo, _orders(2, 0)[5]))
+    _, loc = _category_blocks(mesh, s, "identical")
     for e in (0, 7):
         ref = _ident_oracle_covariogram(geo.verts[e], s)
         assert np.max(np.abs(loc[e] - ref)) / np.max(np.abs(ref)) < 1e-6
@@ -1148,7 +1149,7 @@ def test_disjoint_blocks_2d_vs_pointwise_kernel(s, boost):
     ):
         picks = chosen[[0, 1, len(chosen) // 2, len(chosen) - 1]]
         block = (tag, picks[:, 0], picks[:, 1], order)
-        idxs, locs = _pair_blocks(_disjoint_terms(mesh, s, geo, [block]))
+        idxs, locs = _set_blocks(mesh, s, _disjoint_sets(mesh, geo, [block]))
         assert len(locs) == len(picks)
         for (ea, eb), idx, loc in zip(picks, idxs, locs):
             Va, Vb = mesh.nodes[mesh.elements[ea]], mesh.nodes[mesh.elements[eb]]
