@@ -32,19 +32,23 @@ _VERIFY_MESH_LEVEL = {1: 5, 2: 1}
 def _parse_levels(text: str) -> list:
     """Parse 'a..b' into [a, ..., b] or 'a,b,c' into a list.
 
-    The ``type`` of both ``--levels`` flags: argparse rejects a value it
-    cannot parse, an empty range like '8..4', a negative level or a list
-    that is not strictly increasing, with exit status 2 and names the value.
+    The ``type`` of both ``--levels`` flags: a value it cannot parse, an
+    empty range like '8..4', a negative level or a list that is not
+    strictly increasing raises ArgumentTypeError, which argparse prints,
+    the value and the reason, before it exits with status 2.
     """
-    if ".." in text:
-        a, b = text.split("..")
-        levels = list(range(int(a), int(b) + 1))
-    else:
-        levels = [int(p) for p in text.split(",")]
+    try:
+        if ".." in text:
+            a, b = text.split("..")
+            levels = list(range(int(a), int(b) + 1))
+        else:
+            levels = [int(p) for p in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"levels {text!r} are not 'a..b' or 'a,b,c' integers") from None
     if not levels:
-        raise ValueError(f"empty level range {text!r}")
+        raise argparse.ArgumentTypeError(f"empty level range {text!r}")
     if min(levels) < 0 or any(b <= a for a, b in zip(levels, levels[1:])):
-        raise ValueError(f"levels {text!r} are not nonnegative and strictly increasing")
+        raise argparse.ArgumentTypeError(f"levels {text!r} are not nonnegative and strictly increasing")
     return levels
 
 
@@ -52,11 +56,17 @@ def _parse_widths(text: str) -> list:
     """Parse 'a,b,c' into floats: the ``type`` of ``--eps``, with the audit's rules.
 
     At least two widths, strictly decreasing, each in (0, 1/3), so not
-    NaN; argparse rejects any other list with exit status 2.
+    NaN; any other list raises ArgumentTypeError, which argparse prints
+    with the reason before it exits with status 2.
     """
-    eps = [float(p) for p in text.split(",")]
+    try:
+        eps = [float(p) for p in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"widths {text!r} are not comma-separated numbers") from None
     if len(eps) < 2 or not all(0 < e < 1 / 3 for e in eps) or any(b >= a for a, b in zip(eps, eps[1:])):
-        raise ValueError(f"widths {text!r} are not two or more, strictly decreasing, in (0, 1/3)")
+        raise argparse.ArgumentTypeError(
+            f"widths {text!r} are not two or more, strictly decreasing, in (0, 1/3)"
+        )
     return eps
 
 
@@ -129,7 +139,8 @@ def _cmd_sweep(args) -> int:
     for i, r in enumerate(res.records):
         line = (
             f"level {r.level}: h={r.h:.6g} c_h={r.c_h:.6g} value={r.value:.8e} "
-            f"slack={r.slack:.2e} wall={r.wall_time:.2f}s"
+            f"slack={r.slack:.2e} cutoff={res.details['audit_cutoff'][i]:g} "
+            f"tail={res.details['tail_bound'][i]:.2e} wall={r.wall_time:.2f}s"
         )
         if args.mode == "solve":
             steps = res.details["iterations"][i]

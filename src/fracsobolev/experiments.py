@@ -36,7 +36,7 @@ from .params import (
     optimal_concentration,
     rate_exponent,
 )
-from .solver import default_start, fit_manifold, quotient, solve
+from .solver import boosted_seminorm, default_start, fit_manifold, quotient, solve
 
 __all__ = [
     "RNG_NAME",
@@ -231,6 +231,9 @@ def upper_bound_sweep(N: int, s: float, levels) -> SweepResult:
 
     The theory predicts deficit ~ h^alpha for the concentration choice
     c_h = optimal_concentration(h); the fitted slope estimates alpha.
+    The slack is the shift of the quotient one rule level up, from
+    ``boosted_seminorm`` as in ``solve``; details carry each level's
+    audit_cutoff and tail_bound, the bound part of the slack.
     """
     _check_problem(N, s)
     q = critical_exponent(N, s)
@@ -240,19 +243,21 @@ def upper_bound_sweep(N: int, s: float, levels) -> SweepResult:
         c_h = optimal_concentration(mesh.h, N, s)
         lam = normalize_lambda(c_h, N, s)
         u = interpolate(mesh, truncated_bubble(lam, c_h, N, s))
-        value = seminorm_sq_direct(mesh, s, u) / lq_norm(u, q) ** 2 - S
-        boosted = (
-            seminorm_sq_direct(mesh, s, u, boost=1)
-            / lq_norm(u, q, order=12) ** 2
-            - S
-        )
-        return c_h, value, abs(boosted - value), {}
+        semi = seminorm_sq_direct(mesh, s, u)
+        value = semi / lq_norm(u, q) ** 2 - S
+        fine, tail, cutoff = boosted_seminorm(mesh, s, u, semi)
+        fine_sq = lq_norm(u, q, order=12) ** 2
+        boosted = fine / fine_sq - S
+        tail /= fine_sq
+        extras = {"audit_cutoff": cutoff, "tail_bound": tail}
+        return c_h, value, abs(boosted - value) + tail, extras
 
-    records, failures, _ = _sweep_levels(N, levels, measure)
+    records, failures, details = _sweep_levels(N, levels, measure)
     if any(r.value <= 0 for r in records):
         raise RuntimeError("a recorded deficit is non-positive; quadrature suspect")
     fit = fit_rate([(r.h, r.value) for r in records])
-    return SweepResult(records, fit, failures, {"alpha": rate_exponent(N, s)})
+    details["alpha"] = rate_exponent(N, s)
+    return SweepResult(records, fit, failures, details)
 
 
 def discrete_constant_sweep(N: int, s: float, levels, tol: float = 1e-10) -> SweepResult:
@@ -280,6 +285,8 @@ def discrete_constant_sweep(N: int, s: float, levels, tol: float = 1e-10) -> Swe
             "iterations": rep.iterations,
             "mixed_steps": rep.mixed_steps,
             "residual": rep.residual,
+            "audit_cutoff": rep.audit_cutoff,
+            "tail_bound": rep.tail_bound,
             "c_fit": mf.concentration,
             "fit_centers": mf.center,
         }

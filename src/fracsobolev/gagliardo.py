@@ -22,6 +22,17 @@ blocks by ``mesh.disjoint_pairs`` and never held whole;
 ``_disjoint_blocks`` gives each the Gauss order of its band, near, far
 or distant, from its separation.
 
+The slack audit differences rule levels k and k+1 only on the band of
+``audit_band``: the identical, touching and complement rows and the
+disjoint pairs whose centroids lie less than R larger diameters apart,
+found by a centroid search, so no O(m^2) stream.  ``tail_bound`` bounds
+the level-k Gauss error of every pair beyond R a priori: the integrand
+is analytic in each reference direction on a Bernstein ellipse whose
+size grows with the separation over the diameter (Trefethen,
+*Approximation Theory and Approximation Practice*, Thm 19.3; Sauter &
+Schwab, *Boundary Element Methods*, ch. 5), and the sum over the far
+pairs is bounded by a radial integral per element in closed form.
+
 The form streams as terms (category, node idx, g, wK), one row per
 element pair or element: row b adds sum_q wK[b, q] (g_q . u[idx[b]])^2.
 Each element-pair category, the 1D identical pairs too, is a pair set
@@ -40,6 +51,7 @@ from dataclasses import dataclass
 from math import fsum, gamma
 
 import numpy as np
+from scipy.spatial import cKDTree
 from scipy.special import hyp2f1
 
 from ._quad import reference_rule, unit_gauss
@@ -58,10 +70,12 @@ __all__ = [
     "AssemblyReport",
     "NonlocalForm",
     "assemble",
+    "audit_band",
     "complement_weight",
     "element_self_interaction",
     "seminorm_sq",
     "seminorm_sq_direct",
+    "tail_bound",
 ]
 
 _BOUNDARY_TOL = 1e-12
@@ -362,18 +376,27 @@ def _disjoint_sets(mesh, geo, blocks):
             yield category, idx, geo.jacobian[a] * geo.jacobian[b], rule
 
 
-def _disjoint_blocks(mesh, geo, near, far, distant):
-    """Disjoint pairs as (category, ia, ib, order) blocks, per ``disjoint_pairs`` block.
+def _separation(centroid, geo, ia, ib):
+    """(squared centroid distance, larger diameter) of the element pairs (ia, ib).
 
-    With D the larger diameter: centroids _DISTANT_RATIO D apart or more
-    take the distant order (their vertices lie over 2 D apart), other
-    pairs with a vertex distance below D the near order, the rest far.
+    centroid holds the element centroids, one array per coordinate.
+    """
+    sep = _sum_sq(x[ia] - x[ib] for x in centroid)
+    return sep, np.maximum(geo.diameter[ia], geo.diameter[ib])
+
+
+def _disjoint_blocks(mesh, geo, near, far, distant, pairs=None):
+    """Disjoint pairs as (category, ia, ib, order) blocks, per (ia, ib) block of pairs.
+
+    pairs defaults to the ``disjoint_pairs`` stream.  With D the larger
+    diameter: centroids _DISTANT_RATIO D apart or more take the distant
+    order (their vertices lie over 2 D apart), other pairs with a vertex
+    distance below D the near order, the rest far.
     """
     centroid = geo.verts.mean(axis=1).T.copy()
-    for ia, ib in disjoint_pairs(mesh):
-        larger = np.maximum(geo.diameter[ia], geo.diameter[ib])
+    for ia, ib in disjoint_pairs(mesh) if pairs is None else pairs:
+        sep, larger = _separation(centroid, geo, ia, ib)
         reach = _DISTANT_RATIO * larger
-        sep = _sum_sq(x[ia] - x[ib] for x in centroid)
         apart = sep >= reach * reach
         a, b = ia[~apart], ib[~apart]
         va, vb, k = geo.verts[a], geo.verts[b], range(mesh.dim + 1)
@@ -385,7 +408,28 @@ def _disjoint_blocks(mesh, geo, near, far, distant):
         yield "disjoint_far", ia[apart], ib[apart], distant
 
 
-def _terms(mesh, s, boost, geo, work):
+def audit_band(mesh: BallMesh, ratio: float):
+    """Disjoint pairs (ia, ib), a < b in triu order, with centroids under ratio larger diameters apart.
+
+    A centroid search at ratio times the largest diameter finds the
+    candidates, as ``mesh.element_pairs`` finds the touching pairs, and
+    ``_disjoint_blocks``' separation test keeps the band; no
+    ``disjoint_pairs`` block is streamed.
+    """
+    geo = element_geometry(mesh)
+    m = mesh.n_elements
+    centroid = geo.verts.mean(axis=1)
+    # the relative margin covers rounding in the tree's distances
+    found = cKDTree(centroid).query_pairs(ratio * mesh.h * (1.0 + 1e-9), output_type="ndarray")
+    ia, ib = np.divmod(np.sort(found[:, 0] * m + found[:, 1]), m)
+    sep, larger = _separation(centroid.T.copy(), geo, ia, ib)
+    reach = ratio * larger
+    touching = np.isin(ia * (2 * m - ia - 1) // 2 + ib - ia - 1, element_pairs(mesh).touching)
+    keep = (sep < reach * reach) & ~touching
+    return ia[keep], ib[keep]
+
+
+def _terms(mesh, s, boost, geo, work, band=None):
     """Yield (category, node idx (B, n), g, wK) covering the whole form at rule level boost.
 
     Row b of a term contributes sum_q wK[b, q] (g_q . u[idx[b]])^2 to
@@ -395,6 +439,9 @@ def _terms(mesh, s, boost, geo, work):
     Unordered distinct pairs and the complement carry their factor 2
     in wK.  Rows may repeat across terms (branches, regions, sectors),
     but an element pair is one row of one pair set.
+
+    With band, a pair (ia, ib) of ``audit_band``, the disjoint pairs are
+    those of the band alone.
 
     Once the stream ends, ``work`` holds the AssemblyReport fields
     pair_counts, counted from the pair sets' rows, kernel_evals,
@@ -415,9 +462,14 @@ def _terms(mesh, s, boost, geo, work):
             for rows, g, wK in _pair_terms(mesh, s, idx, scale, rule):
                 yield category, rows, g, wK
 
+    band_blocks = None
+    if band is not None:
+        ia, ib = band
+        band_blocks = ((ia[part], ib[part]) for part in _row_chunks(len(ia), 1))
+    blocks = _disjoint_blocks(mesh, geo, near, far, distant, band_blocks)
     phases = (
         ("singular", expand(_singular_sets(mesh, s, geo, pairs, boost))),
-        ("disjoint", expand(_disjoint_sets(mesh, geo, _disjoint_blocks(mesh, geo, near, far, distant)))),
+        ("disjoint", expand(_disjoint_sets(mesh, geo, blocks))),
         ("complement", _complement_terms(mesh, s, geo, complement)),
     )
     for phase, stream in phases:
@@ -490,13 +542,18 @@ def seminorm_sq(form: NonlocalForm, u: FeFunction) -> float:
     return float(w @ form.matrix @ w)
 
 
-def seminorm_sq_direct(mesh: BallMesh, s: float, u: FeFunction, boost: int = 0) -> float:
+def seminorm_sq_direct(
+    mesh: BallMesh, s: float, u: FeFunction, boost: int = 0, band=None
+) -> float:
     """Squared seminorm at rule level boost, summed at the quadrature points.
 
     Every term adds sum wK (g . u)^2 from the quadrature that assemble
     scatters; useful for meshes too large for a dense matrix and for the
     audits at higher rule levels. The per-term sums are added exactly
     (fsum), so the order and number of terms add no rounding of their own.
+    With band, the disjoint pairs (ia, ib) of ``audit_band``, the sum
+    keeps every identical, touching and complement row but only the
+    band's disjoint pairs: the part of the slack audit that is computed.
     """
     check_order(mesh.dim, s)
     if u.mesh is not mesh:
@@ -504,9 +561,83 @@ def seminorm_sq_direct(mesh: BallMesh, s: float, u: FeFunction, boost: int = 0) 
     geo = element_geometry(mesh)
     vals = u.values
     parts = []
-    for category, idx, g, wK in _terms(mesh, s, boost, geo, {}):
+    for category, idx, g, wK in _terms(mesh, s, boost, geo, {}, band):
         gu = vals[idx] @ g.T
         part = float(np.sum(wK * gu * gu))
         _check_finite(category, part)
         parts.append(part)
     return s * (1 - s) * fsum(parts)
+
+
+def _pair_error_constant(dim, s, order, least):
+    """(K, q): a tail pair's Gauss error is at most K J_a J_b (U_a + U_b)^2 D^q d^(-q-N-2s).
+
+    d is the pair's gap, D its larger diameter and least a lower bound of
+    d / D; U_a is the largest |u| on element a's nodes.  The plain Gauss
+    rule is a tensor of 2N rules of ``order`` points on [0, 1], so its
+    error is at most the sum over the 2N directions of the 1D error,
+    (32/15) M rho^(-2n) / (rho^2 - 1) for an integrand bounded by M on
+    the Bernstein ellipse E_rho (Trefethen, ATAP Thm 19.3).  Along a
+    direction the point moves by at most D per unit, so E_rho with
+    a = (rho + 1/rho)/2 = 1 + 2 tau d/D takes it at most tau d off its
+    element and (D/2) sqrt(a^2 - 1) off the real space.  There
+    |x - y|^(-N-2s) is analytic and at most (theta d)^(-N-2s), with
+    theta = 1 - tau in 1D and theta^2 = 1 - 2 tau - tau D/d in 2D; u is
+    at most a U_a, and in 2D the collapsed rule's Jacobian at most a, so
+    M = 2 J_a J_b a^p (U_a + U_b)^2 (theta d)^(-N-2s) with p = N + 1.
+    Each factor of a^p rho^(-2n) / (rho^2 - 1) (d/D)^q, q = 2n + 2 - p,
+    is largest at d/D = least or as d/D grows without bound, which
+    gives K for every tau; K is the least over a grid of tau.
+    """
+    p = dim + 1
+    q = 2 * order + 2 - p
+    top = 1.0 if dim == 1 else 1.0 / (2.0 + 1.0 / least)
+    tau = top * np.linspace(0.0, 1.0, 1001)[1:-1]
+    theta_sq = (1.0 - tau) ** 2 if dim == 1 else 1.0 - 2.0 * tau - tau / least
+    a = 1.0 + 2.0 * tau * least
+    rho = a + np.sqrt(a * a - 1.0)
+    shape = (a / rho) ** p * (4.0 * tau) ** -q * rho**2 / (rho**2 - 1.0)
+    K = 128.0 * dim / 15.0 * theta_sq ** (-(dim + 2 * s) / 2) * shape
+    return float(np.min(K)), q
+
+
+def tail_bound(mesh: BallMesh, s: float, u: FeFunction, boost: int, ratio: float) -> float:
+    """Bound on the rule-level boost and boost+1 errors over the pairs outside ``audit_band(mesh, ratio)``.
+
+    The sum of the two bounds bounds |Q_boost+1 - Q_boost| over those
+    pairs, and |Q_j - Q_boost| for higher levels j, whose bounds fall
+    with the order, so the slack audit adds it to the band's shift.  Every such pair takes the distant order (ratio >=
+    _DISTANT_RATIO), the smallest of its level.  With r_c D the reach
+    of an element from its centroid (r_c = 1/2 in 1D, 2/3 for a
+    triangle), a pair c >= ratio D apart has gap d >= kappa c and
+    D <= min(h, c / ratio), with kappa = 1 - 2 r_c / ratio, so its
+    ``_pair_error_constant`` weight D^q d^(-q-N-2s) is at most k(c),
+    decreasing in c.  (U_a + U_b)^2 <= 2 U_a^2 + 2 U_b^2 splits the
+    pair sum into per-element sums of J_b k(c_ab), and every point y of
+    such an element b has |y - c_a| / lam <= c_ab, lam = 1 + r_c /
+    ratio, and |y - c_a| >= (ratio - r_c) D_a; so the sum is at most the
+    integral of k(|y - c_a| / lam) over that far region, in closed form.
+    O(m), with no pair formed; in the units of seminorm_sq_direct.
+    """
+    check_order(mesh.dim, s)
+    if u.mesh is not mesh:
+        raise ValueError("function does not live on the given mesh")
+    if ratio < _DISTANT_RATIO:
+        raise ValueError(f"tail bound needs a ratio of at least {_DISTANT_RATIO}, got {ratio!r}")
+    dim = mesh.dim
+    geo = element_geometry(mesh)
+    r_c = 0.5 if dim == 1 else 2.0 / 3.0
+    kappa, lam = 1.0 - 2.0 * r_c / ratio, 1.0 + r_c / ratio
+    # the unit sphere's measure times lam^N, over the reference element's
+    # measure, as J_b is b's measure over it
+    sphere = 2.0 * lam if dim == 1 else 4.0 * np.pi * lam**2
+    reach = ratio * mesh.h
+    inner = (ratio - r_c) * geo.diameter / lam
+    weight = geo.jacobian * np.max(u.values[mesh.elements] ** 2, axis=1)
+    total = 0.0
+    for level in (boost, boost + 1):
+        K, q = _pair_error_constant(dim, s, _orders(dim, level)[2], ratio - 2.0 * r_c)
+        # integral over t >= inner of t^(N-1) k(t), split at t = reach
+        radial = (inner ** (-2 * s) - reach ** (-2 * s)) / (2 * s) + reach ** (-2 * s) / (q + 2 * s)
+        total += 2.0 * K * kappa ** (-q - dim - 2 * s) * sphere * ratio**-q * float(weight @ radial)
+    return s * (1 - s) * total

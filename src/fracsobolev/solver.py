@@ -22,12 +22,20 @@ from scipy.linalg import cho_factor, cho_solve
 from scipy.optimize import minimize
 
 from .bubble import Bubble, normalize_lambda, truncated_bubble
-from .gagliardo import NonlocalForm, seminorm_sq, seminorm_sq_direct
+from .gagliardo import NonlocalForm, audit_band, seminorm_sq, seminorm_sq_direct, tail_bound
 from .mesh import FeFunction, interpolate
 from .norms import lq_norm, nonlinear_residual
 from .params import critical_exponent, exact_constant, optimal_concentration
 
-__all__ = ["ManifoldFit", "SolverReport", "deficit", "fit_manifold", "quotient", "solve"]
+__all__ = [
+    "ManifoldFit",
+    "SolverReport",
+    "boosted_seminorm",
+    "deficit",
+    "fit_manifold",
+    "quotient",
+    "solve",
+]
 
 _MAX_ITER = 280
 # A rise above the last recorded quotient beyond this relative margin
@@ -41,6 +49,14 @@ _RISE_TOL = 16 * np.finfo(float).eps
 # matrix flip acceptances and with them the step count.
 _MIX_DEPTH = 5
 _MIX_MARGIN = 8 * np.finfo(float).eps
+# The slack audit differences the two rule levels on the pairs closer than
+# R larger diameters and bounds the rest (gagliardo.tail_bound).  R starts
+# at _AUDIT_RATIO and doubles while the bound exceeds _TAIL_SHARE of the
+# band's shift, up to the ball's diameter 2 in units of the largest
+# element; a band of a quarter of the pairs or more is summed no further,
+# since its two passes would cost about as much as one full pass.
+_AUDIT_RATIO = 8.0
+_TAIL_SHARE = 1e-3
 
 
 @dataclass(frozen=True)
@@ -56,6 +72,8 @@ class SolverReport:
     residual: float
     tolerance_used: float
     quadrature_slack: float
+    audit_cutoff: float  # the audit's R; inf when it summed every pair
+    tail_bound: float  # the part of quadrature_slack that is bound, not computed
 
 
 @dataclass(frozen=True)
@@ -131,6 +149,33 @@ def _mixed(pairs):
     return G[-1] - gamma @ dG
 
 
+def boosted_seminorm(mesh, s, u, semi, boost=0):
+    """(value, tail, cutoff): u's seminorm one rule level above boost, within tail.
+
+    semi is u's seminorm at rule level boost.  The value is semi plus the
+    shift between the two levels over ``audit_band(mesh, cutoff)``, and
+    tail (``gagliardo.tail_bound``) bounds the shift of every pair beyond
+    it, so the boosted seminorm lies within tail of the value.  When the
+    band would reach every pair, or a quarter of them, the value is one
+    full ``seminorm_sq_direct`` pass at level boost + 1, tail is 0 and
+    cutoff is inf.
+    """
+    m = mesh.n_elements
+    ratio = _AUDIT_RATIO
+    while ratio * mesh.h < 2.0:
+        band = audit_band(mesh, ratio)
+        if 8 * len(band[0]) >= m * (m - 1):
+            break
+        shift = seminorm_sq_direct(mesh, s, u, boost + 1, band) - seminorm_sq_direct(
+            mesh, s, u, boost, band
+        )
+        tail = tail_bound(mesh, s, u, boost, ratio)
+        if tail <= _TAIL_SHARE * abs(shift):
+            return semi + shift, tail, ratio
+        ratio *= 2.0
+    return seminorm_sq_direct(mesh, s, u, boost=boost + 1), 0.0, float("inf")
+
+
 def solve(
     form: NonlocalForm,
     init: FeFunction | None = None,
@@ -158,7 +203,9 @@ def solve(
     s_h unless the last steps ticked up by rounding.  A rise beyond
     _RISE_TOL breaks the descent bound and raises RuntimeError.
     quadrature_slack compares s_h with the quotient one rule level above
-    the form's.
+    the form's (``boosted_seminorm`` over the critical norm at order 12):
+    the shift computed on the audit's band plus tail_bound, the bound on
+    the shift of the pairs beyond its cutoff R, audit_cutoff.
     """
     if not 0.0 <= tol < np.inf:
         raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
@@ -214,8 +261,9 @@ def solve(
             stacklevel=2,
         )
 
-    fine_semi = seminorm_sq_direct(mesh, form.s, u, boost=form.boost + 1)
+    fine_semi, tail, cutoff = boosted_seminorm(mesh, form.s, u, mu, form.boost)
     fine_norm = lq_norm(u, q, order=12)
+    tail /= fine_norm**2
 
     return SolverReport(
         s_h=mu,
@@ -226,7 +274,9 @@ def solve(
         converged=residual <= tol,
         residual=residual,
         tolerance_used=tol,
-        quadrature_slack=abs(fine_semi / fine_norm**2 - mu),
+        quadrature_slack=abs(fine_semi / fine_norm**2 - mu) + tail,
+        audit_cutoff=cutoff,
+        tail_bound=tail,
     )
 
 

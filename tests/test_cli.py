@@ -1,5 +1,7 @@
 """Argument parsing, config overrides, and subcommand smoke runs."""
 
+import argparse
+import re
 import shutil
 import subprocess
 
@@ -13,13 +15,25 @@ def test_parse_levels_forms():
     assert _parse_levels("4..8") == [4, 5, 6, 7, 8]
     assert _parse_levels("3,5,9") == [3, 5, 9]
     assert _parse_levels("7") == [7]
-    with pytest.raises(ValueError):
+    # ArgumentTypeError, so that argparse prints the reason
+    with pytest.raises(argparse.ArgumentTypeError, match="integers"):
         _parse_levels("a..b")
-    with pytest.raises(ValueError, match="empty"):
+    with pytest.raises(argparse.ArgumentTypeError, match="empty"):
         _parse_levels("8..4")
     for text in ("4,4,5", "5,4", "-1..1"):
-        with pytest.raises(ValueError, match="strictly increasing"):
+        with pytest.raises(argparse.ArgumentTypeError, match="strictly increasing"):
             _parse_levels(text)
+
+
+# the reason argparse prints for each rejected --levels value
+_LEVEL_REASONS = {
+    "8..4": "empty level range",
+    "5..x": "integers",
+    "9..4": "empty level range",
+    "4,4,5": "strictly increasing",
+    "-1..1": "nonnegative",
+    "5,4": "strictly increasing",
+}
 
 
 @pytest.mark.parametrize(
@@ -39,7 +53,9 @@ def test_bad_levels_exit_through_argparse(argv, capsys):
         main(argv)
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert "--levels" in err and repr(argv[-1].rpartition("=")[2]) in err
+    value = argv[-1].rpartition("=")[2]
+    assert "--levels" in err and repr(value) in err
+    assert _LEVEL_REASONS[value] in err
 
 
 def test_bad_order_exits_through_argparse(capsys):
@@ -125,6 +141,9 @@ def test_sweep_solve_small(capsys):
     assert "rate: slope=" in captured.out
     assert " steps=" in captured.out and " residual=" in captured.out
     assert " mixed=" in captured.out
+    # the slack's cutoff and its bound part, beside it
+    assert "cutoff=inf tail=0.00e+00" in captured.out
+    assert re.search(r"cutoff=\d+ tail=[1-9]", captured.out)
     assert "not converged" not in captured.err
 
 
@@ -166,6 +185,8 @@ def test_bad_widths_exit_through_argparse(eps, capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "--eps" in err and repr(eps) in err
+    reason = "comma-separated numbers" if eps in ("0.2,x", "0.2,,0.1", "") else "strictly decreasing"
+    assert reason in err
 
 
 def test_verify_interp_command(capsys):

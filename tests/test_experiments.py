@@ -103,6 +103,10 @@ def test_upper_bound_sweep_small_window():
     assert all(r.slack < 1e-6 for r in res.records)
     assert res.fit.slope > 0.15
     assert res.details["alpha"] == rate_exponent(1, 0.25)
+    # L4 sums every pair at rule level 1; L6 bounds the pairs beyond its band
+    cutoffs, tails = res.details["audit_cutoff"], res.details["tail_bound"]
+    assert cutoffs[0] == float("inf") and tails[0] == 0.0
+    assert cutoffs[-1] < float("inf") and 0.0 < tails[-1] <= 1e-3 * res.records[-1].slack
     with pytest.raises(ValueError):
         upper_bound_sweep(1, 0.25, [5, 4, 6])
     with pytest.raises(ValueError):
@@ -136,6 +140,9 @@ def test_discrete_constant_sweep_small_window():
     # the solver cannot do worse than its warm start
     for gap, warm in zip(gaps, res.details["warm_deficit"]):
         assert gap <= warm
+    # each level's audit cutoff and the bound part of its slack
+    assert len(res.details["audit_cutoff"]) == len(res.details["tail_bound"]) == 3
+    assert all(0.0 <= t <= r.slack for t, r in zip(res.details["tail_bound"], res.records))
 
 
 def test_sweep_records_a_refused_level_as_one_failure():

@@ -12,6 +12,7 @@ implemented here from scratch.
 import dataclasses
 import json
 import tracemalloc
+from math import fsum
 
 import mpmath
 import numpy as np
@@ -23,13 +24,15 @@ from scipy.special import ellipe
 
 from fracsobolev import gagliardo, reference_rule
 from fracsobolev import mesh as mesh_module
-from fracsobolev.bubble import truncated_bubble
+from fracsobolev.bubble import normalize_lambda, truncated_bubble
 from fracsobolev.gagliardo import (
     AssemblyError,
     assemble,
+    audit_band,
     complement_weight,
     seminorm_sq,
     seminorm_sq_direct,
+    tail_bound,
 )
 from fracsobolev.gagliardo import (
     _DISTANT_RATIO,
@@ -43,6 +46,7 @@ from fracsobolev.gagliardo import (
     _terms,
 )
 from fracsobolev.mesh import (
+    BallMesh,
     FeFunction,
     build_mesh,
     disjoint_pairs,
@@ -51,6 +55,7 @@ from fracsobolev.mesh import (
     interpolate,
     make_ball_mesh,
 )
+from fracsobolev.params import optimal_concentration
 
 # --------------------------------------------------------------- helpers
 
@@ -1156,3 +1161,113 @@ def test_disjoint_blocks_2d_vs_pointwise_kernel(s, boost):
             assert np.array_equal(idx, np.concatenate([mesh.elements[ea], mesh.elements[eb]]))
             ref = _disjoint_block_loop(Va, Vb, s, order)
             assert np.max(np.abs(loc - ref)) <= 1e-13 * np.max(np.abs(ref)), (tag, ea, eb)
+
+
+# ------------------------------------------------------- banded slack audit
+
+
+def _graded_1d_mesh():
+    """33 nodes sign(t)|t|^2 on a uniform t grid: element sizes 1/512 to 31/256."""
+    t = np.linspace(-1.0, 1.0, 33)
+    nodes = (np.sign(t) * t * t)[:, None]
+    return make_ball_mesh(1, nodes, np.column_stack([np.arange(32), np.arange(1, 33)]))
+
+
+_AUDIT_MESHES = {
+    "1d-L6": lambda: build_mesh(1, 6),
+    "1d-L8": lambda: build_mesh(1, 8),
+    "1d-custom": _custom_1d_mesh,
+    "1d-graded": _graded_1d_mesh,
+    "2d-L1": lambda: build_mesh(2, 1),
+    "2d-L2": lambda: build_mesh(2, 2),
+}
+
+
+def _profile(mesh: BallMesh, s):
+    """The balanced-concentration profile of the mesh, as upper_bound_sweep takes it."""
+    c = optimal_concentration(mesh.h, mesh.dim, s)
+    return interpolate(mesh, truncated_bubble(normalize_lambda(c, mesh.dim, s), c, mesh.dim, s))
+
+
+def _brute_band(mesh, ratio):
+    """(band, tail): every disjoint pair, split by the plain ratio test on centroids."""
+    geo = element_geometry(mesh)
+    c = geo.verts.mean(axis=1)
+    pairs = _pair_table(disjoint_pairs(mesh))
+    a, b = pairs.T
+    sep = np.sum((c[a] - c[b]) ** 2, axis=1)
+    reach = ratio * np.maximum(geo.diameter[a], geo.diameter[b])
+    inside = sep < reach * reach
+    return (a[inside], b[inside]), (a[~inside], b[~inside])
+
+
+def _disjoint_sum(mesh, s, u, pairs, boost):
+    """s(1-s) times the exact sum of the disjoint-pair terms of the given pairs."""
+    parts = [
+        float(np.sum(wK * (u.values[idx] @ g.T) ** 2))
+        for category, idx, g, wK in _terms(mesh, s, boost, element_geometry(mesh), {}, pairs)
+        if category.startswith("disjoint")
+    ]
+    return s * (1 - s) * fsum(parts)
+
+
+@pytest.mark.parametrize("key", sorted(_AUDIT_MESHES))
+@pytest.mark.parametrize("ratio", [1.5, 4.0, 8.0])
+def test_audit_band_is_the_ratio_test(key, ratio):
+    # the centroid search finds exactly the pairs the plain test keeps,
+    # pairs of unequal diameter included, in triu order
+    mesh = _AUDIT_MESHES[key]()
+    (a, b), _ = _brute_band(mesh, ratio)
+    ia, ib = audit_band(mesh, ratio)
+    assert np.array_equal(ia, a) and np.array_equal(ib, b)
+    if key == "1d-graded":
+        diam = element_geometry(mesh).diameter
+        assert np.any(diam[ia] != diam[ib])
+
+
+@pytest.mark.parametrize(
+    "key, ratio, s",
+    [
+        ("1d-L6", 8.0, 0.25),
+        ("1d-L8", 8.0, 0.3),
+        ("1d-custom", 1.5, 0.25),
+        ("1d-graded", 4.0, 0.25),
+        ("2d-L1", 4.0, 0.5),
+        ("2d-L2", 8.0, 0.5),
+    ],
+)
+@pytest.mark.parametrize("boost", [0, 1])
+def test_band_and_tail_partition_the_form(key, ratio, s, boost):
+    # the band's seminorm plus the disjoint pairs beyond it is the whole form
+    mesh = _AUDIT_MESHES[key]()
+    u = _profile(mesh, s)
+    _, tail = _brute_band(mesh, ratio)
+    assert len(tail[0]) > 0
+    band_sum = seminorm_sq_direct(mesh, s, u, boost, audit_band(mesh, ratio))
+    full = seminorm_sq_direct(mesh, s, u, boost)
+    assert abs(band_sum + _disjoint_sum(mesh, s, u, tail, boost) - full) <= 1e-14 * full
+
+
+@pytest.mark.parametrize(
+    "dim, level, s", [(1, 8, 0.25), (1, 8, 0.3), (1, 6, 0.1), (2, 2, 0.5)]
+)
+def test_tail_bound_holds(dim, level, s):
+    # the a priori bound covers the one- and two-level shifts of every pair
+    # beyond the band, both summed pair by pair
+    mesh = build_mesh(dim, level)
+    u = _profile(mesh, s)
+    for ratio in (4.0, 8.0, 16.0):
+        _, tail = _brute_band(mesh, ratio)
+        sums = [_disjoint_sum(mesh, s, u, tail, boost) for boost in (0, 1, 2)]
+        bound = tail_bound(mesh, s, u, 0, ratio)
+        assert bound >= abs(sums[1] - sums[0]), ratio
+        assert bound >= abs(sums[2] - sums[0]), ratio
+
+
+def test_tail_bound_validation():
+    mesh = build_mesh(1, 4)
+    u = _profile(mesh, 0.25)
+    with pytest.raises(ValueError, match="ratio"):
+        tail_bound(mesh, 0.25, u, 0, 3.0)
+    with pytest.raises(ValueError, match="mesh"):
+        tail_bound(build_mesh(1, 3), 0.25, u, 0, 8.0)

@@ -8,6 +8,7 @@ import pytest
 from scipy.linalg import cho_factor, cho_solve
 
 import fracsobolev.solver as solver_module
+from fracsobolev import gagliardo
 from fracsobolev.bubble import Bubble, normalize_lambda, truncated_bubble
 from fracsobolev.gagliardo import assemble, seminorm_sq, seminorm_sq_direct
 from fracsobolev.mesh import FeFunction, build_mesh, interpolate
@@ -97,6 +98,38 @@ def test_slack_tracks_the_twice_boosted_error(dim, level, s):
     finer = seminorm_sq_direct(mesh, s, u, boost=form.boost + 2)
     q_bb = finer / lq_norm(u, critical_exponent(dim, s), order=16) ** 2
     assert abs((q_bb - rep.s_h) / rep.quadrature_slack - 1.0) <= 1e-3
+
+
+def test_banded_slack_covers_the_full_pass(reports_1d_s025):
+    # the band's shift plus the tail bound is at least the full level-1
+    # pass's slack, and exceeds it by at most twice the bound; a band of
+    # every pair is that pass itself
+    q = critical_exponent(1, 0.25)
+    cutoffs = []
+    for rep in reports_1d_s025.values():
+        u = rep.minimizer
+        fine = seminorm_sq_direct(u.mesh, 0.25, u, boost=1) / lq_norm(u, q, order=12) ** 2
+        full = abs(fine - rep.s_h)
+        cutoffs.append(rep.audit_cutoff)
+        if rep.audit_cutoff == float("inf"):
+            assert rep.tail_bound == 0.0 and rep.quadrature_slack == full
+        else:
+            assert 0.0 < rep.tail_bound <= 1e-3 * rep.quadrature_slack
+            assert full <= rep.quadrature_slack <= full + 2 * rep.tail_bound
+    assert cutoffs[0] == float("inf") and cutoffs[-1] < float("inf")
+
+
+def test_banded_audit_streams_no_disjoint_pair(monkeypatch):
+    # with a finite cutoff the audit finds its band by a centroid search
+    # and bounds the rest: no O(m^2) stream
+    form = assemble(build_mesh(1, 8), 0.25)
+
+    def refuse(mesh):
+        raise AssertionError("the banded audit streamed disjoint_pairs")
+
+    monkeypatch.setattr(gagliardo, "disjoint_pairs", refuse)
+    rep = solve(form)
+    assert rep.audit_cutoff < float("inf") and rep.tail_bound > 0.0
 
 
 def test_solve_slack_optional_and_validation():
