@@ -17,10 +17,16 @@ by one Gauss rule per element: kappa blows up like depth^(-2s) at the
 sphere, but u vanishes linearly there, so u^2 kappa behaves like
 depth^(2-2s), which plain Gauss resolves.  The touching pairs and their
 shared-node order come from ``mesh.element_pairs``, decided once per
-mesh.  The disjoint pairs, almost all of the m^2/2, are streamed in row
-blocks by ``mesh.disjoint_pairs`` and never held whole;
-``_disjoint_blocks`` gives each the Gauss order of its band, near, far
-or distant, from its separation.
+mesh.  The disjoint pairs, almost all of the m^2/2, come from
+``mesh.disjoint_partition``, a block partition over the cached cluster
+tree of the elements (Hackbusch, *Hierarchical Matrices*, 2015), and
+are never held whole.  Its tiles pair clusters whose centroid boxes lie
+_DISTANT_RATIO diameters apart, so every pair in them takes the distant
+order; ``_tile_chunks`` evaluates a tile as broadcast kernel arrays
+between the two clusters' Gauss points, with no row per pair (98% of
+the pairs at 1D level 10, 80% at 2D level 3).  The remaining leaf rows
+stream in blocks through ``_disjoint_blocks``, which gives each pair the
+Gauss order of its band, near, far or distant, from its separation.
 
 The slack audit differences rule levels k and k+1 only on the band of
 ``audit_band``: the identical, touching and complement rows and the
@@ -41,12 +47,18 @@ counts its rows and expands it through ``_pair_terms``, which
 evaluates the kernel from g . X, the rule's point gaps in the rows.
 ``assemble`` scatters each term's block sum_q wK g_q g_q^T into the
 matrix; ``seminorm_sq_direct`` sums the terms at the points and forms
-no block.
+no block.  The tile chunks go to a consumer beside the terms:
+``assemble`` adds a chunk's cross blocks -2 (W lam)^T K (W lam) through
+matmuls, k^2 entries per pair each way instead of (2k)^2, and its
+points' row and column sums to the diagonal blocks;
+``seminorm_sq_direct`` adds sum W U^2 (K W) + sum (W K) W U^2 -
+2 (W U)^T K (W U), U the values at the points.
 """
 
 from __future__ import annotations
 
 import time
+from collections import namedtuple
 from dataclasses import dataclass
 from math import fsum, gamma
 
@@ -59,7 +71,7 @@ from .mesh import (
     BallMesh,
     FeFunction,
     SizeLimitError,
-    disjoint_pairs,
+    disjoint_partition,
     element_geometry,
     element_pairs,
 )
@@ -71,6 +83,7 @@ __all__ = [
     "NonlocalForm",
     "assemble",
     "audit_band",
+    "band_floor",
     "complement_weight",
     "element_self_interaction",
     "seminorm_sq",
@@ -129,9 +142,10 @@ class AssemblyReport:
     phase_seconds times each phase of the term generators (classify,
     singular, disjoint, complement) across its yields, so it includes the
     caller's per-term work while the generator waits: in assemble, the
-    block and the scatter of every term. At 1D level 10, disjoint reads
-    about 0.8 s in assemble against 0.45 s for the generators alone (one
-    thread). "total" is the whole assemble call. kernel_evals counts the
+    block and the scatter of every term and tile chunk. At 1D level 10,
+    disjoint reads about 0.45-0.5 s in assemble against 0.23-0.25 s for
+    the generators alone, tile kernels included (one thread of a 2-vCPU
+    Linux VM). "total" is the whole assemble call. kernel_evals counts the
     quadrature points of each category's terms (one per element for the
     1D identical pairs), and complement_points those of the complement
     terms. complement_cells is the element count, one complement rule per
@@ -376,6 +390,36 @@ def _disjoint_sets(mesh, geo, blocks):
             yield category, idx, geo.jacobian[a] * geo.jacobian[b], rule
 
 
+_TileChunk = namedtuple("_TileChunk", "a b wa wb K")
+
+
+def _tile_chunks(mesh, s, geo, tiles, order):
+    """Kernel chunks of the cluster tiles ``(a, b)`` at Gauss order ``order``.
+
+    A chunk holds elements a and b of one tile, the point weights wa, wb
+    (J w_p, element-major) and
+    K[(i, p), (j, q)] = |x_p - y_q|^(-N-2s) for the points x_p of a[i]
+    and y_q of b[j]: the plain-Gauss terms that ``_disjoint_sets`` gives
+    these pairs, as one broadcast array with no index row per pair.  K
+    holds at most _TERM_POINTS entries.  The points are formed relative
+    to a vertex of the tile, so near tiles keep more digits of their gap.
+    """
+    lam, weights = reference_rule(mesh.dim, order)
+    nq = len(lam)
+    expo = -(mesh.dim + 2 * s) / 2
+    for a, b in tiles:
+        origin = geo.verts[a[0], 0]
+        xa, xb = (np.matmul(lam, geo.verts[e] - origin).reshape(-1, mesh.dim).T for e in (a, b))
+        wa, wb = ((geo.jacobian[e, None] * weights).ravel() for e in (a, b))
+        for cols in _row_chunks(len(b), nq * nq):
+            cp = slice(cols.start * nq, cols.stop * nq)
+            for rows in _row_chunks(len(a), len(b[cols]) * nq * nq):
+                rp = slice(rows.start * nq, rows.stop * nq)
+                K = _sum_sq(x[rp, None] - y[None, cp] for x, y in zip(xa, xb))
+                K **= expo
+                yield _TileChunk(a[rows], b[cols], wa[rp], wb[cp], K)
+
+
 def _separation(centroid, geo, ia, ib):
     """(squared centroid distance, larger diameter) of the element pairs (ia, ib).
 
@@ -385,16 +429,15 @@ def _separation(centroid, geo, ia, ib):
     return sep, np.maximum(geo.diameter[ia], geo.diameter[ib])
 
 
-def _disjoint_blocks(mesh, geo, near, far, distant, pairs=None):
+def _disjoint_blocks(mesh, geo, near, far, distant, pairs):
     """Disjoint pairs as (category, ia, ib, order) blocks, per (ia, ib) block of pairs.
 
-    pairs defaults to the ``disjoint_pairs`` stream.  With D the larger
-    diameter: centroids _DISTANT_RATIO D apart or more take the distant
-    order (their vertices lie over 2 D apart), other pairs with a vertex
-    distance below D the near order, the rest far.
+    With D the larger diameter: centroids _DISTANT_RATIO D apart or more
+    take the distant order (their vertices lie over 2 D apart), other
+    pairs with a vertex distance below D the near order, the rest far.
     """
     centroid = geo.verts.mean(axis=1).T.copy()
-    for ia, ib in disjoint_pairs(mesh) if pairs is None else pairs:
+    for ia, ib in pairs:
         sep, larger = _separation(centroid, geo, ia, ib)
         reach = _DISTANT_RATIO * larger
         apart = sep >= reach * reach
@@ -408,13 +451,16 @@ def _disjoint_blocks(mesh, geo, near, far, distant, pairs=None):
         yield "disjoint_far", ia[apart], ib[apart], distant
 
 
-def audit_band(mesh: BallMesh, ratio: float):
+def audit_band(mesh: BallMesh, ratio: float, inner: float = 0.0):
     """Disjoint pairs (ia, ib), a < b in triu order, with centroids under ratio larger diameters apart.
 
     A centroid search at ratio times the largest diameter finds the
     candidates, as ``mesh.element_pairs`` finds the touching pairs, and
-    ``_disjoint_blocks``' separation test keeps the band; no
-    ``disjoint_pairs`` block is streamed.
+    ``_disjoint_blocks``' separation test keeps the band; no tile or
+    leaf row of ``disjoint_partition`` is formed.  With inner, the pairs
+    under inner larger diameters apart are left out, by the same test in
+    the same floats, so the band at inner and this annulus split the
+    band at ratio exactly.
     """
     geo = element_geometry(mesh)
     m = mesh.n_elements
@@ -426,10 +472,26 @@ def audit_band(mesh: BallMesh, ratio: float):
     reach = ratio * larger
     touching = np.isin(ia * (2 * m - ia - 1) // 2 + ib - ia - 1, element_pairs(mesh).touching)
     keep = (sep < reach * reach) & ~touching
+    if inner:
+        reach = inner * larger
+        keep &= ~(sep < reach * reach)
     return ia[keep], ib[keep]
 
 
-def _terms(mesh, s, boost, geo, work, band=None):
+def band_floor(mesh: BallMesh, ratio: float) -> int:
+    """A lower bound on the pair count of ``audit_band(mesh, ratio)``, with no pair formed.
+
+    Centroids within ratio times the smallest diameter lie under ratio
+    larger diameters apart; ``cKDTree.count_neighbors`` counts those
+    pairs (the relative margin covers rounding in its distances), and
+    every touching pair is taken off.
+    """
+    tree = cKDTree(element_geometry(mesh).verts.mean(axis=1))
+    within = int(tree.count_neighbors(tree, ratio * mesh.h_min * (1.0 - 1e-9)))
+    return (within - mesh.n_elements) // 2 - len(element_pairs(mesh).touching)
+
+
+def _terms(mesh, s, boost, geo, work, band=None, tile=None, pairs_only=False):
     """Yield (category, node idx (B, n), g, wK) covering the whole form at rule level boost.
 
     Row b of a term contributes sum_q wK[b, q] (g_q . u[idx[b]])^2 to
@@ -440,8 +502,13 @@ def _terms(mesh, s, boost, geo, work, band=None):
     in wK.  Rows may repeat across terms (branches, regions, sectors),
     but an element pair is one row of one pair set.
 
-    With band, a pair (ia, ib) of ``audit_band``, the disjoint pairs are
-    those of the band alone.
+    Without band, the disjoint pairs come from ``disjoint_partition``:
+    the leaf rows stream as terms, and each ``_tile_chunks`` chunk of the
+    tiles, all distant pairs, goes to the consumer ``tile`` instead,
+    counted as disjoint_far and timed in the disjoint phase.  With band,
+    a pair (ia, ib) of ``audit_band``, the disjoint pairs are those of
+    the band alone, as rows; with pairs_only too, the identical, touching
+    and complement rows are left out.
 
     Once the stream ends, ``work`` holds the AssemblyReport fields
     pair_counts, counted from the pair sets' rows, kernel_evals,
@@ -462,16 +529,25 @@ def _terms(mesh, s, boost, geo, work, band=None):
             for rows, g, wK in _pair_terms(mesh, s, idx, scale, rule):
                 yield category, rows, g, wK
 
-    band_blocks = None
-    if band is not None:
+    if band is None:
+        if tile is None:
+            raise ValueError("a pass over every pair needs a tile consumer")
+        tiles, rows = disjoint_partition(mesh, _DISTANT_RATIO)
+    else:
         ia, ib = band
-        band_blocks = ((ia[part], ib[part]) for part in _row_chunks(len(ia), 1))
-    blocks = _disjoint_blocks(mesh, geo, near, far, distant, band_blocks)
-    phases = (
-        ("singular", expand(_singular_sets(mesh, s, geo, pairs, boost))),
-        ("disjoint", expand(_disjoint_sets(mesh, geo, blocks))),
-        ("complement", _complement_terms(mesh, s, geo, complement)),
-    )
+        tiles, rows = [], ((ia[part], ib[part]) for part in _row_chunks(len(ia), 1))
+
+    def disjoint():
+        yield from expand(_disjoint_sets(mesh, geo, _disjoint_blocks(mesh, geo, near, far, distant, rows)))
+        for chunk in _tile_chunks(mesh, s, geo, tiles, distant):
+            counts["disjoint_far"] += len(chunk.a) * len(chunk.b)
+            points["disjoint_far"] += chunk.K.size
+            tile(chunk)
+
+    phases = [("disjoint", disjoint())]
+    if not pairs_only:
+        phases.insert(0, ("singular", expand(_singular_sets(mesh, s, geo, pairs, boost))))
+        phases.append(("complement", _complement_terms(mesh, s, geo, complement)))
     for phase, stream in phases:
         t0 = time.perf_counter()
         for category, idx, g, wK in stream:
@@ -507,10 +583,38 @@ def assemble(mesh: BallMesh, s: float, boost: int = 0) -> NonlocalForm:
     t_total = time.perf_counter()
 
     flat = np.zeros(n * n)
-    for category, idx, g, wK in _terms(mesh, s, boost, geo, work):
+
+    def add(category, idx, g, wK):
         local = _term_block(g, wK)
         _check_finite(category, local)
         np.add.at(flat, (idx[:, :, None] * n + idx[:, None, :]).ravel(), local.ravel())
+
+    # a tile pair adds 2 wK g g^T with g = [lam_p, -lam_q] and wK =
+    # wa K wb: the cross blocks are -2 (wa lam)^T K (wb lam), added both
+    # ways round, and the diagonal blocks gather each point's row or
+    # column sum of 2 wK into sums, added once at the end
+    lam = reference_rule(mesh.dim, _orders(mesh.dim, boost)[2])[0]
+    nq, k = lam.shape
+    sums = np.zeros((mesh.n_elements, nq))
+
+    def add_tile(chunk):
+        a, b, wa, K = chunk.a, chunk.b, chunk.wa, chunk.K
+        K *= chunk.wb
+        rows, cols = 2.0 * wa * K.sum(axis=1), 2.0 * (wa @ K)
+        _check_finite("disjoint_far", rows)
+        _check_finite("disjoint_far", cols)
+        sums[a] += rows.reshape(len(a), nq)
+        sums[b] += cols.reshape(len(b), nq)
+        half = (K.reshape(-1, nq) @ lam).reshape(len(a), nq, len(b) * k)
+        wlam = wa.reshape(len(a), nq, 1) * lam
+        cross = -2.0 * np.matmul(wlam.transpose(0, 2, 1), half).ravel()
+        ea, eb = mesh.elements[a][:, :, None, None], mesh.elements[b][None, None]
+        np.add.at(flat, (ea * n + eb).ravel(), cross)
+        np.add.at(flat, (eb * n + ea).ravel(), cross)
+
+    for category, idx, g, wK in _terms(mesh, s, boost, geo, work, tile=add_tile):
+        add(category, idx, g, wK)
+    add("disjoint_far", mesh.elements, lam, sums)
     flat *= s * (1 - s)
     fc = mesh.free_count
     matrix = np.ascontiguousarray(flat.reshape(n, n)[:fc, :fc])
@@ -543,7 +647,7 @@ def seminorm_sq(form: NonlocalForm, u: FeFunction) -> float:
 
 
 def seminorm_sq_direct(
-    mesh: BallMesh, s: float, u: FeFunction, boost: int = 0, band=None
+    mesh: BallMesh, s: float, u: FeFunction, boost: int = 0, band=None, pairs_only=False
 ) -> float:
     """Squared seminorm at rule level boost, summed at the quadrature points.
 
@@ -551,9 +655,13 @@ def seminorm_sq_direct(
     scatters; useful for meshes too large for a dense matrix and for the
     audits at higher rule levels. The per-term sums are added exactly
     (fsum), so the order and number of terms add no rounding of their own.
-    With band, the disjoint pairs (ia, ib) of ``audit_band``, the sum
-    keeps every identical, touching and complement row but only the
-    band's disjoint pairs: the part of the slack audit that is computed.
+    A tile chunk of the far field adds sum 2 wK (U_p - U_q)^2, U the
+    values at its points, as sum W U^2 (K W) + sum (W K) W U^2 -
+    2 (W U)^T K (W U), one fsum part per chunk.  With band, the disjoint
+    pairs (ia, ib) of ``audit_band``, the sum keeps every identical,
+    touching and complement row but only the band's disjoint pairs: the
+    part of the slack audit that is computed.  With pairs_only too, it
+    is the sum over the band's disjoint pairs alone.
     """
     check_order(mesh.dim, s)
     if u.mesh is not mesh:
@@ -561,7 +669,18 @@ def seminorm_sq_direct(
     geo = element_geometry(mesh)
     vals = u.values
     parts = []
-    for category, idx, g, wK in _terms(mesh, s, boost, geo, {}, band):
+    # u at the tiles' points, element-major as the chunks' weights
+    at_points = vals[mesh.elements] @ reference_rule(mesh.dim, _orders(mesh.dim, boost)[2])[0].T
+
+    def add_tile(chunk):
+        ua, ub = at_points[chunk.a].ravel(), at_points[chunk.b].ravel()
+        wa, wb = chunk.wa * ua, chunk.wb * ub
+        left = np.stack([wa * ua, chunk.wa, wa]) @ chunk.K
+        part = 2.0 * float(left[0] @ chunk.wb + left[1] @ (wb * ub) - 2.0 * (left[2] @ wb))
+        _check_finite("disjoint_far", part)
+        parts.append(part)
+
+    for category, idx, g, wK in _terms(mesh, s, boost, geo, {}, band, add_tile, pairs_only):
         gu = vals[idx] @ g.T
         part = float(np.sum(wK * gu * gu))
         _check_finite(category, part)

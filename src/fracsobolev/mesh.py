@@ -333,10 +333,14 @@ class _ElementGeometry:
 
 
 _ElementPairs = namedtuple("_ElementPairs", "vertex edge vertex_nodes edge_nodes touching")
+_ClusterTree = namedtuple("_ClusterTree", "order start stop children lo hi diameter")
 
-# strict-upper-triangle cells per disjoint_pairs block: its index arrays
-# take a few MB, however many elements the mesh has
-_FAR_CELLS = 1 << 16
+# elements per cluster-tree leaf, at most
+_LEAF_SIZE = 16
+# pairs per leaf-row block of disjoint_partition: the leaf rows are mostly
+# near pairs, whose vertex distances _disjoint_blocks forms for the whole
+# block, and at 2^15 pairs those take a few MB however large the mesh
+_ROW_PAIRS = 1 << 15
 
 
 def element_pairs(mesh):
@@ -345,40 +349,154 @@ def element_pairs(mesh):
     Returns an object with (P, 2) element-index arrays vertex and edge
     (one and two shared nodes), the node tables vertex_nodes (P, 2N+1)
     and edge_nodes (P, 2N), and touching, the sorted triu positions of
-    all those pairs.  Every other pair is disjoint; ``disjoint_pairs``
-    streams them, so the cache stays O(m).  A table row holds the first
-    element's nodes in cyclic order from its first shared node, then the
-    second element's unshared nodes in cyclic order, so the shared nodes
-    lead.
+    all those pairs.  Every other pair is disjoint; ``disjoint_partition``
+    hands them over as cluster tiles and leaf rows, so the cache stays
+    O(m).  A table row holds the first element's nodes in cyclic order
+    from its first shared node, then the second element's unshared nodes
+    in cyclic order, so the shared nodes lead.
     """
     if "pairs" not in mesh._cache:
         mesh._cache["pairs"] = _enumerate_pairs(mesh)
     return mesh._cache["pairs"]
 
 
-def disjoint_pairs(mesh):
-    """Yield the disjoint element pairs (a < b) in triu order, as (ia, ib) blocks.
+def cluster_tree(mesh):
+    """Cached binary cluster tree of the elements, O(m) arrays.
 
-    Each block covers the next _FAR_CELLS cells of the strict upper
-    triangle in row-major order and drops the positions in
-    ``element_pairs(mesh).touching``, so the blocks concatenate to every
-    pair with no shared node and no O(m^2) array is formed.
+    Node 0 is the root, and children come after their parent.  Node i
+    holds the elements order[start[i]:stop[i]], its two children
+    children[i] (-1 at a leaf), the box lo[i]..hi[i] of its element
+    centroids and the largest diameter of its elements.  A node of more
+    than _LEAF_SIZE elements splits at the median of its centroids along
+    the widest side of their box (Hackbusch, *Hierarchical Matrices*,
+    2015, ch. 5).
     """
-    touching = element_pairs(mesh).touching
+    if "tree" not in mesh._cache:
+        mesh._cache["tree"] = _build_tree(mesh)
+    return mesh._cache["tree"]
+
+
+def _build_tree(mesh):
+    geo = element_geometry(mesh)
+    centroid = geo.verts.mean(axis=1)
+    order = np.arange(mesh.n_elements)
+    # spans grows as nodes split, so the loop reaches every child after
+    # its parent
+    spans, children = [(0, mesh.n_elements)], []
+    for lo, hi in spans:
+        members = order[lo:hi]
+        if hi - lo <= _LEAF_SIZE:
+            children.append((-1, -1))
+            continue
+        axis = np.argmax(np.ptp(centroid[members], axis=0))
+        order[lo:hi] = members[np.argsort(centroid[members, axis], kind="stable")]
+        children.append((len(spans), len(spans) + 1))
+        spans += [(lo, (lo + hi) // 2), ((lo + hi) // 2, hi)]
+    start, stop = np.array(spans).T
+    boxes = [centroid[order[lo:hi]] for lo, hi in spans]
+    return _ClusterTree(
+        order=order,
+        start=start,
+        stop=stop,
+        children=np.array(children),
+        lo=np.array([box.min(axis=0) for box in boxes]),
+        hi=np.array([box.max(axis=0) for box in boxes]),
+        diameter=np.array([np.max(geo.diameter[order[lo:hi]]) for lo, hi in spans]),
+    )
+
+
+def disjoint_partition(mesh, ratio):
+    """(tiles, rows): every disjoint element pair once, as cluster tiles or leaf rows.
+
+    The block tree of ``cluster_tree`` splits the cluster pair (root,
+    root), each cluster into its children, until a block (t, u) is
+    admissible, its centroid boxes at least ratio times its largest
+    diameter apart, or holds two leaves.  The test carries a 1e-9
+    relative margin, so each pair of an admissible block has centroids
+    ratio larger diameters apart or more however its distance rounds;
+    with ratio >= 2 no such pair shares a node (a vertex lies within one
+    diameter of its centroid).  tiles lists the admissible blocks as
+    (a, b) element arrays, one per first cluster with its second clusters
+    concatenated in b: each (a[i], b[j]) is one pair.  rows yields the
+    leaf blocks' pairs less the touching ones as (ia, ib) blocks, ia <
+    ib, of at most _ROW_PAIRS pairs.  Only the tree is cached.
+    """
+    if ratio < 2.0:
+        raise ValueError(f"tiles need a ratio of at least 2, got {ratio!r}")
+    tree = cluster_tree(mesh)
+    kids = tree.children
+    t = u = np.zeros(1, dtype=np.intp)
+    tiles, leaves = [], []
+    while len(t):
+        gap = np.maximum(np.maximum(tree.lo[u] - tree.hi[t], tree.lo[t] - tree.hi[u]), 0.0)
+        reach = ratio * (1.0 + 1e-9) * np.maximum(tree.diameter[t], tree.diameter[u])
+        far = (t != u) & (np.sum(gap * gap, axis=1) >= reach * reach)
+        leaf = (kids[t, 0] < 0) & (kids[u, 0] < 0) & ~far
+        tiles.append(np.stack([t[far], u[far]], axis=1))
+        leaves.append(np.stack([t[leaf], u[leaf]], axis=1))
+        t, u = t[~far & ~leaf], u[~far & ~leaf]
+        # a diagonal block splits into (c0, c0), (c0, c1), (c1, c1); any
+        # other into the halves of its sides, a leaf being its own half
+        diag = kids[t[t == u]]
+        ht, hu = _halves(kids, t[t != u]), _halves(kids, u[t != u])
+        pairs = [(diag[:, 0], diag[:, 0]), (diag[:, 0], diag[:, 1]), (diag[:, 1], diag[:, 1])]
+        pairs += [(ht[:, i], hu[:, j]) for i in (0, 1) for j in (0, 1)]
+        t, u = (np.concatenate(side) for side in zip(*pairs))
+        real = (t >= 0) & (u >= 0)
+        t, u = t[real], u[real]
+    tiles = np.concatenate(tiles)
+    tiles = tiles[np.argsort(tiles[:, 0], kind="stable")]
+    first = np.flatnonzero(np.diff(tiles[:, 0], prepend=-1))
+    members = [tree.order[lo:hi] for lo, hi in zip(tree.start, tree.stop)]
+    grouped = [
+        (members[group[0, 0]], np.concatenate([members[c] for c in group[:, 1]]))
+        for group in np.split(tiles, first[1:])
+        if len(group)
+    ]
+    return grouped, _leaf_rows(mesh, tree, np.concatenate(leaves))
+
+
+def _halves(kids, nodes):
+    """The two children of each cluster in nodes; (node, -1) for a leaf."""
+    halves = kids[nodes]
+    leaf = halves[:, 0] < 0
+    halves[leaf, 0] = nodes[leaf]
+    return halves
+
+
+def _leaf_rows(mesh, tree, leaves):
+    """Yield the disjoint pairs of the leaf blocks as (ia, ib) blocks, ia < ib.
+
+    Whole leaf blocks are taken up to _ROW_PAIRS cells at a time.
+    """
+    t, u = leaves.T
+    cells = (tree.stop[t] - tree.start[t]) * (tree.stop[u] - tree.start[u])
+    end = np.cumsum(cells)
+    lo = 0
+    while lo < len(t):
+        hi = max(lo + 1, int(np.searchsorted(end, end[lo] - cells[lo] + _ROW_PAIRS, side="right")))
+        yield _block_pairs(mesh, tree, t[lo:hi], u[lo:hi])
+        lo = hi
+
+
+def _block_pairs(mesh, tree, t, u):
+    """(ia, ib), ia < ib: the disjoint pairs of the cluster blocks (t, u).
+
+    A diagonal block keeps the pairs of distinct elements once; the
+    touching pairs are found by their triu positions.  The temporaries
+    end with the call, so a stream holds only its yielded pairs.
+    """
     m = mesh.n_elements
-    rows = np.arange(m)
-    # triu position of cell (i, i + 1); the last entry is the cell count
-    first = rows * (2 * m - rows - 1) // 2
-    total = int(first[-1])
-    for lo in range(0, total, _FAR_CELLS):
-        hi = min(lo + _FAR_CELLS, total)
-        r0 = np.searchsorted(first, lo, side="right") - 1
-        r1 = np.searchsorted(first, hi - 1, side="right")
-        ia = np.repeat(rows[r0:r1], np.diff(np.clip(first[r0 : r1 + 1], lo, hi)))
-        ib = np.arange(lo, hi) - first[ia] + ia + 1
-        keep = np.ones(hi - lo, dtype=bool)
-        keep[touching[np.searchsorted(touching, lo) : np.searchsorted(touching, hi)] - lo] = False
-        yield ia[keep], ib[keep]
+    width = tree.stop[u] - tree.start[u]
+    cells = (tree.stop[t] - tree.start[t]) * width
+    block = np.repeat(np.arange(len(t)), cells)
+    i, j = np.divmod(np.arange(len(block)) - (np.cumsum(cells) - cells)[block], width[block])
+    a = tree.order[tree.start[t[block]] + i]
+    b = tree.order[tree.start[u[block]] + j]
+    keep = (t[block] != u[block]) | (i < j)
+    ia, ib = np.minimum(a, b)[keep], np.maximum(a, b)[keep]
+    disjoint = ~np.isin(ia * (2 * m - ia - 1) // 2 + ib - ia - 1, element_pairs(mesh).touching)
+    return ia[disjoint], ib[disjoint]
 
 
 def _enumerate_pairs(mesh):
@@ -389,7 +507,7 @@ def _enumerate_pairs(mesh):
     within 2 D of each other.  The search radius 3 D leaves a margin for
     rounding in the tree's distances.  The candidates compare their
     nodes in triu order, and the touching ones keep their triu positions
-    for ``disjoint_pairs`` to skip.
+    for ``disjoint_partition`` to skip.
     """
     els = mesh.elements
     geo = element_geometry(mesh)

@@ -22,7 +22,14 @@ from scipy.linalg import cho_factor, cho_solve
 from scipy.optimize import minimize
 
 from .bubble import Bubble, normalize_lambda, truncated_bubble
-from .gagliardo import NonlocalForm, audit_band, seminorm_sq, seminorm_sq_direct, tail_bound
+from .gagliardo import (
+    NonlocalForm,
+    audit_band,
+    band_floor,
+    seminorm_sq,
+    seminorm_sq_direct,
+    tail_bound,
+)
 from .mesh import FeFunction, interpolate
 from .norms import lq_norm, nonlinear_residual
 from .params import critical_exponent, exact_constant, optimal_concentration
@@ -158,21 +165,28 @@ def boosted_seminorm(mesh, s, u, semi, boost=0):
     it, so the boosted seminorm lies within tail of the value.  When the
     band would reach every pair, or a quarter of them, the value is one
     full ``seminorm_sq_direct`` pass at level boost + 1, tail is 0 and
-    cutoff is inf.
+    cutoff is inf.  ``band_floor`` settles the quarter before a band is
+    formed where it can.  A doubled R keeps the shift of the band at R
+    and sums only the annulus between R and 2 R.
     """
     m = mesh.n_elements
-    ratio = _AUDIT_RATIO
+    ratio, inner = _AUDIT_RATIO, 0.0
+    shift, size = 0.0, 0
     while ratio * mesh.h < 2.0:
-        band = audit_band(mesh, ratio)
-        if 8 * len(band[0]) >= m * (m - 1):
+        if 8 * band_floor(mesh, ratio) >= m * (m - 1):
             break
-        shift = seminorm_sq_direct(mesh, s, u, boost + 1, band) - seminorm_sq_direct(
-            mesh, s, u, boost, band
+        ring = audit_band(mesh, ratio, inner)
+        size += len(ring[0])
+        if 8 * size >= m * (m - 1):
+            break
+        pairs_only = inner > 0.0
+        shift += seminorm_sq_direct(mesh, s, u, boost + 1, ring, pairs_only) - seminorm_sq_direct(
+            mesh, s, u, boost, ring, pairs_only
         )
         tail = tail_bound(mesh, s, u, boost, ratio)
         if tail <= _TAIL_SHARE * abs(shift):
             return semi + shift, tail, ratio
-        ratio *= 2.0
+        ratio, inner = 2.0 * ratio, ratio
     return seminorm_sq_direct(mesh, s, u, boost=boost + 1), 0.0, float("inf")
 
 

@@ -10,6 +10,7 @@ implemented here from scratch.
 """
 
 import dataclasses
+import itertools
 import json
 import tracemalloc
 from math import fsum
@@ -36,6 +37,7 @@ from fracsobolev.gagliardo import (
 )
 from fracsobolev.gagliardo import (
     _DISTANT_RATIO,
+    _TERM_POINTS,
     _complement_terms,
     _disjoint_blocks,
     _disjoint_sets,
@@ -49,7 +51,7 @@ from fracsobolev.mesh import (
     BallMesh,
     FeFunction,
     build_mesh,
-    disjoint_pairs,
+    disjoint_partition,
     element_geometry,
     element_pairs,
     interpolate,
@@ -101,10 +103,29 @@ def _pair_table(blocks):
     return np.concatenate([np.empty((0, 2), dtype=np.intp)] + blocks)
 
 
-def _streamed_bands(mesh):
-    """The pair tables of _disjoint_blocks by band, its order argument naming the band."""
+def _partition_tables(mesh):
+    """(tile pairs, row pairs) of disjoint_partition at the distant ratio, as (P, 2) tables."""
+    tiles, rows = disjoint_partition(mesh, _DISTANT_RATIO)
+    grids = [np.meshgrid(a, b, indexing="ij") for a, b in tiles]
+    return _pair_table((ia.ravel(), ib.ravel()) for ia, ib in grids), _pair_table(rows)
+
+
+def _triu_sorted(pairs):
+    """The pairs oriented a < b, in triu order."""
+    pairs = np.sort(pairs, axis=1)
+    return pairs[np.lexsort(pairs.T[::-1])]
+
+
+def _disjoint_table(mesh):
+    """Every disjoint pair of disjoint_partition, a < b in triu order, as one (P, 2) table."""
+    return _triu_sorted(np.concatenate(_partition_tables(mesh)))
+
+
+def _bands(mesh, pairs):
+    """The pair tables of _disjoint_blocks over pairs by band, its order argument naming the band."""
     bands = {}
-    for category, ia, ib, band in _disjoint_blocks(mesh, element_geometry(mesh), "near", "far", "distant"):
+    blocks = [(pairs[part, 0], pairs[part, 1]) for part in gagliardo._row_chunks(len(pairs), 1)]
+    for category, ia, ib, band in _disjoint_blocks(mesh, element_geometry(mesh), "near", "far", "distant", blocks):
         assert category == ("disjoint_near" if band == "near" else "disjoint_far"), band
         bands.setdefault(band, []).append((ia, ib))
     return {band: _pair_table(bands.get(band, [])) for band in ("near", "far", "distant")}
@@ -160,7 +181,7 @@ def test_element_pairs_cover_and_orient(make_mesh):
     mesh = make_mesh()
     pairs = element_pairs(mesh)
     m, k = mesh.n_elements, mesh.dim + 1
-    cats = {0: (_pair_table(disjoint_pairs(mesh)),), 1: (pairs.vertex,), 2: (pairs.edge,)}
+    cats = {0: (_disjoint_table(mesh),), 1: (pairs.vertex,), 2: (pairs.edge,)}
     every = np.concatenate([p for group in cats.values() for p in group])
     assert len(every) == m * (m - 1) // 2
     assert np.all(every[:, 0] < every[:, 1])
@@ -199,16 +220,18 @@ def test_element_pairs_enumerated_once_per_mesh(monkeypatch):
 def _brute_force_pairs(mesh):
     """All m(m-1)/2 element pairs classified row by row, in triu order.
 
-    Shared nodes by set intersection, the smallest vertex distance by
-    cdist; a disjoint pair is distant when its squared centroid distance
-    reaches that of _DISTANT_RATIO larger diameters, else near when its
-    vertices come closer than the larger diameter, else far.  A touching
-    pair's node row is the first element's nodes rotated to start at the
-    shared node that follows an unshared one, then the second element's
-    unshared nodes in its own cyclic order.
+    Element a against every b > a at once: shared nodes by comparing
+    node indices, the smallest vertex distance by cdist; a disjoint pair
+    is distant when its squared centroid distance reaches that of
+    _DISTANT_RATIO larger diameters, else near when its vertices come
+    closer than the larger diameter, else far.  A touching pair's node
+    row is the first element's nodes rotated to start at the shared node
+    that follows an unshared one, then the second element's unshared
+    nodes in its own cyclic order.
     """
-    els = mesh.elements.tolist()
-    verts = mesh.nodes[mesh.elements]
+    els = mesh.elements
+    verts = mesh.nodes[els]
+    m, k = els.shape
     diam = np.array([cdist(v, v).max() for v in verts])
     cen = verts.mean(axis=1)
     names = ("vertex", "edge", "near", "far", "distant", "vertex_nodes", "edge_nodes")
@@ -218,24 +241,25 @@ def _brute_force_pairs(mesh):
         i = next(i for i in range(len(nodes)) if nodes[i] in shared and nodes[i - 1] not in shared)
         return nodes[i:] + nodes[:i]
 
-    for a in range(len(els)):
-        for b in range(a + 1, len(els)):
-            shared = set(els[a]) & set(els[b])
-            if shared:
-                name = {1: "vertex", 2: "edge"}[len(shared)]
-                out[name].append([a, b])
-                tail = [x for x in rotated(els[b], shared) if x not in shared]
-                out[name + "_nodes"].append(rotated(els[a], shared) + tail)
-            elif np.sum((cen[a] - cen[b]) ** 2) >= (_DISTANT_RATIO * max(diam[a], diam[b])) ** 2:
-                out["distant"].append([a, b])
-            elif cdist(verts[a], verts[b]).min() < max(diam[a], diam[b]):
-                out["near"].append([a, b])
-            else:
-                out["far"].append([a, b])
-    k = mesh.dim + 1
+    for a in range(m):
+        b = np.arange(a + 1, m)
+        shared = np.sum(els[b][:, :, None] == els[a], axis=(1, 2))
+        for other in b[shared > 0]:
+            common = set(els[a].tolist()) & set(els[other].tolist())
+            name = {1: "vertex", 2: "edge"}[len(common)]
+            out[name].append([[a, other]])
+            tail = [x for x in rotated(els[other].tolist(), common) if x not in common]
+            out[name + "_nodes"].append([rotated(els[a].tolist(), common) + tail])
+        b = b[shared == 0]
+        larger = np.maximum(diam[a], diam[b])
+        distant = np.sum((cen[a] - cen[b]) ** 2, axis=1) >= (_DISTANT_RATIO * larger) ** 2
+        gap = cdist(verts[a], verts[b].reshape(-1, mesh.dim)).reshape(k, len(b), k).min(axis=(0, 2))
+        near = ~distant & (gap < larger)
+        for name, mask in (("distant", distant), ("near", near), ("far", ~distant & ~near)):
+            out[name].append(np.stack([np.full(mask.sum(), a), b[mask]], axis=1))
     widths = dict(vertex_nodes=2 * k - 1, edge_nodes=2 * k - 2)
     return {
-        name: np.array(rows, dtype=np.intp).reshape(-1, widths.get(name, 2))
+        name: np.concatenate([np.empty((0, widths.get(name, 2)))] + rows).astype(np.intp)
         for name, rows in out.items()
     }
 
@@ -289,13 +313,54 @@ def test_element_pairs_match_brute_force(make_mesh, monkeypatch):
     m = mesh.n_elements
     a, b = np.concatenate([pairs.vertex, pairs.edge]).T
     assert np.array_equal(pairs.touching, np.sort(a * (2 * m - a - 1) // 2 + b - a - 1))
-    # the streamed bands, in blocks of all cells and of 7 cells that split rows
-    for cells in (mesh_module._FAR_CELLS, 7):
-        monkeypatch.setattr(mesh_module, "_FAR_CELLS", cells)
-        for band, got in _streamed_bands(mesh).items():
+    # the bands of the partition's pairs, at the default leaf size and at
+    # leaves of one and two elements, whose trees reach every pair by tiles
+    # and rows of other shapes, and in row blocks of all pairs and of 7
+    # pairs, which split leaf blocks
+    for leaf, row_pairs in itertools.product((mesh_module._LEAF_SIZE, 1, 2), (mesh_module._ROW_PAIRS, 7)):
+        monkeypatch.setattr(mesh_module, "_LEAF_SIZE", leaf)
+        monkeypatch.setattr(mesh_module, "_ROW_PAIRS", row_pairs)
+        mesh._cache.pop("tree", None)
+        for band, got in _bands(mesh, _disjoint_table(mesh)).items():
             want = bands[band]
-            assert got.dtype == want.dtype and got.shape == want.shape, (cells, band)
-            assert np.array_equal(got, want), (cells, band)
+            assert got.dtype == want.dtype and got.shape == want.shape, (leaf, row_pairs, band)
+            assert np.array_equal(_triu_sorted(got), want), (leaf, row_pairs, band)
+
+
+def _shuffled_2d_mesh():
+    """The 2D level-2 mesh with its elements in a seeded random order."""
+    mesh = build_mesh(2, 2)
+    order = np.random.default_rng(25).permutation(mesh.n_elements)
+    return make_ball_mesh(2, mesh.nodes, mesh.elements[order])
+
+
+@pytest.mark.parametrize(
+    "make_mesh",
+    [pytest.param(lambda level=level: build_mesh(1, level), id=f"1d-L{level}") for level in range(10)]
+    + [pytest.param(lambda level=level: build_mesh(2, level), id=f"2d-L{level}") for level in range(4)]
+    + [
+        pytest.param(_custom_1d_mesh, id="1d-custom"),
+        pytest.param(_graded_1d_mesh, id="1d-graded"),
+        pytest.param(_shuffled_2d_mesh, id="2d-shuffled"),
+    ],
+)
+def test_disjoint_partition_matches_brute_force(make_mesh):
+    # tiles and leaf rows hold every disjoint pair once and no touching
+    # pair, and every tile pair is distant by _disjoint_blocks' own test
+    mesh = make_mesh()
+    m = mesh.n_elements
+    ref = _brute_force_pairs(mesh)
+    want = _triu_sorted(np.concatenate([ref["near"], ref["far"], ref["distant"]]))
+    tiles, rows = _partition_tables(mesh)
+    assert np.all(rows[:, 0] < rows[:, 1])
+    every = np.concatenate([tiles, rows])
+    got = _triu_sorted(every)
+    assert len(got) == len(every) == len(want) and np.array_equal(got, want)
+    a, b = got.T
+    assert not np.any(np.isin(a * (2 * m - a - 1) // 2 + b - a - 1, element_pairs(mesh).touching))
+    bands = _bands(mesh, tiles)
+    assert len(bands["near"]) == len(bands["far"]) == 0
+    assert len(bands["distant"]) == len(tiles)
 
 
 @pytest.mark.parametrize("dim, level", [(1, 10), (2, 3)])
@@ -332,10 +397,12 @@ def test_classification_holds_no_all_candidate_float_temporary():
     ],
 )
 def test_scatter_matches_dense_accumulation(dim, level, s, boost):
+    # the reference streams every disjoint pair as a row, the tiles too
     mesh = build_mesh(dim, level)
     n = mesh.n_nodes
     dense = np.zeros(n * n)
-    for _, idx, g, wK in _terms(mesh, s, boost, element_geometry(mesh), {}):
+    every = _disjoint_table(mesh).T
+    for _, idx, g, wK in _terms(mesh, s, boost, element_geometry(mesh), {}, every):
         pos = (idx[:, :, None] * n + idx[:, None, :]).ravel()
         dense += np.bincount(pos, weights=_term_block(g, wK).ravel(), minlength=n * n)
     fc = mesh.free_count
@@ -352,9 +419,16 @@ def test_scatter_matches_dense_accumulation(dim, level, s, boost):
 )
 def test_term_stream_has_one_format(make_mesh, boost):
     # every term shares one g (points, n) across its rows, with a C-ordered
-    # (rows, points) wK, so the block product and the direct sum have one path
+    # (rows, points) wK, so the block product and the direct sum have one
+    # path; a tile chunk's kernel is one (a points, b points) array
     mesh = make_mesh()
-    for _, idx, g, wK in _terms(mesh, 0.25, boost, element_geometry(mesh), {}):
+    nq = len(reference_rule(mesh.dim, _orders(mesh.dim, boost)[2])[0])
+
+    def check(chunk):
+        assert chunk.K.shape == (len(chunk.wa), len(chunk.wb)) == (len(chunk.a) * nq, len(chunk.b) * nq)
+        assert chunk.K.size <= _TERM_POINTS
+
+    for _, idx, g, wK in _terms(mesh, 0.25, boost, element_geometry(mesh), {}, tile=check):
         assert g.ndim == 2
         assert g.shape == (wK.shape[1], idx.shape[1])
         assert wK.shape == (len(idx), len(g))
@@ -369,7 +443,7 @@ def test_every_pair_rule_differences_constants_to_zero(dim, boost):
     meshes = [_custom_1d_mesh(), build_mesh(1, 3)] if dim == 1 else [build_mesh(2, 1)]
     seen = set()
     for mesh in meshes:
-        for category, _, g, _ in _terms(mesh, 0.25, boost, element_geometry(mesh), {}):
+        for category, _, g, _ in _terms(mesh, 0.25, boost, element_geometry(mesh), {}, tile=lambda chunk: None):
             if category == "complement":
                 continue
             seen.add(category)
@@ -419,7 +493,11 @@ def test_work_counts_follow_the_term_stream(dim, level, s, boost):
     report = assemble(mesh, s, boost).assembly_report
     evals = dict.fromkeys(report.kernel_evals, 0)
     cells = 0
-    for category, _, _, wK in _terms(mesh, s, boost, element_geometry(mesh), {}):
+
+    def count(chunk):
+        evals["disjoint_far"] += chunk.K.size
+
+    for category, _, _, wK in _terms(mesh, s, boost, element_geometry(mesh), {}, tile=count):
         if category == "complement":
             cells += len(wK)
         evals[category] = evals.get(category, 0) + wK.size
@@ -430,7 +508,7 @@ def test_work_counts_follow_the_term_stream(dim, level, s, boost):
     assert report.complement_cells == cells
     assert report.kernel_evals == evals
     pairs = element_pairs(mesh)
-    disjoint = _pair_table(disjoint_pairs(mesh))
+    disjoint = _disjoint_table(mesh)
     # the near pairs by their smallest vertex distance, all pairs at once
     verts = mesh.nodes[mesh.elements]
     gap = verts[disjoint[:, 0]][:, :, None, :] - verts[disjoint[:, 1]][:, None, :, :]
@@ -1119,7 +1197,7 @@ def test_disjoint_blocks_2d_vs_pointwise_kernel(s, boost):
     near_order, far_order, distant_order = _orders(2, boost)[:3]
     # the bands by brute force: centroids at least _DISTANT_RATIO larger
     # diameters apart, else vertices closer than the larger diameter
-    pairs = _pair_table(disjoint_pairs(mesh))
+    pairs = _disjoint_table(mesh)
     verts = mesh.nodes[mesh.elements]
     diam = np.array([cdist(v, v).max() for v in verts])
     larger = np.maximum(diam[pairs[:, 0]], diam[pairs[:, 1]])
@@ -1132,7 +1210,7 @@ def test_disjoint_blocks_2d_vs_pointwise_kernel(s, boost):
     # the stream gives each band its category and order; at the default
     # rule far and distant share theirs
     streamed = {}
-    for category, ia, ib, order in _disjoint_blocks(mesh, geo, near_order, far_order, distant_order):
+    for category, ia, ib, order in _disjoint_blocks(mesh, geo, near_order, far_order, distant_order, [pairs.T]):
         streamed.setdefault((category, order), []).append((ia, ib))
     streamed = {key: _pair_table(blocks) for key, blocks in streamed.items()}
     want = {("disjoint_near", near_order): pairs[near]}
@@ -1193,7 +1271,7 @@ def _brute_band(mesh, ratio):
     """(band, tail): every disjoint pair, split by the plain ratio test on centroids."""
     geo = element_geometry(mesh)
     c = geo.verts.mean(axis=1)
-    pairs = _pair_table(disjoint_pairs(mesh))
+    pairs = _disjoint_table(mesh)
     a, b = pairs.T
     sep = np.sum((c[a] - c[b]) ** 2, axis=1)
     reach = ratio * np.maximum(geo.diameter[a], geo.diameter[b])
@@ -1246,6 +1324,38 @@ def test_band_and_tail_partition_the_form(key, ratio, s, boost):
     band_sum = seminorm_sq_direct(mesh, s, u, boost, audit_band(mesh, ratio))
     full = seminorm_sq_direct(mesh, s, u, boost)
     assert abs(band_sum + _disjoint_sum(mesh, s, u, tail, boost) - full) <= 1e-14 * full
+
+
+@pytest.mark.parametrize("boost", [0, 1])
+@pytest.mark.parametrize("dim, level, s", [(1, 8, 0.3), (2, 3, 0.5)])
+def test_tiled_pass_matches_the_row_path(dim, level, s, boost):
+    # the full pass sums 83% (1D L8) and 80% (2D L3) of the disjoint pairs
+    # as tiles; the reference sums every one of them as a row, through the
+    # band path over the brute-force pair list
+    mesh = build_mesh(dim, level)
+    u = _profile(mesh, s)
+    ref = _brute_force_pairs(mesh)
+    every = np.concatenate([ref["near"], ref["far"], ref["distant"]]).T
+    rows = seminorm_sq_direct(mesh, s, u, boost, every)
+    assert abs(seminorm_sq_direct(mesh, s, u, boost) - rows) <= 1e-14 * rows
+    w = u.free_values
+    assert abs(w @ assemble(mesh, s, boost).matrix @ w - rows) <= 1e-13 * rows
+
+
+@pytest.mark.parametrize("boost", [0, 1])
+@pytest.mark.parametrize("dim, level, s", [(1, 7, 0.25), (2, 2, 0.5)])
+def test_leaf_size_keeps_the_work(monkeypatch, dim, level, s, boost):
+    # leaves of one and two elements give other tiles and rows of the same
+    # pairs, so the same counts and, up to rounding, the same matrix
+    forms = []
+    for leaf in (mesh_module._LEAF_SIZE, 1, 2):
+        monkeypatch.setattr(mesh_module, "_LEAF_SIZE", leaf)
+        forms.append(assemble(build_mesh(dim, level), s, boost))
+    ref = forms[0]
+    for form in forms[1:]:
+        assert form.assembly_report.kernel_evals == ref.assembly_report.kernel_evals
+        assert form.assembly_report.pair_counts == ref.assembly_report.pair_counts
+        assert np.max(np.abs(form.matrix - ref.matrix)) <= 1e-13 * np.max(np.abs(ref.matrix))
 
 
 @pytest.mark.parametrize(

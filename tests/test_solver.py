@@ -121,13 +121,13 @@ def test_banded_slack_covers_the_full_pass(reports_1d_s025):
 
 def test_banded_audit_streams_no_disjoint_pair(monkeypatch):
     # with a finite cutoff the audit finds its band by a centroid search
-    # and bounds the rest: no O(m^2) stream
+    # and bounds the rest: no tile or leaf row of the O(m^2) far field
     form = assemble(build_mesh(1, 8), 0.25)
 
-    def refuse(mesh):
-        raise AssertionError("the banded audit streamed disjoint_pairs")
+    def refuse(mesh, ratio):
+        raise AssertionError("the banded audit formed the disjoint partition")
 
-    monkeypatch.setattr(gagliardo, "disjoint_pairs", refuse)
+    monkeypatch.setattr(gagliardo, "disjoint_partition", refuse)
     rep = solve(form)
     assert rep.audit_cutoff < float("inf") and rep.tail_bound > 0.0
 
