@@ -15,12 +15,13 @@ touching pairs through tensor transforms that cancel the singularity,
 disjoint pairs by plain Gauss on both elements, and the complement term
 by one Gauss rule per element: kappa blows up like depth^(-2s) at the
 sphere, but u vanishes linearly there, so u^2 kappa behaves like
-depth^(2-2s), which plain Gauss resolves.  The touching pairs and their
-shared-node order come from ``mesh.element_pairs``, decided once per
-mesh.  The disjoint pairs, almost all of the m^2/2, come from
-``mesh.disjoint_partition``, a block partition over the cached cluster
-tree of the elements (Hackbusch, *Hierarchical Matrices*, 2015), and
-are never held whole.  Its tiles pair clusters whose centroid boxes lie
+depth^(2-2s), which plain Gauss resolves.  The cached cluster tree of
+the elements and its block walk (Hackbusch, *Hierarchical Matrices*,
+2015) are the one spatial search: ``mesh.element_pairs`` finds the
+touching pairs and their shared-node order among the walk's leaf
+pairs, once per mesh, and the disjoint pairs, almost all of the m^2/2,
+come from ``mesh.disjoint_partition``, the walk's blocks, and are
+never held whole.  The tiles pair clusters whose centroid boxes lie
 _DISTANT_RATIO diameters apart, so every pair in them takes the distant
 order; ``_tile_chunks`` evaluates a tile as broadcast kernel arrays
 between the two clusters' Gauss points, with no row per pair (98% of
@@ -31,13 +32,14 @@ Gauss order of its band, near, far or distant, from its separation.
 The slack audit differences rule levels k and k+1 only on the band of
 ``audit_band``: the identical, touching and complement rows and the
 disjoint pairs whose centroids lie less than R larger diameters apart,
-found by a centroid search, so no O(m^2) stream.  ``tail_bound`` bounds
-the level-k Gauss error of every pair beyond R a priori: the integrand
-is analytic in each reference direction on a Bernstein ellipse whose
-size grows with the separation over the diameter (Trefethen,
-*Approximation Theory and Approximation Practice*, Thm 19.3; Sauter &
-Schwab, *Boundary Element Methods*, ch. 5), and the sum over the far
-pairs is bounded by a radial integral per element in closed form.
+found among the walk's leaf pairs, so no O(m^2) stream.
+``tail_bound`` bounds the level-k Gauss error of every pair beyond R a
+priori: the integrand is analytic in each reference direction on a
+Bernstein ellipse whose size grows with the separation over the
+diameter (Trefethen, *Approximation Theory and Approximation Practice*,
+Thm 19.3; Sauter & Schwab, *Boundary Element Methods*, ch. 5), and the
+sum over the far pairs is bounded by a radial integral per element in
+closed form.
 
 The form streams as terms (category, node idx, g, wK), one row per
 element pair or element: row b adds sum_q wK[b, q] (g_q . u[idx[b]])^2.
@@ -63,7 +65,6 @@ from dataclasses import dataclass
 from math import fsum, gamma
 
 import numpy as np
-from scipy.spatial import cKDTree
 from scipy.special import hyp2f1
 
 from ._quad import reference_rule, unit_gauss
@@ -74,6 +75,8 @@ from .mesh import (
     disjoint_partition,
     element_geometry,
     element_pairs,
+    leaf_pairs,
+    shares_node,
 )
 from .params import check_order
 
@@ -83,7 +86,6 @@ __all__ = [
     "NonlocalForm",
     "assemble",
     "audit_band",
-    "band_floor",
     "complement_weight",
     "element_self_interaction",
     "seminorm_sq",
@@ -443,9 +445,14 @@ def _disjoint_blocks(mesh, geo, near, far, distant, pairs):
         apart = sep >= reach * reach
         a, b = ia[~apart], ib[~apart]
         va, vb, k = geo.verts[a], geo.verts[b], range(mesh.dim + 1)
-        # the smallest squared vertex distance, one vertex pair per pass
-        sq = [_sum_sq(va[:, p, c] - vb[:, q, c] for c in range(mesh.dim)) for p in k for q in k]
-        close = np.sqrt(np.min(sq, axis=0)) < larger[~apart]
+        # the smallest squared vertex distance, a running minimum over
+        # the vertex pairs
+        least = np.full(len(a), np.inf)
+        for p in k:
+            for q in k:
+                sq = _sum_sq(va[:, p, c] - vb[:, q, c] for c in range(mesh.dim))
+                np.minimum(least, sq, out=least)
+        close = np.sqrt(least) < larger[~apart]
         yield "disjoint_near", a[close], b[close], near
         yield "disjoint_far", a[~close], b[~close], far
         yield "disjoint_far", ia[apart], ib[apart], distant
@@ -454,41 +461,26 @@ def _disjoint_blocks(mesh, geo, near, far, distant, pairs):
 def audit_band(mesh: BallMesh, ratio: float, inner: float = 0.0):
     """Disjoint pairs (ia, ib), a < b in triu order, with centroids under ratio larger diameters apart.
 
-    A centroid search at ratio times the largest diameter finds the
-    candidates, as ``mesh.element_pairs`` finds the touching pairs, and
-    ``_disjoint_blocks``' separation test keeps the band; no tile or
-    leaf row of ``disjoint_partition`` is formed.  With inner, the pairs
-    under inner larger diameters apart are left out, by the same test in
-    the same floats, so the band at inner and this annulus split the
-    band at ratio exactly.
+    ``_disjoint_blocks``' separation test over ``mesh.leaf_pairs`` at
+    ratio, or 2 if larger, which hold every such pair; the test runs
+    before the node comparison that drops the touching pairs, and no
+    tile is grouped or evaluated.  With inner, the pairs under inner
+    larger diameters apart are left out, by the same test in the same
+    floats, so the band at inner and this annulus split the band at
+    ratio exactly.
     """
     geo = element_geometry(mesh)
-    m = mesh.n_elements
-    centroid = geo.verts.mean(axis=1)
-    # the relative margin covers rounding in the tree's distances
-    found = cKDTree(centroid).query_pairs(ratio * mesh.h * (1.0 + 1e-9), output_type="ndarray")
-    ia, ib = np.divmod(np.sort(found[:, 0] * m + found[:, 1]), m)
-    sep, larger = _separation(centroid.T.copy(), geo, ia, ib)
-    reach = ratio * larger
-    touching = np.isin(ia * (2 * m - ia - 1) // 2 + ib - ia - 1, element_pairs(mesh).touching)
-    keep = (sep < reach * reach) & ~touching
-    if inner:
-        reach = inner * larger
-        keep &= ~(sep < reach * reach)
-    return ia[keep], ib[keep]
+    centroid = geo.verts.mean(axis=1).T.copy()
 
+    def keep(ia, ib):
+        sep, larger = _separation(centroid, geo, ia, ib)
+        band = sep < (ratio * larger) ** 2
+        if inner:
+            band &= sep >= (inner * larger) ** 2
+        band[band] = ~shares_node(mesh, ia[band], ib[band])
+        return band
 
-def band_floor(mesh: BallMesh, ratio: float) -> int:
-    """A lower bound on the pair count of ``audit_band(mesh, ratio)``, with no pair formed.
-
-    Centroids within ratio times the smallest diameter lie under ratio
-    larger diameters apart; ``cKDTree.count_neighbors`` counts those
-    pairs (the relative margin covers rounding in its distances), and
-    every touching pair is taken off.
-    """
-    tree = cKDTree(element_geometry(mesh).verts.mean(axis=1))
-    within = int(tree.count_neighbors(tree, ratio * mesh.h_min * (1.0 - 1e-9)))
-    return (within - mesh.n_elements) // 2 - len(element_pairs(mesh).touching)
+    return leaf_pairs(mesh, max(ratio, 2.0), keep)
 
 
 def _terms(mesh, s, boost, geo, work, band=None, tile=None, pairs_only=False):

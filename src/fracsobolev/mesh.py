@@ -12,7 +12,6 @@ from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 __all__ = [
     "BallMesh",
@@ -332,14 +331,15 @@ class _ElementGeometry:
     grads: np.ndarray
 
 
-_ElementPairs = namedtuple("_ElementPairs", "vertex edge vertex_nodes edge_nodes touching")
+_ElementPairs = namedtuple("_ElementPairs", "vertex edge vertex_nodes edge_nodes")
 _ClusterTree = namedtuple("_ClusterTree", "order start stop children lo hi diameter")
 
 # elements per cluster-tree leaf, at most
 _LEAF_SIZE = 16
-# pairs per leaf-row block of disjoint_partition: the leaf rows are mostly
-# near pairs, whose vertex distances _disjoint_blocks forms for the whole
-# block, and at 2^15 pairs those take a few MB however large the mesh
+# pairs per leaf-row block of disjoint_partition: each block's pairs make
+# their own terms, so the block size fixes the fsum parts of
+# seminorm_sq_direct and the scatter order of assemble, and with them
+# the last bits of both
 _ROW_PAIRS = 1 << 15
 
 
@@ -347,13 +347,13 @@ def element_pairs(mesh):
     """Cached shared-node topology of the unordered distinct element pairs.
 
     Returns an object with (P, 2) element-index arrays vertex and edge
-    (one and two shared nodes), the node tables vertex_nodes (P, 2N+1)
-    and edge_nodes (P, 2N), and touching, the sorted triu positions of
-    all those pairs.  Every other pair is disjoint; ``disjoint_partition``
-    hands them over as cluster tiles and leaf rows, so the cache stays
-    O(m).  A table row holds the first element's nodes in cyclic order
-    from its first shared node, then the second element's unshared nodes
-    in cyclic order, so the shared nodes lead.
+    (one and two shared nodes), a < b in triu order, and the node tables
+    vertex_nodes (P, 2N+1) and edge_nodes (P, 2N).  Every other pair is
+    disjoint; ``disjoint_partition`` hands them over as cluster tiles and
+    leaf rows, so the cache stays O(m).  A table row holds the first
+    element's nodes in cyclic order from its first shared node, then the
+    second element's unshared nodes in cyclic order, so the shared nodes
+    lead.
     """
     if "pairs" not in mesh._cache:
         mesh._cache["pairs"] = _enumerate_pairs(mesh)
@@ -405,25 +405,20 @@ def _build_tree(mesh):
     )
 
 
-def disjoint_partition(mesh, ratio):
-    """(tiles, rows): every disjoint element pair once, as cluster tiles or leaf rows.
+def _block_walk(tree, ratio):
+    """(tiles, leaves): the blocks of the block tree at ratio, as (B, 2) node pairs.
 
-    The block tree of ``cluster_tree`` splits the cluster pair (root,
-    root), each cluster into its children, until a block (t, u) is
-    admissible, its centroid boxes at least ratio times its largest
-    diameter apart, or holds two leaves.  The test carries a 1e-9
-    relative margin, so each pair of an admissible block has centroids
-    ratio larger diameters apart or more however its distance rounds;
-    with ratio >= 2 no such pair shares a node (a vertex lies within one
-    diameter of its centroid).  tiles lists the admissible blocks as
-    (a, b) element arrays, one per first cluster with its second clusters
-    concatenated in b: each (a[i], b[j]) is one pair.  rows yields the
-    leaf blocks' pairs less the touching ones as (ia, ib) blocks, ia <
-    ib, of at most _ROW_PAIRS pairs.  Only the tree is cached.
+    The walk splits the cluster pair (root, root), each cluster into its
+    children, until a block (t, u) is admissible, its centroid boxes at
+    least ratio times its largest diameter apart, or holds two leaves.
+    The test carries a 1e-9 relative margin, so each pair of an
+    admissible block has centroids ratio larger diameters apart or more
+    however its distance rounds; with ratio >= 2 no such pair shares a
+    node (a vertex lies within one diameter of its centroid).  tiles
+    holds the admissible blocks, leaves the other leaf blocks.
     """
     if ratio < 2.0:
         raise ValueError(f"tiles need a ratio of at least 2, got {ratio!r}")
-    tree = cluster_tree(mesh)
     kids = tree.children
     t = u = np.zeros(1, dtype=np.intp)
     tiles, leaves = [], []
@@ -444,7 +439,21 @@ def disjoint_partition(mesh, ratio):
         t, u = (np.concatenate(side) for side in zip(*pairs))
         real = (t >= 0) & (u >= 0)
         t, u = t[real], u[real]
-    tiles = np.concatenate(tiles)
+    return np.concatenate(tiles), np.concatenate(leaves)
+
+
+def disjoint_partition(mesh, ratio):
+    """(tiles, rows): every disjoint element pair once, as cluster tiles or leaf rows.
+
+    The blocks come from the walk of ``_block_walk`` at ratio >= 2.
+    tiles lists its admissible blocks as (a, b) element arrays, one per
+    first cluster with its second clusters concatenated in b: each
+    (a[i], b[j]) is one pair.  rows yields the leaf blocks' pairs less
+    the touching ones as (ia, ib) blocks, ia < ib, of at most _ROW_PAIRS
+    pairs.  Only the tree is cached.
+    """
+    tree = cluster_tree(mesh)
+    tiles, leaves = _block_walk(tree, ratio)
     tiles = tiles[np.argsort(tiles[:, 0], kind="stable")]
     first = np.flatnonzero(np.diff(tiles[:, 0], prepend=-1))
     members = [tree.order[lo:hi] for lo, hi in zip(tree.start, tree.stop)]
@@ -453,7 +462,29 @@ def disjoint_partition(mesh, ratio):
         for group in np.split(tiles, first[1:])
         if len(group)
     ]
-    return grouped, _leaf_rows(mesh, tree, np.concatenate(leaves))
+    return grouped, _leaf_pairs(tree, leaves, lambda ia, ib: ~shares_node(mesh, ia, ib))
+
+
+def leaf_pairs(mesh, ratio, keep):
+    """(ia, ib), a < b in triu order: the walk's leaf pairs at ratio that keep(ia, ib) holds for.
+
+    The leaf pairs are the pairs of distinct elements in the leaf blocks
+    of ``_block_walk`` at ratio >= 2, touching pairs included; they hold
+    every pair whose centroids lie under ratio larger diameters apart,
+    since the tiles hold none.  keep takes them in blocks of at most
+    _ROW_PAIRS and returns a mask; no tile is grouped or evaluated.
+    """
+    tree = cluster_tree(mesh)
+    m = mesh.n_elements
+    keys = [np.empty(0, dtype=np.intp)]
+    keys += [ia * m + ib for ia, ib in _leaf_pairs(tree, _block_walk(tree, ratio)[1], keep)]
+    return np.divmod(np.sort(np.concatenate(keys)), m)
+
+
+def shares_node(mesh, ia, ib):
+    """Whether elements ia[i] and ib[i] share a node: one == per pair of their nodes."""
+    a, b = mesh.elements[ia].T, mesh.elements[ib].T
+    return np.any([x == y for x in a for y in b], axis=0)
 
 
 def _halves(kids, nodes):
@@ -464,10 +495,11 @@ def _halves(kids, nodes):
     return halves
 
 
-def _leaf_rows(mesh, tree, leaves):
-    """Yield the disjoint pairs of the leaf blocks as (ia, ib) blocks, ia < ib.
+def _leaf_pairs(tree, leaves, keep):
+    """Yield the leaf blocks' pairs that keep(ia, ib) holds for, as (ia, ib) blocks, ia < ib.
 
-    Whole leaf blocks are taken up to _ROW_PAIRS cells at a time.
+    Whole leaf blocks are taken up to _ROW_PAIRS cells at a time, so a
+    stream holds only its yielded pairs.
     """
     t, u = leaves.T
     cells = (tree.stop[t] - tree.start[t]) * (tree.stop[u] - tree.start[u])
@@ -475,18 +507,17 @@ def _leaf_rows(mesh, tree, leaves):
     lo = 0
     while lo < len(t):
         hi = max(lo + 1, int(np.searchsorted(end, end[lo] - cells[lo] + _ROW_PAIRS, side="right")))
-        yield _block_pairs(mesh, tree, t[lo:hi], u[lo:hi])
+        ia, ib = _block_cells(tree, t[lo:hi], u[lo:hi])
+        mask = keep(ia, ib)
+        yield ia[mask], ib[mask]
         lo = hi
 
 
-def _block_pairs(mesh, tree, t, u):
-    """(ia, ib), ia < ib: the disjoint pairs of the cluster blocks (t, u).
+def _block_cells(tree, t, u):
+    """(ia, ib), ia < ib: the pairs of distinct elements of the cluster blocks (t, u).
 
-    A diagonal block keeps the pairs of distinct elements once; the
-    touching pairs are found by their triu positions.  The temporaries
-    end with the call, so a stream holds only its yielded pairs.
+    A diagonal block gives each of its pairs once.
     """
-    m = mesh.n_elements
     width = tree.stop[u] - tree.start[u]
     cells = (tree.stop[t] - tree.start[t]) * width
     block = np.repeat(np.arange(len(t)), cells)
@@ -494,28 +525,19 @@ def _block_pairs(mesh, tree, t, u):
     a = tree.order[tree.start[t[block]] + i]
     b = tree.order[tree.start[u[block]] + j]
     keep = (t[block] != u[block]) | (i < j)
-    ia, ib = np.minimum(a, b)[keep], np.maximum(a, b)[keep]
-    disjoint = ~np.isin(ia * (2 * m - ia - 1) // 2 + ib - ia - 1, element_pairs(mesh).touching)
-    return ia[disjoint], ib[disjoint]
+    return np.minimum(a, b)[keep], np.maximum(a, b)[keep]
 
 
 def _enumerate_pairs(mesh):
-    """Find the touching element pairs, testing only those a centroid search finds.
+    """Find the touching element pairs among the leaf pairs of the walk at ratio 2.
 
-    A vertex lies within one diameter D (the largest) of its element's
-    centroid, so the centroids of two elements that share a node lie
-    within 2 D of each other.  The search radius 3 D leaves a margin for
-    rounding in the tree's distances.  The candidates compare their
-    nodes in triu order, and the touching ones keep their triu positions
-    for ``disjoint_partition`` to skip.
+    A vertex lies within one diameter of its element's centroid, so two
+    elements that share a node have centroids under 2 larger diameters
+    apart, and no tile at ratio 2 holds them.  The leaf pairs compare
+    their nodes; the touching ones, in triu order, build the tables.
     """
     els = mesh.elements
-    geo = element_geometry(mesh)
-    m = mesh.n_elements
-    found = cKDTree(geo.verts.mean(axis=1)).query_pairs(
-        3.0 * float(np.max(geo.diameter)), output_type="ndarray"
-    )
-    ii, jj = np.divmod(np.sort(found[:, 0] * m + found[:, 1]), m)
+    ii, jj = leaf_pairs(mesh, 2.0, lambda ia, ib: shares_node(mesh, ia, ib))
     eq = els[ii][:, :, None] == els[jj][:, None, :]
     shared = eq.sum(axis=(1, 2))
     tables = {}
@@ -525,8 +547,7 @@ def _enumerate_pairs(mesh):
         a = _from_first_shared(els[ii[mask]], eq[mask].any(axis=2))
         b = _from_first_shared(els[jj[mask]], eq[mask].any(axis=1))
         tables[name + "_nodes"] = np.concatenate([a, b[:, n_shared:]], axis=1)
-    a, b = ii[shared > 0], jj[shared > 0]
-    return _ElementPairs(touching=a * (2 * m - a - 1) // 2 + b - a - 1, **tables)
+    return _ElementPairs(**tables)
 
 
 def _from_first_shared(nodes, shared):

@@ -25,7 +25,6 @@ from .bubble import Bubble, normalize_lambda, truncated_bubble
 from .gagliardo import (
     NonlocalForm,
     audit_band,
-    band_floor,
     seminorm_sq,
     seminorm_sq_direct,
     tail_bound,
@@ -165,16 +164,13 @@ def boosted_seminorm(mesh, s, u, semi, boost=0):
     it, so the boosted seminorm lies within tail of the value.  When the
     band would reach every pair, or a quarter of them, the value is one
     full ``seminorm_sq_direct`` pass at level boost + 1, tail is 0 and
-    cutoff is inf.  ``band_floor`` settles the quarter before a band is
-    formed where it can.  A doubled R keeps the shift of the band at R
-    and sums only the annulus between R and 2 R.
+    cutoff is inf.  A doubled R keeps the shift of the band at R and
+    sums only the annulus between R and 2 R.
     """
     m = mesh.n_elements
     ratio, inner = _AUDIT_RATIO, 0.0
     shift, size = 0.0, 0
     while ratio * mesh.h < 2.0:
-        if 8 * band_floor(mesh, ratio) >= m * (m - 1):
-            break
         ring = audit_band(mesh, ratio, inner)
         size += len(ring[0])
         if 8 * size >= m * (m - 1):

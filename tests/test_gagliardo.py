@@ -310,9 +310,6 @@ def test_element_pairs_match_brute_force(make_mesh, monkeypatch):
         got = getattr(pairs, name)
         assert got.dtype == want.dtype and got.shape == want.shape, name
         assert np.array_equal(got, want), name
-    m = mesh.n_elements
-    a, b = np.concatenate([pairs.vertex, pairs.edge]).T
-    assert np.array_equal(pairs.touching, np.sort(a * (2 * m - a - 1) // 2 + b - a - 1))
     # the bands of the partition's pairs, at the default leaf size and at
     # leaves of one and two elements, whose trees reach every pair by tiles
     # and rows of other shapes, and in row blocks of all pairs and of 7
@@ -348,7 +345,6 @@ def test_disjoint_partition_matches_brute_force(make_mesh):
     # tiles and leaf rows hold every disjoint pair once and no touching
     # pair, and every tile pair is distant by _disjoint_blocks' own test
     mesh = make_mesh()
-    m = mesh.n_elements
     ref = _brute_force_pairs(mesh)
     want = _triu_sorted(np.concatenate([ref["near"], ref["far"], ref["distant"]]))
     tiles, rows = _partition_tables(mesh)
@@ -357,7 +353,7 @@ def test_disjoint_partition_matches_brute_force(make_mesh):
     got = _triu_sorted(every)
     assert len(got) == len(every) == len(want) and np.array_equal(got, want)
     a, b = got.T
-    assert not np.any(np.isin(a * (2 * m - a - 1) // 2 + b - a - 1, element_pairs(mesh).touching))
+    assert not np.any(mesh.elements[a][:, :, None] == mesh.elements[b][:, None, :])
     bands = _bands(mesh, tiles)
     assert len(bands["near"]) == len(bands["far"]) == 0
     assert len(bands["distant"]) == len(tiles)
@@ -374,9 +370,9 @@ def test_cached_pair_tables_stay_linear_in_the_elements(dim, level):
 
 
 def test_classification_holds_no_all_candidate_float_temporary():
-    # element_pairs compares the nodes of the centroid-search candidates
-    # only; a (P, k, k, dim) float array of their vertex distances would
-    # take a 47 MiB peak here
+    # element_pairs compares the nodes of the leaf pairs of the cluster
+    # tree's block walk only; a (P, k, k, dim) float array of their vertex
+    # distances would take a 47 MiB peak here
     mesh = build_mesh(2, 3)
     tracemalloc.start()
     try:
@@ -1244,7 +1240,7 @@ def test_disjoint_blocks_2d_vs_pointwise_kernel(s, boost):
 # ------------------------------------------------------- banded slack audit
 
 
-def _graded_1d_mesh():
+def _squared_1d_mesh():
     """33 nodes sign(t)|t|^2 on a uniform t grid: element sizes 1/512 to 31/256."""
     t = np.linspace(-1.0, 1.0, 33)
     nodes = (np.sign(t) * t * t)[:, None]
@@ -1255,7 +1251,7 @@ _AUDIT_MESHES = {
     "1d-L6": lambda: build_mesh(1, 6),
     "1d-L8": lambda: build_mesh(1, 8),
     "1d-custom": _custom_1d_mesh,
-    "1d-graded": _graded_1d_mesh,
+    "1d-graded": _squared_1d_mesh,
     "2d-L1": lambda: build_mesh(2, 1),
     "2d-L2": lambda: build_mesh(2, 2),
 }
@@ -1301,6 +1297,23 @@ def test_audit_band_is_the_ratio_test(key, ratio):
     if key == "1d-graded":
         diam = element_geometry(mesh).diameter
         assert np.any(diam[ia] != diam[ib])
+
+
+@pytest.mark.parametrize("key", sorted(_AUDIT_MESHES))
+@pytest.mark.parametrize("ratio", [4.0, 8.0])
+def test_audit_annulus_splits_the_band(key, ratio):
+    # the annulus between R and 2R is the plain test's, and with the band at
+    # R it splits the band at 2R exactly, as the audit's doubling takes it
+    mesh = _AUDIT_MESHES[key]()
+
+    def keys(pairs):
+        return pairs[0] * mesh.n_elements + pairs[1]
+
+    want = np.setdiff1d(keys(_brute_band(mesh, 2 * ratio)[0]), keys(_brute_band(mesh, ratio)[0]))
+    ring = keys(audit_band(mesh, 2 * ratio, inner=ratio))
+    assert np.array_equal(ring, want)
+    split = np.sort(np.concatenate([keys(audit_band(mesh, ratio)), ring]))
+    assert np.array_equal(split, keys(audit_band(mesh, 2 * ratio)))
 
 
 @pytest.mark.parametrize(

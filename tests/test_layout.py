@@ -1,10 +1,12 @@
 """Package layout: modules reach each other only through public names,
-and keep no import, local variable or function they do not use."""
+keep no import, local variable or function they do not use, define no
+module-level name twice, and leave spatial search to the cluster tree."""
 
 import ast
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "fracsobolev"
+TESTS = Path(__file__).resolve().parent
 
 
 def _private_imports(path: Path) -> list:
@@ -144,5 +146,57 @@ def test_no_uncalled_functions():
     assert modules, f"no modules found under {PACKAGE}"
     offences = [
         f"{module}:{line} {name}" for module, line, name in _uncalled_definitions(modules)
+    ]
+    assert offences == []
+
+
+def _redefinitions(path: Path) -> list:
+    """(line, name) for each module-level function or class defined a second time."""
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    seen, found = set(), []
+    for node in ast.parse(path.read_text(), filename=str(path)).body:
+        if isinstance(node, kinds):
+            if node.name in seen:
+                found.append((node.lineno, node.name))
+            seen.add(node.name)
+    return found
+
+
+def test_no_module_level_redefinitions():
+    # a second definition shadows the first for every later reference
+    modules = sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py"))
+    assert modules, f"no modules found under {PACKAGE} or {TESTS}"
+    offences = [
+        f"{path.parent.name}/{path.name}:{line}: {name}"
+        for path in modules
+        for line, name in _redefinitions(path)
+    ]
+    assert offences == []
+
+
+def _spatial_imports(path: Path) -> list:
+    """(line, module) for each import of scipy.spatial or of a module under it."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [f"{node.module}.{alias.name}" for alias in node.names] + [node.module]
+        else:
+            continue
+        found.extend(
+            (node.lineno, name)
+            for name in names
+            if name == "scipy.spatial" or name.startswith("scipy.spatial.")
+        )
+    return found
+
+
+def test_no_spatial_search_but_the_cluster_tree():
+    # mesh.cluster_tree and its block walk find every close element pair
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert modules, f"no modules found under {PACKAGE}"
+    offences = [
+        f"{path.name}:{line}: {name}" for path in modules for line, name in _spatial_imports(path)
     ]
     assert offences == []

@@ -120,8 +120,10 @@ def test_banded_slack_covers_the_full_pass(reports_1d_s025):
 
 
 def test_banded_audit_streams_no_disjoint_pair(monkeypatch):
-    # with a finite cutoff the audit finds its band by a centroid search
-    # and bounds the rest: no tile or leaf row of the O(m^2) far field
+    # with a finite cutoff the audit takes its band from the leaf pairs of
+    # the cluster tree's block walk and bounds the rest: it forms no
+    # disjoint partition, so no tile of the O(m^2) far field is grouped or
+    # evaluated
     form = assemble(build_mesh(1, 8), 0.25)
 
     def refuse(mesh, ratio):
