@@ -21,13 +21,23 @@ the elements and its block walk (Hackbusch, *Hierarchical Matrices*,
 touching pairs and their shared-node order among the walk's leaf
 pairs, once per mesh, and the disjoint pairs, almost all of the m^2/2,
 come from ``mesh.disjoint_partition``, the walk's blocks, and are
-never held whole.  The tiles pair clusters whose centroid boxes lie
-_DISTANT_RATIO diameters apart, so every pair in them takes the distant
-order; ``_tile_chunks`` evaluates a tile as broadcast kernel arrays
-between the two clusters' Gauss points, with no row per pair (98% of
-the pairs at 1D level 10, 80% at 2D level 3).  The remaining leaf rows
-stream in blocks through ``_disjoint_blocks``, which gives each pair the
-Gauss order of its band, near, far or distant, from its separation.
+never held whole.  The tiles, the walk's admissible blocks, pair two
+clusters whose centroid boxes lie _DISTANT_RATIO diameters apart, so
+every pair in them takes the distant order, with no row per pair (98%
+of the pairs at 1D level 10, 80% at 2D level 3).  ``_tile_chunks``
+interpolates a tile's kernel between the two clusters' Gauss points by
+tensor Chebyshev interpolation on their boxes, K ~ Pa Kc Pb^T, with Kc
+the kernel at the node pairs (Boerm, *Efficient Numerical Methods for
+Non-local Operators*, 2010, ch. 4), whenever that takes fewer values
+than the dense kernel array, which it evaluates otherwise.  The points
+per side come from an a priori bound that keeps the interpolant within
+unit roundoff of the tile's smallest kernel value, so the slack takes
+no term for it: at 1D level 10 two thirds of the tiles are
+interpolated, with at most 27 points per side, and the kernel values
+fall from 33.5M to 1.4M; no 2D tile through level 3 passes the cost
+test.  The remaining leaf rows stream in blocks through
+``_disjoint_blocks``, which gives each pair the Gauss order of its band,
+near, far or distant, from its separation.
 
 The slack audit differences rule levels k and k+1 only on the band of
 ``audit_band``: the identical, touching and complement rows and the
@@ -49,12 +59,16 @@ counts its rows and expands it through ``_pair_terms``, which
 evaluates the kernel from g . X, the rule's point gaps in the rows.
 ``assemble`` scatters each term's block sum_q wK g_q g_q^T into the
 matrix; ``seminorm_sq_direct`` sums the terms at the points and forms
-no block.  The tile chunks go to a consumer beside the terms:
+no block.  The tile chunks go to a consumer beside the terms, in one
+format whose kernel is K, or Pa K Pb^T for an interpolated tile:
 ``assemble`` adds a chunk's cross blocks -2 (W lam)^T K (W lam) through
-matmuls, k^2 entries per pair each way instead of (2k)^2, and its
-points' row and column sums to the diagonal blocks;
-``seminorm_sq_direct`` adds sum W U^2 (K W) + sum (W K) W U^2 -
-2 (W U)^T K (W U), U the values at the points.
+matmuls, k^2 entries per pair each way instead of (2k)^2, or for an
+interpolated tile -2 Ha Kc Hb^T, H the basis projected onto the
+cluster's nodes, one indexed add per tile, and its points' row and
+column sums to the diagonal blocks; ``seminorm_sq_direct`` adds
+sum W U^2 (K W) + sum (W K) W U^2 - 2 (W U)^T K (W U), U the values at
+the points, projecting the three weighted vectors through Pa and Pb
+first for an interpolated tile.
 """
 
 from __future__ import annotations
@@ -62,6 +76,7 @@ from __future__ import annotations
 import time
 from collections import namedtuple
 from dataclasses import dataclass
+from functools import lru_cache
 from math import fsum, gamma
 
 import numpy as np
@@ -145,14 +160,19 @@ class AssemblyReport:
     singular, disjoint, complement) across its yields, so it includes the
     caller's per-term work while the generator waits: in assemble, the
     block and the scatter of every term and tile chunk. At 1D level 10,
-    disjoint reads about 0.45-0.5 s in assemble against 0.23-0.25 s for
-    the generators alone, tile kernels included (one thread of a 2-vCPU
-    Linux VM). "total" is the whole assemble call. kernel_evals counts the
-    quadrature points of each category's terms (one per element for the
-    1D identical pairs), and complement_points those of the complement
-    terms. complement_cells is the element count, one complement rule per
-    element; budget_exceeded is always 0, kept because perfbench reads it
-    by name until its capped-cells metric goes (ROADMAP item 9).
+    s = 0.25, disjoint reads about 0.18-0.19 s in assemble against
+    0.055-0.075 s for the generators alone, tile kernels included (one
+    thread of a 2-vCPU Linux VM; 0.43-0.47 s and 0.20-0.23 s with dense
+    tiles). "total" is the whole assemble call. kernel_evals counts the
+    kernel values computed: the quadrature points of each category's
+    terms (one per element for the 1D identical pairs), and for the
+    tiles, in disjoint_far, the entries of their chunks' K, the node
+    pairs' of an interpolated tile, so it follows the tiles' boxes while
+    pair_counts follows the pairs alone. complement_points counts the
+    points of the complement terms. complement_cells is the element
+    count, one complement rule per element; budget_exceeded is always 0,
+    kept because perfbench reads it by name until its capped-cells
+    metric goes (ROADMAP item 9).
     """
 
     pair_counts: dict
@@ -392,27 +412,169 @@ def _disjoint_sets(mesh, geo, blocks):
             yield category, idx, geo.jacobian[a] * geo.jacobian[b], rule
 
 
-_TileChunk = namedtuple("_TileChunk", "a b wa wb K")
+# a chunk's kernel values are Pa K Pb^T, or K itself where Pa, Pb are None
+_TileChunk = namedtuple("_TileChunk", "a b wa wb K Pa Pb", defaults=(None, None))
+# unit roundoff, and the grid of tau, the share of a tile's gap that a
+# Bernstein ellipse reaches past its box along the real axis, over which
+# _chebyshev_order takes its least bound (in 2D, shares of the largest
+# tau at which the kernel stays analytic)
+_ROUNDOFF = np.finfo(float).eps / 2
+_ELLIPSE_SHARES = np.linspace(0.0, 1.0, 34)[1:-1]
+
+
+def _chebyshev_order(dim, s, boxes, most):
+    """(p, bound) per tile: the fewest Chebyshev points per side that interpolate its kernel to unit roundoff.
+
+    boxes (B, 2, 2, N) holds each tile's two boxes as (low, high)
+    corners and most (B,) the most points per side it may take.  Along
+    one side of half-width r, the other coordinates fixed in their
+    boxes, |x - y|^(-N-2s) is analytic on the Bernstein ellipse E_rho of
+    a = (rho + 1/rho)/2 = 1 + tau d / r, d the boxes' gap: the ellipse
+    reaches tau d off the box along the real axis and r sqrt(a^2 - 1)
+    off it, so the kernel there is at most M = ((1 - tau) d)^(-N-2s) in
+    1D, where x - y keeps its sign, and
+    M = (((1 - tau) d)^2 - r^2 (a^2 - 1))^(-N/2-s) in 2D, where the
+    squared distance keeps a positive real part (tau < d / (2 (d + r))).
+    Interpolation in p Chebyshev points then errs by at most
+    E = 4 M rho^(1-p) / (rho - 1) (Trefethen, *Approximation Theory and
+    Approximation Practice*, Thm 8.2), least over a grid of tau, and
+    largest on the side of largest r / d.  The tensor interpolant applies
+    the 2N sides one after another, each with Lebesgue constant at most
+    Lam = (2/pi) log p + 1 (ATAP Thm 15.2), so it errs by at most
+    bound = E (1 + Lam + ... + Lam^(2N-1)).  p is the least from 2 up
+    with bound below unit roundoff times the tile's smallest kernel
+    value, or 0, with bound inf, where that p exceeds most.
+    """
+    lo, hi = boxes[:, :, 0], boxes[:, :, 1]
+    gap = np.linalg.norm(np.maximum(np.maximum(lo[:, 1] - hi[:, 0], lo[:, 0] - hi[:, 1]), 0.0), axis=1)
+    reach = np.linalg.norm(np.maximum(hi[:, 1] - lo[:, 0], hi[:, 0] - lo[:, 1]), axis=1)
+    # the widest side over the gap, and the bound in units of gap^(-N-2s)
+    x = 0.5 * np.max(hi - lo, axis=(1, 2)) / gap
+    power = dim + 2 * s
+    tau = _ELLIPSE_SHARES if dim == 1 else _ELLIPSE_SHARES / (2.0 * (1.0 + x[:, None]))
+    a = 1.0 + tau / x[:, None]
+    rho = a + np.sqrt(a * a - 1.0)
+    if dim == 1:
+        log_m = -power * np.log1p(-tau)
+    else:
+        log_m = -0.5 * power * np.log((1.0 - tau) ** 2 - x[:, None] ** 2 * (a * a - 1.0))
+    # log E = c - (p - 1) log rho, per tile and tau
+    c = np.log(4.0) + log_m - np.log(rho - 1.0)
+    log_rho = np.log(rho)
+    target = (np.log(_ROUNDOFF) - power * np.log(reach / gap))[:, None]
+
+    def log_lebesgue_sum(p):
+        lebesgue = 2.0 / np.pi * np.log(p) + 1.0
+        return np.log(np.sum(lebesgue[:, None] ** np.arange(2 * dim), axis=1))[:, None]
+
+    # the least p for the Lebesgue sum at the last p, which grows with p,
+    # climbs from 2 to the least p whose bound is below the target
+    p = np.full(len(boxes), 2)
+    while True:
+        need = np.min(np.floor((c + log_lebesgue_sum(p) - target) / log_rho), axis=1) + 2
+        step = np.clip(need, p, np.maximum(most, 2) + 1).astype(int)
+        if np.array_equal(step, p):
+            break
+        p = step
+    bound = np.exp(np.min(c - (p[:, None] - 1) * log_rho, axis=1) + log_lebesgue_sum(p)[:, 0] - power * np.log(gap))
+    dense = p > most
+    p[dense], bound[dense] = 0, np.inf
+    return p, bound
+
+
+@lru_cache(maxsize=None)
+def _chebyshev_points(p):
+    """The p Chebyshev points cos(j pi / (p-1)) and their barycentric weights (ATAP ch. 5)."""
+    t = np.cos(np.pi * np.arange(p) / (p - 1))
+    w = (-1.0) ** np.arange(p)
+    w[[0, -1]] *= 0.5
+    return t, w
+
+
+def _chebyshev_basis(x, box, p):
+    """(nodes, P): the tensor Chebyshev nodes of the box and their Lagrange basis at the points x.
+
+    x holds N coordinate arrays of n points and box its (low, high)
+    corners.  The nodes, N arrays of p^N, take p points per side, the
+    last coordinate varying fastest; P (n, p^N) is the product of the
+    sides' bases, each by the barycentric formula.  A point on a node
+    takes that node's unit row.
+    """
+    t, w = _chebyshev_points(p)
+    sides, basis = [], None
+    for coord, lo, hi in zip(x, *box):
+        side = 0.5 * (lo + hi) + 0.5 * (hi - lo) * t
+        diff = coord[:, None] - side
+        hit = None if diff.all() else diff == 0.0
+        if hit is not None:
+            diff[hit] = 1.0
+        L = np.divide(w, diff, out=diff)
+        L /= L.sum(axis=1, keepdims=True)
+        if hit is not None:
+            on = hit.any(axis=1)
+            L[on] = hit[on]
+        basis = L if basis is None else (basis[:, :, None] * L[:, None, :]).reshape(len(coord), -1)
+        sides.append(side)
+    if len(sides) > 1:
+        sides = [g.ravel() for g in np.meshgrid(*sides, indexing="ij")]
+    return sides, basis
+
+
+def _interpolate_tile(xa, xb, box, p, expo):
+    """(Pa, K, Pb): the tensor Chebyshev interpolant of |x - y|^(2 expo) with p points per side on the boxes box.
+
+    K holds the kernel at the node pairs of the two boxes, and Pa, Pb the
+    Lagrange bases at the points xa, xb, N coordinate arrays each.
+    """
+    (ya, Pa), (yb, Pb) = (_chebyshev_basis(x, corners, p) for x, corners in zip((xa, xb), box))
+    K = _sum_sq(x[:, None] - y[None, :] for x, y in zip(ya, yb))
+    K **= expo
+    return Pa, K, Pb
 
 
 def _tile_chunks(mesh, s, geo, tiles, order):
-    """Kernel chunks of the cluster tiles ``(a, b)`` at Gauss order ``order``.
+    """Kernel chunks of the cluster tiles ``(a, b, box)`` at Gauss order ``order``.
 
     A chunk holds elements a and b of one tile, the point weights wa, wb
-    (J w_p, element-major) and
+    (J w_p, element-major) and the kernel
     K[(i, p), (j, q)] = |x_p - y_q|^(-N-2s) for the points x_p of a[i]
     and y_q of b[j]: the plain-Gauss terms that ``_disjoint_sets`` gives
-    these pairs, as one broadcast array with no index row per pair.  K
-    holds at most _TERM_POINTS entries.  The points are formed relative
-    to a vertex of the tile, so near tiles keep more digits of their gap.
+    these pairs, with no index row per pair.  A tile is compressed when
+    the kernel's tensor Chebyshev interpolant on its clusters' vertex
+    boxes box, with the points per side p of ``_chebyshev_order``, takes
+    fewer values than the dense array, p^2N + p^N (n_a + n_b) < n_a n_b
+    for n_a, n_b points: its one chunk holds the kernel at the node
+    pairs as K and the clusters' Lagrange bases as Pa, Pb, and its
+    values are Pa K Pb^T.  The interpolant differs from the kernel by
+    less than unit roundoff times the tile's smallest kernel value, so
+    by less than the dense values' own rounding, and the compressed sums
+    differ from the dense sums by rounding alone: the slack takes no
+    term for the compression.  (Evaluated in floats, the values carry the barycentric
+    formula's rounding too, up to 4.4e-15 of the tile's largest value
+    at 1D level 10.)  A dense tile comes in chunks of at most
+    _TERM_POINTS entries.  The points and nodes are formed relative to a
+    vertex of the tile, so near tiles keep more digits of their gap.
     """
+    if not tiles:
+        return
     lam, weights = reference_rule(mesh.dim, order)
-    nq = len(lam)
-    expo = -(mesh.dim + 2 * s) / 2
-    for a, b in tiles:
+    nq, dim = len(lam), mesh.dim
+    expo = -(dim + 2 * s) / 2
+    boxes = np.array([box for _, _, box in tiles])
+    # the most points per side at which a compressed tile is smaller:
+    # p^N below the positive root q of q^2 + q (na + nb) = na nb
+    na, nb = (nq * np.array([len(tile[i]) for tile in tiles], dtype=float) for i in (0, 1))
+    most = np.floor((0.5 * (np.sqrt((na + nb) ** 2 + 4 * na * nb) - na - nb)) ** (1 / dim)).astype(int)
+    most -= most ** (2 * dim) + most**dim * (na + nb) >= na * nb
+    points = _chebyshev_order(dim, s, boxes, most)[0]
+    for (a, b, box), p in zip(tiles, points):
         origin = geo.verts[a[0], 0]
-        xa, xb = (np.matmul(lam, geo.verts[e] - origin).reshape(-1, mesh.dim).T for e in (a, b))
+        xa, xb = (np.matmul(lam, geo.verts[e] - origin).reshape(-1, dim).T for e in (a, b))
         wa, wb = ((geo.jacobian[e, None] * weights).ravel() for e in (a, b))
+        if p:
+            Pa, K, Pb = _interpolate_tile(xa, xb, box - origin, p, expo)
+            yield _TileChunk(a, b, wa, wb, K, Pa, Pb)
+            continue
         for cols in _row_chunks(len(b), nq * nq):
             cp = slice(cols.start * nq, cols.stop * nq)
             for rows in _row_chunks(len(a), len(b[cols]) * nq * nq):
@@ -497,10 +659,11 @@ def _terms(mesh, s, boost, geo, work, band=None, tile=None, pairs_only=False):
     Without band, the disjoint pairs come from ``disjoint_partition``:
     the leaf rows stream as terms, and each ``_tile_chunks`` chunk of the
     tiles, all distant pairs, goes to the consumer ``tile`` instead,
-    counted as disjoint_far and timed in the disjoint phase.  With band,
-    a pair (ia, ib) of ``audit_band``, the disjoint pairs are those of
-    the band alone, as rows; with pairs_only too, the identical, touching
-    and complement rows are left out.
+    counted as disjoint_far pairs and kernel values (its K's entries)
+    and timed in the disjoint phase.  With band, a pair (ia, ib) of
+    ``audit_band``, the disjoint pairs are those of the band alone, as
+    rows; with pairs_only too, the identical, touching and complement
+    rows are left out.
 
     Once the stream ends, ``work`` holds the AssemblyReport fields
     pair_counts, counted from the pair sets' rows, kernel_evals,
@@ -589,7 +752,35 @@ def assemble(mesh: BallMesh, s: float, boost: int = 0) -> NonlocalForm:
     nq, k = lam.shape
     sums = np.zeros((mesh.n_elements, nq))
 
+    def node_basis(e, w, P):
+        """(nodes, H): the cluster's distinct nodes and (W lam)^T P summed onto them."""
+        width = P.shape[1]
+        per = np.matmul(lam.T, (w[:, None] * P).reshape(len(e), nq, width)).reshape(-1, width)
+        at = mesh.elements[e].ravel()
+        order = np.argsort(at, kind="stable")
+        at = at[order]
+        first = np.flatnonzero(np.r_[True, at[1:] != at[:-1]])
+        return at[first], np.add.reduceat(per[order], first, axis=0)
+
+    def add_compressed(chunk):
+        # the sums and the cross block through the node pairs' K: the two
+        # clusters share no node, so one indexed add places each block
+        a, b, wa, wb, K, Pa, Pb = chunk
+        rows, cols = 2.0 * wa * (Pa @ (K @ (wb @ Pb))), 2.0 * wb * (Pb @ ((wa @ Pa) @ K))
+        _check_finite("disjoint_far", rows)
+        _check_finite("disjoint_far", cols)
+        sums[a] += rows.reshape(len(a), nq)
+        sums[b] += cols.reshape(len(b), nq)
+        (na, Ha), (nb, Hb) = node_basis(a, wa, Pa), node_basis(b, wb, Pb)
+        cross = -2.0 * (Ha @ K @ Hb.T)
+        _check_finite("disjoint_far", cross)
+        square = flat.reshape(n, n)
+        square[np.ix_(na, nb)] += cross
+        square[np.ix_(nb, na)] += cross.T
+
     def add_tile(chunk):
+        if chunk.Pa is not None:
+            return add_compressed(chunk)
         a, b, wa, K = chunk.a, chunk.b, chunk.wa, chunk.K
         K *= chunk.wb
         rows, cols = 2.0 * wa * K.sum(axis=1), 2.0 * (wa @ K)
@@ -649,7 +840,9 @@ def seminorm_sq_direct(
     (fsum), so the order and number of terms add no rounding of their own.
     A tile chunk of the far field adds sum 2 wK (U_p - U_q)^2, U the
     values at its points, as sum W U^2 (K W) + sum (W K) W U^2 -
-    2 (W U)^T K (W U), one fsum part per chunk.  With band, the disjoint
+    2 (W U)^T K (W U), one fsum part per chunk; for an interpolated
+    tile, K = Pa Kc Pb^T, the three weighted vectors of each side go
+    through its basis first, O(p^N (n_a + n_b) + p^2N) per tile.  With band, the disjoint
     pairs (ia, ib) of ``audit_band``, the sum keeps every identical,
     touching and complement row but only the band's disjoint pairs: the
     part of the slack audit that is computed.  With pairs_only too, it
@@ -667,8 +860,11 @@ def seminorm_sq_direct(
     def add_tile(chunk):
         ua, ub = at_points[chunk.a].ravel(), at_points[chunk.b].ravel()
         wa, wb = chunk.wa * ua, chunk.wb * ub
-        left = np.stack([wa * ua, chunk.wa, wa]) @ chunk.K
-        part = 2.0 * float(left[0] @ chunk.wb + left[1] @ (wb * ub) - 2.0 * (left[2] @ wb))
+        left, right = np.array([wa * ua, chunk.wa, wa]), np.array([chunk.wb, wb * ub, wb])
+        if chunk.Pa is not None:
+            left, right = left @ chunk.Pa, right @ chunk.Pb
+        left = left @ chunk.K
+        part = 2.0 * float(left[0] @ right[0] + left[1] @ right[1] - 2.0 * (left[2] @ right[2]))
         _check_finite("disjoint_far", part)
         parts.append(part)
 

@@ -332,7 +332,7 @@ class _ElementGeometry:
 
 
 _ElementPairs = namedtuple("_ElementPairs", "vertex edge vertex_nodes edge_nodes")
-_ClusterTree = namedtuple("_ClusterTree", "order start stop children lo hi diameter")
+_ClusterTree = namedtuple("_ClusterTree", "order start stop children lo hi diameter box")
 
 # elements per cluster-tree leaf, at most
 _LEAF_SIZE = 16
@@ -366,7 +366,8 @@ def cluster_tree(mesh):
     Node 0 is the root, and children come after their parent.  Node i
     holds the elements order[start[i]:stop[i]], its two children
     children[i] (-1 at a leaf), the box lo[i]..hi[i] of its element
-    centroids and the largest diameter of its elements.  A node of more
+    centroids, the largest diameter of its elements and box[i], the
+    (low, high) corners of its elements' vertices.  A node of more
     than _LEAF_SIZE elements splits at the median of its centroids along
     the widest side of their box (Hackbusch, *Hierarchical Matrices*,
     2015, ch. 5).
@@ -394,6 +395,7 @@ def _build_tree(mesh):
         spans += [(lo, (lo + hi) // 2), ((lo + hi) // 2, hi)]
     start, stop = np.array(spans).T
     boxes = [centroid[order[lo:hi]] for lo, hi in spans]
+    verts = [geo.verts[order[lo:hi]] for lo, hi in spans]
     return _ClusterTree(
         order=order,
         start=start,
@@ -402,6 +404,7 @@ def _build_tree(mesh):
         lo=np.array([box.min(axis=0) for box in boxes]),
         hi=np.array([box.max(axis=0) for box in boxes]),
         diameter=np.array([np.max(geo.diameter[order[lo:hi]]) for lo, hi in spans]),
+        box=np.array([[v.min(axis=(0, 1)), v.max(axis=(0, 1))] for v in verts]),
     )
 
 
@@ -446,23 +449,18 @@ def disjoint_partition(mesh, ratio):
     """(tiles, rows): every disjoint element pair once, as cluster tiles or leaf rows.
 
     The blocks come from the walk of ``_block_walk`` at ratio >= 2.
-    tiles lists its admissible blocks as (a, b) element arrays, one per
-    first cluster with its second clusters concatenated in b: each
-    (a[i], b[j]) is one pair.  rows yields the leaf blocks' pairs less
-    the touching ones as (ia, ib) blocks, ia < ib, of at most _ROW_PAIRS
-    pairs.  Only the tree is cached.
+    tiles lists its admissible blocks (t, u) as they are, as
+    (a, b, box): the element arrays of the two clusters, each (a[i], b[j])
+    one pair, and their vertex boxes, box[0] t's and box[1] u's (low,
+    high) corners.  rows yields the leaf blocks' pairs less the touching
+    ones as (ia, ib) blocks, ia < ib, of at most _ROW_PAIRS pairs.  Only
+    the tree is cached.
     """
     tree = cluster_tree(mesh)
     tiles, leaves = _block_walk(tree, ratio)
-    tiles = tiles[np.argsort(tiles[:, 0], kind="stable")]
-    first = np.flatnonzero(np.diff(tiles[:, 0], prepend=-1))
-    members = [tree.order[lo:hi] for lo, hi in zip(tree.start, tree.stop)]
-    grouped = [
-        (members[group[0, 0]], np.concatenate([members[c] for c in group[:, 1]]))
-        for group in np.split(tiles, first[1:])
-        if len(group)
-    ]
-    return grouped, _leaf_pairs(tree, leaves, lambda ia, ib: ~shares_node(mesh, ia, ib))
+    order, start, stop = tree.order, tree.start, tree.stop
+    blocks = [(order[start[t] : stop[t]], order[start[u] : stop[u]], tree.box[[t, u]]) for t, u in tiles]
+    return blocks, _leaf_pairs(tree, leaves, lambda ia, ib: ~shares_node(mesh, ia, ib))
 
 
 def leaf_pairs(mesh, ratio, keep):

@@ -38,14 +38,17 @@ from fracsobolev.gagliardo import (
 from fracsobolev.gagliardo import (
     _DISTANT_RATIO,
     _TERM_POINTS,
+    _chebyshev_order,
     _complement_terms,
     _disjoint_blocks,
     _disjoint_sets,
+    _interpolate_tile,
     _orders,
     _pair_terms,
     _singular_sets,
     _term_block,
     _terms,
+    _tile_chunks,
 )
 from fracsobolev.mesh import (
     BallMesh,
@@ -106,7 +109,7 @@ def _pair_table(blocks):
 def _partition_tables(mesh):
     """(tile pairs, row pairs) of disjoint_partition at the distant ratio, as (P, 2) tables."""
     tiles, rows = disjoint_partition(mesh, _DISTANT_RATIO)
-    grids = [np.meshgrid(a, b, indexing="ij") for a, b in tiles]
+    grids = [np.meshgrid(a, b, indexing="ij") for a, b, _ in tiles]
     return _pair_table((ia.ravel(), ib.ravel()) for ia, ib in grids), _pair_table(rows)
 
 
@@ -410,25 +413,41 @@ def test_scatter_matches_dense_accumulation(dim, level, s, boost):
 @pytest.mark.parametrize("boost", [0, 1], ids=["default", "boosted"])
 @pytest.mark.parametrize(
     "make_mesh",
-    [lambda: build_mesh(1, 4), _custom_1d_mesh, lambda: build_mesh(2, 1)],
-    ids=["1d-L4", "1d-custom", "2d-L1"],
+    [lambda: build_mesh(1, 4), lambda: build_mesh(1, 8), _custom_1d_mesh, lambda: build_mesh(2, 1)],
+    ids=["1d-L4", "1d-L8", "1d-custom", "2d-L1"],
 )
 def test_term_stream_has_one_format(make_mesh, boost):
     # every term shares one g (points, n) across its rows, with a C-ordered
     # (rows, points) wK, so the block product and the direct sum have one
-    # path; a tile chunk's kernel is one (a points, b points) array
+    # path; a tile chunk's kernel values are Pa K Pb^T, or a dense K of at
+    # most _TERM_POINTS entries, one (a points, b points) array
     mesh = make_mesh()
     nq = len(reference_rule(mesh.dim, _orders(mesh.dim, boost)[2])[0])
+    kinds = set()
 
     def check(chunk):
-        assert chunk.K.shape == (len(chunk.wa), len(chunk.wb)) == (len(chunk.a) * nq, len(chunk.b) * nq)
-        assert chunk.K.size <= _TERM_POINTS
+        points = (len(chunk.a) * nq, len(chunk.b) * nq)
+        assert (len(chunk.wa), len(chunk.wb)) == points
+        if chunk.Pa is None:
+            assert chunk.Pb is None
+            assert chunk.K.shape == points
+            assert chunk.K.size <= _TERM_POINTS
+        else:
+            # the kernel at the node pairs, and compressed only where that
+            # is smaller than the dense tile
+            nodes = len(chunk.K)
+            assert chunk.K.shape == (nodes, nodes)
+            assert chunk.Pa.shape == (points[0], nodes) and chunk.Pb.shape == (points[1], nodes)
+            assert nodes * nodes + nodes * sum(points) < points[0] * points[1]
+        kinds.add(chunk.Pa is None)
 
     for _, idx, g, wK in _terms(mesh, 0.25, boost, element_geometry(mesh), {}, tile=check):
         assert g.ndim == 2
         assert g.shape == (wK.shape[1], idx.shape[1])
         assert wK.shape == (len(idx), len(g))
         assert wK.flags.c_contiguous
+    # of these meshes, only 1D L8 has tiles large enough to compress
+    assert (False in kinds) == (mesh.n_elements == 512)
 
 
 @pytest.mark.parametrize("boost", [0, 1, 2])
@@ -482,16 +501,20 @@ def test_close_disjoint_pairs_keep_their_digits():
 
 
 @pytest.mark.parametrize("boost", [0, 1], ids=["default", "boosted"])
-@pytest.mark.parametrize("dim, level, s", [(1, 5, 0.25), (2, 1, 0.5), (2, 2, 0.5)])
+@pytest.mark.parametrize("dim, level, s", [(1, 5, 0.25), (1, 8, 0.3), (2, 1, 0.5), (2, 2, 0.5)])
 def test_work_counts_follow_the_term_stream(dim, level, s, boost):
-    # the report's counts against what the terms really carry
+    # the report's counts against what the terms really carry: a tile
+    # chunk's kernel values are those of its K, the node pairs' of a
+    # compressed tile, and its pairs are those of its two clusters
     mesh = build_mesh(dim, level)
     report = assemble(mesh, s, boost).assembly_report
     evals = dict.fromkeys(report.kernel_evals, 0)
-    cells = 0
+    cells = tile_pairs = 0
 
     def count(chunk):
+        nonlocal tile_pairs
         evals["disjoint_far"] += chunk.K.size
+        tile_pairs += len(chunk.a) * len(chunk.b)
 
     for category, _, _, wK in _terms(mesh, s, boost, element_geometry(mesh), {}, tile=count):
         if category == "complement":
@@ -504,6 +527,7 @@ def test_work_counts_follow_the_term_stream(dim, level, s, boost):
     assert report.complement_cells == cells
     assert report.kernel_evals == evals
     pairs = element_pairs(mesh)
+    assert tile_pairs == len(_partition_tables(mesh)[0])
     disjoint = _disjoint_table(mesh)
     # the near pairs by their smallest vertex distance, all pairs at once
     verts = mesh.nodes[mesh.elements]
@@ -1240,11 +1264,11 @@ def test_disjoint_blocks_2d_vs_pointwise_kernel(s, boost):
 # ------------------------------------------------------- banded slack audit
 
 
-def _squared_1d_mesh():
-    """33 nodes sign(t)|t|^2 on a uniform t grid: element sizes 1/512 to 31/256."""
-    t = np.linspace(-1.0, 1.0, 33)
+def _squared_1d_mesh(elements=32):
+    """Nodes sign(t)|t|^2 on a uniform t grid: with 32 elements, sizes 1/512 to 31/256."""
+    t = np.linspace(-1.0, 1.0, elements + 1)
     nodes = (np.sign(t) * t * t)[:, None]
-    return make_ball_mesh(1, nodes, np.column_stack([np.arange(32), np.arange(1, 33)]))
+    return make_ball_mesh(1, nodes, np.column_stack([np.arange(elements), np.arange(1, elements + 1)]))
 
 
 _AUDIT_MESHES = {
@@ -1288,8 +1312,9 @@ def _disjoint_sum(mesh, s, u, pairs, boost):
 @pytest.mark.parametrize("key", sorted(_AUDIT_MESHES))
 @pytest.mark.parametrize("ratio", [1.5, 4.0, 8.0])
 def test_audit_band_is_the_ratio_test(key, ratio):
-    # the centroid search finds exactly the pairs the plain test keeps,
-    # pairs of unequal diameter included, in triu order
+    # the ratio test over the block walk's leaf pairs finds exactly the
+    # pairs the plain test keeps, pairs of unequal diameter included, in
+    # triu order
     mesh = _AUDIT_MESHES[key]()
     (a, b), _ = _brute_band(mesh, ratio)
     ia, ib = audit_band(mesh, ratio)
@@ -1366,9 +1391,165 @@ def test_leaf_size_keeps_the_work(monkeypatch, dim, level, s, boost):
         forms.append(assemble(build_mesh(dim, level), s, boost))
     ref = forms[0]
     for form in forms[1:]:
-        assert form.assembly_report.kernel_evals == ref.assembly_report.kernel_evals
+        # the tiles' kernel values follow their blocks, whose interpolants
+        # take their own node counts; every other count is the pairs'
+        evals, want = form.assembly_report.kernel_evals.copy(), ref.assembly_report.kernel_evals.copy()
+        assert evals.pop("disjoint_far") > 0 and want.pop("disjoint_far") > 0
+        assert evals == want
         assert form.assembly_report.pair_counts == ref.assembly_report.pair_counts
         assert np.max(np.abs(form.matrix - ref.matrix)) <= 1e-13 * np.max(np.abs(ref.matrix))
+
+
+# ------------------------------------------------------ compressed tiles
+
+_LD = np.longdouble
+
+
+def _tile_meshes(key, monkeypatch):
+    """The meshes whose tiles the compression tests walk; the graded one at leaves of 2, its one compressed tile."""
+    if key == "1d-graded":
+        monkeypatch.setattr(mesh_module, "_LEAF_SIZE", 2)
+        return _graded_1d_mesh()
+    if key == "1d-squared":
+        return _squared_1d_mesh(256)
+    return build_mesh(int(key[0]), int(key.split("L")[1]))
+
+
+def _vertex_box(geo, elements):
+    """(low, high) corners of the elements' vertices, (2, N)."""
+    verts = geo.verts[elements]
+    return np.stack([verts.min(axis=(0, 1)), verts.max(axis=(0, 1))])
+
+
+def _chebyshev_long(x, box, p):
+    """(nodes, basis): the tensor Chebyshev interpolation of p points per side on box, in long double, from scratch."""
+    t = np.cos(np.arange(p, dtype=_LD) * (np.arccos(_LD(-1)) / (p - 1)))
+    w = np.where(np.arange(p) % 2, -1.0, 1.0).astype(_LD)
+    w[[0, -1]] /= 2
+    basis, sides = np.ones((len(x), 1), dtype=_LD), []
+    for c in range(x.shape[1]):
+        lo, hi = (_LD(v) for v in box[:, c])
+        side = (lo + hi) / 2 + (hi - lo) / 2 * t
+        L = w / (x[:, c, None] - side)
+        L /= L.sum(axis=1, keepdims=True)
+        basis = (basis[:, :, None] * L[:, None, :]).reshape(len(x), -1)
+        sides.append(side)
+    return np.stack([g.ravel() for g in np.meshgrid(*sides, indexing="ij")], axis=1), basis
+
+
+def _long_kernel(x, y, s):
+    """|x - y|^(-N-2s) between the rows of x and y, in long double."""
+    gap = np.sqrt(np.sum((x[:, None, :] - y[None, :, :]) ** 2, axis=-1))
+    return gap ** -_LD(x.shape[1] + 2 * s)
+
+
+def _sample(n, most=64):
+    """At most ``most`` indices spread over range(n), both ends included."""
+    return np.unique(np.linspace(0, n - 1, min(n, most)).astype(int))
+
+
+def _check_interpolant(geo, lam, s, a, b, box, p, bound, Pa, K, Pb):
+    """The interpolant's error in long double lies below bound, and the floats carry the interpolant.
+
+    The long-double interpolant, built here from scratch on the same
+    boxes, is the exact one to within 1e-19; at a sample of at most 64
+    points per cluster its distance from the kernel must lie below the
+    bound that chose p.  The floats Pa K Pb^T differ from it by their
+    rounding, which the barycentric formula keeps within (3p + 4) u Lam
+    of the values per side (Higham, IMA J. Numer. Anal. 24, 2004).
+    """
+    dim = geo.verts.shape[2]
+    ia, ib = _sample(len(Pa)), _sample(len(Pb))
+    xa, xb = (np.einsum("pk,ekd->epd", lam.astype(_LD), geo.verts[e].astype(_LD)).reshape(-1, dim) for e in (a, b))
+    (na, La), (nb, Lb) = _chebyshev_long(xa[ia], box[0], p), _chebyshev_long(xb[ib], box[1], p)
+    exact = _long_kernel(xa[ia], xb[ib], s)
+    interpolant = La @ _long_kernel(na, nb, s) @ Lb.T
+    assert float(np.max(np.abs(exact - interpolant))) <= bound, (p, bound)
+    lebesgue = 2 / np.pi * np.log(p) + 1
+    rounding = 2 * dim * (3 * p + 4) * lebesgue ** (2 * dim) * 2.0**-53 * float(np.max(exact))
+    ours = Pa[ia] @ K @ Pb[ib].T
+    assert float(np.max(np.abs(ours - interpolant))) <= rounding, p
+
+
+@pytest.mark.skipif(np.finfo(_LD).eps > 1e-18, reason="needs an extended long double")
+@pytest.mark.parametrize(
+    "key, s",
+    [("1d-L8", 0.1), ("1d-L8", 0.3), ("1d-L10", 0.1), ("1d-L10", 0.3), ("1d-graded", 0.3), ("1d-squared", 0.25)],
+)
+def test_compressed_tiles_meet_their_bound(monkeypatch, key, s):
+    # every compressed tile's interpolant lies within the a priori bound
+    # that chose its points per side, and that bound lies below unit
+    # roundoff times the tile's smallest kernel value
+    mesh = _tile_meshes(key, monkeypatch)
+    geo = element_geometry(mesh)
+    tiles, _ = disjoint_partition(mesh, _DISTANT_RATIO)
+    order = _orders(1, 0)[2]
+    lam = reference_rule(1, order)[0]
+    seen = 0
+    for a, b, _, _, K, Pa, Pb in _tile_chunks(mesh, s, geo, tiles, order):
+        if Pa is None:
+            continue
+        seen += 1
+        p = len(K)
+        # the boxes' own vertices give the same p, with a bound below unit
+        # roundoff of the smallest kernel value, at the boxes' far corners
+        box = np.stack([_vertex_box(geo, a), _vertex_box(geo, b)])
+        points, bounds = _chebyshev_order(1, s, box[None], np.array([p]))
+        assert points[0] == p
+        bound = float(bounds[0])
+        far = max(box[1, 1, 0] - box[0, 0, 0], box[0, 1, 0] - box[1, 0, 0])
+        assert bound < 2.0**-53 * far ** -(1 + 2 * s)
+        _check_interpolant(geo, lam, s, a, b, box, p, bound, Pa, K, Pb)
+    assert seen > 0
+
+
+@pytest.mark.skipif(np.finfo(_LD).eps > 1e-18, reason="needs an extended long double")
+def test_two_dimensional_tile_interpolant_meets_its_bound():
+    # no 2D L3 tile passes the cost rule, so the tensor interpolant is
+    # called directly, on the four tiles of fewest points per side
+    s, mesh = 0.5, build_mesh(2, 3)
+    geo = element_geometry(mesh)
+    tiles, _ = disjoint_partition(mesh, _DISTANT_RATIO)
+    boxes = np.array([[_vertex_box(geo, e) for e in tile[:2]] for tile in tiles])
+    points, bounds = _chebyshev_order(2, s, boxes, np.full(len(tiles), 10**6))
+    assert np.all(points > 0)
+    lam, weights = reference_rule(2, _orders(2, 0)[2])
+    for i in np.argsort(points, kind="stable")[:4]:
+        a, b, box = tiles[i]
+        assert np.array_equal(box, boxes[i])
+        xa, xb = (np.matmul(lam, geo.verts[e]).reshape(-1, 2).T for e in (a, b))
+        Pa, K, Pb = _interpolate_tile(xa, xb, boxes[i], points[i], -(2 + 2 * s) / 2)
+        assert Pa.shape == (len(a) * len(lam), points[i] ** 2) and K.shape == (points[i] ** 2,) * 2
+        _check_interpolant(geo, lam, s, a, b, boxes[i], points[i], bounds[i], Pa, K, Pb)
+
+
+def _dense_tiles(dim, s, boxes, most):
+    """_chebyshev_order with every tile left dense."""
+    return np.zeros(len(boxes), dtype=int), np.full(len(boxes), np.inf)
+
+
+@pytest.mark.parametrize("boost", [0, 1])
+@pytest.mark.parametrize(
+    "key, s",
+    [("1d-L8", 0.1), ("1d-L8", 0.3), ("1d-L10", 0.1), ("1d-L10", 0.3), ("1d-graded", 0.3), ("1d-squared", 0.25)],
+)
+def test_compressed_tiles_keep_the_sums(monkeypatch, key, s, boost):
+    # the compressed and the dense tiles give the same seminorm and the
+    # same assembled form to well within 1e-13 of the form
+    mesh = _tile_meshes(key, monkeypatch)
+    u = _profile(mesh, s)
+    w = u.free_values
+    runs = []
+    for dense in (False, True):
+        if dense:
+            monkeypatch.setattr(gagliardo, "_chebyshev_order", _dense_tiles)
+        form = assemble(mesh, s, boost)
+        runs.append((seminorm_sq_direct(mesh, s, u, boost), w @ form.matrix @ w, form.assembly_report))
+    (direct, quadratic, report), (dense_direct, dense_quadratic, dense_report) = runs
+    assert abs(direct - dense_direct) <= 1e-13 * dense_direct
+    assert abs(quadratic - dense_quadratic) <= 1e-13 * dense_quadratic
+    assert report.pair_counts == dense_report.pair_counts
+    assert report.kernel_evals["disjoint_far"] < dense_report.kernel_evals["disjoint_far"]
 
 
 @pytest.mark.parametrize(
