@@ -14,6 +14,7 @@ import sys
 import numpy as np
 
 from .experiments import (
+    check_levels,
     discrete_constant_sweep,
     make_rng,
     upper_bound_sweep,
@@ -251,6 +252,11 @@ def main(argv=None) -> int:
         check_order(args.dim, args.s)
     except ValueError as exc:
         parser.error(str(exc))
+    if getattr(args, "levels", None) is not None:
+        try:
+            check_levels(args.dim, args.levels)
+        except ValueError as exc:
+            parser.error(f"argument --levels: {exc}")
     return args.func(args)
 
 

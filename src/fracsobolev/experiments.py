@@ -36,7 +36,7 @@ from .params import (
     optimal_concentration,
     rate_exponent,
 )
-from .solver import boosted_seminorm, default_start, fit_manifold, quotient, solve
+from .solver import default_start, fit_manifold, quadrature_slack, quotient, solve
 
 __all__ = [
     "RNG_NAME",
@@ -44,6 +44,7 @@ __all__ = [
     "RateFit",
     "SweepRecord",
     "SweepResult",
+    "check_levels",
     "discrete_constant_sweep",
     "fit_rate",
     "make_rng",
@@ -179,14 +180,23 @@ def _check_problem(N, s) -> None:
         raise ValueError(f"experiments cover dimensions 1 and 2, not dimension {N}")
 
 
-def _check_levels(levels) -> list:
+def check_levels(N, levels) -> list:
+    """The levels of a rate run in dimension N as ints; ValueError with the reason otherwise.
+
+    Integers (int(4.7) would run level 4), strictly increasing, at least
+    the 3 of a rate fit, and no 1D level 0, whose h = 1 lies outside the
+    (0, 1) of optimal_concentration; checked before any mesh is built.
+    """
     levels = list(levels)
-    # build_mesh's rule: int(4.7) would silently run level 4
     if not all(isinstance(lev, (int, np.integer)) for lev in levels):
         raise ValueError(f"levels must be integers, got {levels}")
     levels = [int(lev) for lev in levels]
     if any(b <= a for a, b in zip(levels, levels[1:])):
-        raise ValueError("levels must be strictly increasing")
+        raise ValueError(f"levels {levels} are not strictly increasing")
+    if len(levels) < 3:
+        raise ValueError(f"levels {levels} are fewer than the 3 a rate fit needs")
+    if N == 1 and 0 in levels:
+        raise ValueError(f"levels {levels} hold 1D level 0, whose h = 1 lies outside (0, 1)")
     return levels
 
 
@@ -201,11 +211,10 @@ def _sweep_levels(N: int, levels, measure):
     timed SweepRecord, its extras are collected per key into ``details``,
     and a level that fails with one of _LEVEL_FAILURES becomes a
     (level, message) failure row.  Returns (records, failures, details)
-    and raises unless at least three levels succeed, the minimum for a
-    rate fit.
+    and raises unless three levels succeed, the fewest a rate fit takes.
     """
     records, failures, details = [], [], {}
-    for lev in _check_levels(levels):
+    for lev in check_levels(N, levels):
         t0 = time.perf_counter()
         try:
             mesh = build_mesh(N, lev)
@@ -229,28 +238,22 @@ def _sweep_levels(N: int, levels, measure):
 def upper_bound_sweep(N: int, s: float, levels) -> SweepResult:
     """Deficit of the interpolated balanced-concentration profile per level.
 
-    The theory predicts deficit ~ h^alpha for the concentration choice
+    The theory predicts deficit ~ h^alpha for ``default_start``'s
     c_h = optimal_concentration(h); the fitted slope estimates alpha.
-    The slack is the shift of the quotient one rule level up, from
-    ``boosted_seminorm`` as in ``solve``; details carry each level's
-    audit_cutoff and tail_bound, the bound part of the slack.
+    The slack is the profile's ``quadrature_slack``, as in ``solve``;
+    details carry each level's audit_cutoff and tail_bound.
     """
     _check_problem(N, s)
     q = critical_exponent(N, s)
     S = exact_constant(N, s)
 
     def measure(mesh):
-        c_h = optimal_concentration(mesh.h, N, s)
-        lam = normalize_lambda(c_h, N, s)
-        u = interpolate(mesh, truncated_bubble(lam, c_h, N, s))
+        u = default_start(mesh, s)
         semi = seminorm_sq_direct(mesh, s, u)
-        value = semi / lq_norm(u, q) ** 2 - S
-        fine, tail, cutoff = boosted_seminorm(mesh, s, u, semi)
-        fine_sq = lq_norm(u, q, order=12) ** 2
-        boosted = fine / fine_sq - S
-        tail /= fine_sq
+        norm_sq = lq_norm(u, q) ** 2
+        slack, tail, cutoff = quadrature_slack(mesh, s, u, semi, norm_sq)
         extras = {"audit_cutoff": cutoff, "tail_bound": tail}
-        return c_h, value, abs(boosted - value) + tail, extras
+        return optimal_concentration(mesh.h, N, s), semi / norm_sq - S, slack, extras
 
     records, failures, details = _sweep_levels(N, levels, measure)
     if any(r.value <= 0 for r in records):
@@ -272,7 +275,7 @@ def discrete_constant_sweep(N: int, s: float, levels, tol: float = 1e-10) -> Swe
 
     def measure(mesh):
         form = assemble(mesh, s)
-        warm = default_start(form)
+        warm = default_start(mesh, s)
         warm_q = quotient(form, warm)
         rep = solve(form, init=warm, tol=tol)
         if rep.s_h > warm_q:
@@ -353,7 +356,7 @@ def verify_interp_error(N: int, s: float, q: float, c: float, levels) -> InterpR
     _check_problem(N, s)
     if q < 1:
         raise ValueError("q must be >= 1")
-    levels = _check_levels(levels)
+    levels = check_levels(N, levels)
     h_pts, g_pts = [], []
     for lev in levels:
         mesh = build_mesh(N, lev)

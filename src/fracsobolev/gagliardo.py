@@ -39,17 +39,17 @@ test.  The remaining leaf rows stream in blocks through
 ``_disjoint_blocks``, which gives each pair the Gauss order of its band,
 near, far or distant, from its separation.
 
-The slack audit differences rule levels k and k+1 only on the band of
-``audit_band``: the identical, touching and complement rows and the
-disjoint pairs whose centroids lie less than R larger diameters apart,
-found among the walk's leaf pairs, so no O(m^2) stream.
-``tail_bound`` bounds the level-k Gauss error of every pair beyond R a
-priori: the integrand is analytic in each reference direction on a
-Bernstein ellipse whose size grows with the separation over the
-diameter (Trefethen, *Approximation Theory and Approximation Practice*,
-Thm 19.3; Sauter & Schwab, *Boundary Element Methods*, ch. 5), and the
-sum over the far pairs is bounded by a radial integral per element in
-closed form.
+The form is the default rule, level 0; ``seminorm_sq_direct`` alone
+takes higher levels, for the slack audit (``solver.quadrature_slack``),
+which differences levels 0 and 1 on the rings (ia, ib, inner) of
+``audit_band``: the disjoint pairs from inner to R larger diameters
+apart, among the walk's leaf pairs, with the identical, touching and
+complement rows at inner 0.  ``tail_bound`` bounds both levels' Gauss
+errors beyond R a priori for the sweeps' smooth profiles: the integrand
+is analytic in each reference direction on a Bernstein ellipse whose
+size grows with the separation over the diameter (Trefethen, ATAP, Thm
+19.3; Sauter & Schwab, *Boundary Element Methods*, ch. 5), summed by a
+radial integral per element in closed form.
 
 The form streams as terms (category, node idx, g, wK), one row per
 element pair or element: row b adds sum_q wK[b, q] (g_q . u[idx[b]])^2.
@@ -191,7 +191,6 @@ class NonlocalForm:
     s: float
     matrix: np.ndarray
     assembly_report: AssemblyReport
-    boost: int
 
 
 # -------------------------------------------------------------------- terms
@@ -621,15 +620,14 @@ def _disjoint_blocks(mesh, geo, near, far, distant, pairs):
 
 
 def audit_band(mesh: BallMesh, ratio: float, inner: float = 0.0):
-    """Disjoint pairs (ia, ib), a < b in triu order, with centroids under ratio larger diameters apart.
+    """The ring (ia, ib, inner): disjoint pairs, a < b in triu order, with centroids from inner to ratio larger diameters apart.
 
     ``_disjoint_blocks``' separation test over ``mesh.leaf_pairs`` at
     ratio, or 2 if larger, which hold every such pair; the test runs
     before the node comparison that drops the touching pairs, and no
-    tile is grouped or evaluated.  With inner, the pairs under inner
-    larger diameters apart are left out, by the same test in the same
-    floats, so the band at inner and this annulus split the band at
-    ratio exactly.
+    tile is grouped or evaluated.  The pairs under inner larger
+    diameters apart are left out by the same test in the same floats,
+    so the band at inner and this ring split the band at ratio exactly.
     """
     geo = element_geometry(mesh)
     centroid = geo.verts.mean(axis=1).T.copy()
@@ -642,10 +640,10 @@ def audit_band(mesh: BallMesh, ratio: float, inner: float = 0.0):
         band[band] = ~shares_node(mesh, ia[band], ib[band])
         return band
 
-    return leaf_pairs(mesh, max(ratio, 2.0), keep)
+    return (*leaf_pairs(mesh, max(ratio, 2.0), keep), inner)
 
 
-def _terms(mesh, s, boost, geo, work, band=None, tile=None, pairs_only=False):
+def _terms(mesh, s, boost, geo, work, band=None, tile=None):
     """Yield (category, node idx (B, n), g, wK) covering the whole form at rule level boost.
 
     Row b of a term contributes sum_q wK[b, q] (g_q . u[idx[b]])^2 to
@@ -660,10 +658,10 @@ def _terms(mesh, s, boost, geo, work, band=None, tile=None, pairs_only=False):
     the leaf rows stream as terms, and each ``_tile_chunks`` chunk of the
     tiles, all distant pairs, goes to the consumer ``tile`` instead,
     counted as disjoint_far pairs and kernel values (its K's entries)
-    and timed in the disjoint phase.  With band, a pair (ia, ib) of
-    ``audit_band``, the disjoint pairs are those of the band alone, as
-    rows; with pairs_only too, the identical, touching and complement
-    rows are left out.
+    and timed in the disjoint phase.  With band, a ring (ia, ib, inner)
+    of ``audit_band``, the disjoint pairs are those of the ring alone, as
+    rows, and the identical, touching and complement rows come only when
+    inner is 0.
 
     Once the stream ends, ``work`` holds the AssemblyReport fields
     pair_counts, counted from the pair sets' rows, kernel_evals,
@@ -689,7 +687,7 @@ def _terms(mesh, s, boost, geo, work, band=None, tile=None, pairs_only=False):
             raise ValueError("a pass over every pair needs a tile consumer")
         tiles, rows = disjoint_partition(mesh, _DISTANT_RATIO)
     else:
-        ia, ib = band
+        ia, ib, inner = band
         tiles, rows = [], ((ia[part], ib[part]) for part in _row_chunks(len(ia), 1))
 
     def disjoint():
@@ -700,7 +698,7 @@ def _terms(mesh, s, boost, geo, work, band=None, tile=None, pairs_only=False):
             tile(chunk)
 
     phases = [("disjoint", disjoint())]
-    if not pairs_only:
+    if band is None or not inner:
         phases.insert(0, ("singular", expand(_singular_sets(mesh, s, geo, pairs, boost))))
         phases.append(("complement", _complement_terms(mesh, s, geo, complement)))
     for phase, stream in phases:
@@ -723,8 +721,8 @@ def _check_finite(category, values):
         raise AssemblyError(f"non-finite values in {category} quadrature")
 
 
-def assemble(mesh: BallMesh, s: float, boost: int = 0) -> NonlocalForm:
-    """Assemble the bilinear form matrix on the free nodes at rule level boost."""
+def assemble(mesh: BallMesh, s: float) -> NonlocalForm:
+    """Assemble the bilinear form matrix on the free nodes at the default rule."""
     check_order(mesh.dim, s)
     n = mesh.n_nodes
     need = 3 * n * n * 8
@@ -748,7 +746,7 @@ def assemble(mesh: BallMesh, s: float, boost: int = 0) -> NonlocalForm:
     # wa K wb: the cross blocks are -2 (wa lam)^T K (wb lam), added both
     # ways round, and the diagonal blocks gather each point's row or
     # column sum of 2 wK into sums, added once at the end
-    lam = reference_rule(mesh.dim, _orders(mesh.dim, boost)[2])[0]
+    lam = reference_rule(mesh.dim, _orders(mesh.dim, 0)[2])[0]
     nq, k = lam.shape
     sums = np.zeros((mesh.n_elements, nq))
 
@@ -795,7 +793,7 @@ def assemble(mesh: BallMesh, s: float, boost: int = 0) -> NonlocalForm:
         np.add.at(flat, (ea * n + eb).ravel(), cross)
         np.add.at(flat, (eb * n + ea).ravel(), cross)
 
-    for category, idx, g, wK in _terms(mesh, s, boost, geo, work, tile=add_tile):
+    for category, idx, g, wK in _terms(mesh, s, 0, geo, work, tile=add_tile):
         add(category, idx, g, wK)
     add("disjoint_far", mesh.elements, lam, sums)
     flat *= s * (1 - s)
@@ -818,7 +816,7 @@ def assemble(mesh: BallMesh, s: float, boost: int = 0) -> NonlocalForm:
 
     work["phase_seconds"]["total"] = time.perf_counter() - t_total
     report = AssemblyReport(budget_exceeded=0, **work)
-    return NonlocalForm(mesh=mesh, s=s, matrix=matrix, assembly_report=report, boost=boost)
+    return NonlocalForm(mesh=mesh, s=s, matrix=matrix, assembly_report=report)
 
 
 def seminorm_sq(form: NonlocalForm, u: FeFunction) -> float:
@@ -829,24 +827,21 @@ def seminorm_sq(form: NonlocalForm, u: FeFunction) -> float:
     return float(w @ form.matrix @ w)
 
 
-def seminorm_sq_direct(
-    mesh: BallMesh, s: float, u: FeFunction, boost: int = 0, band=None, pairs_only=False
-) -> float:
+def seminorm_sq_direct(mesh: BallMesh, s: float, u: FeFunction, boost: int = 0, band=None) -> float:
     """Squared seminorm at rule level boost, summed at the quadrature points.
 
-    Every term adds sum wK (g . u)^2 from the quadrature that assemble
-    scatters; useful for meshes too large for a dense matrix and for the
-    audits at higher rule levels. The per-term sums are added exactly
-    (fsum), so the order and number of terms add no rounding of their own.
-    A tile chunk of the far field adds sum 2 wK (U_p - U_q)^2, U the
-    values at its points, as sum W U^2 (K W) + sum (W K) W U^2 -
-    2 (W U)^T K (W U), one fsum part per chunk; for an interpolated
-    tile, K = Pa Kc Pb^T, the three weighted vectors of each side go
-    through its basis first, O(p^N (n_a + n_b) + p^2N) per tile.  With band, the disjoint
-    pairs (ia, ib) of ``audit_band``, the sum keeps every identical,
-    touching and complement row but only the band's disjoint pairs: the
-    part of the slack audit that is computed.  With pairs_only too, it
-    is the sum over the band's disjoint pairs alone.
+    Every term adds sum wK (g . u)^2 of the quadrature that assemble
+    scatters at level 0; for meshes too large for a dense matrix and for
+    the slack audit's level 1.  The per-term sums are added exactly
+    (fsum), so the order and number of terms add no rounding of their
+    own.  A tile chunk of the far field adds sum 2 wK (U_p - U_q)^2, U
+    the values at its points, as sum W U^2 (K W) + sum (W K) W U^2 -
+    2 (W U)^T K (W U), one fsum part per chunk; for an interpolated tile,
+    K = Pa Kc Pb^T, the three weighted vectors of each side go through
+    its basis first, O(p^N (n_a + n_b) + p^2N) per tile.  With band, a
+    ring (ia, ib, inner) of ``audit_band``, the sum takes the ring's
+    disjoint pairs, and the identical, touching and complement rows at
+    inner 0: the part of the slack audit that is computed.
     """
     check_order(mesh.dim, s)
     if u.mesh is not mesh:
@@ -868,7 +863,7 @@ def seminorm_sq_direct(
         _check_finite("disjoint_far", part)
         parts.append(part)
 
-    for category, idx, g, wK in _terms(mesh, s, boost, geo, {}, band, add_tile, pairs_only):
+    for category, idx, g, wK in _terms(mesh, s, boost, geo, {}, band, add_tile):
         gu = vals[idx] @ g.T
         part = float(np.sum(wK * gu * gu))
         _check_finite(category, part)
@@ -908,13 +903,15 @@ def _pair_error_constant(dim, s, order, least):
     return float(np.min(K)), q
 
 
-def tail_bound(mesh: BallMesh, s: float, u: FeFunction, boost: int, ratio: float) -> float:
-    """Bound on the rule-level boost and boost+1 errors over the pairs outside ``audit_band(mesh, ratio)``.
+def tail_bound(mesh: BallMesh, s: float, u: FeFunction, ratio: float) -> float:
+    """Bound on the rule-level 0 and 1 errors over the pairs outside ``audit_band(mesh, ratio)``.
 
-    The sum of the two bounds bounds |Q_boost+1 - Q_boost| over those
-    pairs, and |Q_j - Q_boost| for higher levels j, whose bounds fall
-    with the order, so the slack audit adds it to the band's shift.  Every such pair takes the distant order (ratio >=
-    _DISTANT_RATIO), the smallest of its level.  With r_c D the reach
+    The sum of the two bounds bounds |Q_1 - Q_0| over those pairs, and
+    |Q_j - Q_0| for higher levels j, so the slack audit adds it to the
+    band's shift.  It does for the smooth profiles the sweeps audit, not
+    for every u: for rough u in 1D it falls short (ROADMAP item 19, the
+    xfail cases of ``test_tail_bound_holds``).  Every such pair takes
+    the distant order (ratio >= _DISTANT_RATIO), the smallest of its level.  With r_c D the reach
     of an element from its centroid (r_c = 1/2 in 1D, 2/3 for a
     triangle), a pair c >= ratio D apart has gap d >= kappa c and
     D <= min(h, c / ratio), with kappa = 1 - 2 r_c / ratio, so its
@@ -942,7 +939,7 @@ def tail_bound(mesh: BallMesh, s: float, u: FeFunction, boost: int, ratio: float
     inner = (ratio - r_c) * geo.diameter / lam
     weight = geo.jacobian * np.max(u.values[mesh.elements] ** 2, axis=1)
     total = 0.0
-    for level in (boost, boost + 1):
+    for level in (0, 1):
         K, q = _pair_error_constant(dim, s, _orders(dim, level)[2], ratio - 2.0 * r_c)
         # integral over t >= inner of t^(N-1) k(t), split at t = reach
         radial = (inner ** (-2 * s) - reach ** (-2 * s)) / (2 * s) + reach ** (-2 * s) / (q + 2 * s)

@@ -36,9 +36,10 @@ from .params import critical_exponent, exact_constant, optimal_concentration
 __all__ = [
     "ManifoldFit",
     "SolverReport",
-    "boosted_seminorm",
+    "default_start",
     "deficit",
     "fit_manifold",
+    "quadrature_slack",
     "quotient",
     "solve",
 ]
@@ -55,12 +56,10 @@ _RISE_TOL = 16 * np.finfo(float).eps
 # matrix flip acceptances and with them the step count.
 _MIX_DEPTH = 5
 _MIX_MARGIN = 8 * np.finfo(float).eps
-# The slack audit differences the two rule levels on the pairs closer than
-# R larger diameters and bounds the rest (gagliardo.tail_bound).  R starts
-# at _AUDIT_RATIO and doubles while the bound exceeds _TAIL_SHARE of the
-# band's shift, up to the ball's diameter 2 in units of the largest
-# element; a band of a quarter of the pairs or more is summed no further,
-# since its two passes would cost about as much as one full pass.
+# The slack audit's band reaches R = _AUDIT_RATIO larger diameters and
+# doubles while the tail bound exceeds _TAIL_SHARE of its shift, up to the
+# ball's diameter 2; a band of a quarter of the pairs or more gives way to
+# one full pass, which costs about as much as its two passes.
 _AUDIT_RATIO = 8.0
 _TAIL_SHARE = 1e-3
 
@@ -79,7 +78,7 @@ class SolverReport:
     tolerance_used: float
     quadrature_slack: float
     audit_cutoff: float  # the audit's R; inf when it summed every pair
-    tail_bound: float  # the part of quadrature_slack that is bound, not computed
+    tail_bound: float  # the bound part of quadrature_slack; see gagliardo.tail_bound
 
 
 @dataclass(frozen=True)
@@ -106,12 +105,10 @@ def deficit(form: NonlocalForm, u: FeFunction) -> float:
     return quotient(form, u) - exact_constant(form.mesh.dim, form.s)
 
 
-def default_start(form: NonlocalForm) -> FeFunction:
+def default_start(mesh, s) -> FeFunction:
     """Interpolated concentrated profile with the balanced concentration."""
-    mesh = form.mesh
-    c_h = optimal_concentration(mesh.h, mesh.dim, form.s)
-    lam = normalize_lambda(c_h, mesh.dim, form.s)
-    return interpolate(mesh, truncated_bubble(lam, c_h, mesh.dim, form.s))
+    c_h = optimal_concentration(mesh.h, mesh.dim, s)
+    return interpolate(mesh, truncated_bubble(normalize_lambda(c_h, mesh.dim, s), c_h, mesh.dim, s))
 
 
 def _unit_positive(mesh, free, q) -> FeFunction:
@@ -155,35 +152,37 @@ def _mixed(pairs):
     return G[-1] - gamma @ dG
 
 
-def boosted_seminorm(mesh, s, u, semi, boost=0):
-    """(value, tail, cutoff): u's seminorm one rule level above boost, within tail.
+def quadrature_slack(mesh, s, u, semi, norm_sq):
+    """(slack, tail, cutoff): how far u's quotient semi / norm_sq may move one rule level up.
 
-    semi is u's seminorm at rule level boost.  The value is semi plus the
-    shift between the two levels over ``audit_band(mesh, cutoff)``, and
-    tail (``gagliardo.tail_bound``) bounds the shift of every pair beyond
-    it, so the boosted seminorm lies within tail of the value.  When the
-    band would reach every pair, or a quarter of them, the value is one
-    full ``seminorm_sq_direct`` pass at level boost + 1, tail is 0 and
-    cutoff is inf.  A doubled R keeps the shift of the band at R and
-    sums only the annulus between R and 2 R.
+    semi is u's level-0 seminorm and norm_sq its squared critical norm.
+    The level-1 seminorm is semi plus the shift of the two levels over
+    ``audit_band(mesh, cutoff)``, summed ring by ring as R doubles,
+    within ``gagliardo.tail_bound`` of the pairs beyond; after one full
+    level-1 pass instead, tail is 0 and cutoff inf.  Over the squared
+    critical norm at order 12, Q_1 and tail follow, and the slack is
+    |Q_1 - semi / norm_sq| + tail.
     """
     m = mesh.n_elements
     ratio, inner = _AUDIT_RATIO, 0.0
     shift, size = 0.0, 0
+    fine, cutoff = None, float("inf")
     while ratio * mesh.h < 2.0:
         ring = audit_band(mesh, ratio, inner)
         size += len(ring[0])
         if 8 * size >= m * (m - 1):
             break
-        pairs_only = inner > 0.0
-        shift += seminorm_sq_direct(mesh, s, u, boost + 1, ring, pairs_only) - seminorm_sq_direct(
-            mesh, s, u, boost, ring, pairs_only
-        )
-        tail = tail_bound(mesh, s, u, boost, ratio)
+        shift += seminorm_sq_direct(mesh, s, u, 1, ring) - seminorm_sq_direct(mesh, s, u, 0, ring)
+        tail = tail_bound(mesh, s, u, ratio)
         if tail <= _TAIL_SHARE * abs(shift):
-            return semi + shift, tail, ratio
+            fine, cutoff = semi + shift, ratio
+            break
         ratio, inner = 2.0 * ratio, ratio
-    return seminorm_sq_direct(mesh, s, u, boost=boost + 1), 0.0, float("inf")
+    if fine is None:
+        fine, tail = seminorm_sq_direct(mesh, s, u, 1), 0.0
+    fine_sq = lq_norm(u, critical_exponent(mesh.dim, s), order=12) ** 2
+    tail /= fine_sq
+    return abs(fine / fine_sq - semi / norm_sq) + tail, tail, cutoff
 
 
 def solve(
@@ -211,18 +210,15 @@ def solve(
     quotient_history records each accepted quotient that does not exceed
     the last one recorded, so it is non-increasing bitwise and ends at
     s_h unless the last steps ticked up by rounding.  A rise beyond
-    _RISE_TOL breaks the descent bound and raises RuntimeError.
-    quadrature_slack compares s_h with the quotient one rule level above
-    the form's (``boosted_seminorm`` over the critical norm at order 12):
-    the shift computed on the audit's band plus tail_bound, the bound on
-    the shift of the pairs beyond its cutoff R, audit_cutoff.
+    _RISE_TOL breaks the descent bound and raises RuntimeError.  The
+    slack fields are ``quadrature_slack``'s on the minimizer.
     """
     if not 0.0 <= tol < np.inf:
         raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
     mesh = form.mesh
     q = critical_exponent(mesh.dim, form.s)
     if init is None:
-        init = default_start(form)
+        init = default_start(mesh, form.s)
     if init.mesh is not mesh:
         raise ValueError("initial iterate lives on a different mesh")
     if not np.any(init.values):
@@ -271,10 +267,7 @@ def solve(
             stacklevel=2,
         )
 
-    fine_semi, tail, cutoff = boosted_seminorm(mesh, form.s, u, mu, form.boost)
-    fine_norm = lq_norm(u, q, order=12)
-    tail /= fine_norm**2
-
+    slack, tail, cutoff = quadrature_slack(mesh, form.s, u, mu, 1.0)
     return SolverReport(
         s_h=mu,
         minimizer=u,
@@ -284,7 +277,7 @@ def solve(
         converged=residual <= tol,
         residual=residual,
         tolerance_used=tol,
-        quadrature_slack=abs(fine_semi / fine_norm**2 - mu) + tail,
+        quadrature_slack=slack,
         audit_cutoff=cutoff,
         tail_bound=tail,
     )

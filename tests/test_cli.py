@@ -7,8 +7,13 @@ import subprocess
 
 import pytest
 
+from fracsobolev import experiments
 from fracsobolev.cli import _parse_config, _parse_levels, main
 from fracsobolev.experiments import read_records
+
+
+def _no_mesh(dim, level):
+    raise AssertionError(f"built the mesh of level {level}")
 
 
 def test_parse_levels_forms():
@@ -25,14 +30,18 @@ def test_parse_levels_forms():
             _parse_levels(text)
 
 
-# the reason argparse prints for each rejected --levels value
+# how argparse shows each rejected --levels value, and the reason it prints:
+# the text as given when the value does not parse, the parsed list when
+# experiments.check_levels rejects it
 _LEVEL_REASONS = {
-    "8..4": "empty level range",
-    "5..x": "integers",
-    "9..4": "empty level range",
-    "4,4,5": "strictly increasing",
-    "-1..1": "nonnegative",
-    "5,4": "strictly increasing",
+    "8..4": ("'8..4'", "empty level range"),
+    "5..x": ("'5..x'", "integers"),
+    "9..4": ("'9..4'", "empty level range"),
+    "4,4,5": ("'4,4,5'", "strictly increasing"),
+    "-1..1": ("'-1..1'", "nonnegative"),
+    "5,4": ("'5,4'", "strictly increasing"),
+    "0..3": ("[0, 1, 2, 3]", "1D level 0"),
+    "0..1": ("[0, 1]", "fewer than the 3 a rate fit needs"),
 }
 
 
@@ -45,17 +54,21 @@ _LEVEL_REASONS = {
         ["sweep", "upper", "--levels", "4,4,5"],
         ["sweep", "upper", "--levels=-1..1"],
         ["verify", "interp", "--levels", "5,4"],
+        ["sweep", "upper", "--dim", "1", "--levels", "0..3"],
+        ["sweep", "solve", "--dim", "2", "--s", "0.5", "--levels", "0..1"],
     ],
 )
-def test_bad_levels_exit_through_argparse(argv, capsys):
+def test_bad_levels_exit_through_argparse(argv, capsys, monkeypatch):
     # rejected while parsing, before any mesh is built or sweep run
+    monkeypatch.setattr(experiments, "build_mesh", _no_mesh)
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
     err = capsys.readouterr().err
     value = argv[-1].rpartition("=")[2]
-    assert "--levels" in err and repr(value) in err
-    assert _LEVEL_REASONS[value] in err
+    shown, reason = _LEVEL_REASONS[value]
+    assert "--levels" in err and shown in err
+    assert reason in err
 
 
 def test_bad_order_exits_through_argparse(capsys):

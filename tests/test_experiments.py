@@ -201,6 +201,29 @@ def test_fractional_levels_raise(run):
         run([4.7, 5.2, 6.9])
 
 
+@pytest.mark.parametrize(
+    "run, levels, reason",
+    [
+        (lambda levels: upper_bound_sweep(1, 0.3, levels), [0, 1, 2, 3], "1D level 0"),
+        (lambda levels: discrete_constant_sweep(1, 0.25, levels), [0, 4, 5], "1D level 0"),
+        (lambda levels: discrete_constant_sweep(2, 0.5, levels), [0, 1], "fewer than the 3"),
+        (lambda levels: upper_bound_sweep(1, 0.3, levels), [5], "fewer than the 3"),
+        (lambda levels: verify_interp_error(1, 0.3, 4.0, 0.25, levels), [0, 5, 6], "1D level 0"),
+    ],
+    ids=["upper-1d-L0", "solve-1d-L0", "solve-2d-two", "upper-one", "interp-1d-L0"],
+)
+def test_unusable_levels_raise_before_any_mesh(monkeypatch, run, levels, reason):
+    # a level list that cannot give a rate fails before the first mesh: 1D
+    # level 0 has h = 1, outside optimal_concentration's (0, 1), and fewer
+    # than three levels cannot be fitted
+    def no_mesh(dim, level):
+        raise AssertionError(f"built the mesh of level {level}")
+
+    monkeypatch.setattr(experiments, "build_mesh", no_mesh)
+    with pytest.raises(ValueError, match=reason):
+        run(levels)
+
+
 # --------------------------------------------------------- covering audit
 
 

@@ -28,6 +28,7 @@ from fracsobolev import mesh as mesh_module
 from fracsobolev.bubble import normalize_lambda, truncated_bubble
 from fracsobolev.gagliardo import (
     AssemblyError,
+    AssemblyReport,
     assemble,
     audit_band,
     complement_weight,
@@ -162,8 +163,8 @@ def test_assembled_matrix_symmetric_positive():
 
 
 def test_assembly_report_pair_coverage():
-    for dim, level, boost in [(1, 3, 0), (1, 3, 1), (2, 1, 0), (2, 1, 1)]:
-        form = assemble(build_mesh(dim, level), 0.25 if dim == 1 else 0.5, boost)
+    for dim, level in [(1, 3), (2, 1)]:
+        form = assemble(build_mesh(dim, level), 0.25 if dim == 1 else 0.5)
         report = form.assembly_report
         counts = report.pair_counts
         m = form.mesh.n_elements
@@ -387,26 +388,21 @@ def test_classification_holds_no_all_candidate_float_temporary():
 
 
 @pytest.mark.parametrize(
-    "dim, level, s, boost",
-    [
-        pytest.param(1, 6, 0.25, 0, id="1-6"),
-        pytest.param(1, 6, 0.25, 1, id="1-6-boosted"),
-        pytest.param(2, 1, 0.5, 0, id="2-1"),
-        pytest.param(2, 1, 0.5, 1, id="2-1-boosted"),
-    ],
+    "dim, level, s",
+    [pytest.param(1, 6, 0.25, id="1-6"), pytest.param(2, 1, 0.5, id="2-1")],
 )
-def test_scatter_matches_dense_accumulation(dim, level, s, boost):
+def test_scatter_matches_dense_accumulation(dim, level, s):
     # the reference streams every disjoint pair as a row, the tiles too
     mesh = build_mesh(dim, level)
     n = mesh.n_nodes
     dense = np.zeros(n * n)
-    every = _disjoint_table(mesh).T
-    for _, idx, g, wK in _terms(mesh, s, boost, element_geometry(mesh), {}, every):
+    every = (*_disjoint_table(mesh).T, 0.0)
+    for _, idx, g, wK in _terms(mesh, s, 0, element_geometry(mesh), {}, every):
         pos = (idx[:, :, None] * n + idx[:, None, :]).ravel()
         dense += np.bincount(pos, weights=_term_block(g, wK).ravel(), minlength=n * n)
     fc = mesh.free_count
     ref = s * (1 - s) * dense.reshape(n, n)[:fc, :fc]
-    A = assemble(mesh, s, boost).matrix
+    A = assemble(mesh, s).matrix
     assert np.max(np.abs(A - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
@@ -500,15 +496,25 @@ def test_close_disjoint_pairs_keep_their_digits():
         assert worst < 1e-14, (order, worst)
 
 
+def _stream_work(mesh, s, boost):
+    """The AssemblyReport fields a pass over the whole form at rule level boost records."""
+    work = {}
+    for _ in _terms(mesh, s, boost, element_geometry(mesh), work, tile=lambda chunk: None):
+        pass
+    return work
+
+
 @pytest.mark.parametrize("boost", [0, 1], ids=["default", "boosted"])
 @pytest.mark.parametrize("dim, level, s", [(1, 5, 0.25), (1, 8, 0.3), (2, 1, 0.5), (2, 2, 0.5)])
 def test_work_counts_follow_the_term_stream(dim, level, s, boost):
-    # the report's counts against what the terms really carry: a tile
-    # chunk's kernel values are those of its K, the node pairs' of a
-    # compressed tile, and its pairs are those of its two clusters
+    # the counts a pass records against what its terms really carry: a
+    # tile chunk's kernel values are those of its K, the node pairs' of a
+    # compressed tile, and its pairs are those of its two clusters; at the
+    # default rule they are the assembly report's, and at level 1 those of
+    # a seminorm_sq_direct pass of the audit
     mesh = build_mesh(dim, level)
-    report = assemble(mesh, s, boost).assembly_report
-    evals = dict.fromkeys(report.kernel_evals, 0)
+    work = {}
+    evals = dict.fromkeys(gagliardo._CATEGORIES, 0)
     cells = tile_pairs = 0
 
     def count(chunk):
@@ -516,10 +522,15 @@ def test_work_counts_follow_the_term_stream(dim, level, s, boost):
         evals["disjoint_far"] += chunk.K.size
         tile_pairs += len(chunk.a) * len(chunk.b)
 
-    for category, _, _, wK in _terms(mesh, s, boost, element_geometry(mesh), {}, tile=count):
+    for category, _, _, wK in _terms(mesh, s, boost, element_geometry(mesh), work, tile=count):
         if category == "complement":
             cells += len(wK)
         evals[category] = evals.get(category, 0) + wK.size
+    report = AssemblyReport(budget_exceeded=0, **work)
+    if boost == 0:
+        assembled = assemble(mesh, s).assembly_report
+        for field in ("pair_counts", "kernel_evals", "complement_cells", "complement_points"):
+            assert getattr(assembled, field) == getattr(report, field), field
     if dim == 1:
         # the closed form of a 1D identical pair is one point of its rule
         assert report.kernel_evals["identical"] == mesh.n_elements
@@ -567,16 +578,16 @@ def test_bad_rule_level_raises(boost):
     with pytest.raises(ValueError, match="rule level"):
         _orders(1, boost)
     with pytest.raises(ValueError, match="rule level"):
-        assemble(mesh, 0.25, boost=boost)
-    with pytest.raises(ValueError, match="rule level"):
         seminorm_sq_direct(mesh, 0.25, u, boost=boost)
 
 
-@pytest.mark.parametrize("boost", [0, 1], ids=["default", "boosted"])
-@pytest.mark.parametrize("dim, level, s", [(1, 3, 0.25), (2, 1, 0.5)])
-def test_assembly_report_is_json_safe(dim, level, s, boost):
+@pytest.mark.parametrize(
+    "dim, level, s",
+    [pytest.param(1, 3, 0.25, id="1-3-0.25-default"), pytest.param(2, 1, 0.5, id="2-1-0.5-default")],
+)
+def test_assembly_report_is_json_safe(dim, level, s):
     # the report is serialised with dataclasses.asdict: plain ints and floats only
-    report = assemble(build_mesh(dim, level), s, boost).assembly_report
+    report = assemble(build_mesh(dim, level), s).assembly_report
     fields = dataclasses.asdict(report)
     assert json.loads(json.dumps(fields)) == fields
 
@@ -774,21 +785,13 @@ def test_seminorm_matches_matrix_quadratic_form():
 
 
 def test_seminorm_direct_agrees_with_assembled():
-    cases = [
-        (1, 3, 0.25, 0),
-        (2, 0, 0.5, 0),
-        (1, 3, 0.25, 1),
-        (2, 0, 0.5, 1),
-        (2, 1, 0.25, 0),
-    ]
-    for dim, level, s, boost in cases:
+    for dim, level, s in [(1, 3, 0.25), (2, 0, 0.5), (2, 1, 0.25)]:
         mesh = build_mesh(dim, level)
         rng = np.random.default_rng(4 + dim)
         u = FeFunction.from_free(mesh, rng.normal(size=mesh.free_count))
-        form = assemble(mesh, s, boost)
-        a = seminorm_sq(form, u)
-        b = seminorm_sq_direct(mesh, s, u, boost)
-        assert abs(a - b) / a < 1e-12, (dim, level, s, boost)
+        a = seminorm_sq(assemble(mesh, s), u)
+        b = seminorm_sq_direct(mesh, s, u)
+        assert abs(a - b) / a < 1e-12, (dim, level, s)
 
 
 def test_non_finite_complement_raises_on_both_paths(monkeypatch):
@@ -840,33 +843,33 @@ def test_term_chunks_do_not_change_the_form(monkeypatch, dim, level, s, boost, d
     # more than one point (boosted: near pairs at order 7, 2401 points).
     # The direct path adds its per-term sums exactly (fsum), so the 5,451 terms of
     # the boosted sliced run add no rounding walk of their own to the total.
+    # The assembled matrix is the default rule's; at level 1 the direct
+    # sums and the counts of the stream are compared.
     mesh = build_mesh(dim, level)
     u = FeFunction.from_free(mesh, np.random.default_rng(7).normal(size=mesh.free_count))
     runs = []
     for cap in (gagliardo._TERM_POINTS, 256):
         monkeypatch.setattr(gagliardo, "_TERM_POINTS", cap)
-        runs.append((assemble(mesh, s, boost), seminorm_sq_direct(mesh, s, u, boost)))
-    (whole, a), (sliced, b) = runs
-    scale = np.max(np.abs(whole.matrix))
-    assert np.max(np.abs(whole.matrix - sliced.matrix)) <= 1e-14 * scale
+        matrix = None if boost else assemble(mesh, s).matrix
+        runs.append((matrix, _stream_work(mesh, s, boost), seminorm_sq_direct(mesh, s, u, boost)))
+    (whole, r, a), (sliced, q, b) = runs
+    if not boost:
+        assert np.max(np.abs(whole - sliced)) <= 1e-14 * np.max(np.abs(whole))
     assert abs(a - b) <= direct_tol * abs(a)
-    r, q = whole.assembly_report, sliced.assembly_report
-    assert r.kernel_evals == q.kernel_evals
-    assert r.pair_counts == q.pair_counts
-    assert r.complement_cells == q.complement_cells
-    assert r.complement_points == q.complement_points
+    for field in ("kernel_evals", "pair_counts", "complement_cells", "complement_points"):
+        assert r[field] == q[field], field
 
 
 def test_quadrature_boost_drift_small():
     mesh = build_mesh(1, 3)
     u = interpolate(mesh, truncated_bubble(1.3, 0.25, 1, 0.25))
     v1 = seminorm_sq(assemble(mesh, 0.25), u)
-    v2 = seminorm_sq(assemble(mesh, 0.25, boost=1), u)
+    v2 = seminorm_sq_direct(mesh, 0.25, u, 1)
     assert abs(v1 - v2) / v2 < 1e-7
     mesh2 = build_mesh(2, 1)
     u2 = interpolate(mesh2, truncated_bubble(1.0, 0.4, 2, 0.5))
     w1 = seminorm_sq(assemble(mesh2, 0.5), u2)
-    w2 = seminorm_sq(assemble(mesh2, 0.5, boost=1), u2)
+    w2 = seminorm_sq_direct(mesh2, 0.5, u2, 1)
     assert abs(w1 - w2) / w2 < 5e-5
 
 
@@ -1288,7 +1291,7 @@ def _profile(mesh: BallMesh, s):
 
 
 def _brute_band(mesh, ratio):
-    """(band, tail): every disjoint pair, split by the plain ratio test on centroids."""
+    """(band, tail): every disjoint pair, split by the plain ratio test on centroids, as rings (ia, ib, inner)."""
     geo = element_geometry(mesh)
     c = geo.verts.mean(axis=1)
     pairs = _disjoint_table(mesh)
@@ -1296,14 +1299,14 @@ def _brute_band(mesh, ratio):
     sep = np.sum((c[a] - c[b]) ** 2, axis=1)
     reach = ratio * np.maximum(geo.diameter[a], geo.diameter[b])
     inside = sep < reach * reach
-    return (a[inside], b[inside]), (a[~inside], b[~inside])
+    return (a[inside], b[inside], 0.0), (a[~inside], b[~inside], ratio)
 
 
-def _disjoint_sum(mesh, s, u, pairs, boost):
-    """s(1-s) times the exact sum of the disjoint-pair terms of the given pairs."""
+def _disjoint_sum(mesh, s, u, ring, boost):
+    """s(1-s) times the exact sum of the disjoint-pair terms of the ring (ia, ib, inner)."""
     parts = [
         float(np.sum(wK * (u.values[idx] @ g.T) ** 2))
-        for category, idx, g, wK in _terms(mesh, s, boost, element_geometry(mesh), {}, pairs)
+        for category, idx, g, wK in _terms(mesh, s, boost, element_geometry(mesh), {}, ring)
         if category.startswith("disjoint")
     ]
     return s * (1 - s) * fsum(parts)
@@ -1316,9 +1319,9 @@ def test_audit_band_is_the_ratio_test(key, ratio):
     # pairs the plain test keeps, pairs of unequal diameter included, in
     # triu order
     mesh = _AUDIT_MESHES[key]()
-    (a, b), _ = _brute_band(mesh, ratio)
-    ia, ib = audit_band(mesh, ratio)
-    assert np.array_equal(ia, a) and np.array_equal(ib, b)
+    (a, b, _), _ = _brute_band(mesh, ratio)
+    ia, ib, inner = audit_band(mesh, ratio)
+    assert np.array_equal(ia, a) and np.array_equal(ib, b) and inner == 0.0
     if key == "1d-graded":
         diam = element_geometry(mesh).diameter
         assert np.any(diam[ia] != diam[ib])
@@ -1335,7 +1338,9 @@ def test_audit_annulus_splits_the_band(key, ratio):
         return pairs[0] * mesh.n_elements + pairs[1]
 
     want = np.setdiff1d(keys(_brute_band(mesh, 2 * ratio)[0]), keys(_brute_band(mesh, ratio)[0]))
-    ring = keys(audit_band(mesh, 2 * ratio, inner=ratio))
+    ring = audit_band(mesh, 2 * ratio, inner=ratio)
+    assert ring[2] == ratio
+    ring = keys(ring)
     assert np.array_equal(ring, want)
     split = np.sort(np.concatenate([keys(audit_band(mesh, ratio)), ring]))
     assert np.array_equal(split, keys(audit_band(mesh, 2 * ratio)))
@@ -1373,31 +1378,38 @@ def test_tiled_pass_matches_the_row_path(dim, level, s, boost):
     mesh = build_mesh(dim, level)
     u = _profile(mesh, s)
     ref = _brute_force_pairs(mesh)
-    every = np.concatenate([ref["near"], ref["far"], ref["distant"]]).T
+    every = (*np.concatenate([ref["near"], ref["far"], ref["distant"]]).T, 0.0)
     rows = seminorm_sq_direct(mesh, s, u, boost, every)
     assert abs(seminorm_sq_direct(mesh, s, u, boost) - rows) <= 1e-14 * rows
-    w = u.free_values
-    assert abs(w @ assemble(mesh, s, boost).matrix @ w - rows) <= 1e-13 * rows
+    if not boost:
+        # the assembled form is the default rule's
+        w = u.free_values
+        assert abs(w @ assemble(mesh, s).matrix @ w - rows) <= 1e-13 * rows
 
 
 @pytest.mark.parametrize("boost", [0, 1])
 @pytest.mark.parametrize("dim, level, s", [(1, 7, 0.25), (2, 2, 0.5)])
 def test_leaf_size_keeps_the_work(monkeypatch, dim, level, s, boost):
     # leaves of one and two elements give other tiles and rows of the same
-    # pairs, so the same counts and, up to rounding, the same matrix
-    forms = []
+    # pairs, so the same counts and, up to rounding, the same matrix; at
+    # level 1, where no matrix is assembled, the same direct sum
+    runs = []
     for leaf in (mesh_module._LEAF_SIZE, 1, 2):
         monkeypatch.setattr(mesh_module, "_LEAF_SIZE", leaf)
-        forms.append(assemble(build_mesh(dim, level), s, boost))
-    ref = forms[0]
-    for form in forms[1:]:
+        mesh = build_mesh(dim, level)
+        runs.append(seminorm_sq_direct(mesh, s, _profile(mesh, s), boost) if boost else assemble(mesh, s))
+    ref = runs[0]
+    for run in runs[1:]:
+        if boost:
+            assert abs(run - ref) <= 1e-13 * ref
+            continue
         # the tiles' kernel values follow their blocks, whose interpolants
         # take their own node counts; every other count is the pairs'
-        evals, want = form.assembly_report.kernel_evals.copy(), ref.assembly_report.kernel_evals.copy()
+        evals, want = run.assembly_report.kernel_evals.copy(), ref.assembly_report.kernel_evals.copy()
         assert evals.pop("disjoint_far") > 0 and want.pop("disjoint_far") > 0
         assert evals == want
-        assert form.assembly_report.pair_counts == ref.assembly_report.pair_counts
-        assert np.max(np.abs(form.matrix - ref.matrix)) <= 1e-13 * np.max(np.abs(ref.matrix))
+        assert run.assembly_report.pair_counts == ref.assembly_report.pair_counts
+        assert np.max(np.abs(run.matrix - ref.matrix)) <= 1e-13 * np.max(np.abs(ref.matrix))
 
 
 # ------------------------------------------------------ compressed tiles
@@ -1534,8 +1546,9 @@ def _dense_tiles(dim, s, boxes, most):
     [("1d-L8", 0.1), ("1d-L8", 0.3), ("1d-L10", 0.1), ("1d-L10", 0.3), ("1d-graded", 0.3), ("1d-squared", 0.25)],
 )
 def test_compressed_tiles_keep_the_sums(monkeypatch, key, s, boost):
-    # the compressed and the dense tiles give the same seminorm and the
-    # same assembled form to well within 1e-13 of the form
+    # the compressed and the dense tiles give the same seminorm and, at
+    # the default rule, the same assembled form to well within 1e-13 of
+    # the form
     mesh = _tile_meshes(key, monkeypatch)
     u = _profile(mesh, s)
     w = u.free_values
@@ -1543,27 +1556,67 @@ def test_compressed_tiles_keep_the_sums(monkeypatch, key, s, boost):
     for dense in (False, True):
         if dense:
             monkeypatch.setattr(gagliardo, "_chebyshev_order", _dense_tiles)
-        form = assemble(mesh, s, boost)
-        runs.append((seminorm_sq_direct(mesh, s, u, boost), w @ form.matrix @ w, form.assembly_report))
-    (direct, quadratic, report), (dense_direct, dense_quadratic, dense_report) = runs
+        quadratic = None if boost else w @ assemble(mesh, s).matrix @ w
+        runs.append((seminorm_sq_direct(mesh, s, u, boost), quadratic, _stream_work(mesh, s, boost)))
+    (direct, quadratic, work), (dense_direct, dense_quadratic, dense_work) = runs
     assert abs(direct - dense_direct) <= 1e-13 * dense_direct
-    assert abs(quadratic - dense_quadratic) <= 1e-13 * dense_quadratic
-    assert report.pair_counts == dense_report.pair_counts
-    assert report.kernel_evals["disjoint_far"] < dense_report.kernel_evals["disjoint_far"]
+    if not boost:
+        assert abs(quadratic - dense_quadratic) <= 1e-13 * dense_quadratic
+    assert work["pair_counts"] == dense_work["pair_counts"]
+    assert work["kernel_evals"]["disjoint_far"] < dense_work["kernel_evals"]["disjoint_far"]
 
 
-@pytest.mark.parametrize(
-    "dim, level, s", [(1, 8, 0.25), (1, 8, 0.3), (1, 6, 0.1), (2, 2, 0.5)]
+def _rough(mesh, shape):
+    """A 1D function that is not the smooth profile: the sawtooth (-1)^i (1 - |x|)
+    at node x = -1 + i h, seeded normal nodal values, or sin(8 pi x)(1 - |x|)."""
+    x = mesh.nodes[: mesh.free_count, 0]
+    if shape == "sawtooth":
+        values = (-1.0) ** np.rint((x + 1.0) / mesh.h) * (1.0 - np.abs(x))
+    elif shape == "normal":
+        values = np.random.default_rng(0).normal(size=mesh.free_count)
+    else:
+        values = np.sin(8 * np.pi * x) * (1.0 - np.abs(x))
+    return FeFunction.from_free(mesh, values)
+
+
+# bound over shift at L6 / L8: sawtooth 0.49 / 0.48 at R = 8 and 0.057 /
+# 0.055 at R = 16, normal values 1.72 / 1.56 and 0.21 / 0.18, the sine
+# 10.5 / 1091 and 2.0 / 36
+_TAIL_SHORT = pytest.mark.xfail(
+    strict=True, reason="ROADMAP item 19: tail_bound falls short of the tail shift of rough u in 1D"
 )
-def test_tail_bound_holds(dim, level, s):
+_TAIL_CASES = [
+    pytest.param(1, 8, 0.25, "profile", (4.0, 8.0, 16.0), id="1-8-0.25"),
+    pytest.param(1, 8, 0.3, "profile", (4.0, 8.0, 16.0), id="1-8-0.3"),
+    pytest.param(1, 6, 0.1, "profile", (4.0, 8.0, 16.0), id="1-6-0.1"),
+    pytest.param(2, 2, 0.5, "profile", (4.0, 8.0, 16.0), id="2-2-0.5"),
+] + [
+    pytest.param(
+        1, level, 0.25, shape, (ratio,), id=f"1-{level}-0.25-{shape}-R{ratio:g}", marks=[_TAIL_SHORT] if short else []
+    )
+    for shape, ratio, short in [
+        ("sawtooth", 8.0, True),
+        ("sawtooth", 16.0, True),
+        ("normal", 8.0, False),
+        ("normal", 16.0, True),
+        ("sine", 8.0, False),
+        ("sine", 16.0, False),
+    ]
+    for level in (6, 8)
+]
+
+
+@pytest.mark.parametrize("dim, level, s, shape, ratios", _TAIL_CASES)
+def test_tail_bound_holds(dim, level, s, shape, ratios):
     # the a priori bound covers the one- and two-level shifts of every pair
-    # beyond the band, both summed pair by pair
+    # beyond the band, both summed pair by pair, for the profile the sweeps
+    # audit; for rough u in 1D it can fall short, the xfail cases
     mesh = build_mesh(dim, level)
-    u = _profile(mesh, s)
-    for ratio in (4.0, 8.0, 16.0):
+    u = _profile(mesh, s) if shape == "profile" else _rough(mesh, shape)
+    for ratio in ratios:
         _, tail = _brute_band(mesh, ratio)
         sums = [_disjoint_sum(mesh, s, u, tail, boost) for boost in (0, 1, 2)]
-        bound = tail_bound(mesh, s, u, 0, ratio)
+        bound = tail_bound(mesh, s, u, ratio)
         assert bound >= abs(sums[1] - sums[0]), ratio
         assert bound >= abs(sums[2] - sums[0]), ratio
 
@@ -1572,6 +1625,6 @@ def test_tail_bound_validation():
     mesh = build_mesh(1, 4)
     u = _profile(mesh, 0.25)
     with pytest.raises(ValueError, match="ratio"):
-        tail_bound(mesh, 0.25, u, 0, 3.0)
+        tail_bound(mesh, 0.25, u, 3.0)
     with pytest.raises(ValueError, match="mesh"):
-        tail_bound(build_mesh(1, 3), 0.25, u, 0, 8.0)
+        tail_bound(build_mesh(1, 3), 0.25, u, 8.0)

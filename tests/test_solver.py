@@ -14,7 +14,8 @@ from fracsobolev.gagliardo import assemble, seminorm_sq, seminorm_sq_direct
 from fracsobolev.mesh import FeFunction, build_mesh, interpolate
 from fracsobolev.norms import lq_norm, nonlinear_residual
 from fracsobolev.params import critical_exponent, exact_constant, optimal_concentration
-from fracsobolev.solver import deficit, fit_manifold, quotient, solve
+from fracsobolev.experiments import discrete_constant_sweep, upper_bound_sweep
+from fracsobolev.solver import default_start, deficit, fit_manifold, quadrature_slack, quotient, solve
 
 
 @pytest.fixture(scope="module")
@@ -95,7 +96,7 @@ def test_slack_tracks_the_twice_boosted_error(dim, level, s):
     form = assemble(mesh, s)
     rep = solve(form)
     u = rep.minimizer
-    finer = seminorm_sq_direct(mesh, s, u, boost=form.boost + 2)
+    finer = seminorm_sq_direct(mesh, s, u, 2)
     q_bb = finer / lq_norm(u, critical_exponent(dim, s), order=16) ** 2
     assert abs((q_bb - rep.s_h) / rep.quadrature_slack - 1.0) <= 1e-3
 
@@ -117,6 +118,29 @@ def test_banded_slack_covers_the_full_pass(reports_1d_s025):
             assert 0.0 < rep.tail_bound <= 1e-3 * rep.quadrature_slack
             assert full <= rep.quadrature_slack <= full + 2 * rep.tail_bound
     assert cutoffs[0] == float("inf") and cutoffs[-1] < float("inf")
+
+
+def test_both_sweeps_report_the_one_audit():
+    # each sweep's slack, tail bound and cutoff are quadrature_slack's on
+    # the sweep's own function: solve's unit minimizer, and the default
+    # start that upper_bound_sweep measures; L4 sums every pair, L6 bounds
+    # the pairs beyond its band
+    s, levels = 0.25, [4, 5, 6]
+    q = critical_exponent(1, s)
+    solved, upper = discrete_constant_sweep(1, s, levels), upper_bound_sweep(1, s, levels)
+    for i, level in enumerate(levels):
+        mesh = build_mesh(1, level)
+        rep = solve(assemble(mesh, s))
+        u = default_start(mesh, s)
+        want = [
+            quadrature_slack(mesh, s, rep.minimizer, rep.s_h, 1.0),
+            quadrature_slack(mesh, s, u, seminorm_sq_direct(mesh, s, u), lq_norm(u, q) ** 2),
+        ]
+        for res, (slack, tail, cutoff) in zip((solved, upper), want):
+            assert res.records[i].slack == slack
+            assert res.details["tail_bound"][i] == tail
+            assert res.details["audit_cutoff"][i] == cutoff
+    assert solved.details["audit_cutoff"][0] == float("inf") > solved.details["audit_cutoff"][-1]
 
 
 def test_banded_audit_streams_no_disjoint_pair(monkeypatch):
