@@ -598,6 +598,9 @@ def _disjoint_blocks(mesh, geo, near, far, distant, pairs):
     With D the larger diameter: centroids _DISTANT_RATIO D apart or more
     take the distant order (their vertices lie over 2 D apart), other
     pairs with a vertex distance below D the near order, the rest far.
+    The near test carries the block walk's 1e-9 relative margin, so a
+    pair exactly D apart, common on uniform meshes, goes far however its
+    distance rounds.
     """
     centroid = geo.verts.mean(axis=1).T.copy()
     for ia, ib in pairs:
@@ -613,7 +616,7 @@ def _disjoint_blocks(mesh, geo, near, far, distant, pairs):
             for q in k:
                 sq = _sum_sq(va[:, p, c] - vb[:, q, c] for c in range(mesh.dim))
                 np.minimum(least, sq, out=least)
-        close = np.sqrt(least) < larger[~apart]
+        close = np.sqrt(least) < larger[~apart] * (1.0 - 1e-9)
         yield "disjoint_near", a[close], b[close], near
         yield "disjoint_far", a[~close], b[~close], far
         yield "disjoint_far", ia[apart], ib[apart], distant

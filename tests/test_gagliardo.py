@@ -228,7 +228,7 @@ def _brute_force_pairs(mesh):
     node indices, the smallest vertex distance by cdist; a disjoint pair
     is distant when its squared centroid distance reaches that of
     _DISTANT_RATIO larger diameters, else near when its vertices come
-    closer than the larger diameter, else far.  A touching pair's node
+    closer than the larger diameter less 1e-9 of it, else far.  A touching pair's node
     row is the first element's nodes rotated to start at the shared node
     that follows an unshared one, then the second element's unshared
     nodes in its own cyclic order.
@@ -258,7 +258,7 @@ def _brute_force_pairs(mesh):
         larger = np.maximum(diam[a], diam[b])
         distant = np.sum((cen[a] - cen[b]) ** 2, axis=1) >= (_DISTANT_RATIO * larger) ** 2
         gap = cdist(verts[a], verts[b].reshape(-1, mesh.dim)).reshape(k, len(b), k).min(axis=(0, 2))
-        near = ~distant & (gap < larger)
+        near = ~distant & (gap < larger * (1 - 1e-9))
         for name, mask in (("distant", distant), ("near", near), ("far", ~distant & ~near)):
             out[name].append(np.stack([np.full(mask.sum(), a), b[mask]], axis=1))
     widths = dict(vertex_nodes=2 * k - 1, edge_nodes=2 * k - 2)
@@ -545,7 +545,7 @@ def test_work_counts_follow_the_term_stream(dim, level, s, boost):
     gap = verts[disjoint[:, 0]][:, :, None, :] - verts[disjoint[:, 1]][:, None, :, :]
     diam = element_geometry(mesh).diameter
     larger = np.maximum(diam[disjoint[:, 0]], diam[disjoint[:, 1]])
-    near = int(np.sum(np.sqrt(np.min(np.sum(gap**2, axis=-1), axis=(1, 2))) < larger))
+    near = int(np.sum(np.sqrt(np.min(np.sum(gap**2, axis=-1), axis=(1, 2))) < larger * (1 - 1e-9)))
     assert report.pair_counts == {
         "identical": mesh.n_elements,
         "vertex": len(pairs.vertex),
@@ -1212,6 +1212,30 @@ def _disjoint_block_loop(Va, Vb, s, order):
     return block
 
 
+def _near_pairs(mesh):
+    """The disjoint pairs that ``_disjoint_blocks`` gives the near order, over the leaf rows."""
+    rows = disjoint_partition(mesh, _DISTANT_RATIO)[1]
+    blocks = _disjoint_blocks(mesh, element_geometry(mesh), *_orders(mesh.dim, 0)[:3], rows)
+    return sum(len(ia) for category, ia, _, _ in blocks if category == "disjoint_near")
+
+
+@pytest.mark.parametrize("level, near", [(1, 708), (2, 3576)])
+def test_near_far_ties_do_not_follow_rounding(level, near):
+    # in the ring mesh many pairs lie exactly one larger diameter apart at
+    # their closest vertices; they go far, so interior nodes moved by one
+    # ulp, up, down or at random, keep every pair's band
+    mesh = build_mesh(2, level)
+    counts = [_near_pairs(mesh)]
+    free = mesh.free_count
+    rng = np.random.default_rng(0)
+    for toward in (np.inf, -np.inf, None):
+        nodes = mesh.nodes.copy()
+        target = np.where(rng.random(nodes[:free].shape) < 0.5, np.inf, -np.inf) if toward is None else toward
+        nodes[:free] = np.nextafter(nodes[:free], target)
+        counts.append(_near_pairs(make_ball_mesh(2, nodes, mesh.elements)))
+    assert counts == [near] * 4
+
+
 @pytest.mark.parametrize("s", [0.25, 0.5])
 @pytest.mark.parametrize("boost", [0, 1], ids=["default", "boosted"])
 def test_disjoint_blocks_2d_vs_pointwise_kernel(s, boost):
@@ -1227,7 +1251,7 @@ def test_disjoint_blocks_2d_vs_pointwise_kernel(s, boost):
     sep = np.linalg.norm(verts[pairs[:, 0]].mean(axis=1) - verts[pairs[:, 1]].mean(axis=1), axis=1)
     distant = sep >= _DISTANT_RATIO * larger
     mind = np.array([cdist(verts[a], verts[b]).min() for a, b in pairs])
-    near = ~distant & (mind < larger)
+    near = ~distant & (mind < larger * (1 - 1e-9))
     far = ~distant & ~near
     assert 0 < near.sum() and 0 < far.sum() and 0 < distant.sum()
     # the stream gives each band its category and order; at the default
