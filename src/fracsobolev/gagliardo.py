@@ -598,9 +598,8 @@ def _disjoint_blocks(mesh, geo, near, far, distant, pairs):
     With D the larger diameter: centroids _DISTANT_RATIO D apart or more
     take the distant order (their vertices lie over 2 D apart), other
     pairs with a vertex distance below D the near order, the rest far.
-    The near test carries the block walk's 1e-9 relative margin, so a
-    pair exactly D apart, common on uniform meshes, goes far however its
-    distance rounds.
+    The near test keeps the block walk's 1e-9 relative margin, so pairs
+    exactly D apart, common on uniform meshes, go far however they round.
     """
     centroid = geo.verts.mean(axis=1).T.copy()
     for ia, ib in pairs:
@@ -913,8 +912,8 @@ def tail_bound(mesh: BallMesh, s: float, u: FeFunction, ratio: float) -> float:
     |Q_j - Q_0| for higher levels j, so the slack audit adds it to the
     band's shift.  It does for the smooth profiles the sweeps audit, not
     for every u: for rough u in 1D it falls short (ROADMAP item 19, the
-    xfail cases of ``test_tail_bound_holds``).  Every such pair takes
-    the distant order (ratio >= _DISTANT_RATIO), the smallest of its level.  With r_c D the reach
+    xfail cases of ``test_tail_bound_holds``).  Every such pair takes the
+    distant order (ratio >= _DISTANT_RATIO), the smallest of its level.  With r_c D the reach
     of an element from its centroid (r_c = 1/2 in 1D, 2/3 for a
     triangle), a pair c >= ratio D apart has gap d >= kappa c and
     D <= min(h, c / ratio), with kappa = 1 - 2 r_c / ratio, so its

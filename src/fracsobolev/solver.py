@@ -56,10 +56,6 @@ _RISE_TOL = 16 * np.finfo(float).eps
 # matrix flip acceptances and with them the step count.
 _MIX_DEPTH = 5
 _MIX_MARGIN = 8 * np.finfo(float).eps
-# The slack audit's band reaches R = _AUDIT_RATIO larger diameters and
-# doubles while the tail bound exceeds _TAIL_SHARE of its shift, up to the
-# ball's diameter 2; a band of a quarter of the pairs or more gives way to
-# one full pass, which costs about as much as its two passes.
 _AUDIT_RATIO = 8.0
 _TAIL_SHARE = 1e-3
 
@@ -157,11 +153,13 @@ def quadrature_slack(mesh, s, u, semi, norm_sq):
 
     semi is u's level-0 seminorm and norm_sq its squared critical norm.
     The level-1 seminorm is semi plus the shift of the two levels over
-    ``audit_band(mesh, cutoff)``, summed ring by ring as R doubles,
-    within ``gagliardo.tail_bound`` of the pairs beyond; after one full
-    level-1 pass instead, tail is 0 and cutoff inf.  Over the squared
-    critical norm at order 12, Q_1 and tail follow, and the slack is
-    |Q_1 - semi / norm_sq| + tail.
+    ``audit_band(mesh, cutoff)``, within ``gagliardo.tail_bound`` of the
+    pairs beyond.  R starts at _AUDIT_RATIO larger diameters and doubles,
+    adding the ring from R to 2 R, while the bound exceeds _TAIL_SHARE of
+    the shift and R h < 2; a band of a quarter of the pairs takes one
+    full level-1 pass instead, which costs about as much as its two,
+    with tail 0 and cutoff inf.  Over the squared critical norm at order
+    12, Q_1 and tail follow, and the slack is |Q_1 - semi / norm_sq| + tail.
     """
     m = mesh.n_elements
     ratio, inner = _AUDIT_RATIO, 0.0

@@ -25,7 +25,7 @@ from scipy.special import ellipe
 
 from fracsobolev import gagliardo, reference_rule
 from fracsobolev import mesh as mesh_module
-from fracsobolev.bubble import normalize_lambda, truncated_bubble
+from fracsobolev.bubble import truncated_bubble
 from fracsobolev.gagliardo import (
     AssemblyError,
     AssemblyReport,
@@ -52,7 +52,6 @@ from fracsobolev.gagliardo import (
     _tile_chunks,
 )
 from fracsobolev.mesh import (
-    BallMesh,
     FeFunction,
     build_mesh,
     disjoint_partition,
@@ -61,7 +60,7 @@ from fracsobolev.mesh import (
     interpolate,
     make_ball_mesh,
 )
-from fracsobolev.params import optimal_concentration
+from fracsobolev.solver import default_start
 
 # --------------------------------------------------------------- helpers
 
@@ -1308,12 +1307,6 @@ _AUDIT_MESHES = {
 }
 
 
-def _profile(mesh: BallMesh, s):
-    """The balanced-concentration profile of the mesh, as upper_bound_sweep takes it."""
-    c = optimal_concentration(mesh.h, mesh.dim, s)
-    return interpolate(mesh, truncated_bubble(normalize_lambda(c, mesh.dim, s), c, mesh.dim, s))
-
-
 def _brute_band(mesh, ratio):
     """(band, tail): every disjoint pair, split by the plain ratio test on centroids, as rings (ia, ib, inner)."""
     geo = element_geometry(mesh)
@@ -1385,7 +1378,7 @@ def test_audit_annulus_splits_the_band(key, ratio):
 def test_band_and_tail_partition_the_form(key, ratio, s, boost):
     # the band's seminorm plus the disjoint pairs beyond it is the whole form
     mesh = _AUDIT_MESHES[key]()
-    u = _profile(mesh, s)
+    u = default_start(mesh, s)
     _, tail = _brute_band(mesh, ratio)
     assert len(tail[0]) > 0
     band_sum = seminorm_sq_direct(mesh, s, u, boost, audit_band(mesh, ratio))
@@ -1400,7 +1393,7 @@ def test_tiled_pass_matches_the_row_path(dim, level, s, boost):
     # as tiles; the reference sums every one of them as a row, through the
     # band path over the brute-force pair list
     mesh = build_mesh(dim, level)
-    u = _profile(mesh, s)
+    u = default_start(mesh, s)
     ref = _brute_force_pairs(mesh)
     every = (*np.concatenate([ref["near"], ref["far"], ref["distant"]]).T, 0.0)
     rows = seminorm_sq_direct(mesh, s, u, boost, every)
@@ -1421,7 +1414,7 @@ def test_leaf_size_keeps_the_work(monkeypatch, dim, level, s, boost):
     for leaf in (mesh_module._LEAF_SIZE, 1, 2):
         monkeypatch.setattr(mesh_module, "_LEAF_SIZE", leaf)
         mesh = build_mesh(dim, level)
-        runs.append(seminorm_sq_direct(mesh, s, _profile(mesh, s), boost) if boost else assemble(mesh, s))
+        runs.append(seminorm_sq_direct(mesh, s, default_start(mesh, s), boost) if boost else assemble(mesh, s))
     ref = runs[0]
     for run in runs[1:]:
         if boost:
@@ -1574,7 +1567,7 @@ def test_compressed_tiles_keep_the_sums(monkeypatch, key, s, boost):
     # the default rule, the same assembled form to well within 1e-13 of
     # the form
     mesh = _tile_meshes(key, monkeypatch)
-    u = _profile(mesh, s)
+    u = default_start(mesh, s)
     w = u.free_values
     runs = []
     for dense in (False, True):
@@ -1636,7 +1629,7 @@ def test_tail_bound_holds(dim, level, s, shape, ratios):
     # beyond the band, both summed pair by pair, for the profile the sweeps
     # audit; for rough u in 1D it can fall short, the xfail cases
     mesh = build_mesh(dim, level)
-    u = _profile(mesh, s) if shape == "profile" else _rough(mesh, shape)
+    u = default_start(mesh, s) if shape == "profile" else _rough(mesh, shape)
     for ratio in ratios:
         _, tail = _brute_band(mesh, ratio)
         sums = [_disjoint_sum(mesh, s, u, tail, boost) for boost in (0, 1, 2)]
@@ -1647,7 +1640,7 @@ def test_tail_bound_holds(dim, level, s, shape, ratios):
 
 def test_tail_bound_validation():
     mesh = build_mesh(1, 4)
-    u = _profile(mesh, 0.25)
+    u = default_start(mesh, 0.25)
     with pytest.raises(ValueError, match="ratio"):
         tail_bound(mesh, 0.25, u, 3.0)
     with pytest.raises(ValueError, match="mesh"):

@@ -10,11 +10,11 @@ from scipy.linalg import cho_factor, cho_solve
 import fracsobolev.solver as solver_module
 from fracsobolev import gagliardo
 from fracsobolev.bubble import Bubble, normalize_lambda, truncated_bubble
+from fracsobolev.experiments import discrete_constant_sweep, upper_bound_sweep
 from fracsobolev.gagliardo import assemble, seminorm_sq, seminorm_sq_direct
 from fracsobolev.mesh import FeFunction, build_mesh, interpolate
 from fracsobolev.norms import lq_norm, nonlinear_residual
 from fracsobolev.params import critical_exponent, exact_constant, optimal_concentration
-from fracsobolev.experiments import discrete_constant_sweep, upper_bound_sweep
 from fracsobolev.solver import default_start, deficit, fit_manifold, quadrature_slack, quotient, solve
 
 
@@ -67,10 +67,7 @@ def test_solution_dominates_trial_functions(small_problem):
         u = FeFunction.from_free(mesh, rng.normal(size=mesh.free_count))
         assert quotient(form, u) >= rep.s_h * (1.0 - 1e-12)
     # the default start is one such trial
-    c_h = optimal_concentration(mesh.h, 1, 0.25)
-    lam = normalize_lambda(c_h, 1, 0.25)
-    start = interpolate(mesh, truncated_bubble(lam, c_h, 1, 0.25))
-    assert quotient(form, start) >= rep.s_h
+    assert quotient(form, default_start(mesh, 0.25)) >= rep.s_h
 
 
 def test_discrete_constants_decrease_under_refinement(reports_1d_s025):
