@@ -221,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p0 = sub.add_parser("constant", help="print closed-form quantities")
     common(p0)
-    p0.set_defaults(func=_cmd_constant)
+    p0.set_defaults(func=_cmd_constant, parser=p0)
 
     p1 = sub.add_parser("sweep", help="rate sweep over mesh levels")
     p1.add_argument("mode", choices=("upper", "solve"))
@@ -229,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     p1.add_argument("--levels", type=_parse_levels, default="4..8")
     p1.add_argument("--tol", type=float, default=1e-10)
     p1.add_argument("--out", type=str, default=None)
-    p1.set_defaults(func=_cmd_sweep)
+    p1.set_defaults(func=_cmd_sweep, parser=p1)
 
     p2 = sub.add_parser("verify", help="scaling and inequality audits")
     p2.add_argument("kind", choices=("interp", "covering", "minseq", "inequalities"))
@@ -241,22 +241,24 @@ def build_parser() -> argparse.ArgumentParser:
     p2.add_argument("--seed", type=int, default=0)
     p2.add_argument("--eps", type=_parse_widths, default="0.2,0.1,0.05")
     p2.add_argument("--out", type=str, default=None)
-    p2.set_defaults(func=_cmd_verify)
+    p2.set_defaults(func=_cmd_verify, parser=p2)
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = _parse_args(parser, sys.argv[1:] if argv is None else list(argv))
+    # checks after parsing exit through the subcommand's parser, whose
+    # usage line lists the flags they name
     try:
         check_order(args.dim, args.s)
     except ValueError as exc:
-        parser.error(str(exc))
+        args.parser.error(str(exc))
     if getattr(args, "levels", None) is not None:
         try:
             check_levels(args.dim, args.levels)
         except ValueError as exc:
-            parser.error(f"argument --levels: {exc}")
+            args.parser.error(f"argument --levels: {exc}")
     return args.func(args)
 
 

@@ -78,6 +78,24 @@ def test_bad_order_exits_through_argparse(capsys):
     assert "s=0.9 outside the admissible range" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, usage",
+    [
+        (["sweep", "upper", "--dim", "1", "--levels", "0..3"], "usage: fracsob sweep"),
+        (["sweep", "solve", "--s", "0.9"], "usage: fracsob sweep"),
+        (["verify", "interp", "--levels", "0,1,2"], "usage: fracsob verify"),
+        (["constant", "--s", "0.9"], "usage: fracsob constant"),
+    ],
+)
+def test_checks_after_parsing_print_the_subcommand_usage(argv, usage, capsys, monkeypatch):
+    # the usage line lists the flags the message names, not the top-level commands
+    monkeypatch.setattr(experiments, "build_mesh", _no_mesh)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith(usage)
+
+
 def test_config_levels_meet_the_same_check(tmp_path, capsys):
     cfg = tmp_path / "c.cfg"
     cfg.write_text("levels = 8..4\n")

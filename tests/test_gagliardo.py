@@ -14,10 +14,13 @@ import itertools
 import json
 import tracemalloc
 from math import fsum
+from unittest.mock import patch
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss
 from scipy import integrate
 from scipy.spatial.distance import cdist
@@ -60,7 +63,7 @@ from fracsobolev.mesh import (
     interpolate,
     make_ball_mesh,
 )
-from fracsobolev.solver import default_start
+from fracsobolev.solver import default_start, solve
 
 # --------------------------------------------------------------- helpers
 
@@ -525,7 +528,8 @@ def test_work_counts_follow_the_term_stream(dim, level, s, boost):
         if category == "complement":
             cells += len(wK)
         evals[category] = evals.get(category, 0) + wK.size
-    report = AssemblyReport(budget_exceeded=0, **work)
+    # a bare term stream runs no positivity audit, so it has no margin
+    report = AssemblyReport(budget_exceeded=0, dominance_margin=float("nan"), **work)
     if boost == 0:
         assembled = assemble(mesh, s).assembly_report
         for field in ("pair_counts", "kernel_evals", "complement_cells", "complement_points"):
@@ -825,6 +829,64 @@ def test_assemble_rejects_an_indefinite_matrix(monkeypatch, dim, level, s):
     monkeypatch.setattr(gagliardo, "_term_block", lambda g, wK: -_term_block(g, wK))
     with pytest.raises(AssemblyError, match="not positive definite"):
         assemble(build_mesh(dim, level), s)
+
+
+@pytest.mark.parametrize("dim, level, s", [(1, 8, 0.25), (2, 1, 0.5)])
+def test_dominant_forms_are_certified_without_a_factor(monkeypatch, dim, level, s):
+    # these forms are strictly diagonally dominant, so the Gershgorin
+    # certificate decides and the one factorization is the solver's
+    def refuse(matrix):
+        raise AssertionError("the positivity audit factored a dominant form")
+
+    monkeypatch.setattr(np.linalg, "cholesky", refuse)
+    report = assemble(build_mesh(dim, level), s).assembly_report
+    assert report.dominance_margin > 0
+    assert report.phase_seconds["audit"] >= 0
+
+
+def test_forms_that_are_not_dominant_fall_back_to_cholesky():
+    # 2D level 2 at s = 0.25 is positive definite but not diagonally
+    # dominant: the factorization decides, once, and the solver converges
+    with patch.object(np.linalg, "cholesky", wraps=np.linalg.cholesky) as cholesky:
+        form = assemble(build_mesh(2, 2), 0.25)
+    cholesky.assert_called_once()
+    report = form.assembly_report
+    assert report.dominance_margin < 0
+    assert report.phase_seconds["audit"] <= report.phase_seconds["total"]
+    assert solve(form).converged
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(2, 12),
+    seed=st.integers(0, 2**32 - 1),
+    dominance=st.floats(0.01, 1.0),
+    skew=st.floats(1e-14, 4e-13),
+    row=st.integers(0, 11),
+)
+def test_gershgorin_certificate_boundary(n, seed, dominance, skew, row):
+    rng = np.random.default_rng(seed)
+    off = -rng.uniform(0.1, 1.0, (n, n))
+    A = np.triu(off, 1) + np.triu(off, 1).T
+    np.fill_diagonal(A, np.abs(A).sum(axis=1) * (1 + dominance))
+    # hypothesis runs the body once per example, so the counting wrapper
+    # is a context manager rather than the function-scoped monkeypatch
+    with patch.object(np.linalg, "cholesky", wraps=np.linalg.cholesky) as cholesky:
+        # symmetric and dominant: certified with no factor
+        assert gagliardo._positivity_audit(A) > 0
+        assert cholesky.call_count == 0
+        # an asymmetry of skew times the largest entry, within the 1e-12
+        # tolerance after row k shrinks, in the lower triangle, where it
+        # shrinks |a_10|: the certificate must cover every symmetric
+        # matrix within skew, so a row whose margin lies below (n - 1) skew
+        # goes to the factorization, which decides it
+        skew *= np.max(np.abs(A))
+        A[1, 0] += skew
+        k = row % n
+        A[k, k] = 0.0
+        A[k, k] = np.abs(A[k]).sum() + 0.5 * (n - 1) * skew
+        assert gagliardo._positivity_audit(A) < 0
+        assert cholesky.call_count == 1
 
 
 @pytest.mark.parametrize(
