@@ -841,9 +841,9 @@ def _positivity_audit(matrix):
     (Varga, *Gersgorin and His Circles*, 2004).  The 1D forms at
     s = 0.25 are strictly diagonally dominant through level 12 (least
     margin 0.0177).  Where the margin is not positive, as at 2D level 3
-    and at small s, np.linalg.cholesky decides.  The margin returned is row i's
-    allowance-net margin over a_ii, least over the rows, -inf where
-    a_ii <= 0.
+    and at small s, np.linalg.cholesky decides.  The margin returned is
+    row i's allowance-net margin over a_ii, least over the rows, -inf
+    where a_ii <= 0.
     """
     n = len(matrix)
     rows = np.empty(n)
