@@ -71,6 +71,32 @@ def _parse_widths(text: str) -> list:
     return eps
 
 
+def _checked(convert, ok, rule):
+    """A flag ``type``: the text through ``convert``, kept when ``ok`` holds.
+
+    A value that does not convert or breaks the rule raises
+    ArgumentTypeError naming ``rule``, the check of the function the flag
+    feeds, which argparse prints before it exits with status 2.
+    """
+
+    def parse(text):
+        try:
+            value = convert(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"{text!r} is not {rule}")
+
+    return parse
+
+
+# the rules of solve's tol, verify_covering's samples and verify_interp_error's q
+_parse_tol = _checked(float, lambda tol: 0.0 <= tol < np.inf, "a finite number >= 0")
+_parse_samples = _checked(int, lambda n: n >= 1000, "an integer >= 1000")
+_parse_q = _checked(float, lambda q: q >= 1.0, "a number >= 1")
+
+
 def _parse_config(path: str) -> dict:
     out = {}
     with open(path) as f:
@@ -227,17 +253,17 @@ def build_parser() -> argparse.ArgumentParser:
     p1.add_argument("mode", choices=("upper", "solve"))
     common(p1)
     p1.add_argument("--levels", type=_parse_levels, default="4..8")
-    p1.add_argument("--tol", type=float, default=1e-10)
+    p1.add_argument("--tol", type=_parse_tol, default=1e-10)
     p1.add_argument("--out", type=str, default=None)
     p1.set_defaults(func=_cmd_sweep, parser=p1)
 
     p2 = sub.add_parser("verify", help="scaling and inequality audits")
     p2.add_argument("kind", choices=("interp", "covering", "minseq", "inequalities"))
     common(p2)
-    p2.add_argument("--q", type=float, default=2.0)
+    p2.add_argument("--q", type=_parse_q, default=2.0)
     p2.add_argument("--c", type=float, default=0.25)
     p2.add_argument("--levels", type=_parse_levels, default=None)
-    p2.add_argument("--samples", type=int, default=10000)
+    p2.add_argument("--samples", type=_parse_samples, default=10000)
     p2.add_argument("--seed", type=int, default=0)
     p2.add_argument("--eps", type=_parse_widths, default="0.2,0.1,0.05")
     p2.add_argument("--out", type=str, default=None)

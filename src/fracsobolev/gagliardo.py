@@ -41,15 +41,15 @@ near, far or distant, from its separation.
 
 The form is the default rule, level 0; ``seminorm_sq_direct`` alone
 takes higher levels, for the slack audit (``solver.quadrature_slack``),
-which differences levels 0 and 1 on the rings (ia, ib, inner) of
-``audit_band``: the disjoint pairs from inner to R larger diameters
-apart, among the walk's leaf pairs, with the identical, touching and
-complement rows at inner 0.  ``tail_bound`` bounds both levels' Gauss
-errors beyond R a priori for the sweeps' smooth profiles: the integrand
-is analytic in each reference direction on a Bernstein ellipse whose
-size grows with the separation over the diameter (Trefethen, ATAP, Thm
-19.3; Sauter & Schwab, *Boundary Element Methods*, ch. 5), summed by a
-radial integral per element in closed form.
+which differences levels 0 and 1 over every pair or over the band
+(ia, ib) of ``audit_band``: the disjoint pairs under R larger diameters
+apart, among the walk's leaf pairs, with every identical, touching and
+complement row.  ``tail_bound`` bounds both levels' Gauss errors beyond
+R a priori for the sweeps' smooth profiles: the integrand is analytic
+in each reference direction on a Bernstein ellipse whose size grows
+with the separation over the diameter (Trefethen, ATAP, Thm 19.3;
+Sauter & Schwab, *Boundary Element Methods*, ch. 5), summed by a radial
+integral per element in closed form.
 
 The form streams as terms (category, node idx, g, wK), one row per
 element pair or element: row b adds sum_q wK[b, q] (g_q . u[idx[b]])^2.
@@ -630,15 +630,13 @@ def _disjoint_blocks(mesh, geo, near, far, distant, pairs):
         yield "disjoint_far", ia[apart], ib[apart], distant
 
 
-def audit_band(mesh: BallMesh, ratio: float, inner: float = 0.0):
-    """The ring (ia, ib, inner): disjoint pairs, a < b in triu order, with centroids from inner to ratio larger diameters apart.
+def audit_band(mesh: BallMesh, ratio: float):
+    """The band (ia, ib): disjoint pairs, a < b in triu order, with centroids under ratio larger diameters apart.
 
     ``_disjoint_blocks``' separation test over ``mesh.leaf_pairs`` at
     ratio, or 2 if larger, which hold every such pair; the test runs
     before the node comparison that drops the touching pairs, and no
-    tile is grouped or evaluated.  The pairs under inner larger
-    diameters apart are left out by the same test in the same floats,
-    so the band at inner and this ring split the band at ratio exactly.
+    tile is grouped or evaluated.
     """
     geo = element_geometry(mesh)
     centroid = geo.verts.mean(axis=1).T.copy()
@@ -646,12 +644,10 @@ def audit_band(mesh: BallMesh, ratio: float, inner: float = 0.0):
     def keep(ia, ib):
         sep, larger = _separation(centroid, geo, ia, ib)
         band = sep < (ratio * larger) ** 2
-        if inner:
-            band &= sep >= (inner * larger) ** 2
         band[band] = ~shares_node(mesh, ia[band], ib[band])
         return band
 
-    return (*leaf_pairs(mesh, max(ratio, 2.0), keep), inner)
+    return leaf_pairs(mesh, max(ratio, 2.0), keep)
 
 
 def _terms(mesh, s, boost, geo, work, band=None, tile=None):
@@ -669,10 +665,9 @@ def _terms(mesh, s, boost, geo, work, band=None, tile=None):
     the leaf rows stream as terms, and each ``_tile_chunks`` chunk of the
     tiles, all distant pairs, goes to the consumer ``tile`` instead,
     counted as disjoint_far pairs and kernel values (its K's entries)
-    and timed in the disjoint phase.  With band, a ring (ia, ib, inner)
-    of ``audit_band``, the disjoint pairs are those of the ring alone, as
-    rows, and the identical, touching and complement rows come only when
-    inner is 0.
+    and timed in the disjoint phase.  With band, pairs (ia, ib) such as
+    ``audit_band``'s, the disjoint pairs are those of the band alone, as
+    rows, beside every identical, touching and complement row.
 
     Once the stream ends, ``work`` holds the AssemblyReport fields
     pair_counts, counted from the pair sets' rows, kernel_evals,
@@ -698,7 +693,7 @@ def _terms(mesh, s, boost, geo, work, band=None, tile=None):
             raise ValueError("a pass over every pair needs a tile consumer")
         tiles, rows = disjoint_partition(mesh, _DISTANT_RATIO)
     else:
-        ia, ib, inner = band
+        ia, ib = band
         tiles, rows = [], ((ia[part], ib[part]) for part in _row_chunks(len(ia), 1))
 
     def disjoint():
@@ -708,10 +703,11 @@ def _terms(mesh, s, boost, geo, work, band=None, tile=None):
             points["disjoint_far"] += chunk.K.size
             tile(chunk)
 
-    phases = [("disjoint", disjoint())]
-    if band is None or not inner:
-        phases.insert(0, ("singular", expand(_singular_sets(mesh, s, geo, pairs, boost))))
-        phases.append(("complement", _complement_terms(mesh, s, geo, complement)))
+    phases = (
+        ("singular", expand(_singular_sets(mesh, s, geo, pairs, boost))),
+        ("disjoint", disjoint()),
+        ("complement", _complement_terms(mesh, s, geo, complement)),
+    )
     for phase, stream in phases:
         t0 = time.perf_counter()
         for category, idx, g, wK in stream:
@@ -889,10 +885,10 @@ def seminorm_sq_direct(mesh: BallMesh, s: float, u: FeFunction, boost: int = 0, 
     the values at its points, as sum W U^2 (K W) + sum (W K) W U^2 -
     2 (W U)^T K (W U), one fsum part per chunk; for an interpolated tile,
     K = Pa Kc Pb^T, the three weighted vectors of each side go through
-    its basis first, O(p^N (n_a + n_b) + p^2N) per tile.  With band, a
-    ring (ia, ib, inner) of ``audit_band``, the sum takes the ring's
-    disjoint pairs, and the identical, touching and complement rows at
-    inner 0: the part of the slack audit that is computed.
+    its basis first, O(p^N (n_a + n_b) + p^2N) per tile.  With band, the
+    pairs (ia, ib) of ``audit_band``, the sum takes the band's disjoint
+    pairs and every identical, touching and complement row: the part of
+    the slack audit that is computed.
     """
     check_order(mesh.dim, s)
     if u.mesh is not mesh:
@@ -922,28 +918,29 @@ def seminorm_sq_direct(mesh: BallMesh, s: float, u: FeFunction, boost: int = 0, 
     return s * (1 - s) * fsum(parts)
 
 
-def _pair_error_constant(dim, s, order, least):
-    """(K, q): a tail pair's Gauss error is at most K J_a J_b (U_a + U_b)^2 D^q d^(-q-N-2s).
+def _pair_error_constant(dim, s, order, least, k):
+    """(K, q): a tail pair's Gauss error on a piece that grows like a^k is at most K J_a J_b w D^q d^(-q-N-2s).
 
     d is the pair's gap, D its larger diameter and least a lower bound of
-    d / D; U_a is the largest |u| on element a's nodes.  The plain Gauss
-    rule is a tensor of 2N rules of ``order`` points on [0, 1], so its
-    error is at most the sum over the 2N directions of the 1D error,
-    (32/15) M rho^(-2n) / (rho^2 - 1) for an integrand bounded by M on
-    the Bernstein ellipse E_rho (Trefethen, ATAP Thm 19.3).  Along a
-    direction the point moves by at most D per unit, so E_rho with
-    a = (rho + 1/rho)/2 = 1 + 2 tau d/D takes it at most tau d off its
-    element and (D/2) sqrt(a^2 - 1) off the real space.  There
-    |x - y|^(-N-2s) is analytic and at most (theta d)^(-N-2s), with
-    theta = 1 - tau in 1D and theta^2 = 1 - 2 tau - tau D/d in 2D; u is
-    at most a U_a, and in 2D the collapsed rule's Jacobian at most a, so
-    M = 2 J_a J_b a^p (U_a + U_b)^2 (theta d)^(-N-2s) with p = N + 1.
-    Each factor of a^p rho^(-2n) / (rho^2 - 1) (d/D)^q, q = 2n + 2 - p,
-    is largest at d/D = least or as d/D grows without bound, which
-    gives K for every tau; K is the least over a grid of tau.
+    d / D; the piece of the integrand is at most w (theta d)^(-N-2s) a^k
+    on the ellipse of every direction (see ``tail_bound``).  The plain
+    Gauss rule is a tensor of 2N rules of ``order`` = n points on [0, 1],
+    so its error is at most the sum over the 2N directions of the 1D
+    error, (32/15) M rho^(2-2n) / (rho^2 - 1) for an integrand bounded by
+    M on the Bernstein ellipse E_rho (Trefethen, ATAP Thm 19.3, whose
+    rho^(-2n) is that of n + 1 points).  Along a direction the point
+    moves by at most D per unit, so E_rho with a = (rho + 1/rho)/2 = 1 +
+    2 tau d/D takes it at most tau d off its element and (D/2) sqrt(a^2 -
+    1) off the real space.  There |x - y|^(-N-2s) is analytic and at
+    most (theta d)^(-N-2s), with theta = 1 - tau in 1D and theta^2 = 1 -
+    2 tau - tau D/d in 2D, and in 2D the collapsed rule's Jacobian is at
+    most a, so M = 2 J_a J_b w a^p (theta d)^(-N-2s) with p = k + N - 1.
+    Each factor of a^p rho^(2-2n) / (rho^2 - 1) (d/D)^q, q = 2n - p, is
+    largest at d/D = least or as d/D grows without bound, which gives K
+    for every tau; K is the least over a grid of tau.
     """
-    p = dim + 1
-    q = 2 * order + 2 - p
+    p = k + dim - 1
+    q = 2 * order - p
     top = 1.0 if dim == 1 else 1.0 / (2.0 + 1.0 / least)
     tau = top * np.linspace(0.0, 1.0, 1001)[1:-1]
     theta_sq = (1.0 - tau) ** 2 if dim == 1 else 1.0 - 2.0 * tau - tau / least
@@ -959,19 +956,34 @@ def tail_bound(mesh: BallMesh, s: float, u: FeFunction, ratio: float) -> float:
 
     The sum of the two bounds bounds |Q_1 - Q_0| over those pairs, and
     |Q_j - Q_0| for higher levels j, so the slack audit adds it to the
-    band's shift.  It does for the smooth profiles the sweeps audit, not
-    for every u: for rough u in 1D it falls short (ROADMAP item 19, the
-    xfail cases of ``test_tail_bound_holds``).  Every such pair takes the
-    distant order (ratio >= _DISTANT_RATIO), the smallest of its level.  With r_c D the reach
-    of an element from its centroid (r_c = 1/2 in 1D, 2/3 for a
-    triangle), a pair c >= ratio D apart has gap d >= kappa c and
-    D <= min(h, c / ratio), with kappa = 1 - 2 r_c / ratio, so its
-    ``_pair_error_constant`` weight D^q d^(-q-N-2s) is at most k(c),
-    decreasing in c.  (U_a + U_b)^2 <= 2 U_a^2 + 2 U_b^2 splits the
-    pair sum into per-element sums of J_b k(c_ab), and every point y of
-    such an element b has |y - c_a| / lam <= c_ab, lam = 1 + r_c /
-    ratio, and |y - c_a| >= (ratio - r_c) D_a; so the sum is at most the
-    integral of k(|y - c_a| / lam) over that far region, in closed form.
+    band's shift; it holds for every piecewise-linear u.  Every such pair
+    takes the distant order (ratio >= _DISTANT_RATIO), the smallest of
+    its level.  On element a, u = v_a + phi_a, v_a its centroid value and
+    |phi_a| at most delta_a on a and a delta_a on the ellipse of one of
+    a's directions: delta_a is the largest |u - v_a| on a's nodes in 1D
+    and twice it in 2D, where the bound is (1 + a) times it.  The Gauss
+    error is linear in the integrand, so (V + phi_a - phi_b)^2 |x -
+    y|^(-N-2s), V = v_a - v_b, splits into its six products, each with
+    the ``_pair_error_constant`` K_k of the power a^k it takes in a
+    direction: V^2 takes K_0 in all 2N directions, V phi_a takes K_1 in
+    a's N and K_0 in b's, and so on, so a pair's error is at most J_a J_b
+    times
+
+        K_0 V^2 + (K_0 + K_1) |V| (delta_a + delta_b)
+            + ((K_0 + K_2) / 2 + K_1) (delta_a^2 + delta_b^2),
+
+    each K_k with its own weight D^q d^(-q-N-2s).  With V^2 <= 2 v_a^2 +
+    2 v_b^2 and 2 |V| (delta_a + delta_b) <= mu V^2 + (delta_a +
+    delta_b)^2 / mu for the best mu > 0, the pair sum splits into
+    per-element sums T_k[f] of f_a J_a J_b w_k(c_ab), to 2 T_0[v^2] + 2
+    sqrt((T_0 + T_1)[v^2] (T_0 + T_1)[delta^2]) + (T_0 + T_2)[delta^2] / 2
+    + T_1[delta^2].  With r_c D the reach of an element from its centroid
+    (r_c = 1/2 in 1D, 2/3 for a triangle), a pair c >= ratio D apart has
+    gap d >= kappa c and D <= min(h, c / ratio), with kappa = 1 - 2 r_c /
+    ratio, so its weight is at most w_k(c), decreasing in c.  Every point y
+    of such an element b has |y - c_a| / lam <= c_ab, lam = 1 + r_c /
+    ratio, and |y - c_a| >= (ratio - r_c) D_a; so T_k is at most the
+    integral of w_k(|y - c_a| / lam) over that far region, in closed form.
     O(m), with no pair formed; in the units of seminorm_sq_direct.
     """
     check_order(mesh.dim, s)
@@ -988,11 +1000,18 @@ def tail_bound(mesh: BallMesh, s: float, u: FeFunction, ratio: float) -> float:
     sphere = 2.0 * lam if dim == 1 else 4.0 * np.pi * lam**2
     reach = ratio * mesh.h
     inner = (ratio - r_c) * geo.diameter / lam
-    weight = geo.jacobian * np.max(u.values[mesh.elements] ** 2, axis=1)
+    vals = u.values[mesh.elements]
+    centroid = vals.mean(axis=1)
+    delta = np.max(np.abs(vals - centroid[:, None]), axis=1) * (1.0 if dim == 1 else 2.0)
+    weights = geo.jacobian * np.array([centroid**2, delta**2])
     total = 0.0
     for level in (0, 1):
-        K, q = _pair_error_constant(dim, s, _orders(dim, level)[2], ratio - 2.0 * r_c)
-        # integral over t >= inner of t^(N-1) k(t), split at t = reach
-        radial = (inner ** (-2 * s) - reach ** (-2 * s)) / (2 * s) + reach ** (-2 * s) / (q + 2 * s)
-        total += 2.0 * K * kappa ** (-q - dim - 2 * s) * sphere * ratio**-q * float(weight @ radial)
-    return s * (1 - s) * total
+        T = []
+        for k in range(3):
+            K, q = _pair_error_constant(dim, s, _orders(dim, level)[2], ratio - 2.0 * r_c, k)
+            # integral over t >= inner of t^(N-1) w_k(t), split at t = reach
+            radial = (inner ** (-2 * s) - reach ** (-2 * s)) / (2 * s) + reach ** (-2 * s) / (q + 2 * s)
+            T.append(K * kappa ** (-q - dim - 2 * s) * sphere * ratio**-q * (weights @ radial))
+        (v0, d0), (v1, d1), (_, d2) = T
+        total += 2.0 * v0 + 2.0 * np.sqrt((v0 + v1) * (d0 + d1)) + (d0 + d2) / 2.0 + d1
+    return s * (1 - s) * float(total)

@@ -56,7 +56,7 @@ _RISE_TOL = 16 * np.finfo(float).eps
 # matrix flip acceptances and with them the step count.
 _MIX_DEPTH = 5
 _MIX_MARGIN = 8 * np.finfo(float).eps
-_AUDIT_RATIO = 8.0
+_AUDIT_RATIO = 16.0
 _TAIL_SHARE = 1e-3
 
 
@@ -152,32 +152,26 @@ def quadrature_slack(mesh, s, u, semi, norm_sq):
     """(slack, tail, cutoff): how far u's quotient semi / norm_sq may move one rule level up.
 
     semi is u's level-0 seminorm and norm_sq its squared critical norm.
-    The level-1 seminorm is semi plus the shift of the two levels over
-    ``audit_band(mesh, cutoff)``, within ``gagliardo.tail_bound`` of the
-    pairs beyond.  R starts at _AUDIT_RATIO larger diameters and doubles,
-    adding the ring from R to 2 R, while the bound exceeds _TAIL_SHARE of
-    the shift and R h < 2; a band of a quarter of the pairs takes one
-    full level-1 pass instead, which costs about as much as its two,
-    with tail 0 and cutoff inf.  Over the squared critical norm at order
-    12, Q_1 and tail follow, and the slack is |Q_1 - semi / norm_sq| + tail.
+    Where _AUDIT_RATIO h < 2 and ``audit_band(mesh, _AUDIT_RATIO)`` holds
+    under a quarter of the pairs, the level-1 seminorm is semi plus the
+    shift of the two levels over that band, within ``gagliardo.tail_bound``
+    of the pairs beyond, kept when the bound is at most _TAIL_SHARE of the
+    shift, with cutoff _AUDIT_RATIO.  Otherwise one full level-1 pass
+    takes its place, with tail 0 and cutoff inf: a larger band costs about
+    as much.  Over the squared critical norm at order 12, Q_1 and tail
+    follow, and the slack is |Q_1 - semi / norm_sq| + tail.
     """
     m = mesh.n_elements
-    ratio, inner = _AUDIT_RATIO, 0.0
-    shift, size = 0.0, 0
-    fine, cutoff = None, float("inf")
-    while ratio * mesh.h < 2.0:
-        ring = audit_band(mesh, ratio, inner)
-        size += len(ring[0])
-        if 8 * size >= m * (m - 1):
-            break
-        shift += seminorm_sq_direct(mesh, s, u, 1, ring) - seminorm_sq_direct(mesh, s, u, 0, ring)
-        tail = tail_bound(mesh, s, u, ratio)
-        if tail <= _TAIL_SHARE * abs(shift):
-            fine, cutoff = semi + shift, ratio
-            break
-        ratio, inner = 2.0 * ratio, ratio
+    fine = None
+    if _AUDIT_RATIO * mesh.h < 2.0:
+        band = audit_band(mesh, _AUDIT_RATIO)
+        if 8 * len(band[0]) < m * (m - 1):
+            shift = seminorm_sq_direct(mesh, s, u, 1, band) - seminorm_sq_direct(mesh, s, u, 0, band)
+            tail = tail_bound(mesh, s, u, _AUDIT_RATIO)
+            if tail <= _TAIL_SHARE * abs(shift):
+                fine, cutoff = semi + shift, _AUDIT_RATIO
     if fine is None:
-        fine, tail = seminorm_sq_direct(mesh, s, u, 1), 0.0
+        fine, tail, cutoff = seminorm_sq_direct(mesh, s, u, 1), 0.0, float("inf")
     fine_sq = lq_norm(u, critical_exponent(mesh.dim, s), order=12) ** 2
     tail /= fine_sq
     return abs(fine / fine_sq - semi / norm_sq) + tail, tail, cutoff

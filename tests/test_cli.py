@@ -220,6 +220,25 @@ def test_bad_widths_exit_through_argparse(eps, capsys):
     assert reason in err
 
 
+@pytest.mark.parametrize(
+    "argv, reason",
+    [
+        (["sweep", "solve", "--tol", "-1"], "a finite number >= 0"),
+        (["verify", "covering", "--samples", "10"], "an integer >= 1000"),
+        (["verify", "interp", "--q", "0.5"], "a number >= 1"),
+    ],
+)
+def test_bad_numbers_exit_through_argparse(argv, reason, capsys, monkeypatch):
+    # each flag meets the rule of the function it feeds while parsing,
+    # before any mesh is built
+    monkeypatch.setattr(experiments, "build_mesh", _no_mesh)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {argv[-2]}: {argv[-1]!r} is not {reason}" in err
+
+
 def test_verify_interp_command(capsys):
     rc = main(
         ["verify", "interp", "--dim", "1", "--s", "0.25", "--q", "2", "--c", "0.25", "--levels", "5..7"]

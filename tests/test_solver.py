@@ -87,7 +87,7 @@ def test_quadrature_slack_small(reports_1d_s025):
 def test_slack_tracks_the_twice_boosted_error(dim, level, s):
     # the slack is the boosted audit's shift of s_h; a twice-boosted quotient,
     # over a finer critical norm, shifts it by the same amount to within 1e-3
-    # of the slack (1.00081 and 1.00075), so grading the audit's far field
+    # of the slack (1.00079 and 1.00075), so grading the audit's far field
     # by distance keeps the audit as fine as the default rule needs
     mesh = build_mesh(dim, level)
     form = assemble(mesh, s)
@@ -101,13 +101,15 @@ def test_slack_tracks_the_twice_boosted_error(dim, level, s):
 def test_banded_slack_covers_the_full_pass(reports_1d_s025):
     # the band's shift plus the tail bound is at least the full level-1
     # pass's slack, and exceeds it by at most twice the bound; a band of
-    # every pair is that pass itself
+    # every pair is that pass itself.  The audit has two outcomes: the one
+    # band at 16 diameters, or the full pass
     q = critical_exponent(1, 0.25)
     cutoffs = []
     for rep in reports_1d_s025.values():
         u = rep.minimizer
         fine = seminorm_sq_direct(u.mesh, 0.25, u, boost=1) / lq_norm(u, q, order=12) ** 2
         full = abs(fine - rep.s_h)
+        assert rep.audit_cutoff in (16.0, float("inf"))
         cutoffs.append(rep.audit_cutoff)
         if rep.audit_cutoff == float("inf"):
             assert rep.tail_bound == 0.0 and rep.quadrature_slack == full
@@ -138,6 +140,23 @@ def test_both_sweeps_report_the_one_audit():
             assert res.details["tail_bound"][i] == tail
             assert res.details["audit_cutoff"][i] == cutoff
     assert solved.details["audit_cutoff"][0] == float("inf") > solved.details["audit_cutoff"][-1]
+
+
+@pytest.mark.parametrize("level", [0, 1, 2])
+def test_2d_audit_takes_the_full_pass_without_a_band(monkeypatch, level):
+    # through 2D L2, 16 h >= 2: a band at 16 diameters would reach across
+    # the ball, so the audit goes straight to the full pass and forms no
+    # band it would throw away
+    def refuse(mesh, ratio):
+        raise AssertionError(f"the audit formed a band at ratio {ratio}")
+
+    monkeypatch.setattr(solver_module, "audit_band", refuse)
+    s = 0.5
+    mesh = build_mesh(2, level)
+    u = default_start(mesh, s)
+    norm_sq = lq_norm(u, critical_exponent(2, s)) ** 2
+    slack, tail, cutoff = quadrature_slack(mesh, s, u, seminorm_sq_direct(mesh, s, u), norm_sq)
+    assert cutoff == float("inf") and tail == 0.0 and slack > 0.0
 
 
 def test_banded_audit_streams_no_disjoint_pair(monkeypatch):
