@@ -91,10 +91,12 @@ def _checked(convert, ok, rule):
     return parse
 
 
-# the rules of solve's tol, verify_covering's samples and verify_interp_error's q
+# each parser applies the rule of the function its flag feeds
 _parse_tol = _checked(float, lambda tol: 0.0 <= tol < np.inf, "a finite number >= 0")
 _parse_samples = _checked(int, lambda n: n >= 1000, "an integer >= 1000")
 _parse_q = _checked(float, lambda q: q >= 1.0, "a number >= 1")
+_parse_c = _checked(float, lambda c: 0.0 < c < np.inf, "a finite number > 0")
+_parse_seed = _checked(int, lambda seed: seed >= 0, "an integer >= 0")
 
 
 def _parse_config(path: str) -> dict:
@@ -261,10 +263,10 @@ def build_parser() -> argparse.ArgumentParser:
     p2.add_argument("kind", choices=("interp", "covering", "minseq", "inequalities"))
     common(p2)
     p2.add_argument("--q", type=_parse_q, default=2.0)
-    p2.add_argument("--c", type=float, default=0.25)
+    p2.add_argument("--c", type=_parse_c, default=0.25)
     p2.add_argument("--levels", type=_parse_levels, default=None)
     p2.add_argument("--samples", type=_parse_samples, default=10000)
-    p2.add_argument("--seed", type=int, default=0)
+    p2.add_argument("--seed", type=_parse_seed, default=0)
     p2.add_argument("--eps", type=_parse_widths, default="0.2,0.1,0.05")
     p2.add_argument("--out", type=str, default=None)
     p2.set_defaults(func=_cmd_verify, parser=p2)

@@ -57,14 +57,14 @@ Each element-pair category, the 1D identical pairs too, is a pair set
 (category, node rows, row scale, rule of pieces (g, w)); ``_terms``
 counts its rows and expands it through ``_pair_terms``, which
 evaluates the kernel from g . X, the rule's point gaps in the rows.
-``assemble`` scatters each term's block sum_q wK g_q g_q^T into the
-matrix, then audits it: symmetric, and positive definite by a
-Gershgorin certificate where the form is diagonally dominant, as the
-1D forms at s = 0.25 are, or else by a Cholesky factorization, so a
-dominant form is factored once, by the solver; ``seminorm_sq_direct``
-sums the terms at the points and forms no block.  The tile chunks go
-to a consumer beside the terms, in one format whose kernel is K, or
-Pa K Pb^T for an interpolated tile:
+``assemble`` scatters each term's block sum_q wK g_q g_q^T into an
+all-node array, whose free block is the matrix, then audits it:
+symmetric, and positive definite by a Gershgorin certificate where the
+form is diagonally dominant, as the 1D forms at s = 0.25 are, or else
+by a Cholesky factorization, so a dominant form is factored once, by
+the solver; ``seminorm_sq_direct`` sums the terms at the points and
+forms no block.  The tile chunks go to a consumer beside the terms, in
+one format whose kernel is K, or Pa K Pb^T for an interpolated tile:
 ``assemble`` adds a chunk's cross blocks -2 (W lam)^T K (W lam) through
 matmuls, k^2 entries per pair each way instead of (2k)^2, or for an
 interpolated tile -2 Ha Kc Hb^T, H the basis projected onto the
@@ -194,7 +194,7 @@ class AssemblyReport:
 
 @dataclass(frozen=True)
 class NonlocalForm:
-    """Assembled bilinear form restricted to the free (interior) nodes."""
+    """Assembled form on the free (interior) nodes; matrix views the free block of assemble's array."""
 
     mesh: BallMesh
     s: float
@@ -592,12 +592,9 @@ def _tile_chunks(mesh, s, geo, tiles, order):
                 yield _TileChunk(a[rows], b[cols], wa[rp], wb[cp], K)
 
 
-def _separation(centroid, geo, ia, ib):
-    """(squared centroid distance, larger diameter) of the element pairs (ia, ib).
-
-    centroid holds the element centroids, one array per coordinate.
-    """
-    sep = _sum_sq(x[ia] - x[ib] for x in centroid)
+def _separation(geo, ia, ib):
+    """(squared centroid distance, larger diameter) of the element pairs (ia, ib)."""
+    sep = _sum_sq(x[ia] - x[ib] for x in geo.centroid.T)
     return sep, np.maximum(geo.diameter[ia], geo.diameter[ib])
 
 
@@ -610,9 +607,8 @@ def _disjoint_blocks(mesh, geo, near, far, distant, pairs):
     The near test keeps the block walk's 1e-9 relative margin, so pairs
     exactly D apart, common on uniform meshes, go far however they round.
     """
-    centroid = geo.verts.mean(axis=1).T.copy()
     for ia, ib in pairs:
-        sep, larger = _separation(centroid, geo, ia, ib)
+        sep, larger = _separation(geo, ia, ib)
         reach = _DISTANT_RATIO * larger
         apart = sep >= reach * reach
         a, b = ia[~apart], ib[~apart]
@@ -639,10 +635,9 @@ def audit_band(mesh: BallMesh, ratio: float):
     tile is grouped or evaluated.
     """
     geo = element_geometry(mesh)
-    centroid = geo.verts.mean(axis=1).T.copy()
 
     def keep(ia, ib):
-        sep, larger = _separation(centroid, geo, ia, ib)
+        sep, larger = _separation(geo, ia, ib)
         band = sep < (ratio * larger) ** 2
         band[band] = ~shares_node(mesh, ia[band], ib[band])
         return band
@@ -731,10 +726,12 @@ def _check_finite(category, values):
 def assemble(mesh: BallMesh, s: float) -> NonlocalForm:
     """Assemble the bilinear form matrix on the free nodes at the default rule.
 
-    The matrix is audited before it is returned: it must be symmetric to
-    1e-12 of its largest entry and positive definite, which a Gershgorin
-    certificate proves where the form is diagonally dominant and
-    np.linalg.cholesky decides where it is not (``_positivity_audit``);
+    The matrix is the free block of the one all-node n x n array the
+    terms are scattered into, a view with leading dimension n, as nodes
+    are interior-first.  It is audited before it is returned: it must be
+    symmetric to 1e-12 of its largest entry and positive definite, which
+    a Gershgorin certificate proves where the form is diagonally dominant
+    and np.linalg.cholesky decides where it is not (``_positivity_audit``);
     either failure raises AssemblyError.
     """
     check_order(mesh.dim, s)
@@ -810,10 +807,8 @@ def assemble(mesh: BallMesh, s: float) -> NonlocalForm:
     for category, idx, g, wK in _terms(mesh, s, 0, geo, work, tile=add_tile):
         add(category, idx, g, wK)
     add("disjoint_far", mesh.elements, lam, sums)
-    flat *= s * (1 - s)
-    fc = mesh.free_count
-    matrix = np.ascontiguousarray(flat.reshape(n, n)[:fc, :fc])
-    del flat
+    matrix = flat.reshape(n, n)[: mesh.free_count, : mesh.free_count]
+    matrix *= s * (1 - s)
 
     t0 = time.perf_counter()
     margin = _positivity_audit(matrix)

@@ -270,11 +270,11 @@ def build_mesh(N, level):
 def element_geometry(mesh):
     """Cached per-element arrays used by quadrature, assembly and mesh quality.
 
-    Returns an object with verts (m, k, dim), measure (m,), diameter (m,),
-    inball (m,), the inscribed-ball diameter, jacobian (m,), the measure
-    over that of the reference simplex, and grads (m, k, dim) holding the
-    constant gradients of the k nodal basis functions.  ``make_ball_mesh``
-    seeds the cache.
+    Returns an object with verts (m, k, dim), centroid (m, dim), measure
+    (m,), diameter (m,), inball (m,), the inscribed-ball diameter,
+    jacobian (m,), the measure over the reference simplex's, and grads
+    (m, k, dim), the constant gradients of the k nodal basis functions.
+    ``make_ball_mesh`` seeds the cache.
     """
     if "geometry" not in mesh._cache:
         mesh._cache["geometry"] = _build_geometry(mesh.dim, mesh.nodes[mesh.elements])
@@ -313,6 +313,7 @@ def _build_geometry(dim, verts):
         grads = np.stack([-gx1 - gx2, gx1, gx2], axis=1)
     return _ElementGeometry(
         verts=verts,
+        centroid=verts.mean(axis=1),
         measure=measure,
         diameter=diameter,
         inball=inball,
@@ -324,6 +325,7 @@ def _build_geometry(dim, verts):
 @dataclass(frozen=True, eq=False)
 class _ElementGeometry:
     verts: np.ndarray
+    centroid: np.ndarray
     measure: np.ndarray
     diameter: np.ndarray
     inball: np.ndarray
@@ -379,7 +381,6 @@ def cluster_tree(mesh):
 
 def _build_tree(mesh):
     geo = element_geometry(mesh)
-    centroid = geo.verts.mean(axis=1)
     order = np.arange(mesh.n_elements)
     # spans grows as nodes split, so the loop reaches every child after
     # its parent
@@ -389,12 +390,12 @@ def _build_tree(mesh):
         if hi - lo <= _LEAF_SIZE:
             children.append((-1, -1))
             continue
-        axis = np.argmax(np.ptp(centroid[members], axis=0))
-        order[lo:hi] = members[np.argsort(centroid[members, axis], kind="stable")]
+        axis = np.argmax(np.ptp(geo.centroid[members], axis=0))
+        order[lo:hi] = members[np.argsort(geo.centroid[members, axis], kind="stable")]
         children.append((len(spans), len(spans) + 1))
         spans += [(lo, (lo + hi) // 2), ((lo + hi) // 2, hi)]
     start, stop = np.array(spans).T
-    boxes = [centroid[order[lo:hi]] for lo, hi in spans]
+    boxes = [geo.centroid[order[lo:hi]] for lo, hi in spans]
     verts = [geo.verts[order[lo:hi]] for lo, hi in spans]
     return _ClusterTree(
         order=order,

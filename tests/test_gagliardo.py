@@ -49,6 +49,7 @@ from fracsobolev.gagliardo import (
     _interpolate_tile,
     _orders,
     _pair_terms,
+    _row_chunks,
     _singular_sets,
     _term_block,
     _terms,
@@ -856,6 +857,22 @@ def test_forms_that_are_not_dominant_fall_back_to_cholesky():
     assert solve(form).converged
 
 
+def test_assemble_holds_one_dense_array():
+    # the matrix is the free block of the array the terms were scattered
+    # into, so a dominant form peaks near one n x n array; a copy of the
+    # free block beside the scatter array reads 2.0 arrays
+    mesh = build_mesh(1, 10)
+    assemble(mesh, 0.25)  # warms the mesh's pair, tree and partition caches
+    tracemalloc.start()
+    try:
+        assemble(mesh, 0.25)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n = mesh.n_nodes
+    assert peak < 1.5 * 8 * n * n, peak / (8 * n * n)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     n=st.integers(2, 12),
@@ -1382,11 +1399,19 @@ def _brute_band(mesh, ratio):
 
 
 def _disjoint_sum(mesh, s, u, pairs, boost):
-    """s(1-s) times the exact sum of the disjoint-pair terms of the pairs (ia, ib)."""
+    """s(1-s) times the exact sum of the disjoint-pair terms of the pairs (ia, ib).
+
+    The parts of a band pass of ``_terms``: the pairs in one-row blocks
+    through the package's disjoint pair sets.
+    """
+    geo = element_geometry(mesh)
+    ia, ib = pairs
+    rows = ((ia[part], ib[part]) for part in _row_chunks(len(ia), 1))
+    sets = _disjoint_sets(mesh, geo, _disjoint_blocks(mesh, geo, *_orders(mesh.dim, boost)[:3], rows))
     parts = [
         float(np.sum(wK * (u.values[idx] @ g.T) ** 2))
-        for category, idx, g, wK in _terms(mesh, s, boost, element_geometry(mesh), {}, pairs)
-        if category.startswith("disjoint")
+        for _, nodes, scale, rule in sets
+        for idx, g, wK in _pair_terms(mesh, s, nodes, scale, rule)
     ]
     return s * (1 - s) * fsum(parts)
 
