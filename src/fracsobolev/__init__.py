@@ -15,10 +15,12 @@ from .bubble import (
 )
 from .experiments import (
     InterpRates,
+    ManifoldFit,
     RateFit,
     SweepRecord,
     SweepResult,
     discrete_constant_sweep,
+    fit_manifold,
     fit_rate,
     make_rng,
     read_records,
@@ -59,7 +61,7 @@ from .params import (
     optimal_concentration,
     rate_exponent,
 )
-from .solver import ManifoldFit, SolverReport, deficit, fit_manifold, quotient, solve
+from .solver import SolverReport, deficit, quotient, solve
 
 __version__ = "0.1.0"
 

@@ -181,8 +181,8 @@ def bubble_lq_norm(b, q):
     truncated profile is by construction. Relative accuracy around 1e-10,
     enforced through the adaptive tolerance.
     """
-    if q < 1.0:
-        raise ValueError("q must be at least 1")
+    if not 1.0 <= q < np.inf:
+        raise ValueError(f"q must be a finite number >= 1, got {q!r}")
     if np.any(b.center != 0.0):
         raise ValueError("the ball norm needs a profile centered at the origin")
     power = _radial_lq_power(b.radial_value, q, b.dim, split=b.concentration)

@@ -94,7 +94,7 @@ def _checked(convert, ok, rule):
 # each parser applies the rule of the function its flag feeds
 _parse_tol = _checked(float, lambda tol: 0.0 <= tol < np.inf, "a finite number >= 0")
 _parse_samples = _checked(int, lambda n: n >= 1000, "an integer >= 1000")
-_parse_q = _checked(float, lambda q: q >= 1.0, "a number >= 1")
+_parse_q = _checked(float, lambda q: 1.0 <= q < np.inf, "a finite number >= 1")
 _parse_c = _checked(float, lambda c: 0.0 < c < np.inf, "a finite number > 0")
 _parse_seed = _checked(int, lambda seed: seed >= 0, "an integer >= 0")
 

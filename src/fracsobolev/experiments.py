@@ -1,4 +1,4 @@
-"""Rate sweeps, slope fits, and inequality audits over the assembled pipeline.
+"""Rate sweeps, slope fits, inequality audits and the manifold fit of a solved level.
 
 Each sweep produces plain records that serialize to CSV losslessly
 (floats written with repr round-trip exactly).  Sampling operations take
@@ -11,11 +11,13 @@ import time
 from dataclasses import dataclass, fields
 
 import numpy as np
+from scipy.optimize import minimize
 
 from ._quad import QuadratureError, reference_rule
 from .bubble import Bubble, normalize_lambda, truncated_bubble
 from .gagliardo import (
     AssemblyError,
+    NonlocalForm,
     assemble,
     element_self_interaction,
     seminorm_sq_direct,
@@ -36,16 +38,18 @@ from .params import (
     optimal_concentration,
     rate_exponent,
 )
-from .solver import default_start, fit_manifold, quadrature_slack, quotient, solve
+from .solver import default_start, quadrature_slack, quotient, solve
 
 __all__ = [
     "RNG_NAME",
     "InterpRates",
+    "ManifoldFit",
     "RateFit",
     "SweepRecord",
     "SweepResult",
     "check_levels",
     "discrete_constant_sweep",
+    "fit_manifold",
     "fit_rate",
     "make_rng",
     "read_records",
@@ -95,6 +99,17 @@ class SweepResult:
     fit: RateFit | None
     failures: list
     details: dict
+
+
+@dataclass(frozen=True)
+class ManifoldFit:
+    """Best local fit of a concentrated-profile interpolant to a function."""
+
+    amplitude: float
+    concentration: float
+    center: np.ndarray
+    discrete_distance_sq: float
+    converged: bool
 
 
 @dataclass(frozen=True)
@@ -264,12 +279,7 @@ def upper_bound_sweep(N: int, s: float, levels) -> SweepResult:
 
 
 def discrete_constant_sweep(N: int, s: float, levels, tol: float = 1e-10) -> SweepResult:
-    """Gap of the minimized discrete constant above the sharp one, per level.
-
-    Also fits the profile concentration of each minimizer; its regression
-    against h is reported in details (the balancing heuristic predicts
-    slope 2(2-s)/(N+4(1-s)), recorded for inspection, not asserted).
-    """
+    """Gap of the minimized discrete constant above the sharp one, per level."""
     _check_problem(N, s)
     S = exact_constant(N, s)
 
@@ -280,7 +290,6 @@ def discrete_constant_sweep(N: int, s: float, levels, tol: float = 1e-10) -> Swe
         rep = solve(form, init=warm, tol=tol)
         if rep.s_h > warm_q:
             raise RuntimeError("minimization worsened the warm start")
-        mf = fit_manifold(form, rep.minimizer)
         extras = {
             "s_h": rep.s_h,
             "warm_deficit": warm_q - S,
@@ -290,8 +299,6 @@ def discrete_constant_sweep(N: int, s: float, levels, tol: float = 1e-10) -> Swe
             "residual": rep.residual,
             "audit_cutoff": rep.audit_cutoff,
             "tail_bound": rep.tail_bound,
-            "c_fit": mf.concentration,
-            "fit_centers": mf.center,
         }
         c_h = optimal_concentration(mesh.h, N, s)
         return c_h, rep.s_h - S, rep.quadrature_slack, extras
@@ -305,11 +312,60 @@ def discrete_constant_sweep(N: int, s: float, levels, tol: float = 1e-10) -> Swe
     fit = fit_rate([(r.h, r.value) for r in records])
     if fit.slope <= 0:
         raise RuntimeError("fitted gap slope is not positive")
-    details["c_fit_regression"] = fit_rate(
-        [(r.h, c) for r, c in zip(records, details["c_fit"])]
-    )
     details["alpha"] = rate_exponent(N, s)
     return SweepResult(records, fit, failures, details)
+
+
+# -------------------------------------------------- manifold diagnostic
+
+
+def fit_manifold(
+    form: NonlocalForm,
+    u: FeFunction,
+    init_guess: tuple | None = None,
+) -> ManifoldFit:
+    """Locally minimize seminorm_sq(u - I_h Phi) over profile parameters.
+
+    The amplitude enters quadratically and is eliminated in closed form;
+    Nelder-Mead searches over log-concentration and the center.
+    """
+    mesh = form.mesh
+    dim = mesh.dim
+    if not np.any(u.values):
+        raise ValueError("cannot fit the zero function")
+    if init_guess is None:
+        init_guess = (1.0, optimal_concentration(mesh.h, dim, form.s), np.zeros(dim))
+    _, c0, x0 = init_guess
+    A = form.matrix
+    w = u.free_values
+    uAu = float(w @ A @ w)
+
+    def eliminated(params):
+        c = float(np.exp(params[0]))
+        center = np.asarray(params[1:], dtype=float)
+        phi = interpolate(mesh, Bubble(dim, form.s, 1.0, c, center))
+        pf = phi.free_values
+        Ap = A @ pf
+        den = float(pf @ Ap)
+        if den <= 0.0:
+            return uAu, 0.0
+        num = float(w @ Ap)
+        return uAu - num * num / den, num / den
+
+    res = minimize(
+        lambda p: eliminated(p)[0],
+        x0=np.concatenate([[np.log(c0)], np.atleast_1d(x0)]),
+        method="Nelder-Mead",
+        options={"xatol": 1e-9, "fatol": max(uAu, 1e-30) * 1e-13, "maxiter": 600},
+    )
+    dist_sq, lam = eliminated(res.x)
+    return ManifoldFit(
+        amplitude=lam,
+        concentration=float(np.exp(res.x[0])),
+        center=np.asarray(res.x[1:], dtype=float),
+        discrete_distance_sq=max(dist_sq, 0.0),
+        converged=bool(res.success),
+    )
 
 
 # ----------------------------------------------- interpolation-error rates
@@ -354,8 +410,8 @@ def verify_interp_error(N: int, s: float, q: float, c: float, levels) -> InterpR
     unit-critical-norm amplitude so the c-regression matches that exponent.
     """
     _check_problem(N, s)
-    if q < 1:
-        raise ValueError("q must be >= 1")
+    if not 1.0 <= q < np.inf:
+        raise ValueError(f"q must be a finite number >= 1, got {q!r}")
     levels = check_levels(N, levels)
     h_pts, g_pts = [], []
     for lev in levels:

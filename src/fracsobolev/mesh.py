@@ -142,8 +142,9 @@ def make_ball_mesh(dim, nodes, elements):
 
     Detects boundary nodes (distance to the unit sphere below 1e-12),
     reorders nodes interior-first, checks conformity and orientation, and
-    builds the element geometry once, from which h and h_min come.  Element
-    entries must be integer values; integer-valued floats are accepted.
+    builds the element geometry once, from which h and h_min come.  Node
+    coordinates must be finite and element entries integer values;
+    integer-valued floats are accepted.
     """
     nodes = np.ascontiguousarray(np.asarray(nodes, dtype=float))
     if nodes.ndim == 1:
@@ -158,6 +159,9 @@ def make_ball_mesh(dim, nodes, elements):
         raise ValueError("node or element array has the wrong width")
     if np.any((elements < 0) | (elements >= len(nodes))):
         raise ValueError(f"element node index outside [0, {len(nodes)})")
+    bad = np.flatnonzero(~np.isfinite(nodes).all(axis=1))
+    if bad.size:
+        raise ValueError(f"node {bad[0]} has non-finite coordinates {nodes[bad[0]].tolist()}")
     radii = np.linalg.norm(nodes, axis=1)
     if np.any(radii > 1.0 + _BOUNDARY_TOL):
         raise ValueError("node outside the closed unit ball")

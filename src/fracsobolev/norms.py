@@ -113,8 +113,8 @@ def lq_norm(u: FeFunction, q: float, order: int = _DEFAULT_ORDER) -> float:
     The per-element Gauss order starts at ``order`` and is raised until
     doubling it moves the result by at most a 1e-8 relative tolerance.
     """
-    if q < 1:
-        raise ValueError("q must be >= 1")
+    if not 1.0 <= q < np.inf:
+        raise ValueError(f"q must be a finite number >= 1, got {q!r}")
     if not np.any(u.values):
         return 0.0
 
@@ -133,8 +133,8 @@ def nonlinear_residual(u: FeFunction, q: float) -> np.ndarray:
     This is (1/q) times the gradient of the q-th power of the L^q norm
     with respect to the nodal coefficients.
     """
-    if q <= 2:
-        raise ValueError("q must be > 2")
+    if not 2.0 < q < np.inf:
+        raise ValueError(f"q must be a finite number > 2, got {q!r}")
     if not np.any(u.values):
         raise ValueError("residual requires a nonzero function")
     mesh = u.mesh

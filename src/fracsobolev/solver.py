@@ -1,4 +1,4 @@
-"""Minimization of the discrete Rayleigh quotient and manifold diagnostics.
+"""Minimization of the discrete Rayleigh quotient and its quadrature slack audit.
 
 The discrete constant is the minimum of seminorm_sq(u) over functions
 with unit critical-exponent norm.  The nonlinear inverse power method
@@ -19,9 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
-from scipy.optimize import minimize
 
-from .bubble import Bubble, normalize_lambda, truncated_bubble
+from .bubble import normalize_lambda, truncated_bubble
 from .gagliardo import (
     NonlocalForm,
     audit_band,
@@ -34,11 +33,9 @@ from .norms import lq_norm, nonlinear_residual
 from .params import critical_exponent, exact_constant, optimal_concentration
 
 __all__ = [
-    "ManifoldFit",
     "SolverReport",
     "default_start",
     "deficit",
-    "fit_manifold",
     "quadrature_slack",
     "quotient",
     "solve",
@@ -75,17 +72,6 @@ class SolverReport:
     quadrature_slack: float
     audit_cutoff: float  # the audit's R; inf when it summed every pair
     tail_bound: float  # the bound part of quadrature_slack; see gagliardo.tail_bound
-
-
-@dataclass(frozen=True)
-class ManifoldFit:
-    """Best local fit of a concentrated-profile interpolant to a function."""
-
-    amplitude: float
-    concentration: float
-    center: np.ndarray
-    discrete_distance_sq: float
-    converged: bool
 
 
 def quotient(form: NonlocalForm, u: FeFunction) -> float:
@@ -272,53 +258,4 @@ def solve(
         quadrature_slack=slack,
         audit_cutoff=cutoff,
         tail_bound=tail,
-    )
-
-
-def fit_manifold(
-    form: NonlocalForm,
-    u: FeFunction,
-    init_guess: tuple | None = None,
-) -> ManifoldFit:
-    """Locally minimize seminorm_sq(u - I_h Phi) over profile parameters.
-
-    The amplitude enters quadratically and is eliminated in closed form;
-    Nelder-Mead searches over log-concentration and the center.
-    """
-    mesh = form.mesh
-    dim = mesh.dim
-    if not np.any(u.values):
-        raise ValueError("cannot fit the zero function")
-    if init_guess is None:
-        init_guess = (1.0, optimal_concentration(mesh.h, dim, form.s), np.zeros(dim))
-    _, c0, x0 = init_guess
-    A = form.matrix
-    w = u.free_values
-    uAu = float(w @ A @ w)
-
-    def eliminated(params):
-        c = float(np.exp(params[0]))
-        center = np.asarray(params[1:], dtype=float)
-        phi = interpolate(mesh, Bubble(dim, form.s, 1.0, c, center))
-        pf = phi.free_values
-        Ap = A @ pf
-        den = float(pf @ Ap)
-        if den <= 0.0:
-            return uAu, 0.0
-        num = float(w @ Ap)
-        return uAu - num * num / den, num / den
-
-    res = minimize(
-        lambda p: eliminated(p)[0],
-        x0=np.concatenate([[np.log(c0)], np.atleast_1d(x0)]),
-        method="Nelder-Mead",
-        options={"xatol": 1e-9, "fatol": max(uAu, 1e-30) * 1e-13, "maxiter": 600},
-    )
-    dist_sq, lam = eliminated(res.x)
-    return ManifoldFit(
-        amplitude=lam,
-        concentration=float(np.exp(res.x[0])),
-        center=np.asarray(res.x[1:], dtype=float),
-        discrete_distance_sq=max(dist_sq, 0.0),
-        converged=bool(res.success),
     )

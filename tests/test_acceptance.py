@@ -19,6 +19,7 @@ from scipy import special
 from fracsobolev.bubble import Bubble, normalize_lambda
 from fracsobolev.experiments import (
     discrete_constant_sweep,
+    fit_manifold,
     fit_rate,
     make_rng,
     upper_bound_sweep,
@@ -31,7 +32,7 @@ from fracsobolev.gagliardo import assemble, complement_weight
 from fracsobolev.mesh import FeFunction, build_mesh, make_ball_mesh
 from fracsobolev.norms import lq_norm
 from fracsobolev.params import critical_exponent, exact_constant, rate_exponent
-from fracsobolev.solver import deficit, fit_manifold, solve
+from fracsobolev.solver import deficit, solve
 
 
 def _verdict(log, num, ok, detail):

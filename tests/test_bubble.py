@@ -170,6 +170,13 @@ def test_lq_norm_divergence_guard():
         bubble_lq_norm(b, 0.5)
 
 
+@pytest.mark.parametrize("q", [np.nan, np.inf])
+def test_lq_norm_ball_rejects_non_finite_exponents(q):
+    b = Bubble(dim=1, s=0.25, amplitude=1.0, concentration=1.0)
+    with pytest.raises(ValueError, match="finite number >= 1"):
+        bubble_lq_norm(b, q)
+
+
 def test_lq_norm_ball_needs_a_centered_profile():
     # the ball is the unit ball around the origin: an off-center profile is
     # refused there

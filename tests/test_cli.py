@@ -225,11 +225,13 @@ def test_bad_widths_exit_through_argparse(eps, capsys):
     [
         (["sweep", "solve", "--tol", "-1"], "a finite number >= 0"),
         (["verify", "covering", "--samples", "10"], "an integer >= 1000"),
-        (["verify", "interp", "--q", "0.5"], "a number >= 1"),
+        (["verify", "interp", "--q", "0.5"], "a finite number >= 1"),
         (["verify", "interp", "--levels", "4..6", "--c", "-1"], "a finite number > 0"),
         (["verify", "interp", "--levels", "4..6", "--c", "nan"], "a finite number > 0"),
         (["verify", "covering", "--seed", "-1"], "an integer >= 0"),
         (["verify", "inequalities", "--seed", "-1"], "an integer >= 0"),
+        (["verify", "interp", "--q", "inf"], "a finite number >= 1"),
+        (["verify", "interp", "--q", "nan"], "a finite number >= 1"),
     ],
 )
 def test_bad_numbers_exit_through_argparse(argv, reason, capsys, monkeypatch):

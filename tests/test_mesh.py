@@ -178,6 +178,23 @@ def test_make_ball_mesh_rejects_non_integer_node_indices(dim, nodes, elements):
         make_ball_mesh(dim, nodes, elements)
 
 
+@pytest.mark.parametrize(
+    "dim, nodes, elements, bad",
+    [
+        # in 1D this read as elements that do not tile the interval
+        pytest.param(1, [-1.0, np.nan, 1.0], [[0, 1], [1, 2]], 1, id="1d"),
+        # in 2D it built with h = nan and failed only in assemble
+        pytest.param(
+            2, [[np.nan, 0.0], [1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]],
+            [[0, 1, 2], [0, 2, 3], [0, 3, 4], [0, 4, 1]], 0, id="2d",
+        ),
+    ],
+)
+def test_make_ball_mesh_rejects_non_finite_nodes(dim, nodes, elements, bad):
+    with pytest.raises(ValueError, match=f"node {bad} has non-finite coordinates"):
+        make_ball_mesh(dim, nodes, elements)
+
+
 def test_make_ball_mesh_accepts_integer_valued_floats():
     elements = [[0, 1, 2], [0, 2, 3], [0, 3, 4], [0, 4, 1]]
     mesh = make_ball_mesh(2, _DISK, np.array(elements, dtype=float))

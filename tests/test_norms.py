@@ -125,6 +125,18 @@ def test_lq_norm_homogeneity_and_zero():
         lq_norm(u, 0.5)
 
 
+@pytest.mark.parametrize("q", [np.nan, np.inf])
+def test_non_finite_exponents_raise(q):
+    # an infinite q read as a power gave lq_norm 1.0, and NaN doubled the
+    # order to the cap before it returned NaN
+    mesh = build_mesh(1, 4)
+    u = interpolate(mesh, lambda x: 1.0 - x[:, 0] ** 2)
+    with pytest.raises(ValueError, match=re.escape(f"a finite number >= 1, got {q!r}")):
+        lq_norm(u, q)
+    with pytest.raises(ValueError, match=re.escape(f"a finite number > 2, got {q!r}")):
+        nonlinear_residual(u, q)
+
+
 def test_lq_norm_sign_splitting_1d():
     # u = x on one interior element pair: |u|^q has a kink at 0; the split
     # integration must reproduce 2 * int_0^h (x)^q exactly

@@ -10,12 +10,12 @@ from scipy.linalg import cho_factor, cho_solve
 import fracsobolev.solver as solver_module
 from fracsobolev import gagliardo
 from fracsobolev.bubble import Bubble, normalize_lambda, truncated_bubble
-from fracsobolev.experiments import discrete_constant_sweep, upper_bound_sweep
+from fracsobolev.experiments import discrete_constant_sweep, fit_manifold, upper_bound_sweep
 from fracsobolev.gagliardo import assemble, seminorm_sq, seminorm_sq_direct
 from fracsobolev.mesh import FeFunction, build_mesh, interpolate
 from fracsobolev.norms import lq_norm, nonlinear_residual
 from fracsobolev.params import critical_exponent, exact_constant, optimal_concentration
-from fracsobolev.solver import default_start, deficit, fit_manifold, quadrature_slack, quotient, solve
+from fracsobolev.solver import default_start, deficit, quadrature_slack, quotient, solve
 
 
 @pytest.fixture(scope="module")
