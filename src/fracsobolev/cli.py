@@ -24,7 +24,7 @@ from .experiments import (
     verify_minimizing_sequence,
     write_records,
 )
-from .mesh import FeFunction, build_mesh
+from .mesh import FeFunction, SizeLimitError, build_mesh
 from .params import check_order, critical_exponent, exact_constant, rate_exponent
 
 _VERIFY_MESH_LEVEL = {1: 5, 2: 1}
@@ -287,7 +287,10 @@ def main(argv=None) -> int:
             check_levels(args.dim, args.levels)
         except ValueError as exc:
             args.parser.error(f"argument --levels: {exc}")
-    return args.func(args)
+    try:
+        return args.func(args)
+    except SizeLimitError as exc:
+        args.parser.error(str(exc))
 
 
 if __name__ == "__main__":

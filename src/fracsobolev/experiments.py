@@ -372,6 +372,10 @@ def fit_manifold(
 
 
 _INTERP_WIDTHS = [2.0**-k for k in range(2, 6)]
+_INTERP_ORDER = 10
+# float64 values per quadrature point at the peak of _interp_errors, by
+# dimension (tracemalloc reads 7.5 in 1D and 11.1 in 2D)
+_INTERP_ARRAYS = {1: 8, 2: 12}
 
 
 def _element_quad_points(mesh: BallMesh, order: int):
@@ -382,9 +386,9 @@ def _element_quad_points(mesh: BallMesh, order: int):
     return geo, bary, weights, pts, scale
 
 
-def _interp_errors(mesh, psi, u, q, order=10):
+def _interp_errors(mesh, psi, u, q):
     """(L^q error, L^2 gradient error) of psi minus its interpolant."""
-    geo, bary, weights, pts, scale = _element_quad_points(mesh, order)
+    geo, bary, weights, pts, scale = _element_quad_points(mesh, _INTERP_ORDER)
     flat = pts.reshape(-1, mesh.dim)
     exact = psi.evaluate(flat).reshape(pts.shape[:2])
     u_elem = u.values[mesh.elements]
@@ -408,11 +412,24 @@ def verify_interp_error(N: int, s: float, q: float, c: float, levels) -> InterpR
     the L^2 gradient error like h; fixed fine mesh, widths 2^-2..2^-5:
     the L^q error grows like c^-(N/2 - N/q + 2 - s).  Profiles carry the
     unit-critical-norm amplitude so the c-regression matches that exponent.
+    The fine mesh, levels[-1] + 1, is built first: SizeLimitError refuses
+    the run before any level is measured when that mesh or its quadrature
+    arrays would take over 1.5 GB, the figure ``build_mesh`` refuses at.
     """
     _check_problem(N, s)
     if not 1.0 <= q < np.inf:
         raise ValueError(f"q must be a finite number >= 1, got {q!r}")
     levels = check_levels(N, levels)
+    # the finest mesh first, so a run too large for memory is refused
+    # before any level is measured
+    fine = build_mesh(N, levels[-1] + 1)
+    points = fine.n_elements * len(reference_rule(N, _INTERP_ORDER)[1])
+    need = points * 8 * _INTERP_ARRAYS[N]
+    if need > 1.5e9:
+        raise SizeLimitError(
+            f"level {levels[-1] + 1} needs about {need / 1e9:.1f} GB for the "
+            f"{points} points of its order-{_INTERP_ORDER} quadrature; refusing"
+        )
     h_pts, g_pts = [], []
     for lev in levels:
         mesh = build_mesh(N, lev)
@@ -425,7 +442,6 @@ def verify_interp_error(N: int, s: float, q: float, c: float, levels) -> InterpR
         h_pts.append((mesh.h, err_q))
         g_pts.append((mesh.h, err_p))
 
-    fine = build_mesh(N, levels[-1] + 1)
     c_pts = []
     for cj in _INTERP_WIDTHS:
         lam = normalize_lambda(cj, N, s)
@@ -527,7 +543,8 @@ def verify_minimizing_sequence(N: int, s: float, eps_list) -> dict:
 
     One fixed mesh fine enough for the sharpest width (h <= min(eps)/4)
     serves as the evaluation proxy; the quotient decreases along the list
-    and the deficit scales like eps^(N-2s).
+    and the deficit scales like eps^(N-2s).  SizeLimitError when no mesh up
+    to _MAX_PROXY_LEVEL is that fine.
     """
     _check_problem(N, s)
     eps = [float(e) for e in eps_list]
@@ -546,7 +563,7 @@ def verify_minimizing_sequence(N: int, s: float, eps_list) -> dict:
             level, mesh = lev, cand
             break
     if mesh is None:
-        raise ValueError(
+        raise SizeLimitError(
             f"no affordable mesh reaches h <= {min(eps) / 4:.4g} for dim {N}"
         )
 

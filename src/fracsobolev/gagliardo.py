@@ -64,12 +64,13 @@ form is diagonally dominant, as the 1D forms at s = 0.25 are, or else
 by a Cholesky factorization, so a dominant form is factored once, by
 the solver; ``seminorm_sq_direct`` sums the terms at the points and
 forms no block.  The tile chunks go to a consumer beside the terms, in
-one format whose kernel is K, or Pa K Pb^T for an interpolated tile:
-``assemble`` adds a chunk's cross blocks -2 (W lam)^T K (W lam) through
-matmuls, k^2 entries per pair each way instead of (2k)^2, or for an
-interpolated tile -2 Ha Kc Hb^T, H the basis projected onto the
-cluster's nodes, one indexed add per tile, and its points' row and
-column sums to the diagonal blocks; ``seminorm_sq_direct`` adds
+one format whose kernel is K, or Pa K Pb^T for an interpolated tile.
+``assemble``'s one consumer adds the points' row and column sums, formed
+by format, to the diagonal blocks, and places the cross block by format:
+-2 (W lam)^T K (W lam) per element pair through matmuls, k^2 entries
+per pair each way instead of (2k)^2, for a dense chunk, and -2 Ha Kc
+Hb^T, H the basis projected onto the cluster's nodes, by one indexed
+add each way for an interpolated tile; ``seminorm_sq_direct`` adds
 sum W U^2 (K W) + sum (W K) W U^2 - 2 (W U)^T K (W U), U the values at
 the points, projecting the three weighted vectors through Pa and Pb
 first for an interpolated tile.
@@ -163,11 +164,8 @@ class AssemblyReport:
     phase_seconds times each phase of the term generators (classify,
     singular, disjoint, complement) across its yields, so it includes the
     caller's per-term work while the generator waits: in assemble, the
-    block and the scatter of every term and tile chunk. At 1D level 10,
-    s = 0.25, disjoint reads about 0.18-0.19 s in assemble against
-    0.055-0.075 s for the generators alone, tile kernels included (one
-    thread of a 2-vCPU Linux VM; 0.43-0.47 s and 0.20-0.23 s with dense
-    tiles). "total" is the whole assemble call. kernel_evals counts the
+    block and the scatter of every term and tile chunk. "total" is the
+    whole assemble call. kernel_evals counts the
     kernel values computed: the quadrature points of each category's
     terms (one per element for the 1D identical pairs), and for the
     tiles, in disjoint_far, the entries of their chunks' K, the node
@@ -732,9 +730,11 @@ def assemble(mesh: BallMesh, s: float) -> NonlocalForm:
     symmetric to 1e-12 of its largest entry and positive definite, which
     a Gershgorin certificate proves where the form is diagonally dominant
     and np.linalg.cholesky decides where it is not (``_positivity_audit``);
-    either failure raises AssemblyError.
+    either failure raises AssemblyError; no free node raises ValueError.
     """
     check_order(mesh.dim, s)
+    if not mesh.free_count:
+        raise ValueError("the mesh has no free (interior) node, so the form is empty")
     n = mesh.n_nodes
     need = 3 * n * n * 8
     if need > _DENSE_BYTES_CAP:
@@ -747,6 +747,7 @@ def assemble(mesh: BallMesh, s: float) -> NonlocalForm:
     t_total = time.perf_counter()
 
     flat = np.zeros(n * n)
+    square = flat.reshape(n, n)
 
     def add(category, idx, g, wK):
         local = _term_block(g, wK)
@@ -756,7 +757,7 @@ def assemble(mesh: BallMesh, s: float) -> NonlocalForm:
     # a tile pair adds 2 wK g g^T with g = [lam_p, -lam_q] and wK =
     # wa K wb: the cross blocks are -2 (wa lam)^T K (wb lam), added both
     # ways round, and the diagonal blocks gather each point's row or
-    # column sum of 2 wK into sums, added once at the end
+    # column sum of 2 wK into sums, added and checked finite at the end
     lam = reference_rule(mesh.dim, _orders(mesh.dim, 0)[2])[0]
     nq, k = lam.shape
     sums = np.zeros((mesh.n_elements, nq))
@@ -771,43 +772,37 @@ def assemble(mesh: BallMesh, s: float) -> NonlocalForm:
         first = np.flatnonzero(np.r_[True, at[1:] != at[:-1]])
         return at[first], np.add.reduceat(per[order], first, axis=0)
 
-    def add_compressed(chunk):
-        # the sums and the cross block through the node pairs' K: the two
-        # clusters share no node, so one indexed add places each block
-        a, b, wa, wb, K, Pa, Pb = chunk
-        rows, cols = 2.0 * wa * (Pa @ (K @ (wb @ Pb))), 2.0 * wb * (Pb @ ((wa @ Pa) @ K))
-        _check_finite("disjoint_far", rows)
-        _check_finite("disjoint_far", cols)
-        sums[a] += rows.reshape(len(a), nq)
-        sums[b] += cols.reshape(len(b), nq)
-        (na, Ha), (nb, Hb) = node_basis(a, wa, Pa), node_basis(b, wb, Pb)
-        cross = -2.0 * (Ha @ K @ Hb.T)
-        _check_finite("disjoint_far", cross)
-        square = flat.reshape(n, n)
-        square[np.ix_(na, nb)] += cross
-        square[np.ix_(nb, na)] += cross.T
-
     def add_tile(chunk):
-        if chunk.Pa is not None:
-            return add_compressed(chunk)
-        a, b, wa, K = chunk.a, chunk.b, chunk.wa, chunk.K
-        K *= chunk.wb
-        rows, cols = 2.0 * wa * K.sum(axis=1), 2.0 * (wa @ K)
-        _check_finite("disjoint_far", rows)
-        _check_finite("disjoint_far", cols)
+        a, b, wa, wb, K, Pa, Pb = chunk
+        if Pa is None:
+            K *= wb
+            rows, cols = 2.0 * wa * K.sum(axis=1), 2.0 * (wa @ K)
+        else:
+            rows, cols = 2.0 * wa * (Pa @ (K @ (wb @ Pb))), 2.0 * wb * (Pb @ ((wa @ Pa) @ K))
         sums[a] += rows.reshape(len(a), nq)
         sums[b] += cols.reshape(len(b), nq)
-        half = (K.reshape(-1, nq) @ lam).reshape(len(a), nq, len(b) * k)
-        wlam = wa.reshape(len(a), nq, 1) * lam
-        cross = -2.0 * np.matmul(wlam.transpose(0, 2, 1), half).ravel()
-        ea, eb = mesh.elements[a][:, :, None, None], mesh.elements[b][None, None]
-        np.add.at(flat, (ea * n + eb).ravel(), cross)
-        np.add.at(flat, (eb * n + ea).ravel(), cross)
+        # the cross blocks per element pair, or for an interpolated tile,
+        # whose clusters share no node, through the node pairs' K; the node
+        # path for dense chunks too was slower (median 2.37 -> 2.98 s at 2D
+        # level 3, one BLAS thread of a 2-vCPU host) and not bitwise
+        if Pa is None:
+            half = (K.reshape(-1, nq) @ lam).reshape(len(a), nq, len(b) * k)
+            wlam = wa.reshape(len(a), nq, 1) * lam
+            cross = -2.0 * np.matmul(wlam.transpose(0, 2, 1), half).ravel()
+            ea, eb = mesh.elements[a][:, :, None, None], mesh.elements[b][None, None]
+            np.add.at(flat, (ea * n + eb).ravel(), cross)
+            np.add.at(flat, (eb * n + ea).ravel(), cross)
+        else:
+            (na, Ha), (nb, Hb) = node_basis(a, wa, Pa), node_basis(b, wb, Pb)
+            cross = -2.0 * (Ha @ K @ Hb.T)
+            _check_finite("disjoint_far", cross)
+            square[np.ix_(na, nb)] += cross
+            square[np.ix_(nb, na)] += cross.T
 
     for category, idx, g, wK in _terms(mesh, s, 0, geo, work, tile=add_tile):
         add(category, idx, g, wK)
     add("disjoint_far", mesh.elements, lam, sums)
-    matrix = flat.reshape(n, n)[: mesh.free_count, : mesh.free_count]
+    matrix = square[: mesh.free_count, : mesh.free_count]
     matrix *= s * (1 - s)
 
     t0 = time.perf_counter()

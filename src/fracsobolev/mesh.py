@@ -120,6 +120,10 @@ def _check_conformity(dim, n_nodes, elements, boundary_mask, nodes):
         lo = np.sort(nodes[seq, 0], axis=1)
         if not np.allclose(lo[1:, 0], lo[:-1, 1], rtol=0, atol=1e-14):
             raise ValueError("1D elements do not tile the interval")
+        # the tiling's two end nodes are its boundary faces
+        coord = nodes[elements, 0]
+        if not np.all(boundary_mask[elements.flat[[coord.argmin(), coord.argmax()]]]):
+            raise ValueError("a boundary face has a node off the unit sphere")
         return
     faces = np.sort(
         np.concatenate(

@@ -255,6 +255,25 @@ def test_verify_interp_command(capsys):
     assert "gradient rate in h (expect 1): slope=" in out
 
 
+@pytest.mark.parametrize(
+    "kind, message",
+    [
+        ("minseq", "no affordable mesh reaches h <= 0.0125 for dim 2"),
+        ("interp", "level 10 gives 12589057 nodes, about 7.2 GB of mesh storage; refusing"),
+    ],
+    ids=["minseq", "interp"],
+)
+def test_verify_2d_defaults_exit_through_argparse(kind, message, capsys):
+    # the 2D defaults ask for a mesh too large to build; the refusal comes
+    # before any level is measured, and prints through the parser
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", kind, "--dim", "2"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: fracsob verify")
+    assert f"error: {message}" in err
+
+
 def test_verify_inequalities_command(capsys):
     rc = main(["verify", "inequalities", "--dim", "1", "--s", "0.25", "--seed", "2"])
     assert rc == 0

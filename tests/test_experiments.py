@@ -21,7 +21,7 @@ from fracsobolev.experiments import (
     verify_minimizing_sequence,
     write_records,
 )
-from fracsobolev.mesh import FeFunction, build_mesh
+from fracsobolev.mesh import FeFunction, SizeLimitError, build_mesh
 from fracsobolev.params import rate_exponent
 
 # ------------------------------------------------------------- rate fits
@@ -190,6 +190,14 @@ def test_interp_error_validation():
         verify_interp_error(1, 0.25, 0.5, 0.25, [5, 6])
     with pytest.raises(ValueError):
         verify_interp_error(1, 0.25, 2.0, 0.25, [3, 4])  # h too coarse for c
+
+
+def test_interp_error_refuses_a_fine_quadrature_too_large(monkeypatch):
+    # levels 4..6 meet the fine level 7, 39.3M order-10 points in 2D, before
+    # any level is measured
+    monkeypatch.setattr(experiments, "_interp_errors", None)
+    with pytest.raises(SizeLimitError, match="level 7 needs about 3.8 GB for the 39321600 points"):
+        verify_interp_error(2, 0.5, 2.0, 0.25, [4, 5, 6])
 
 
 @pytest.mark.parametrize("q", [np.nan, np.inf])

@@ -810,6 +810,47 @@ def test_non_finite_complement_raises_on_both_paths(monkeypatch):
         seminorm_sq_direct(mesh, 0.5, u)
 
 
+@pytest.mark.parametrize("dense", [False, True], ids=["interpolated", "dense"])
+@pytest.mark.parametrize("direct", [False, True], ids=["assemble", "direct"])
+def test_non_finite_tile_raises_on_both_paths(monkeypatch, direct, dense):
+    # an inf in one tile chunk's kernel: assemble meets it in the final
+    # row-sum term or, for an interpolated tile, in its cross block
+    mesh = build_mesh(1, 8)
+    if dense:
+        monkeypatch.setattr(gagliardo, "_chebyshev_order", _dense_tiles)
+    hit = []
+
+    def poisoned(*args):
+        for chunk in _tile_chunks(*args):
+            if not hit and (chunk.Pa is None) == dense:
+                chunk.K[0, 0] = np.inf
+                hit.append(chunk)
+            yield chunk
+
+    monkeypatch.setattr(gagliardo, "_tile_chunks", poisoned)
+    with np.errstate(invalid="ignore"), pytest.raises(AssemblyError, match="disjoint_far"):
+        if direct:
+            seminorm_sq_direct(mesh, 0.25, default_start(mesh, 0.25))
+        else:
+            assemble(mesh, 0.25)
+    assert hit
+
+
+@pytest.mark.parametrize(
+    "make_mesh",
+    [
+        pytest.param(lambda: make_ball_mesh(1, np.array([-1.0, 1.0]), np.array([[0, 1]])), id="1d-one"),
+        pytest.param(lambda: _disk_polygon_mesh(3), id="2d-one"),
+    ],
+)
+def test_assemble_rejects_a_mesh_with_no_free_node(make_mesh, monkeypatch):
+    mesh = make_mesh()
+    # the refusal comes before any quadrature
+    monkeypatch.setattr(gagliardo, "_terms", None)
+    with pytest.raises(ValueError, match="no free \\(interior\\) node"):
+        assemble(mesh, 0.25)
+
+
 @pytest.mark.parametrize("dim, level, s", [(1, 3, 0.25), (2, 1, 0.5)])
 def test_assemble_rejects_an_asymmetric_matrix(monkeypatch, dim, level, s):
     rng = np.random.default_rng(3)

@@ -94,6 +94,14 @@ def test_make_ball_mesh_rejects_interior_boundary_face():
         make_ball_mesh(1, nodes, elements)
 
 
+@pytest.mark.parametrize("nodes", [[-1.0, 0.0, 0.5], [-0.5, 0.0, 1.0]], ids=["right", "left"])
+def test_make_ball_mesh_rejects_a_free_end_node(nodes):
+    # a function nonzero at a free end jumps to zero beyond it: its
+    # seminorm is infinite, and no finite form may stand for it
+    with pytest.raises(ValueError, match="a boundary face has a node off the unit sphere"):
+        make_ball_mesh(1, np.array(nodes), np.array([[0, 1], [1, 2]]))
+
+
 def test_fe_function_boundary_enforcement():
     mesh = build_mesh(1, 2)
     vals = np.zeros(mesh.n_nodes)
