@@ -96,7 +96,7 @@ class SweepResult:
     """Records plus the fitted rate; per-level failures listed, not raised."""
 
     records: list
-    fit: RateFit | None
+    fit: RateFit
     failures: list
     details: dict
 
@@ -226,7 +226,9 @@ def _sweep_levels(N: int, levels, measure):
     timed SweepRecord, its extras are collected per key into ``details``,
     and a level that fails with one of _LEVEL_FAILURES becomes a
     (level, message) failure row.  Returns (records, failures, details)
-    and raises unless three levels succeed, the fewest a rate fit takes.
+    and raises unless three levels succeed, the fewest a rate fit takes:
+    SizeLimitError when every failure is a size refusal, RuntimeError
+    otherwise.
     """
     records, failures, details = [], [], {}
     for lev in check_levels(N, levels):
@@ -243,7 +245,8 @@ def _sweep_levels(N: int, levels, measure):
         for key, val in extras.items():
             details.setdefault(key, []).append(val)
     if len(records) < 3:
-        raise RuntimeError(
+        refused = all(msg.startswith("SizeLimitError:") for _, msg in failures)
+        raise (SizeLimitError if refused else RuntimeError)(
             f"only {len(records)} levels succeeded, need 3 for a rate fit; "
             f"failures: {failures}"
         )
@@ -279,20 +282,19 @@ def upper_bound_sweep(N: int, s: float, levels) -> SweepResult:
 
 
 def discrete_constant_sweep(N: int, s: float, levels, tol: float = 1e-10) -> SweepResult:
-    """Gap of the minimized discrete constant above the sharp one, per level."""
+    """Gap of the minimized discrete constant above the sharp one, per level.
+
+    warm_deficit is the deficit of ``solve``'s first iterate, the
+    normalized ``default_start``; solve's rise guard is the descent check.
+    """
     _check_problem(N, s)
     S = exact_constant(N, s)
 
     def measure(mesh):
-        form = assemble(mesh, s)
-        warm = default_start(mesh, s)
-        warm_q = quotient(form, warm)
-        rep = solve(form, init=warm, tol=tol)
-        if rep.s_h > warm_q:
-            raise RuntimeError("minimization worsened the warm start")
+        rep = solve(assemble(mesh, s), tol=tol)
         extras = {
             "s_h": rep.s_h,
-            "warm_deficit": warm_q - S,
+            "warm_deficit": rep.quotient_history[0] - S,
             "converged": rep.converged,
             "iterations": rep.iterations,
             "mixed_steps": rep.mixed_steps,

@@ -404,18 +404,16 @@ def _disjoint_sets(mesh, geo, blocks):
     """Plain Gauss on both elements of each (category, ia, ib, order) block, as pair sets.
 
     A point pair (p, q) has g = [lam_p, -lam_q] and w = 2 w_p w_q, and a
-    row's scale is J_a J_b.  One set per ``_row_chunks`` chunk: the rows
-    and their scales are never formed for a whole block.
+    row's scale is J_a J_b.  One set per block, which ``_pair_terms``
+    chunks: a block is at most 2^16 pairs, so its rows stay small.
     """
     for category, ia, ib, order in blocks:
         lam, weights = reference_rule(mesh.dim, order)
         nq = len(lam)
         g = np.concatenate([np.repeat(lam, nq, axis=0), -np.tile(lam, (nq, 1))], axis=1)
         rule = [(g, 2.0 * np.outer(weights, weights).ravel())]
-        for part in _row_chunks(len(ia), len(g)):
-            a, b = ia[part], ib[part]
-            idx = np.concatenate([mesh.elements[a], mesh.elements[b]], axis=1)
-            yield category, idx, geo.jacobian[a] * geo.jacobian[b], rule
+        idx = np.concatenate([mesh.elements[ia], mesh.elements[ib]], axis=1)
+        yield category, idx, geo.jacobian[ia] * geo.jacobian[ib], rule
 
 
 # a chunk's kernel values are Pa K Pb^T, or K itself where Pa, Pb are None
@@ -731,16 +729,18 @@ def assemble(mesh: BallMesh, s: float) -> NonlocalForm:
     a Gershgorin certificate proves where the form is diagonally dominant
     and np.linalg.cholesky decides where it is not (``_positivity_audit``);
     either failure raises AssemblyError; no free node raises ValueError.
+    A level whose two n x n arrays, the form and one Cholesky copy of it,
+    exceed _DENSE_BYTES_CAP raises SizeLimitError before allocating.
     """
     check_order(mesh.dim, s)
     if not mesh.free_count:
         raise ValueError("the mesh has no free (interior) node, so the form is empty")
     n = mesh.n_nodes
-    need = 3 * n * n * 8
+    need = 2 * n * n * 8
     if need > _DENSE_BYTES_CAP:
         raise SizeLimitError(
-            f"dense assembly needs about {need / 1e9:.1f} GB for {n} nodes; "
-            "reduce the refinement level"
+            f"dense assembly needs about {need / 1e9:.1f} GB for {n} nodes, "
+            "the form and one Cholesky copy; reduce the refinement level"
         )
     geo = element_geometry(mesh)
     work = {}

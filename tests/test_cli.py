@@ -274,6 +274,18 @@ def test_verify_2d_defaults_exit_through_argparse(kind, message, capsys):
     assert f"error: {message}" in err
 
 
+def test_sweep_refused_by_size_exits_through_argparse(capsys):
+    # build_mesh refuses every 2D level 9..11 by its estimate, leaving no
+    # three levels for a rate fit
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "upper", "--dim", "2", "--levels", "9..11"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: fracsob sweep")
+    assert "error: only 0 levels succeeded, need 3 for a rate fit" in err
+    assert "SizeLimitError: level 9 gives" in err
+
+
 def test_verify_inequalities_command(capsys):
     rc = main(["verify", "inequalities", "--dim", "1", "--s", "0.25", "--seed", "2"])
     assert rc == 0

@@ -21,8 +21,10 @@ from fracsobolev.experiments import (
     verify_minimizing_sequence,
     write_records,
 )
+from fracsobolev.gagliardo import assemble
 from fracsobolev.mesh import FeFunction, SizeLimitError, build_mesh
-from fracsobolev.params import rate_exponent
+from fracsobolev.params import exact_constant, rate_exponent
+from fracsobolev.solver import solve
 
 # ------------------------------------------------------------- rate fits
 
@@ -129,12 +131,19 @@ def test_upper_bound_sweep_reproducible():
 
 def test_discrete_constant_sweep_small_window(monkeypatch):
     # the sweep reports S_h and its gap; the manifold fit is a diagnostic
-    # of a solved level that no sweep calls
-    def refuse(*args, **kwargs):
-        raise AssertionError("discrete_constant_sweep called fit_manifold")
+    # of a solved level that no sweep calls, and solve builds and scores
+    # each level's start
+    def refuse(name):
+        def refused(*args, **kwargs):
+            raise AssertionError(f"discrete_constant_sweep called {name}")
 
-    monkeypatch.setattr(experiments, "fit_manifold", refuse)
+        return refused
+
+    for name in ("fit_manifold", "default_start", "quotient"):
+        monkeypatch.setattr(experiments, name, refuse(name))
     res = discrete_constant_sweep(1, 0.25, [4, 5, 6])
+    first = solve(assemble(build_mesh(1, 4), 0.25)).quotient_history[0]
+    assert res.details["warm_deficit"][0] == first - exact_constant(1, 0.25)
     assert res.failures == []
     assert not {"c_fit", "fit_centers", "c_fit_regression"} & set(res.details)
     gaps = [r.value for r in res.records]
@@ -152,8 +161,9 @@ def test_discrete_constant_sweep_small_window(monkeypatch):
 
 
 def test_sweep_records_a_refused_level_as_one_failure():
-    # level 13 has 16,385 nodes; the dense form would need about 6.4 GB, so
-    # assemble refuses it before allocating and the sweep fits the rest
+    # level 13 has 16,385 nodes; the dense form and its factor would need
+    # about 4.3 GB, so assemble refuses it before allocating and the sweep
+    # fits the rest
     res = discrete_constant_sweep(1, 0.25, [4, 5, 6, 13])
     assert [r.level for r in res.records] == [4, 5, 6]
     assert len(res.failures) == 1
@@ -161,6 +171,13 @@ def test_sweep_records_a_refused_level_as_one_failure():
     assert level == 13
     assert message.startswith("SizeLimitError: dense assembly needs")
     assert res.fit.points_used == 3
+
+
+def test_sweep_with_every_level_refused_by_size_raises_size_limit():
+    # 2D levels 9..11 exceed the mesh storage estimate, so build_mesh
+    # refuses each before allocating and no rate fit is possible
+    with pytest.raises(SizeLimitError, match="only 0 levels succeeded, need 3 for a rate fit"):
+        upper_bound_sweep(2, 0.5, [9, 10, 11])
 
 
 def test_sweep_raises_on_a_programming_error(monkeypatch):

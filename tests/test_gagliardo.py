@@ -57,6 +57,7 @@ from fracsobolev.gagliardo import (
 )
 from fracsobolev.mesh import (
     FeFunction,
+    SizeLimitError,
     build_mesh,
     disjoint_partition,
     element_geometry,
@@ -848,6 +849,19 @@ def test_assemble_rejects_a_mesh_with_no_free_node(make_mesh, monkeypatch):
     # the refusal comes before any quadrature
     monkeypatch.setattr(gagliardo, "_terms", None)
     with pytest.raises(ValueError, match="no free \\(interior\\) node"):
+        assemble(mesh, 0.25)
+
+
+def test_dense_cap_counts_two_arrays(monkeypatch):
+    # a dense level peaks at the form and one Cholesky copy of it, 16 n^2
+    # bytes; the refusal comes before any quadrature
+    mesh = build_mesh(1, 4)
+    n = mesh.n_nodes
+    monkeypatch.setattr(gagliardo, "_DENSE_BYTES_CAP", 16 * n * n)
+    assert assemble(mesh, 0.25).matrix.shape == (mesh.free_count,) * 2
+    monkeypatch.setattr(gagliardo, "_DENSE_BYTES_CAP", 16 * n * n - 1)
+    monkeypatch.setattr(gagliardo, "_terms", None)
+    with pytest.raises(SizeLimitError, match=f"for {n} nodes, the form and one Cholesky copy"):
         assemble(mesh, 0.25)
 
 
