@@ -9,11 +9,13 @@ config file can override any flag of the subcommand it is passed to.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
 
 from .experiments import (
+    check_interp_width,
     check_levels,
     discrete_constant_sweep,
     make_rng,
@@ -97,6 +99,13 @@ _parse_samples = _checked(int, lambda n: n >= 1000, "an integer >= 1000")
 _parse_q = _checked(float, lambda q: 1.0 <= q < np.inf, "a finite number >= 1")
 _parse_c = _checked(float, lambda c: 0.0 < c < np.inf, "a finite number > 0")
 _parse_seed = _checked(int, lambda seed: seed >= 0, "an integer >= 0")
+
+
+def _parse_out(text: str) -> str:
+    """The ``type`` of ``--out``: a path whose directory exists, so the run's result has a place before the run."""
+    if not os.path.isdir(os.path.dirname(text) or "."):
+        raise argparse.ArgumentTypeError(f"{text!r} names a directory that does not exist")
+    return text
 
 
 def _parse_config(path: str) -> dict:
@@ -203,8 +212,7 @@ def _random_fe_functions(dim: int, seed: int, count: int = 50):
 
 def _cmd_verify(args) -> int:
     if args.kind == "interp":
-        levels = args.levels or list(range(4, 10))
-        res = verify_interp_error(args.dim, args.s, args.q, args.c, levels)
+        res = verify_interp_error(args.dim, args.s, args.q, args.c, args.levels)
         _print_fit("value rate in h (expect 2)", res.lq_h)
         _print_fit("gradient rate in h (expect 1)", res.grad_h)
         _print_fit(
@@ -256,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p1)
     p1.add_argument("--levels", type=_parse_levels, default="4..8")
     p1.add_argument("--tol", type=_parse_tol, default=1e-10)
-    p1.add_argument("--out", type=str, default=None)
+    p1.add_argument("--out", type=_parse_out, default=None)
     p1.set_defaults(func=_cmd_sweep, parser=p1)
 
     p2 = sub.add_parser("verify", help="scaling and inequality audits")
@@ -264,11 +272,11 @@ def build_parser() -> argparse.ArgumentParser:
     common(p2)
     p2.add_argument("--q", type=_parse_q, default=2.0)
     p2.add_argument("--c", type=_parse_c, default=0.25)
-    p2.add_argument("--levels", type=_parse_levels, default=None)
+    p2.add_argument("--levels", type=_parse_levels, default="4..9")
     p2.add_argument("--samples", type=_parse_samples, default=10000)
     p2.add_argument("--seed", type=_parse_seed, default=0)
     p2.add_argument("--eps", type=_parse_widths, default="0.2,0.1,0.05")
-    p2.add_argument("--out", type=str, default=None)
+    p2.add_argument("--out", type=_parse_out, default=None)
     p2.set_defaults(func=_cmd_verify, parser=p2)
     return parser
 
@@ -287,6 +295,13 @@ def main(argv=None) -> int:
             check_levels(args.dim, args.levels)
         except ValueError as exc:
             args.parser.error(f"argument --levels: {exc}")
+    if getattr(args, "kind", None) == "interp":
+        try:
+            check_interp_width(args.dim, args.c, args.levels)
+        except SizeLimitError as exc:
+            args.parser.error(str(exc))
+        except ValueError as exc:
+            args.parser.error(f"argument --c: {exc}")
     try:
         return args.func(args)
     except SizeLimitError as exc:

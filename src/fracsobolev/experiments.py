@@ -19,6 +19,7 @@ from .gagliardo import (
     AssemblyError,
     NonlocalForm,
     assemble,
+    check_dense_size,
     element_self_interaction,
     seminorm_sq_direct,
 )
@@ -27,8 +28,10 @@ from .mesh import (
     FeFunction,
     SizeLimitError,
     build_mesh,
+    check_mesh_size,
     element_geometry,
     interpolate,
+    node_count,
 )
 from .norms import lq_norm
 from .params import (
@@ -47,6 +50,7 @@ __all__ = [
     "RateFit",
     "SweepRecord",
     "SweepResult",
+    "check_interp_width",
     "check_levels",
     "discrete_constant_sweep",
     "fit_manifold",
@@ -216,22 +220,44 @@ def check_levels(N, levels) -> list:
 
 
 # Failures a level can have by design; anything else is a defect and raises.
-_LEVEL_FAILURES = (AssemblyError, QuadratureError, np.linalg.LinAlgError, SizeLimitError)
+_LEVEL_FAILURES = (AssemblyError, QuadratureError, SizeLimitError)
 
 
-def _sweep_levels(N: int, levels, measure):
+def _sweep_levels(N: int, levels, measure, dense=False):
     """Run ``measure(mesh)`` on the mesh of every level.
 
     ``measure`` returns (c_h, value, slack, extras); each level becomes a
     timed SweepRecord, its extras are collected per key into ``details``,
     and a level that fails with one of _LEVEL_FAILURES becomes a
-    (level, message) failure row.  Returns (records, failures, details)
-    and raises unless three levels succeed, the fewest a rate fit takes:
-    SizeLimitError when every failure is a size refusal, RuntimeError
-    otherwise.
+    (level, message) failure row.  Before any level is measured, the
+    size caps decide from the level alone which levels are refused:
+    ``check_mesh_size``, which ``build_mesh`` applies, and with dense
+    ``check_dense_size`` of ``node_count``, which ``assemble`` applies;
+    a refused level is a failure row, and SizeLimitError is raised at
+    once if the caps leave fewer than three levels, the fewest a rate
+    fit takes.  Returns (records, failures, details) and raises unless
+    three levels succeed: SizeLimitError when every failure is a size
+    refusal, RuntimeError otherwise.
     """
+    levels = check_levels(N, levels)
+    refused = {}
+    for lev in levels:
+        try:
+            check_mesh_size(N, lev)
+            if dense:
+                check_dense_size(node_count(N, lev))
+        except SizeLimitError as exc:
+            refused[lev] = f"SizeLimitError: {exc}"
+    if len(levels) - len(refused) < 3:
+        raise SizeLimitError(
+            f"only {len(levels) - len(refused)} levels fit the size caps, need 3 "
+            f"for a rate fit; refused: {list(refused.items())}"
+        )
     records, failures, details = [], [], {}
-    for lev in check_levels(N, levels):
+    for lev in levels:
+        if lev in refused:
+            failures.append((lev, refused[lev]))
+            continue
         t0 = time.perf_counter()
         try:
             mesh = build_mesh(N, lev)
@@ -245,8 +271,8 @@ def _sweep_levels(N: int, levels, measure):
         for key, val in extras.items():
             details.setdefault(key, []).append(val)
     if len(records) < 3:
-        refused = all(msg.startswith("SizeLimitError:") for _, msg in failures)
-        raise (SizeLimitError if refused else RuntimeError)(
+        by_size = all(msg.startswith("SizeLimitError:") for _, msg in failures)
+        raise (SizeLimitError if by_size else RuntimeError)(
             f"only {len(records)} levels succeeded, need 3 for a rate fit; "
             f"failures: {failures}"
         )
@@ -305,7 +331,7 @@ def discrete_constant_sweep(N: int, s: float, levels, tol: float = 1e-10) -> Swe
         c_h = optimal_concentration(mesh.h, N, s)
         return c_h, rep.s_h - S, rep.quadrature_slack, extras
 
-    records, failures, details = _sweep_levels(N, levels, measure)
+    records, failures, details = _sweep_levels(N, levels, measure, dense=True)
     gaps = [r.value for r in records]
     if any(g <= r.slack for g, r in zip(gaps, records)):
         raise RuntimeError("a gap is not positive beyond quadrature slack")
@@ -407,6 +433,17 @@ def _interp_errors(mesh, psi, u, q):
     return err_q, err_p
 
 
+def check_interp_width(N: int, c: float, levels) -> None:
+    """ValueError unless the coarsest level's mesh resolves width c, h <= c/4.
+
+    Element diameters fall with the level, so every finer level passes
+    too; only the coarsest mesh is built.
+    """
+    mesh = build_mesh(N, levels[0])
+    if mesh.h > c / 4:
+        raise ValueError(f"level {levels[0]}: h={mesh.h:.4g} too coarse for c={c}")
+
+
 def verify_interp_error(N: int, s: float, q: float, c: float, levels) -> InterpRates:
     """Measured interpolation-error rates for the truncated profile.
 
@@ -414,15 +451,18 @@ def verify_interp_error(N: int, s: float, q: float, c: float, levels) -> InterpR
     the L^2 gradient error like h; fixed fine mesh, widths 2^-2..2^-5:
     the L^q error grows like c^-(N/2 - N/q + 2 - s).  Profiles carry the
     unit-critical-norm amplitude so the c-regression matches that exponent.
-    The fine mesh, levels[-1] + 1, is built first: SizeLimitError refuses
-    the run before any level is measured when that mesh or its quadrature
-    arrays would take over 1.5 GB, the figure ``build_mesh`` refuses at.
+    The coarsest mesh is built first: ``check_interp_width`` raises
+    ValueError unless its h is at most c/4.  The fine mesh, levels[-1] + 1,
+    comes next: SizeLimitError refuses the run before any level is
+    measured when that mesh or its quadrature arrays would take over
+    1.5 GB, the figure ``build_mesh`` refuses at.
     """
     _check_problem(N, s)
     if not 1.0 <= q < np.inf:
         raise ValueError(f"q must be a finite number >= 1, got {q!r}")
     levels = check_levels(N, levels)
-    # the finest mesh first, so a run too large for memory is refused
+    check_interp_width(N, c, levels)
+    # the finest mesh next, so a run too large for memory is refused
     # before any level is measured
     fine = build_mesh(N, levels[-1] + 1)
     points = fine.n_elements * len(reference_rule(N, _INTERP_ORDER)[1])
@@ -435,8 +475,6 @@ def verify_interp_error(N: int, s: float, q: float, c: float, levels) -> InterpR
     h_pts, g_pts = [], []
     for lev in levels:
         mesh = build_mesh(N, lev)
-        if mesh.h > c / 4:
-            raise ValueError(f"level {lev}: h={mesh.h:.4g} too coarse for c={c}")
         lam = normalize_lambda(c, N, s)
         psi = truncated_bubble(lam, c, N, s)
         u = interpolate(mesh, psi)

@@ -15,36 +15,37 @@ touching pairs through tensor transforms that cancel the singularity,
 disjoint pairs by plain Gauss on both elements, and the complement term
 by one Gauss rule per element: kappa blows up like depth^(-2s) at the
 sphere, but u vanishes linearly there, so u^2 kappa behaves like
-depth^(2-2s), which plain Gauss resolves.  The cached cluster tree of
-the elements and its block walk (Hackbusch, *Hierarchical Matrices*,
-2015) are the one spatial search: ``mesh.element_pairs`` finds the
-touching pairs and their shared-node order among the walk's leaf
-pairs, once per mesh, and the disjoint pairs, almost all of the m^2/2,
-come from ``mesh.disjoint_partition``, the walk's blocks, and are
-never held whole.  The tiles, the walk's admissible blocks, pair two
-clusters whose centroid boxes lie _DISTANT_RATIO diameters apart, so
-every pair in them takes the distant order, with no row per pair (98%
-of the pairs at 1D level 10, 80% at 2D level 3).  ``_tile_chunks``
-interpolates a tile's kernel between the two clusters' Gauss points by
-tensor Chebyshev interpolation on their boxes, K ~ Pa Kc Pb^T, with Kc
-the kernel at the node pairs (Boerm, *Efficient Numerical Methods for
-Non-local Operators*, 2010, ch. 4), whenever that takes fewer values
-than the dense kernel array, which it evaluates otherwise.  The points
-per side come from an a priori bound that keeps the interpolant within
-unit roundoff of the tile's smallest kernel value, so the slack takes
-no term for it: at 1D level 10 two thirds of the tiles are
-interpolated, with at most 27 points per side, and the kernel values
-fall from 33.5M to 1.4M; no 2D tile through level 3 passes the cost
-test.  The remaining leaf rows stream in blocks through
-``_disjoint_blocks``, which gives each pair the Gauss order of its band,
-near, far or distant, from its separation.
+depth^(2-2s), which plain Gauss resolves.  Two elements touch when
+they share a node: ``mesh.element_pairs`` reads the touching pairs and
+their shared-node order from the element-node incidence, once per
+mesh.  The cached cluster tree of the elements and its block walk
+(Hackbusch, *Hierarchical Matrices*, 2015) are the one spatial search:
+the disjoint pairs, almost all of the m^2/2, come from
+``mesh.disjoint_partition``, the walk's blocks less the touching
+pairs, and are never held whole.  The tiles, the walk's admissible
+blocks, pair two clusters whose centroid boxes lie _DISTANT_RATIO
+diameters apart, so every pair in them takes the distant order, with
+no row per pair (98% of the pairs at 1D level 10, 80% at 2D level 3).
+``_tile_chunks`` interpolates a tile's kernel between the two
+clusters' Gauss points by tensor Chebyshev interpolation on their
+boxes, K ~ Pa Kc Pb^T, with Kc the kernel at the node pairs (Boerm,
+*Efficient Numerical Methods for Non-local Operators*, 2010, ch. 4),
+whenever that takes fewer values than the dense kernel array, which it
+evaluates otherwise.  The points per side come from an a priori bound
+that keeps the interpolant within unit roundoff of the tile's smallest
+kernel value, so the slack takes no term for it: at 1D level 10 two
+thirds of the tiles are interpolated, with at most 27 points per side,
+and the kernel values fall from 33.5M to 1.4M; no 2D tile through
+level 3 passes the cost test.  The remaining leaf rows stream in
+blocks through ``_disjoint_blocks``, which gives each pair the Gauss
+order of its band, near, far or distant, from its separation.
 
 The form is the default rule, level 0; ``seminorm_sq_direct`` alone
 takes higher levels, for the slack audit (``solver.quadrature_slack``),
 which differences levels 0 and 1 over every pair or over the band
 (ia, ib) of ``audit_band``: the disjoint pairs under R larger diameters
-apart, among the walk's leaf pairs, with every identical, touching and
-complement row.  ``tail_bound`` bounds both levels' Gauss errors beyond
+apart, among the partition's leaf rows, with every identical, touching
+and complement row.  ``tail_bound`` bounds both levels' Gauss errors beyond
 R a priori for the sweeps' smooth profiles: the integrand is analytic
 in each reference direction on a Bernstein ellipse whose size grows
 with the separation over the diameter (Trefethen, ATAP, Thm 19.3;
@@ -95,8 +96,6 @@ from .mesh import (
     disjoint_partition,
     element_geometry,
     element_pairs,
-    leaf_pairs,
-    shares_node,
 )
 from .params import check_order
 
@@ -106,6 +105,7 @@ __all__ = [
     "NonlocalForm",
     "assemble",
     "audit_band",
+    "check_dense_size",
     "complement_weight",
     "element_self_interaction",
     "seminorm_sq",
@@ -625,20 +625,18 @@ def _disjoint_blocks(mesh, geo, near, far, distant, pairs):
 def audit_band(mesh: BallMesh, ratio: float):
     """The band (ia, ib): disjoint pairs, a < b in triu order, with centroids under ratio larger diameters apart.
 
-    ``_disjoint_blocks``' separation test over ``mesh.leaf_pairs`` at
-    ratio, or 2 if larger, which hold every such pair; the test runs
-    before the node comparison that drops the touching pairs, and no
-    tile is grouped or evaluated.
+    ``_disjoint_blocks``' separation test over the leaf rows of
+    ``disjoint_partition`` at ratio, or 2 if larger, which hold every
+    such pair; no tile is evaluated.
     """
     geo = element_geometry(mesh)
-
-    def keep(ia, ib):
+    m = mesh.n_elements
+    keys = [np.empty(0, dtype=np.intp)]
+    for ia, ib in disjoint_partition(mesh, max(ratio, 2.0))[1]:
         sep, larger = _separation(geo, ia, ib)
         band = sep < (ratio * larger) ** 2
-        band[band] = ~shares_node(mesh, ia[band], ib[band])
-        return band
-
-    return leaf_pairs(mesh, max(ratio, 2.0), keep)
+        keys.append(ia[band] * m + ib[band])
+    return np.divmod(np.sort(np.concatenate(keys)), m)
 
 
 def _terms(mesh, s, boost, geo, work, band=None, tile=None):
@@ -719,6 +717,16 @@ def _check_finite(category, values):
         raise AssemblyError(f"non-finite values in {category} quadrature")
 
 
+def check_dense_size(n_nodes: int) -> None:
+    """SizeLimitError when a form on n_nodes nodes and one Cholesky copy, 2 n^2 8 bytes, exceed _DENSE_BYTES_CAP."""
+    need = 2 * n_nodes * n_nodes * 8
+    if need > _DENSE_BYTES_CAP:
+        raise SizeLimitError(
+            f"dense assembly needs about {need / 1e9:.1f} GB for {n_nodes} nodes, "
+            "the form and one Cholesky copy; reduce the refinement level"
+        )
+
+
 def assemble(mesh: BallMesh, s: float) -> NonlocalForm:
     """Assemble the bilinear form matrix on the free nodes at the default rule.
 
@@ -730,18 +738,14 @@ def assemble(mesh: BallMesh, s: float) -> NonlocalForm:
     and np.linalg.cholesky decides where it is not (``_positivity_audit``);
     either failure raises AssemblyError; no free node raises ValueError.
     A level whose two n x n arrays, the form and one Cholesky copy of it,
-    exceed _DENSE_BYTES_CAP raises SizeLimitError before allocating.
+    exceed _DENSE_BYTES_CAP raises SizeLimitError before allocating
+    (``check_dense_size``).
     """
     check_order(mesh.dim, s)
     if not mesh.free_count:
         raise ValueError("the mesh has no free (interior) node, so the form is empty")
     n = mesh.n_nodes
-    need = 2 * n * n * 8
-    if need > _DENSE_BYTES_CAP:
-        raise SizeLimitError(
-            f"dense assembly needs about {need / 1e9:.1f} GB for {n} nodes, "
-            "the form and one Cholesky copy; reduce the refinement level"
-        )
+    check_dense_size(n)
     geo = element_geometry(mesh)
     work = {}
     t_total = time.perf_counter()

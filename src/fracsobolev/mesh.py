@@ -12,14 +12,17 @@ from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 
 __all__ = [
     "BallMesh",
     "FeFunction",
     "build_mesh",
+    "check_mesh_size",
     "make_ball_mesh",
     "mesh_quality",
     "interpolate",
+    "node_count",
     "SizeLimitError",
 ]
 
@@ -241,37 +244,51 @@ def _disk_nodes_elements(rings):
     return nodes, np.concatenate(tris)
 
 
-def build_mesh(N, level):
-    """Mesh of the unit ball at the given refinement level.
+def node_count(N, level):
+    """Nodes of ``build_mesh(N, level)`` in closed form, with M = 2^(level+1).
 
-    N=1: uniform partition of [-1, 1] into 2^(level+1) segments (a nested
-    family with h = 2^-level). N=2: ring triangulation with 2^(level+1)
-    rings. Element diameters halve per level within 20%.
+    1D: the M + 1 ends of M segments; 2D: the centre and 6j nodes on each
+    ring j = 1..M, 1 + 3M(M+1).
     """
-    if N not in (1, 2):
-        raise ValueError("N must be 1 or 2")
-    if not isinstance(level, (int, np.integer)) or level < 0:
-        raise ValueError("level must be a nonnegative integer")
-    if N == 1:
-        m = 2 ** (level + 1)
-        est = (m + 1) * 8 * 12
-        if est > 1.5e9:
-            raise SizeLimitError(
-                f"level {level} needs about {est / 1e9:.1f} GB of mesh storage; "
-                "refusing"
-            )
-        xs = np.linspace(-1.0, 1.0, m + 1)
-        elements = np.column_stack([np.arange(m), np.arange(1, m + 1)])
-        return make_ball_mesh(1, xs, elements)
-    rings = 2 ** (level + 1)
-    n_nodes = 1 + 3 * rings * (rings + 1)
-    est = n_nodes * 8 * 12 + 6 * rings**2 * 8 * 30
+    M = 2 ** (level + 1)
+    return M + 1 if N == 1 else 1 + 3 * M * (M + 1)
+
+
+def check_mesh_size(N, level):
+    """SizeLimitError when ``build_mesh(N, level)`` would take over 1.5 GB of mesh storage.
+
+    Decided from the level alone, so a sweep can refuse a level before
+    it measures any.
+    """
+    n_nodes = node_count(N, level)
+    # 12 floats per node, and in 2D 30 per each of the 6 M^2 triangles
+    est = n_nodes * 8 * 12 + (N == 2) * 6 * 4 ** (level + 1) * 8 * 30
     if est > 1.5e9:
         raise SizeLimitError(
             f"level {level} gives {n_nodes} nodes, about {est / 1e9:.1f} GB of "
             "mesh storage; refusing"
         )
-    nodes, elements = _disk_nodes_elements(rings)
+
+
+def build_mesh(N, level):
+    """Mesh of the unit ball at the given refinement level.
+
+    N=1: uniform partition of [-1, 1] into 2^(level+1) segments (a nested
+    family with h = 2^-level). N=2: ring triangulation with 2^(level+1)
+    rings. Element diameters halve per level within 20%.  A level over
+    ``check_mesh_size``'s cap raises SizeLimitError before allocating.
+    """
+    if N not in (1, 2):
+        raise ValueError("N must be 1 or 2")
+    if not isinstance(level, (int, np.integer)) or level < 0:
+        raise ValueError("level must be a nonnegative integer")
+    check_mesh_size(N, level)
+    if N == 1:
+        m = 2 ** (level + 1)
+        xs = np.linspace(-1.0, 1.0, m + 1)
+        elements = np.column_stack([np.arange(m), np.arange(1, m + 1)])
+        return make_ball_mesh(1, xs, elements)
+    nodes, elements = _disk_nodes_elements(2 ** (level + 1))
     return make_ball_mesh(2, nodes, elements)
 
 
@@ -356,6 +373,8 @@ _ROW_PAIRS = 1 << 15
 def element_pairs(mesh):
     """Cached shared-node topology of the unordered distinct element pairs.
 
+    Two elements touch when they share a node, read from the
+    element-node incidence; this is the one definition of touching.
     Returns an object with (P, 2) element-index arrays vertex and edge
     (one and two shared nodes), a < b in triu order, and the node tables
     vertex_nodes (P, 2N+1) and edge_nodes (P, 2N).  Every other pair is
@@ -461,37 +480,22 @@ def disjoint_partition(mesh, ratio):
     tiles lists its admissible blocks (t, u) as they are, as
     (a, b, box): the element arrays of the two clusters, each (a[i], b[j])
     one pair, and their vertex boxes, box[0] t's and box[1] u's (low,
-    high) corners.  rows yields the leaf blocks' pairs less the touching
-    ones as (ia, ib) blocks, ia < ib, of at most _ROW_PAIRS pairs.  Only
-    the tree is cached.
+    high) corners.  rows yields the leaf blocks' pairs less those that
+    ``element_pairs`` lists, the touching ones, as (ia, ib) blocks,
+    ia < ib, of at most _ROW_PAIRS pairs.  Only the tree and the pair
+    tables are cached.
     """
     tree = cluster_tree(mesh)
     tiles, leaves = _block_walk(tree, ratio)
-    order, start, stop = tree.order, tree.start, tree.stop
-    blocks = [(order[start[t] : stop[t]], order[start[u] : stop[u]], tree.box[[t, u]]) for t, u in tiles]
-    return blocks, _leaf_pairs(tree, leaves, lambda ia, ib: ~shares_node(mesh, ia, ib))
-
-
-def leaf_pairs(mesh, ratio, keep):
-    """(ia, ib), a < b in triu order: the walk's leaf pairs at ratio that keep(ia, ib) holds for.
-
-    The leaf pairs are the pairs of distinct elements in the leaf blocks
-    of ``_block_walk`` at ratio >= 2, touching pairs included; they hold
-    every pair whose centroids lie under ratio larger diameters apart,
-    since the tiles hold none.  keep takes them in blocks of at most
-    _ROW_PAIRS and returns a mask; no tile is grouped or evaluated.
-    """
-    tree = cluster_tree(mesh)
+    order, start, stop = tree.order, tree.start.tolist(), tree.stop.tolist()
+    boxes = zip(tiles.tolist(), tree.box[tiles])
+    blocks = [(order[start[t] : stop[t]], order[start[u] : stop[u]], box) for (t, u), box in boxes]
+    pairs = element_pairs(mesh)
     m = mesh.n_elements
-    keys = [np.empty(0, dtype=np.intp)]
-    keys += [ia * m + ib for ia, ib in _leaf_pairs(tree, _block_walk(tree, ratio)[1], keep)]
-    return np.divmod(np.sort(np.concatenate(keys)), m)
-
-
-def shares_node(mesh, ia, ib):
-    """Whether elements ia[i] and ib[i] share a node: one == per pair of their nodes."""
-    a, b = mesh.elements[ia].T, mesh.elements[ib].T
-    return np.any([x == y for x in a for y in b], axis=0)
+    # the touching pairs' sorted keys a m + b, then m^2, which exceeds
+    # every key, so each lookup lands on an entry
+    touching = np.append(np.sort(np.concatenate([pairs.vertex, pairs.edge]) @ [m, 1]), m * m)
+    return blocks, _leaf_pairs(tree, leaves, touching)
 
 
 def _halves(kids, nodes):
@@ -502,12 +506,13 @@ def _halves(kids, nodes):
     return halves
 
 
-def _leaf_pairs(tree, leaves, keep):
-    """Yield the leaf blocks' pairs that keep(ia, ib) holds for, as (ia, ib) blocks, ia < ib.
+def _leaf_pairs(tree, leaves, touching):
+    """Yield the leaf blocks' pairs whose key a m + b the sorted touching lacks, as (ia, ib) blocks, ia < ib.
 
     Whole leaf blocks are taken up to _ROW_PAIRS cells at a time, so a
     stream holds only its yielded pairs.
     """
+    m = len(tree.order)
     t, u = leaves.T
     cells = (tree.stop[t] - tree.start[t]) * (tree.stop[u] - tree.start[u])
     end = np.cumsum(cells)
@@ -515,8 +520,9 @@ def _leaf_pairs(tree, leaves, keep):
     while lo < len(t):
         hi = max(lo + 1, int(np.searchsorted(end, end[lo] - cells[lo] + _ROW_PAIRS, side="right")))
         ia, ib = _block_cells(tree, t[lo:hi], u[lo:hi])
-        mask = keep(ia, ib)
-        yield ia[mask], ib[mask]
+        keys = ia * m + ib
+        apart = touching[np.searchsorted(touching, keys)] != keys
+        yield ia[apart], ib[apart]
         lo = hi
 
 
@@ -536,15 +542,19 @@ def _block_cells(tree, t, u):
 
 
 def _enumerate_pairs(mesh):
-    """Find the touching element pairs among the leaf pairs of the walk at ratio 2.
+    """Find the touching element pairs from the element-node incidence.
 
-    A vertex lies within one diameter of its element's centroid, so two
-    elements that share a node have centroids under 2 larger diameters
-    apart, and no tile at ratio 2 holds them.  The leaf pairs compare
-    their nodes; the touching ones, in triu order, build the tables.
+    With E the m x n_nodes incidence matrix, the nonzeros of
+    triu(E E^T, 1) are the pairs of distinct elements that share a
+    node, each valued by how many: 1 for a vertex pair, 2 for an edge
+    pair.  Their keys a m + b, sorted, put them in triu order, and their
+    nodes build the tables.
     """
     els = mesh.elements
-    ii, jj = leaf_pairs(mesh, 2.0, lambda ia, ib: shares_node(mesh, ia, ib))
+    m, k = els.shape
+    incidence = sparse.csr_array((np.ones(els.size), els.ravel(), np.arange(0, els.size + 1, k)), (m, mesh.n_nodes))
+    touching = sparse.triu(incidence @ incidence.T, 1).tocoo()
+    ii, jj = np.divmod(np.sort(touching.row.astype(np.int64) * m + touching.col), m)
     eq = els[ii][:, :, None] == els[jj][:, None, :]
     shared = eq.sum(axis=(1, 2))
     tables = {}

@@ -282,8 +282,40 @@ def test_sweep_refused_by_size_exits_through_argparse(capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert err.startswith("usage: fracsob sweep")
-    assert "error: only 0 levels succeeded, need 3 for a rate fit" in err
+    assert "error: only 0 levels fit the size caps, need 3 for a rate fit" in err
     assert "SizeLimitError: level 9 gives" in err
+
+
+def test_verify_interp_refuses_a_coarse_width_before_the_fine_mesh(capsys, monkeypatch):
+    # h = 1/16 at level 4 does not resolve c = 0.01; the refusal comes from
+    # the coarsest mesh, before the fine level 7 is built, through the parser
+    build = experiments.build_mesh
+    monkeypatch.setattr(
+        experiments, "build_mesh", lambda dim, level: build(dim, level) if level == 4 else _no_mesh(dim, level)
+    )
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "interp", "--c", "0.01", "--levels", "4..6"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: fracsob verify")
+    assert "error: argument --c: level 4: h=0.0625 too coarse for c=0.01" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["sweep", "upper", "--levels", "4..8"], ["verify", "interp", "--levels", "4..6"]],
+    ids=["sweep", "verify"],
+)
+def test_out_in_a_missing_directory_exits_through_argparse(argv, tmp_path, capsys, monkeypatch):
+    # the result's directory is checked while parsing, before any mesh
+    monkeypatch.setattr(experiments, "build_mesh", _no_mesh)
+    out = tmp_path / "missing" / "x.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: fracsob {argv[0]}")
+    assert f"error: argument --out: '{out}' names a directory that does not exist" in err
 
 
 def test_verify_inequalities_command(capsys):

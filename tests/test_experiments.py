@@ -176,8 +176,38 @@ def test_sweep_records_a_refused_level_as_one_failure():
 def test_sweep_with_every_level_refused_by_size_raises_size_limit():
     # 2D levels 9..11 exceed the mesh storage estimate, so build_mesh
     # refuses each before allocating and no rate fit is possible
-    with pytest.raises(SizeLimitError, match="only 0 levels succeeded, need 3 for a rate fit"):
+    with pytest.raises(SizeLimitError, match="only 0 levels fit the size caps, need 3 for a rate fit"):
         upper_bound_sweep(2, 0.5, [9, 10, 11])
+
+
+@pytest.mark.parametrize(
+    "sweep, N, s, levels, measured",
+    [
+        # 1D L13 and L14 exceed the dense cap, which assemble applies
+        (discrete_constant_sweep, 1, 0.25, [11, 13, 14], "assemble"),
+        # 2D L9 and L10 exceed the mesh storage estimate of build_mesh
+        (upper_bound_sweep, 2, 0.5, [2, 9, 10], "seminorm_sq_direct"),
+    ],
+    ids=["solve", "upper"],
+)
+def test_sweep_left_too_few_levels_by_the_caps_measures_none(monkeypatch, sweep, N, s, levels, measured):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a level was measured")
+
+    monkeypatch.setattr(experiments, measured, refuse)
+    with pytest.raises(SizeLimitError, match="only 1 levels fit the size caps, need 3 for a rate fit"):
+        sweep(N, s, levels)
+
+
+def test_sweep_lets_a_linalg_error_propagate(monkeypatch):
+    # no level raises LinAlgError by design: the positivity audit and solve
+    # turn their factorization failures into AssemblyError and RuntimeError
+    def broken(*args, **kwargs):
+        raise np.linalg.LinAlgError("not a level failure")
+
+    monkeypatch.setattr(experiments, "solve", broken)
+    with pytest.raises(np.linalg.LinAlgError, match="not a level failure"):
+        discrete_constant_sweep(1, 0.25, [4, 5, 6])
 
 
 def test_sweep_raises_on_a_programming_error(monkeypatch):

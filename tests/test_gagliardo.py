@@ -377,10 +377,23 @@ def test_cached_pair_tables_stay_linear_in_the_elements(dim, level):
     assert held < 2e6, held
 
 
+def test_element_pairs_need_no_block_walk(monkeypatch):
+    # touching is a fact of topology: the pairs come from the element-node
+    # incidence, so no cluster-tree walk runs
+    def refuse(tree, ratio):
+        raise AssertionError("element_pairs walked the cluster tree")
+
+    monkeypatch.setattr(mesh_module, "_block_walk", refuse)
+    for dim, level in ((1, 6), (2, 2)):
+        mesh = build_mesh(dim, level)
+        pairs = element_pairs(mesh)
+        assert len(pairs.vertex) + len(pairs.edge) > 0
+
+
 def test_classification_holds_no_all_candidate_float_temporary():
-    # element_pairs compares the nodes of the leaf pairs of the cluster
-    # tree's block walk only; a (P, k, k, dim) float array of their vertex
-    # distances would take a 47 MiB peak here
+    # element_pairs compares the nodes of the touching pairs only; a
+    # (P, k, k, dim) float array of vertex distances over candidate pairs
+    # would take a 47 MiB peak here
     mesh = build_mesh(2, 3)
     tracemalloc.start()
     try:
@@ -1474,7 +1487,7 @@ def _disjoint_sum(mesh, s, u, pairs, boost):
 @pytest.mark.parametrize("key", sorted(_AUDIT_MESHES))
 @pytest.mark.parametrize("ratio", [1.5, 4.0, 8.0])
 def test_audit_band_is_the_ratio_test(key, ratio):
-    # the ratio test over the block walk's leaf pairs finds exactly the
+    # the ratio test over the partition's leaf rows finds exactly the
     # pairs the plain test keeps, pairs of unequal diameter included, in
     # triu order
     mesh = _AUDIT_MESHES[key]()

@@ -160,16 +160,18 @@ def test_2d_audit_takes_the_full_pass_without_a_band(monkeypatch, level):
 
 
 def test_banded_audit_streams_no_disjoint_pair(monkeypatch):
-    # with a finite cutoff the audit takes its band from the leaf pairs of
-    # the cluster tree's block walk and bounds the rest: it forms no
-    # disjoint partition, so no tile of the O(m^2) far field is grouped or
-    # evaluated
+    # with a finite cutoff the audit takes its band from the leaf rows of
+    # the cluster tree's block walk and bounds the rest: no tile of the
+    # O(m^2) far field is evaluated
     form = assemble(build_mesh(1, 8), 0.25)
+    tile_chunks = gagliardo._tile_chunks
 
-    def refuse(mesh, ratio):
-        raise AssertionError("the banded audit formed the disjoint partition")
+    def refuse(mesh, s, geo, tiles, order):
+        if len(tiles):
+            raise AssertionError("the banded audit evaluated a tile")
+        return tile_chunks(mesh, s, geo, tiles, order)
 
-    monkeypatch.setattr(gagliardo, "disjoint_partition", refuse)
+    monkeypatch.setattr(gagliardo, "_tile_chunks", refuse)
     rep = solve(form)
     assert rep.audit_cutoff < float("inf") and rep.tail_bound > 0.0
 
