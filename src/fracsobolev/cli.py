@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from .experiments import (
-    check_interp_width,
+    WidthError,
     check_levels,
     discrete_constant_sweep,
     make_rng,
@@ -212,7 +212,10 @@ def _random_fe_functions(dim: int, seed: int, count: int = 50):
 
 def _cmd_verify(args) -> int:
     if args.kind == "interp":
-        res = verify_interp_error(args.dim, args.s, args.q, args.c, args.levels)
+        try:
+            res = verify_interp_error(args.dim, args.s, args.q, args.c, args.levels)
+        except WidthError as exc:
+            args.parser.error(f"argument --c: {exc}")
         _print_fit("value rate in h (expect 2)", res.lq_h)
         _print_fit("gradient rate in h (expect 1)", res.grad_h)
         _print_fit(
@@ -295,13 +298,6 @@ def main(argv=None) -> int:
             check_levels(args.dim, args.levels)
         except ValueError as exc:
             args.parser.error(f"argument --levels: {exc}")
-    if getattr(args, "kind", None) == "interp":
-        try:
-            check_interp_width(args.dim, args.c, args.levels)
-        except SizeLimitError as exc:
-            args.parser.error(str(exc))
-        except ValueError as exc:
-            args.parser.error(f"argument --c: {exc}")
     try:
         return args.func(args)
     except SizeLimitError as exc:

@@ -50,7 +50,7 @@ __all__ = [
     "RateFit",
     "SweepRecord",
     "SweepResult",
-    "check_interp_width",
+    "WidthError",
     "check_levels",
     "discrete_constant_sweep",
     "fit_manifold",
@@ -124,6 +124,10 @@ class InterpRates:
     grad_h: RateFit
     lq_c: RateFit
     details: dict
+
+
+class WidthError(ValueError):
+    """The coarsest mesh of ``verify_interp_error`` does not resolve the width c: h > c/4."""
 
 
 def fit_rate(points) -> RateFit:
@@ -219,8 +223,9 @@ def check_levels(N, levels) -> list:
     return levels
 
 
-# Failures a level can have by design; anything else is a defect and raises.
-_LEVEL_FAILURES = (AssemblyError, QuadratureError, SizeLimitError)
+# Failures a measured level can have by design; the size caps refuse a
+# level before it is measured, and anything else is a defect and raises.
+_LEVEL_FAILURES = (AssemblyError, QuadratureError)
 
 
 def _sweep_levels(N: int, levels, measure, dense=False):
@@ -235,9 +240,8 @@ def _sweep_levels(N: int, levels, measure, dense=False):
     ``check_dense_size`` of ``node_count``, which ``assemble`` applies;
     a refused level is a failure row, and SizeLimitError is raised at
     once if the caps leave fewer than three levels, the fewest a rate
-    fit takes.  Returns (records, failures, details) and raises unless
-    three levels succeed: SizeLimitError when every failure is a size
-    refusal, RuntimeError otherwise.
+    fit takes.  Returns (records, failures, details) and raises
+    RuntimeError unless three levels succeed.
     """
     levels = check_levels(N, levels)
     refused = {}
@@ -271,8 +275,7 @@ def _sweep_levels(N: int, levels, measure, dense=False):
         for key, val in extras.items():
             details.setdefault(key, []).append(val)
     if len(records) < 3:
-        by_size = all(msg.startswith("SizeLimitError:") for _, msg in failures)
-        raise (SizeLimitError if by_size else RuntimeError)(
+        raise RuntimeError(
             f"only {len(records)} levels succeeded, need 3 for a rate fit; "
             f"failures: {failures}"
         )
@@ -433,17 +436,6 @@ def _interp_errors(mesh, psi, u, q):
     return err_q, err_p
 
 
-def check_interp_width(N: int, c: float, levels) -> None:
-    """ValueError unless the coarsest level's mesh resolves width c, h <= c/4.
-
-    Element diameters fall with the level, so every finer level passes
-    too; only the coarsest mesh is built.
-    """
-    mesh = build_mesh(N, levels[0])
-    if mesh.h > c / 4:
-        raise ValueError(f"level {levels[0]}: h={mesh.h:.4g} too coarse for c={c}")
-
-
 def verify_interp_error(N: int, s: float, q: float, c: float, levels) -> InterpRates:
     """Measured interpolation-error rates for the truncated profile.
 
@@ -451,8 +443,8 @@ def verify_interp_error(N: int, s: float, q: float, c: float, levels) -> InterpR
     the L^2 gradient error like h; fixed fine mesh, widths 2^-2..2^-5:
     the L^q error grows like c^-(N/2 - N/q + 2 - s).  Profiles carry the
     unit-critical-norm amplitude so the c-regression matches that exponent.
-    The coarsest mesh is built first: ``check_interp_width`` raises
-    ValueError unless its h is at most c/4.  The fine mesh, levels[-1] + 1,
+    The coarsest mesh is built first: WidthError, a ValueError, unless
+    its h is at most c/4.  The fine mesh, levels[-1] + 1,
     comes next: SizeLimitError refuses the run before any level is
     measured when that mesh or its quadrature arrays would take over
     1.5 GB, the figure ``build_mesh`` refuses at.
@@ -461,7 +453,11 @@ def verify_interp_error(N: int, s: float, q: float, c: float, levels) -> InterpR
     if not 1.0 <= q < np.inf:
         raise ValueError(f"q must be a finite number >= 1, got {q!r}")
     levels = check_levels(N, levels)
-    check_interp_width(N, c, levels)
+    coarse = build_mesh(N, levels[0])
+    # element diameters fall with the level, so every finer level
+    # resolves c too
+    if coarse.h > c / 4:
+        raise WidthError(f"level {levels[0]}: h={coarse.h:.4g} too coarse for c={c}")
     # the finest mesh next, so a run too large for memory is refused
     # before any level is measured
     fine = build_mesh(N, levels[-1] + 1)
@@ -474,7 +470,7 @@ def verify_interp_error(N: int, s: float, q: float, c: float, levels) -> InterpR
         )
     h_pts, g_pts = [], []
     for lev in levels:
-        mesh = build_mesh(N, lev)
+        mesh = coarse if lev == levels[0] else build_mesh(N, lev)
         lam = normalize_lambda(c, N, s)
         psi = truncated_bubble(lam, c, N, s)
         u = interpolate(mesh, psi)

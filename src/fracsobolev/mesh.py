@@ -546,9 +546,9 @@ def _enumerate_pairs(mesh):
 
     With E the m x n_nodes incidence matrix, the nonzeros of
     triu(E E^T, 1) are the pairs of distinct elements that share a
-    node, each valued by how many: 1 for a vertex pair, 2 for an edge
-    pair.  Their keys a m + b, sorted, put them in triu order, and their
-    nodes build the tables.
+    node.  Their keys a m + b, sorted, put them in triu order; comparing
+    their nodes tells vertex pairs (one shared node) from edge pairs
+    (two) and orders the nodes of the tables.
     """
     els = mesh.elements
     m, k = els.shape
