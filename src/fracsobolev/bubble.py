@@ -203,10 +203,11 @@ def normalize_lambda(concentration, N, s):
     with K = |S^{N-1}| B(N/2, N/2) / 2 and e1 = B(N/2, s) / B(N/2, N/2).
     So -d/2 is the exponent only as c -> 0: for N = 1, s = 1/4 the relative
     correction e1 c^d is still 0.15-0.59 over c = 2^-3..2^-7.
+    ValueError unless the concentration is a finite number > 0.
     """
     check_order(N, s)
-    if not concentration > 0.0:
-        raise ValueError("concentration must be positive")
+    if not 0.0 < concentration < np.inf:
+        raise ValueError(f"concentration must be a finite number > 0, got {concentration!r}")
     q = critical_exponent(N, s)
     unit = truncated_bubble(1.0, concentration, N, s)
     norm = bubble_lq_norm(unit, q)

@@ -69,8 +69,10 @@ RNG_NAME = "pcg64"
 
 
 def make_rng(seed: int) -> np.random.Generator:
-    """Seeded 64-bit generator; the algorithm name is RNG_NAME."""
-    return np.random.Generator(np.random.PCG64(int(seed)))
+    """Seeded 64-bit generator, named RNG_NAME; ValueError unless seed is an integer >= 0."""
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
+    return np.random.Generator(np.random.PCG64(seed))
 
 
 @dataclass(frozen=True)
@@ -358,15 +360,17 @@ def fit_manifold(
     """Locally minimize seminorm_sq(u - I_h Phi) over profile parameters.
 
     The amplitude enters quadratically and is eliminated in closed form;
-    Nelder-Mead searches over log-concentration and the center.
+    Nelder-Mead searches over log-concentration and the center, from
+    init_guess (concentration, center), by default the mesh's optimal
+    concentration at the origin.
     """
     mesh = form.mesh
     dim = mesh.dim
     if not np.any(u.values):
         raise ValueError("cannot fit the zero function")
     if init_guess is None:
-        init_guess = (1.0, optimal_concentration(mesh.h, dim, form.s), np.zeros(dim))
-    _, c0, x0 = init_guess
+        init_guess = (optimal_concentration(mesh.h, dim, form.s), np.zeros(dim))
+    c0, x0 = init_guess
     A = form.matrix
     w = u.free_values
     uAu = float(w @ A @ w)
@@ -443,7 +447,9 @@ def verify_interp_error(N: int, s: float, q: float, c: float, levels) -> InterpR
     the L^2 gradient error like h; fixed fine mesh, widths 2^-2..2^-5:
     the L^q error grows like c^-(N/2 - N/q + 2 - s).  Profiles carry the
     unit-critical-norm amplitude so the c-regression matches that exponent.
-    The coarsest mesh is built first: WidthError, a ValueError, unless
+    The profile of width c is built once, before any mesh, so
+    ``normalize_lambda`` refuses a c that is not a finite number > 0.
+    The coarsest mesh comes next: WidthError, a ValueError, unless
     its h is at most c/4.  The fine mesh, levels[-1] + 1,
     comes next: SizeLimitError refuses the run before any level is
     measured when that mesh or its quadrature arrays would take over
@@ -453,6 +459,7 @@ def verify_interp_error(N: int, s: float, q: float, c: float, levels) -> InterpR
     if not 1.0 <= q < np.inf:
         raise ValueError(f"q must be a finite number >= 1, got {q!r}")
     levels = check_levels(N, levels)
+    psi = truncated_bubble(normalize_lambda(c, N, s), c, N, s)
     coarse = build_mesh(N, levels[0])
     # element diameters fall with the level, so every finer level
     # resolves c too
@@ -471,8 +478,6 @@ def verify_interp_error(N: int, s: float, q: float, c: float, levels) -> InterpR
     h_pts, g_pts = [], []
     for lev in levels:
         mesh = coarse if lev == levels[0] else build_mesh(N, lev)
-        lam = normalize_lambda(c, N, s)
-        psi = truncated_bubble(lam, c, N, s)
         u = interpolate(mesh, psi)
         err_q, err_p = _interp_errors(mesh, psi, u, q)
         h_pts.append((mesh.h, err_q))
@@ -524,11 +529,12 @@ def verify_covering(N: int, s: float, samples: int, seed: int = 0) -> dict:
     unit profile is evaluated there for all samples at once; the
     concentration and center draws only keep the random stream, and with
     it the seeded results.  The dictionary is the radial direction plus,
-    in 2D, the two axes and 16 equally spaced angles.
+    in 2D, the two axes and 16 equally spaced angles.  ValueError unless
+    samples is an integer >= 1000 and seed one >= 0, numpy integers too.
     """
     _check_problem(N, s)
-    if samples < 1000:
-        raise ValueError("need at least 1000 samples")
+    if not isinstance(samples, (int, np.integer)) or samples < 1000:
+        raise ValueError(f"samples must be an integer >= 1000, got {samples!r}")
     rng = make_rng(seed)
 
     # concentrations and centers: drawn only to keep the seeded stream
@@ -684,9 +690,10 @@ def verify_functional_inequalities(
     explicit constant, a hard bound; (iii) the cube inequality bounding
     the gradient by the function and its second derivatives, fitted on
     smooth profiles since piecewise-linear functions have no integrable
-    second derivative.
+    second derivative.  The seed is checked before any sample is read.
     """
     _check_problem(N, s)
+    rng = make_rng(seed)
     funcs = list(sample_functions)
     if not funcs:
         raise ValueError("need at least one sample function")
@@ -714,7 +721,6 @@ def verify_functional_inequalities(
 
     poincare = _poincare_max_ratio(mesh, s, funcs)
 
-    rng = make_rng(seed)
     cubes = {}
     profiles = [
         Bubble(

@@ -426,17 +426,17 @@ _ROUNDOFF = np.finfo(float).eps / 2
 _ELLIPSE_SHARES = np.linspace(0.0, 1.0, 34)[1:-1]
 
 
-def _chebyshev_order(dim, s, boxes, most):
-    """(p, bound) per tile: the fewest Chebyshev points per side that interpolate its kernel to unit roundoff.
+def _chebyshev_order(dim, s, boxes):
+    """(p, bound) per tile: the least p >= 2 whose bound lies below unit roundoff times the tile's smallest kernel value.
 
-    boxes (B, 2, 2, N) holds each tile's two boxes as (low, high)
-    corners and most (B,) the most points per side it may take.  Along
-    one side of half-width r, the other coordinates fixed in their
-    boxes, |x - y|^(-N-2s) is analytic on the Bernstein ellipse E_rho of
-    a = (rho + 1/rho)/2 = 1 + tau d / r, d the boxes' gap: the ellipse
-    reaches tau d off the box along the real axis and r sqrt(a^2 - 1)
-    off it, so the kernel there is at most M = ((1 - tau) d)^(-N-2s) in
-    1D, where x - y keeps its sign, and
+    p is the points per side of the kernel's tensor Chebyshev
+    interpolant, and boxes (B, 2, 2, N) holds each tile's two boxes as
+    (low, high) corners.  Along one side of half-width r, the other
+    coordinates fixed in their boxes, |x - y|^(-N-2s) is analytic on the
+    Bernstein ellipse E_rho of a = (rho + 1/rho)/2 = 1 + tau d / r, d
+    the boxes' gap: the ellipse reaches tau d off the box along the real
+    axis and r sqrt(a^2 - 1) off it, so the kernel there is at most
+    M = ((1 - tau) d)^(-N-2s) in 1D, where x - y keeps its sign, and
     M = (((1 - tau) d)^2 - r^2 (a^2 - 1))^(-N/2-s) in 2D, where the
     squared distance keeps a positive real part (tau < d / (2 (d + r))).
     Interpolation in p Chebyshev points then errs by at most
@@ -445,9 +445,7 @@ def _chebyshev_order(dim, s, boxes, most):
     largest on the side of largest r / d.  The tensor interpolant applies
     the 2N sides one after another, each with Lebesgue constant at most
     Lam = (2/pi) log p + 1 (ATAP Thm 15.2), so it errs by at most
-    bound = E (1 + Lam + ... + Lam^(2N-1)).  p is the least from 2 up
-    with bound below unit roundoff times the tile's smallest kernel
-    value, or 0, with bound inf, where that p exceeds most.
+    bound = E (1 + Lam + ... + Lam^(2N-1)).
     """
     lo, hi = boxes[:, :, 0], boxes[:, :, 1]
     gap = np.linalg.norm(np.maximum(np.maximum(lo[:, 1] - hi[:, 0], lo[:, 0] - hi[:, 1]), 0.0), axis=1)
@@ -472,17 +470,16 @@ def _chebyshev_order(dim, s, boxes, most):
         return np.log(np.sum(lebesgue[:, None] ** np.arange(2 * dim), axis=1))[:, None]
 
     # the least p for the Lebesgue sum at the last p, which grows with p,
-    # climbs from 2 to the least p whose bound is below the target
+    # climbs from 2 to the least p whose bound is below the target; it
+    # stops, since that sum grows only with log p
     p = np.full(len(boxes), 2)
     while True:
         need = np.min(np.floor((c + log_lebesgue_sum(p) - target) / log_rho), axis=1) + 2
-        step = np.clip(need, p, np.maximum(most, 2) + 1).astype(int)
+        step = np.maximum(need, p).astype(int)
         if np.array_equal(step, p):
             break
         p = step
     bound = np.exp(np.min(c - (p[:, None] - 1) * log_rho, axis=1) + log_lebesgue_sum(p)[:, 0] - power * np.log(gap))
-    dense = p > most
-    p[dense], bound[dense] = 0, np.inf
     return p, bound
 
 
@@ -545,16 +542,17 @@ def _tile_chunks(mesh, s, geo, tiles, order):
     and y_q of b[j]: the plain-Gauss terms that ``_disjoint_sets`` gives
     these pairs, with no index row per pair.  A tile is compressed when
     the kernel's tensor Chebyshev interpolant on its clusters' vertex
-    boxes box, with the points per side p of ``_chebyshev_order``, takes
-    fewer values than the dense array, p^2N + p^N (n_a + n_b) < n_a n_b
-    for n_a, n_b points: its one chunk holds the kernel at the node
-    pairs as K and the clusters' Lagrange bases as Pa, Pb, and its
-    values are Pa K Pb^T.  The interpolant differs from the kernel by
-    less than unit roundoff times the tile's smallest kernel value, so
-    by less than the dense values' own rounding, and the compressed sums
-    differ from the dense sums by rounding alone: the slack takes no
-    term for the compression.  (Evaluated in floats, the values carry the barycentric
-    formula's rounding too, up to 4.4e-15 of the tile's largest value
+    boxes box, with the least points per side p of ``_chebyshev_order``,
+    takes fewer values than the dense array,
+    p^2N + p^N (n_a + n_b) < n_a n_b for n_a, n_b points: its one chunk
+    holds the kernel at the node pairs as K and the clusters' Lagrange
+    bases as Pa, Pb, and its values are Pa K Pb^T.  The interpolant
+    differs from the kernel by less than unit roundoff times the tile's
+    smallest kernel value, so by less than the dense values' own
+    rounding, and the compressed sums differ from the dense sums by
+    rounding alone: the slack takes no term for the compression.
+    (Evaluated in floats, the values carry the barycentric formula's
+    rounding too, up to 4.4e-15 of the tile's largest value
     at 1D level 10.)  A dense tile comes in chunks of at most
     _TERM_POINTS entries.  The points and nodes are formed relative to a
     vertex of the tile, so near tiles keep more digits of their gap.
@@ -564,13 +562,9 @@ def _tile_chunks(mesh, s, geo, tiles, order):
     lam, weights = reference_rule(mesh.dim, order)
     nq, dim = len(lam), mesh.dim
     expo = -(dim + 2 * s) / 2
-    boxes = np.array([box for _, _, box in tiles])
-    # the most points per side at which a compressed tile is smaller:
-    # p^N below the positive root q of q^2 + q (na + nb) = na nb
-    na, nb = (nq * np.array([len(tile[i]) for tile in tiles], dtype=float) for i in (0, 1))
-    most = np.floor((0.5 * (np.sqrt((na + nb) ** 2 + 4 * na * nb) - na - nb)) ** (1 / dim)).astype(int)
-    most -= most ** (2 * dim) + most**dim * (na + nb) >= na * nb
-    points = _chebyshev_order(dim, s, boxes, most)[0]
+    least = _chebyshev_order(dim, s, np.array([box for _, _, box in tiles]))[0]
+    na, nb = (nq * np.array([len(tile[i]) for tile in tiles]) for i in (0, 1))
+    points = np.where(least ** (2 * dim) + least**dim * (na + nb) < na * nb, least, 0)
     for (a, b, box), p in zip(tiles, points):
         origin = geo.verts[a[0], 0]
         xa, xb = (np.matmul(lam, geo.verts[e] - origin).reshape(-1, dim).T for e in (a, b))

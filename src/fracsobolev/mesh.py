@@ -95,9 +95,6 @@ class FeFunction:
         values[: mesh.free_count] = coeffs
         return cls(mesh, values)
 
-    def scaled(self, t):
-        return FeFunction(self.mesh, self.values * float(t))
-
 
 def mesh_quality(mesh):
     """(sigma, rho, h, h_min) of the mesh, from its element geometry.

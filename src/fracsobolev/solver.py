@@ -68,7 +68,6 @@ class SolverReport:
     quotient_history: list
     converged: bool
     residual: float
-    tolerance_used: float
     quadrature_slack: float
     audit_cutoff: float  # the audit's R; inf when it summed every pair
     tail_bound: float  # the bound part of quadrature_slack; see gagliardo.tail_bound
@@ -254,7 +253,6 @@ def solve(
         quotient_history=history,
         converged=residual <= tol,
         residual=residual,
-        tolerance_used=tol,
         quadrature_slack=slack,
         audit_cutoff=cutoff,
         tail_bound=tail,

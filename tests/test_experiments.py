@@ -239,6 +239,19 @@ def test_interp_error_validation():
         verify_interp_error(1, 0.25, 2.0, 0.25, [3, 4])  # h too coarse for c
 
 
+@pytest.mark.parametrize("c", [-1, 0.0, np.inf, np.nan])
+def test_interp_error_refuses_a_bad_width_before_any_mesh(monkeypatch, c):
+    # the profile is built first, so a width that is not a finite number
+    # > 0 is refused by name, not as a coarse mesh or a failed quadrature
+    def no_mesh(dim, level):
+        raise AssertionError(f"built the mesh of level {level}")
+
+    monkeypatch.setattr(experiments, "build_mesh", no_mesh)
+    with pytest.raises(ValueError, match="concentration must be a finite number > 0") as info:
+        verify_interp_error(1, 0.25, 2.0, c, [4, 5, 6])
+    assert not isinstance(info.value, experiments.WidthError)
+
+
 def test_interp_error_refuses_a_fine_quadrature_too_large(monkeypatch):
     # levels 4..6 meet the fine level 7, 39.3M order-10 points in 2D, before
     # any level is measured
@@ -314,6 +327,33 @@ def test_make_rng_deterministic():
     a = make_rng(11).standard_normal(5)
     b = make_rng(11).standard_normal(5)
     assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("seed", [1.5, -1])
+def test_make_rng_refuses_a_seed_that_is_not_an_integer_ge_0(seed):
+    with pytest.raises(ValueError, match=r"seed must be an integer >= 0"):
+        make_rng(seed)
+
+
+@pytest.mark.parametrize(
+    "run, argument",
+    [
+        (lambda: verify_covering(1, 0.25, 1000, seed=1.5), "seed"),
+        (lambda: verify_covering(1, 0.25, 1000.5), "samples"),
+        (lambda: verify_functional_inequalities(1, 0.25, [], seed=1.5), "seed"),
+    ],
+    ids=["covering-seed", "covering-samples", "inequalities-seed"],
+)
+def test_audits_refuse_a_count_that_is_not_an_integer_by_name(run, argument):
+    # a record names the seed its run used: PCG64 would take 1.5 as 1
+    with pytest.raises(ValueError, match=rf"{argument} must be an integer >= "):
+        run()
+
+
+def test_numpy_integer_seeds_and_counts_match_python_ones():
+    assert np.array_equal(make_rng(np.int64(11)).standard_normal(5), make_rng(11).standard_normal(5))
+    ours = verify_covering(1, 0.25, np.int64(1000), seed=np.uint32(3))
+    assert ours["min_ratio"] == verify_covering(1, 0.25, 1000, seed=3)["min_ratio"]
 
 
 # --------------------------------------------- minimizing-sequence audit

@@ -1659,7 +1659,7 @@ def test_compressed_tiles_meet_their_bound(monkeypatch, key, s):
         # the boxes' own vertices give the same p, with a bound below unit
         # roundoff of the smallest kernel value, at the boxes' far corners
         box = np.stack([_vertex_box(geo, a), _vertex_box(geo, b)])
-        points, bounds = _chebyshev_order(1, s, box[None], np.array([p]))
+        points, bounds = _chebyshev_order(1, s, box[None])
         assert points[0] == p
         bound = float(bounds[0])
         far = max(box[1, 1, 0] - box[0, 0, 0], box[0, 1, 0] - box[1, 0, 0])
@@ -1676,7 +1676,7 @@ def test_two_dimensional_tile_interpolant_meets_its_bound():
     geo = element_geometry(mesh)
     tiles, _ = disjoint_partition(mesh, _DISTANT_RATIO)
     boxes = np.array([[_vertex_box(geo, e) for e in tile[:2]] for tile in tiles])
-    points, bounds = _chebyshev_order(2, s, boxes, np.full(len(tiles), 10**6))
+    points, bounds = _chebyshev_order(2, s, boxes)
     assert np.all(points > 0)
     lam, weights = reference_rule(2, _orders(2, 0)[2])
     for i in np.argsort(points, kind="stable")[:4]:
@@ -1688,7 +1688,37 @@ def test_two_dimensional_tile_interpolant_meets_its_bound():
         _check_interpolant(geo, lam, s, a, b, boxes[i], points[i], bounds[i], Pa, K, Pb)
 
 
-def _dense_tiles(dim, s, boxes, most):
+@pytest.mark.parametrize("boost", [0, 1])
+@pytest.mark.parametrize(
+    "key, s", [("1d-L8", 0.3), ("1d-L10", 0.1), ("1d-graded", 0.3), ("1d-squared", 0.25), ("2d-L3", 0.5)]
+)
+def test_compression_follows_the_cost_rule(monkeypatch, key, s, boost):
+    # a tile is interpolated, with p^N nodes per cluster, exactly when the
+    # p of _chebyshev_order on its boxes takes fewer values than the
+    # dense array, p^2N + p^N (n_a + n_b) < n_a n_b, and otherwise its
+    # dense chunks cover its pairs once
+    mesh = _tile_meshes(key, monkeypatch)
+    dim, geo = mesh.dim, element_geometry(mesh)
+    tiles, _ = disjoint_partition(mesh, _DISTANT_RATIO)
+    order = _orders(dim, boost)[2]
+    nq = len(reference_rule(dim, order)[0])
+    points = _chebyshev_order(dim, s, np.array([box for *_, box in tiles]))[0]
+    chunks = _tile_chunks(mesh, s, geo, tiles, order)
+    for (a, b, _), p in zip(tiles, points):
+        na, nb, q = nq * len(a), nq * len(b), p**dim
+        first = next(chunks)
+        if q * q + q * (na + nb) < na * nb:
+            assert first.Pa.shape == (na, q) and first.Pb.shape == (nb, q) and first.K.shape == (q, q)
+            continue
+        covered = [first]
+        while sum(len(c.a) * len(c.b) for c in covered) < len(a) * len(b):
+            covered.append(next(chunks))
+        assert all(c.Pa is None and c.Pb is None for c in covered)
+        assert sum(len(c.a) * len(c.b) for c in covered) == len(a) * len(b)
+    assert next(chunks, None) is None
+
+
+def _dense_tiles(dim, s, boxes):
     """_chebyshev_order with every tile left dense."""
     return np.zeros(len(boxes), dtype=int), np.full(len(boxes), np.inf)
 

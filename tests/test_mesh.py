@@ -121,7 +121,7 @@ def test_from_free_scaled_roundtrip():
     u = FeFunction.from_free(mesh, coeffs)
     assert np.array_equal(u.free_values, coeffs)
     assert np.all(u.values[mesh.boundary_mask] == 0.0)
-    v = u.scaled(-2.5)
+    v = FeFunction(u.mesh, -2.5 * u.values)
     assert np.array_equal(v.free_values, -2.5 * coeffs)
     with pytest.raises(ValueError):
         FeFunction.from_free(mesh, coeffs[:-1])

@@ -28,7 +28,6 @@ def small_problem():
 def test_solve_converges_with_monotone_history(small_problem):
     form, rep = small_problem
     assert rep.converged
-    assert rep.tolerance_used == 1e-10
     hist = np.array(rep.quotient_history)
     assert np.all(np.diff(hist) <= 0.0)
     # a step that ticks the quotient up by rounding is not recorded, so
@@ -221,7 +220,7 @@ def test_fit_manifold_recovers_exact_interpolant():
     mesh = build_mesh(1, 5)
     form = assemble(mesh, 0.25)
     target = interpolate(mesh, Bubble(1, 0.25, 1.0, 0.3, np.zeros(1)))
-    fit = fit_manifold(form, target, init_guess=(1.0, 0.35, np.array([0.05])))
+    fit = fit_manifold(form, target, init_guess=(0.35, np.array([0.05])))
     uAu = seminorm_sq(form, target)
     assert fit.discrete_distance_sq <= 1e-10 * uAu
     assert abs(fit.amplitude - 1.0) < 1e-4
