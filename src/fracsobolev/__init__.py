@@ -48,6 +48,7 @@ from .mesh import (
     build_mesh,
     element_geometry,
     element_pairs,
+    evaluate,
     interpolate,
     make_ball_mesh,
     mesh_quality,
@@ -91,6 +92,7 @@ __all__ = [
     "element_geometry",
     "element_pairs",
     "element_self_interaction",
+    "evaluate",
     "exact_constant",
     "fit_manifold",
     "fit_rate",

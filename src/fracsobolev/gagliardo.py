@@ -814,9 +814,11 @@ def assemble(mesh: BallMesh, s: float) -> NonlocalForm:
 def _positivity_audit(matrix):
     """Least relative Gershgorin margin; AssemblyError unless matrix is symmetric positive definite.
 
-    One pass over 256-row blocks, row blocks against column blocks, finds
-    the skew max |a_ij - a_ji|, the scale max |a_ij| and each row's
-    absolute sum r_i, with no n x n temporary beside the matrix.  Every
+    One pass over 128-row blocks finds the scale max |a_ij| and each
+    row's absolute sum r_i from the contiguous rows, and the skew
+    max |a_ij - a_ji| from the square tiles A[I, J] - A[J, I]^T with
+    J >= I, so each entry is read once for it; no n x n temporary is
+    formed beside the matrix.  Every
     symmetric matrix within skew of the stored one, the upper triangle
     that cho_factor reads included, has row i's Gershgorin margin at
     least 2 a_ii - r_i - (n-1) skew, and the computed r_i lies within
@@ -832,14 +834,14 @@ def _positivity_audit(matrix):
     n = len(matrix)
     rows = np.empty(n)
     skew = scale = 0.0
-    for i in range(0, n, 256):
-        block = matrix[i : i + 256]
-        gap = block - matrix[:, i : i + 256].T
-        np.abs(gap, out=gap)
-        skew = max(skew, float(np.max(gap)))
-        np.abs(block, out=gap)
-        scale = max(scale, float(np.max(gap)))
-        rows[i : i + 256] = gap.sum(axis=1)
+    b = 128
+    for i in range(0, n, b):
+        block = np.abs(matrix[i : i + b])
+        scale = max(scale, float(np.max(block)))
+        rows[i : i + b] = block.sum(axis=1)
+        for j in range(i, n, b):
+            gap = matrix[i : i + b, j : j + b] - matrix[j : j + b, i : i + b].T
+            skew = max(skew, float(np.max(np.abs(gap, out=gap))))
     if skew > 1e-12 * (scale or 1.0):
         raise AssemblyError(f"assembled matrix asymmetry {skew:.2e} exceeds tolerance")
     diag = np.diagonal(matrix)

@@ -19,6 +19,7 @@ __all__ = [
     "FeFunction",
     "build_mesh",
     "check_mesh_size",
+    "evaluate",
     "make_ball_mesh",
     "mesh_quality",
     "interpolate",
@@ -55,8 +56,13 @@ class BallMesh:
 
     @property
     def free_count(self):
-        """Number of interior nodes; they occupy indices 0..free_count-1."""
-        return int(np.sum(~self.boundary_mask))
+        """Number of interior nodes; they occupy indices 0..free_count-1.
+
+        Counted once: the mesh is frozen, like its other caches.
+        """
+        if "free_count" not in self._cache:
+            self._cache["free_count"] = int(np.sum(~self.boundary_mask))
+        return self._cache["free_count"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -589,3 +595,69 @@ def interpolate(mesh, f):
     vals = vals.copy()
     vals[mesh.boundary_mask] = 0.0
     return FeFunction(mesh, vals)
+
+
+# how far outside a cluster's vertex box or an element a point may round
+# and still be located there
+_LOCATE_TOL = 1e-12
+
+
+def evaluate(u, points):
+    """Values of the P1 function u at points (P, dim); 0 outside u's mesh polygon.
+
+    Each point descends u's cached ``cluster_tree`` through the clusters
+    whose vertex box holds it, and its barycentric coordinates in the
+    elements of the leaves it reaches pick the element that holds it
+    deepest.  Both the box and the coordinate tests allow _LOCATE_TOL, so
+    a point on a shared face finds an element however its coordinates
+    round; the coordinates are exact at the vertices, where u's nodal
+    values come back bitwise.
+    """
+    mesh = u.mesh
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != mesh.dim:
+        raise ValueError(f"points must have shape (P, {mesh.dim}), got {pts.shape}")
+    tree = cluster_tree(mesh)
+    p, t = np.arange(len(pts)), np.zeros(len(pts), dtype=np.intp)
+    found_p, found_t = [], []
+    while len(p):
+        box = tree.box[t]
+        inside = np.all((pts[p] >= box[:, 0] - _LOCATE_TOL) & (pts[p] <= box[:, 1] + _LOCATE_TOL), axis=1)
+        p, t = p[inside], t[inside]
+        leaf = tree.children[t, 0] < 0
+        found_p.append(p[leaf])
+        found_t.append(t[leaf])
+        p, t = np.repeat(p[~leaf], 2), tree.children[t[~leaf]].ravel()
+    # each (point, leaf) pair becomes one (point, element) pair per element of the leaf
+    p, t = np.concatenate(found_p), np.concatenate(found_t)
+    size = tree.stop[t] - tree.start[t]
+    within = np.arange(size.sum()) - np.repeat(np.cumsum(size) - size, size)
+    p, e = np.repeat(p, size), tree.order[np.repeat(tree.start[t], size) + within]
+    lam = _barycentric(mesh.nodes[mesh.elements[e]], pts[p])
+    depth = lam.min(axis=1)
+    held = np.flatnonzero(depth >= -_LOCATE_TOL)
+    # by point, deepest first; each point takes the first of its run
+    held = held[np.lexsort((-depth[held], p[held]))]
+    first = held[np.unique(p[held], return_index=True)[1]]
+    values = np.zeros(len(pts))
+    values[p[first]] = np.sum(lam[first] * u.values[mesh.elements[e[first]]], axis=1)
+    return values
+
+
+def _barycentric(verts, x):
+    """(P, dim+1) barycentric coordinates of the points x (P, dim) in the simplices verts (P, dim+1, dim).
+
+    Cramer's rule on the edges from the first vertex; at a vertex the
+    coordinates are exactly 0 and 1.
+    """
+    e = verts[:, 1:] - verts[:, :1]
+    r = x - verts[:, 0]
+    if x.shape[1] == 1:
+        lam = r / e[:, 0]
+    else:
+        def cross(a, b):
+            return a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
+
+        det = cross(e[:, 0], e[:, 1])
+        lam = np.column_stack([cross(r, e[:, 1]) / det, cross(e[:, 0], r) / det])
+    return np.column_stack([1.0 - lam.sum(axis=1), lam])

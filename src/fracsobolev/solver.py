@@ -9,7 +9,8 @@ only linearly, slowly as q approaches 2, so each step also forms an
 Anderson-mixed candidate (Walker & Ni, SIAM J. Numer. Anal. 2011) from
 the recent plain steps and takes it only when its quotient is no higher
 than the plain step's; the plain step stays the safeguard, and no line
-search or second factorization is needed.
+search, second factorization or second product with A per step is
+needed.
 """
 
 from __future__ import annotations
@@ -92,45 +93,48 @@ def default_start(mesh, s) -> FeFunction:
     return interpolate(mesh, truncated_bubble(normalize_lambda(c_h, mesh.dim, s), c_h, mesh.dim, s))
 
 
-def _unit_positive(mesh, free, q) -> FeFunction:
-    """The function with free values ``free`` scaled to unit critical
-    norm, its sign chosen so that the free values have a positive mean."""
-    u = FeFunction.from_free(mesh, free)
-    nrm = lq_norm(u, q)
+def _unit_positive(mesh, free, q):
+    """(u, d): the function with free values ``free / d``, d = +-|free|_q,
+    the sign chosen so that the free values have a positive mean."""
+    nrm = lq_norm(FeFunction.from_free(mesh, free), q)
     if nrm == 0.0:
         raise ValueError("iterate collapsed to zero")
     vals = free / nrm
     if vals.mean() < 0:
-        vals = -vals
-    return FeFunction.from_free(mesh, vals)
+        vals, nrm = -vals, -nrm
+    return FeFunction.from_free(mesh, vals), nrm
 
 
-def _euler_lagrange(u: FeFunction, Au, mu: float, q: float):
-    """(b, residual) of a unit iterate with A u and mu = u^T A u: the
-    vector b(u) and norm(A u - mu b) / norm(A u)."""
-    b = nonlinear_residual(u, q)
-    return b, float(np.linalg.norm(Au - mu * b) / np.linalg.norm(Au))
+def _residual(Au, mu: float, b) -> float:
+    """norm(A u - mu b) / norm(A u): the Euler-Lagrange residual of a unit
+    iterate with A u, mu = u^T A u and b = b(u)."""
+    return float(np.linalg.norm(Au - mu * b) / np.linalg.norm(Au))
 
 
-def _candidate(A, mesh, free, q):
-    """(u, A u, u^T A u) of ``free`` normalized by _unit_positive."""
-    u = _unit_positive(mesh, free, q)
-    Au = A @ u.free_values
+def _candidate(mesh, q, free, A_free):
+    """(u, A u, u^T A u) of ``free`` normalized by _unit_positive, with
+    A u = A_free / d from A_free = A free."""
+    u, d = _unit_positive(mesh, free, q)
+    Au = A_free / d
     return u, Au, float(u.free_values @ Au)
 
 
-def _mixed(pairs):
-    """Anderson-mixed free values from the recorded (g, g - u) pairs.
+def _mixed(plain):
+    """(w, A w): the Anderson-mixed free values from the recorded plain steps.
 
-    The coefficients gamma minimize norm(f_k - dF gamma) over the
-    differences of successive residuals f = g - u (Walker & Ni 2011,
-    type II); the candidate is g_k - dG gamma.
+    Each entry of plain is (g, g - u, A g, A (g - g')), g' the plain
+    iterate before g.  The coefficients gamma minimize norm(f_k - dF
+    gamma) over the differences of successive residuals f = g - u
+    (Walker & Ni 2011, type II); the candidate is w = g_k - dG gamma,
+    and A w = (A g)_k - A(dG) gamma by linearity, with no product with
+    A.  A(dG) are the stored products of the differences themselves:
+    differences of the stored A g would carry each product's rounding,
+    eps |A| |g|, times gamma, which reaches the hundreds.
     """
-    G = np.array([g for g, _ in pairs])
-    F = np.array([f for _, f in pairs])
+    G, F, AG, AdG = (np.array(part) for part in zip(*plain))
     dG, dF = np.diff(G, axis=0), np.diff(F, axis=0)
     gamma = np.linalg.lstsq(dF.T, F[-1], rcond=None)[0]
-    return G[-1] - gamma @ dG
+    return G[-1] - gamma @ dG, AG[-1] - gamma @ AdG[1:]
 
 
 def quadrature_slack(mesh, s, u, semi, norm_sq):
@@ -169,20 +173,30 @@ def solve(
 ) -> SolverReport:
     """Minimize the discrete quotient by Anderson-mixed inverse power steps.
 
-    Per step: solve A v = b(u) with the one Cholesky factor and normalize
-    v to unit critical norm, the plain iterate g.  For unit u, Hoelder
-    gives <v, b> <= |v|_q and Cauchy-Schwarz in the A-inner product gives
+    init is the start, by default ``default_start``; the discrete sweep
+    passes the minimizer of the level below, prolonged.  Per step: solve
+    A v = b(u) with the one Cholesky factor and normalize v to unit
+    critical norm, the plain iterate g.  For unit u, Hoelder gives
+    <v, b> <= |v|_q and Cauchy-Schwarz in the A-inner product gives
     1 = <u, b>^2 <= (u^T A u)(b^T A^-1 b), so Q(g) <= Q(u).  Least
     squares over the differences of the last _MIX_DEPTH + 1 pairs
-    (g, g - u) gives a second, mixed candidate w (Walker & Ni, SIAM J. Numer. Anal. 2011).  The step
-    takes w when Q(w) <= Q(g) within _MIX_MARGIN, and otherwise takes g
-    and restarts the mixing history, so every accepted iterate satisfies
-    Q(u_+) <= Q(g) <= Q(u) up to rounding; mixed_steps counts the steps
-    that took w.  Stops once the
+    (g, g - u) gives a second, mixed candidate w (Walker & Ni, SIAM J.
+    Numer. Anal. 2011).  The step takes w when Q(w) <= Q(g) within
+    _MIX_MARGIN, and otherwise takes g and restarts the mixing history,
+    so every accepted iterate satisfies Q(u_+) <= Q(g) <= Q(u) up to
+    rounding; mixed_steps counts the steps that took w.  Stops once the
     Euler-Lagrange residual norm(A u - mu b)/norm(A u) is at most
     ``tol``; _MAX_ITER steps without that warn and return
     converged=False with the residual reached.  A NaN, negative or
     infinite ``tol`` raises ValueError; 0 runs to the step cap.
+
+    A step takes one product with A, that of g - g', g' the plain
+    iterate before g or the start: A g is A g' plus it, and A w follows
+    from the stored products by linearity (``_mixed``).  The product of
+    a difference carries rounding in proportion to the difference, so
+    the quotients stay within a few ulp of those of direct products.
+    On the iterate returned, A u, mu and the residual are recomputed by
+    one product, so s_h is u^T A u bitwise.
 
     quotient_history records each accepted quotient that does not exceed
     the last one recorded, so it is non-increasing bitwise and ends at
@@ -210,25 +224,38 @@ def solve(
             "the assembled form is corrupted"
         ) from exc
 
-    u, Au, mu = _candidate(A, mesh, init.free_values, q)
-    b, residual = _euler_lagrange(u, Au, mu, q)
+    u = _unit_positive(mesh, init.free_values, q)[0]
+    Au = A @ u.free_values
+    mu = float(u.free_values @ Au)
+    b = nonlinear_residual(u, q)
+    residual = _residual(Au, mu, b)
     history = [mu]
-    pairs = []
+    plain = []
+    # the last plain iterate, at first the start, and its product
+    g_last, Ag_last = u.free_values, Au
     steps = mixed_steps = 0
     while residual > tol and steps < _MAX_ITER:
-        g, Ag, mu_g = _candidate(A, mesh, cho_solve(factor, b, check_finite=False), q)
+        g = _unit_positive(mesh, cho_solve(factor, b, check_finite=False), q)[0]
         steps += 1
-        pairs.append((g.free_values, g.free_values - u.free_values))
-        del pairs[: -_MIX_DEPTH - 1]
-        u, Au, mu = g, Ag, mu_g
-        if len(pairs) > 1:
-            w, Aw, mu_w = _candidate(A, mesh, _mixed(pairs), q)
-            if mu_w <= mu_g * (1.0 + _MIX_MARGIN):
+        A_step = A @ (g.free_values - g_last)
+        g_last, Ag_last = g.free_values, Ag_last + A_step
+        plain.append((g_last, g_last - u.free_values, Ag_last, A_step))
+        del plain[: -_MIX_DEPTH - 1]
+        u, Au, mu = g, Ag_last, float(g_last @ Ag_last)
+        if len(plain) > 1:
+            w, Aw, mu_w = _candidate(mesh, q, *_mixed(plain))
+            if mu_w <= mu * (1.0 + _MIX_MARGIN):
                 u, Au, mu = w, Aw, mu_w
                 mixed_steps += 1
             else:
-                del pairs[:-1]
-        b, residual = _euler_lagrange(u, Au, mu, q)
+                del plain[:-1]
+        b = nonlinear_residual(u, q)
+        residual = _residual(Au, mu, b)
+        if residual <= tol or steps == _MAX_ITER:
+            # the iterate returned: its own product, so s_h is u^T A u bitwise
+            Au = A @ u.free_values
+            mu = float(u.free_values @ Au)
+            residual = _residual(Au, mu, b)
         if mu > history[-1] * (1.0 + _RISE_TOL):
             raise RuntimeError(
                 f"inverse-power step {steps}: quotient rose from {history[-1]!r} "

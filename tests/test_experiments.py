@@ -22,9 +22,9 @@ from fracsobolev.experiments import (
     write_records,
 )
 from fracsobolev.gagliardo import assemble
-from fracsobolev.mesh import FeFunction, SizeLimitError, build_mesh
+from fracsobolev.mesh import FeFunction, SizeLimitError, build_mesh, evaluate, interpolate
 from fracsobolev.params import exact_constant, rate_exponent
-from fracsobolev.solver import solve
+from fracsobolev.solver import default_start, deficit, solve
 
 # ------------------------------------------------------------- rate fits
 
@@ -131,19 +131,21 @@ def test_upper_bound_sweep_reproducible():
 
 def test_discrete_constant_sweep_small_window(monkeypatch):
     # the sweep reports S_h and its gap; the manifold fit is a diagnostic
-    # of a solved level that no sweep calls, and solve builds and scores
-    # each level's start
-    def refuse(name):
-        def refused(*args, **kwargs):
-            raise AssertionError(f"discrete_constant_sweep called {name}")
+    # of a solved level that no sweep calls
+    def refused(*args, **kwargs):
+        raise AssertionError("discrete_constant_sweep called fit_manifold")
 
-        return refused
-
-    for name in ("fit_manifold", "default_start", "quotient"):
-        monkeypatch.setattr(experiments, name, refuse(name))
+    monkeypatch.setattr(experiments, "fit_manifold", refused)
     res = discrete_constant_sweep(1, 0.25, [4, 5, 6])
-    first = solve(assemble(build_mesh(1, 4), 0.25)).quotient_history[0]
-    assert res.details["warm_deficit"][0] == first - exact_constant(1, 0.25)
+    # warm_deficit is each level's default-start deficit, start_deficit
+    # that of solve's first iterate: the same function at the first
+    # level, the prolonged minimizer, much closer, after it
+    for i, level in enumerate([4, 5, 6]):
+        mesh = build_mesh(1, level)
+        assert res.details["warm_deficit"][i] == deficit(assemble(mesh, 0.25), default_start(mesh, 0.25))
+    defaults, starts = res.details["warm_deficit"], res.details["start_deficit"]
+    assert starts[0] == pytest.approx(defaults[0], rel=1e-12)
+    assert all(b < 0.7 * d for b, d in zip(starts[1:], defaults[1:]))
     assert res.failures == []
     assert not {"c_fit", "fit_centers", "c_fit_regression"} & set(res.details)
     gaps = [r.value for r in res.records]
@@ -152,12 +154,37 @@ def test_discrete_constant_sweep_small_window(monkeypatch):
     assert res.fit.slope > 0
     assert all(res.details["converged"])
     assert all(0 < k <= n for k, n in zip(res.details["mixed_steps"], res.details["iterations"]))
-    # the solver cannot do worse than its warm start
+    # the minimum is no higher than the default start's quotient
     for gap, warm in zip(gaps, res.details["warm_deficit"]):
         assert gap <= warm
     # each level's audit cutoff and the bound part of its slack
     assert len(res.details["audit_cutoff"]) == len(res.details["tail_bound"]) == 3
     assert all(0.0 <= t <= r.slack for t, r in zip(res.details["tail_bound"], res.records))
+
+
+@pytest.mark.parametrize("N, s, levels", [(1, 0.25, [4, 5, 6]), (2, 0.5, [0, 1, 2])])
+def test_sweep_starts_each_level_from_the_prolonged_minimizer(monkeypatch, N, s, levels):
+    # nested iteration: the first level starts from solve's default, every
+    # later one from the minimizer below evaluated at its nodes, and each
+    # S_h is the default-start solve's to rounding
+    starts, minimizers = [], []
+
+    def recording(form, init=None, tol=1e-10):
+        rep = solve(form, init=init, tol=tol)
+        starts.append(init)
+        minimizers.append(rep.minimizer)
+        return rep
+
+    monkeypatch.setattr(experiments, "solve", recording)
+    res = discrete_constant_sweep(N, s, levels)
+    assert starts[0] is None
+    for below, init in zip(minimizers, starts[1:]):
+        assert init is not None
+        want = interpolate(init.mesh, lambda x: evaluate(below, x))
+        assert np.array_equal(init.values, want.values)
+    for level, s_h in zip(levels, res.details["s_h"]):
+        cold = solve(assemble(build_mesh(N, level), s)).s_h
+        assert abs(s_h - cold) <= 1e-12 * cold
 
 
 def test_sweep_records_a_refused_level_as_one_failure():

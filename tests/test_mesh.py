@@ -10,6 +10,8 @@ from fracsobolev.mesh import (
     BallMesh,
     FeFunction,
     build_mesh,
+    element_geometry,
+    evaluate,
     interpolate,
     make_ball_mesh,
     mesh_quality,
@@ -242,3 +244,70 @@ def test_degenerate_element_raises_before_dividing(dim, nodes, elements, bad):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=f"degenerate element {bad}"):
             make_ball_mesh(dim, nodes, elements)
+
+
+def _random_function(mesh, seed):
+    rng = np.random.default_rng(seed)
+    return FeFunction.from_free(mesh, rng.standard_normal(mesh.free_count))
+
+
+def _brute_force_values(u, points):
+    """u at points by barycentric coordinates in every element, solved
+    as a linear system per element; 0 where no element holds the point."""
+    mesh = u.mesh
+    out = np.zeros(len(points))
+    for p, x in enumerate(points):
+        for nodes in mesh.elements:
+            verts = mesh.nodes[nodes]
+            system = np.vstack([np.ones(len(nodes)), verts.T])
+            lam = np.linalg.solve(system, np.r_[1.0, x])
+            if lam.min() >= -1e-12:
+                out[p] = lam @ u.values[nodes]
+                break
+    return out
+
+
+@pytest.mark.parametrize("dim, level", [(1, 3), (2, 1)])
+def test_evaluate_returns_the_nodal_values_at_the_nodes(dim, level):
+    mesh = build_mesh(dim, level)
+    u = _random_function(mesh, 1)
+    assert np.array_equal(evaluate(u, mesh.nodes), u.values)
+
+
+@pytest.mark.parametrize("dim, level", [(1, 3), (2, 1)])
+def test_evaluate_at_a_centroid_is_the_vertex_mean(dim, level):
+    mesh = build_mesh(dim, level)
+    u = _random_function(mesh, 2)
+    got = evaluate(u, element_geometry(mesh).centroid)
+    assert np.allclose(got, u.values[mesh.elements].mean(axis=1), rtol=0, atol=1e-14)
+
+
+def test_evaluate_is_zero_outside_the_polygon():
+    line = build_mesh(1, 2)
+    assert np.array_equal(evaluate(_random_function(line, 3), np.array([[-1.5], [1.0 + 1e-9], [7.0]])), np.zeros(3))
+    disk = build_mesh(2, 1)
+    u = FeFunction.from_free(disk, np.ones(disk.free_count))
+    # the outer ring has 24 nodes; on the circle halfway between two of
+    # them a point lies outside the inscribed polygon
+    angles = 2 * np.pi * (np.arange(24) + 0.5) / 24
+    on_circle = np.column_stack([np.cos(angles), np.sin(angles)])
+    assert np.array_equal(evaluate(u, np.vstack([on_circle, 1.2 * on_circle])), np.zeros(48))
+    # just inside the chord the function is small but not zero
+    assert np.all(evaluate(u, 0.98 * on_circle) > 0.0)
+
+
+@pytest.mark.parametrize("dim, level", [(1, 4), (2, 1)])
+def test_evaluate_at_the_next_level_matches_brute_force(dim, level):
+    coarse, fine = build_mesh(dim, level), build_mesh(dim, level + 1)
+    u = _random_function(coarse, 4)
+    want = _brute_force_values(u, fine.nodes)
+    assert np.allclose(evaluate(u, fine.nodes), want, rtol=0, atol=1e-14)
+    # not vacuous: most fine nodes lie inside the coarse polygon
+    assert np.count_nonzero(want) > 0.5 * fine.free_count
+
+
+def test_evaluate_refuses_points_of_the_wrong_width():
+    u = _random_function(build_mesh(2, 0), 5)
+    with pytest.raises(ValueError, match=r"points must have shape \(P, 2\)"):
+        evaluate(u, np.zeros((3, 1)))
+

@@ -12,7 +12,7 @@ from fracsobolev import gagliardo
 from fracsobolev.bubble import Bubble, normalize_lambda, truncated_bubble
 from fracsobolev.experiments import discrete_constant_sweep, fit_manifold, upper_bound_sweep
 from fracsobolev.gagliardo import assemble, seminorm_sq, seminorm_sq_direct
-from fracsobolev.mesh import FeFunction, build_mesh, interpolate
+from fracsobolev.mesh import FeFunction, build_mesh, evaluate, interpolate
 from fracsobolev.norms import lq_norm, nonlinear_residual
 from fracsobolev.params import critical_exponent, exact_constant, optimal_concentration
 from fracsobolev.solver import default_start, deficit, quadrature_slack, quotient, solve
@@ -120,20 +120,25 @@ def test_banded_slack_covers_the_full_pass(reports_1d_s025):
 
 def test_both_sweeps_report_the_one_audit():
     # each sweep's slack, tail bound and cutoff are quadrature_slack's on
-    # the sweep's own function: solve's unit minimizer, and the default
-    # start that upper_bound_sweep measures; L4 sums every pair, L6 bounds
-    # the pairs beyond its band
+    # the sweep's own function: solve's unit minimizer, solved along the
+    # discrete sweep's chain of levels, each from the prolonged minimizer
+    # below, and the default start that upper_bound_sweep measures; L4
+    # sums every pair, L6 bounds the pairs beyond its band
     s, levels = 0.25, [4, 5, 6]
     q = critical_exponent(1, s)
     solved, upper = discrete_constant_sweep(1, s, levels), upper_bound_sweep(1, s, levels)
+    below = None
     for i, level in enumerate(levels):
         mesh = build_mesh(1, level)
-        rep = solve(assemble(mesh, s))
+        init = None if below is None else interpolate(mesh, lambda x: evaluate(below, x))
+        rep = solve(assemble(mesh, s), init=init)
+        below = rep.minimizer
         u = default_start(mesh, s)
         want = [
             quadrature_slack(mesh, s, rep.minimizer, rep.s_h, 1.0),
             quadrature_slack(mesh, s, u, seminorm_sq_direct(mesh, s, u), lq_norm(u, q) ** 2),
         ]
+        assert solved.details["s_h"][i] == rep.s_h
         for res, (slack, tail, cutoff) in zip((solved, upper), want):
             assert res.records[i].slack == slack
             assert res.details["tail_bound"][i] == tail
@@ -310,6 +315,19 @@ def test_small_s_converges_under_the_cap(level):
     ref, ref_steps = _plain_inverse_power(form, 1e-10)
     assert ref_steps > solver_module._MAX_ITER
     assert abs(rep.s_h - ref) <= 1e-13 * ref
+
+
+def test_products_by_linearity_stay_within_rounding():
+    # at 1D L9, s = 0.1, the mixing coefficients reach |gamma|_1 of about
+    # 365; a mixed A w formed from differences of the stored A g carries
+    # each product's rounding times gamma, up to 238 ulp of the quotient,
+    # and trips the rise guard.  From the products of the differences it
+    # converges, and s_h is the minimizer's u^T A u bitwise
+    form = _form(1, 9, 0.1)
+    rep = solve(form)
+    assert rep.converged
+    w = rep.minimizer.free_values
+    assert rep.s_h == float(w @ (form.matrix @ w))
 
 
 def test_quotient_rise_beyond_rounding_raises(monkeypatch):
