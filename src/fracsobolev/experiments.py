@@ -383,16 +383,15 @@ def fit_manifold(
     if init_guess is None:
         init_guess = (optimal_concentration(mesh.h, dim, form.s), np.zeros(dim))
     c0, x0 = init_guess
-    A = form.matrix
     w = u.free_values
-    uAu = float(w @ A @ w)
+    uAu = float(w @ form.apply(w))
 
     def eliminated(params):
         c = float(np.exp(params[0]))
         center = np.asarray(params[1:], dtype=float)
         phi = interpolate(mesh, Bubble(dim, form.s, 1.0, c, center))
         pf = phi.free_values
-        Ap = A @ pf
+        Ap = form.apply(pf)
         den = float(pf @ Ap)
         if den <= 0.0:
             return uAu, 0.0
@@ -719,11 +718,10 @@ def verify_functional_inequalities(
             raise ValueError("samples must be nonzero")
 
     form = assemble(mesh, s)
-    A = form.matrix
     gn = []
     for u in funcs:
         w = u.free_values
-        lhs = np.sqrt(max(float(w @ (A @ w)), 0.0) / (s * (1 - s)))
+        lhs = np.sqrt(max(float(w @ form.apply(w)), 0.0) / (s * (1 - s)))
         l2 = lq_norm(u, 2.0)
         gr = _broken_gradient_l2(u)
         gn.append(lhs / (l2 ** (1 - s) * gr**s))

@@ -59,11 +59,15 @@ Each element-pair category, the 1D identical pairs too, is a pair set
 counts its rows and expands it through ``_pair_terms``, which
 evaluates the kernel from g . X, the rule's point gaps in the rows.
 ``assemble`` scatters each term's block sum_q wK g_q g_q^T into an
-all-node array, whose free block is the matrix, then audits it:
-symmetric, and positive definite by a Gershgorin certificate where the
-form is diagonally dominant, as the 1D forms at s = 0.25 are, or else
-by a Cholesky factorization, so a dominant form is factored once, by
-the solver; ``seminorm_sq_direct`` sums the terms at the points and
+all-node array, whose free block, compacted in place to the front of
+the same buffer, is the matrix, then audits it: symmetric, and positive
+definite by a Gershgorin certificate where the form is diagonally
+dominant, as the 1D forms at s = 0.25 are, or else by a Cholesky
+factorization, so a dominant form is factored once, by the solver, in
+place; the audit leaves the matrix exactly symmetric.  Every product
+with it is ``NonlocalForm.apply``, a BLAS symv that reads the upper
+triangle and the diagonal alone, the part the solver's factor never
+overwrites; ``seminorm_sq_direct`` sums the terms at the points and
 forms no block.  The tile chunks go to a consumer beside the terms, in
 one format whose kernel is K, or Pa K Pb^T for an interpolated tile.
 ``assemble``'s one consumer adds the points' row and column sums, formed
@@ -86,6 +90,7 @@ from functools import lru_cache
 from math import fsum, gamma
 
 import numpy as np
+from scipy.linalg import get_blas_funcs
 from scipy.special import hyp2f1
 
 from ._quad import reference_rule, unit_gauss
@@ -125,6 +130,9 @@ _CATEGORIES = ("identical", "vertex", "edge", "disjoint_near", "disjoint_far")
 # through the kernel passes and the scatter; the matrix is added into in
 # place, so small terms add no per-term n^2 work
 _TERM_POINTS = 1 << 16
+# square tiles of the passes over both triangles of the matrix
+_TILE = 128
+_SYMV = get_blas_funcs("symv", dtype=np.float64)
 
 
 class AssemblyError(RuntimeError):
@@ -192,12 +200,26 @@ class AssemblyReport:
 
 @dataclass(frozen=True)
 class NonlocalForm:
-    """Assembled form on the free (interior) nodes; matrix views the free block of assemble's array."""
+    """Assembled form on the free (interior) nodes.
+
+    matrix is assemble's free block, C-contiguous and exactly symmetric.
+    ``solver.solve`` factors it in place, in the lower triangle, and
+    restores it before it returns or raises; apply reads the other
+    triangle, so it stays valid throughout.
+    """
 
     mesh: BallMesh
     s: float
     matrix: np.ndarray
     assembly_report: AssemblyReport
+
+    def apply(self, w):
+        """A w by BLAS symv on the upper triangle and the diagonal of matrix.
+
+        symv reads the lower triangle of matrix.T, an F-contiguous view
+        that it takes with no copy, and that triangle is matrix's upper.
+        """
+        return _SYMV(1.0, self.matrix.T, w, lower=1)
 
 
 # -------------------------------------------------------------------- terms
@@ -712,7 +734,11 @@ def _check_finite(category, values):
 
 
 def check_dense_size(n_nodes: int) -> None:
-    """SizeLimitError when a form on n_nodes nodes and one Cholesky copy, 2 n^2 8 bytes, exceed _DENSE_BYTES_CAP."""
+    """SizeLimitError when a form on n_nodes nodes and one Cholesky copy, 2 n^2 8 bytes, exceed _DENSE_BYTES_CAP.
+
+    The copy is the positivity audit's fallback factor, taken for a
+    form that is not diagonally dominant; the solver factors in place.
+    """
     need = 2 * n_nodes * n_nodes * 8
     if need > _DENSE_BYTES_CAP:
         raise SizeLimitError(
@@ -724,16 +750,19 @@ def check_dense_size(n_nodes: int) -> None:
 def assemble(mesh: BallMesh, s: float) -> NonlocalForm:
     """Assemble the bilinear form matrix on the free nodes at the default rule.
 
-    The matrix is the free block of the one all-node n x n array the
-    terms are scattered into, a view with leading dimension n, as nodes
-    are interior-first.  It is audited before it is returned: it must be
-    symmetric to 1e-12 of its largest entry and positive definite, which
-    a Gershgorin certificate proves where the form is diagonally dominant
-    and np.linalg.cholesky decides where it is not (``_positivity_audit``);
-    either failure raises AssemblyError; no free node raises ValueError.
-    A level whose two n x n arrays, the form and one Cholesky copy of it,
-    exceed _DENSE_BYTES_CAP raises SizeLimitError before allocating
-    (``check_dense_size``).
+    The terms are scattered into one all-node n x n array; nodes are
+    interior-first, so the matrix is its leading free block, whose rows
+    are then moved to the front of the same buffer: a C-contiguous
+    (f, f) array, and no second n x n array.  It is audited before it is
+    returned: it must be symmetric to 1e-12 of its largest entry and
+    positive definite, which a Gershgorin certificate proves where the
+    form is diagonally dominant and np.linalg.cholesky decides where it
+    is not; the audit then sets a_ij and a_ji to their mean wherever
+    they differ, so the matrix is exactly symmetric (``_positivity_audit``).
+    Either failure raises AssemblyError; no free node raises ValueError.
+    A level whose two n x n arrays, the form and the fallback's Cholesky
+    copy of it, exceed _DENSE_BYTES_CAP raises SizeLimitError before
+    allocating (``check_dense_size``).
     """
     check_order(mesh.dim, s)
     if not mesh.free_count:
@@ -800,7 +829,13 @@ def assemble(mesh: BallMesh, s: float) -> NonlocalForm:
     for category, idx, g, wK in _terms(mesh, s, 0, geo, work, tile=add_tile):
         add(category, idx, g, wK)
     add("disjoint_far", mesh.elements, lam, sums)
-    matrix = square[: mesh.free_count, : mesh.free_count]
+    f = mesh.free_count
+    # row i of the free block moves from offset i n to i f; a block of
+    # rows that overlaps its destination is copied through a buffer
+    for i in range(0, f, _TILE):
+        rows = min(_TILE, f - i)
+        flat[i * f : (i + rows) * f].reshape(rows, f)[:] = square[i : i + rows, :f]
+    matrix = flat[: f * f].reshape(f, f)
     matrix *= s * (1 - s)
 
     t0 = time.perf_counter()
@@ -814,13 +849,18 @@ def assemble(mesh: BallMesh, s: float) -> NonlocalForm:
 def _positivity_audit(matrix):
     """Least relative Gershgorin margin; AssemblyError unless matrix is symmetric positive definite.
 
+    Once that is decided, a_ij and a_ji are set to their mean wherever
+    the skew is not zero, by one more tile pass, so the matrix the form
+    keeps is exactly symmetric: ``solver.solve`` factors one triangle in
+    place and restores it from the other.
+
     One pass over 128-row blocks finds the scale max |a_ij| and each
     row's absolute sum r_i from the contiguous rows, and the skew
     max |a_ij - a_ji| from the square tiles A[I, J] - A[J, I]^T with
     J >= I, so each entry is read once for it; no n x n temporary is
     formed beside the matrix.  Every
-    symmetric matrix within skew of the stored one, the upper triangle
-    that cho_factor reads included, has row i's Gershgorin margin at
+    symmetric matrix within skew of the stored one, the mean included,
+    has row i's Gershgorin margin at
     least 2 a_ii - r_i - (n-1) skew, and the computed r_i lies within
     n eps r_i of the exact sum, so a positive margin net of both
     allowances certifies the form positive definite with no factor
@@ -834,7 +874,7 @@ def _positivity_audit(matrix):
     n = len(matrix)
     rows = np.empty(n)
     skew = scale = 0.0
-    b = 128
+    b = _TILE
     for i in range(0, n, b):
         block = np.abs(matrix[i : i + b])
         scale = max(scale, float(np.max(block)))
@@ -853,15 +893,21 @@ def _positivity_audit(matrix):
             np.linalg.cholesky(matrix)
         except np.linalg.LinAlgError as exc:
             raise AssemblyError("assembled matrix is not positive definite") from exc
+    if skew:
+        for i in range(0, n, b):
+            for j in range(i, n, b):
+                mean = 0.5 * (matrix[i : i + b, j : j + b] + matrix[j : j + b, i : i + b].T)
+                matrix[i : i + b, j : j + b] = mean
+                matrix[j : j + b, i : i + b] = mean.T
     return margin
 
 
 def seminorm_sq(form: NonlocalForm, u: FeFunction) -> float:
-    """Squared fractional seminorm of the zero-extended function."""
+    """Squared fractional seminorm of the zero-extended function, w . A w by ``NonlocalForm.apply``."""
     if u.mesh is not form.mesh:
         raise ValueError("function and form live on different meshes")
     w = u.free_values
-    return float(w @ form.matrix @ w)
+    return float(w @ form.apply(w))
 
 
 def seminorm_sq_direct(mesh: BallMesh, s: float, u: FeFunction, boost: int = 0, band=None) -> float:

@@ -10,12 +10,16 @@ Anderson-mixed candidate (Walker & Ni, SIAM J. Numer. Anal. 2011) from
 the recent plain steps and takes it only when its quotient is no higher
 than the plain step's; the plain step stays the safeguard, and no line
 search, second factorization or second product with A per step is
-needed.
+needed.  The factor overwrites the lower triangle of the form's own
+matrix, whose upper triangle still gives A w (``NonlocalForm.apply``),
+so a solve holds one n x n array (Golub & Van Loan, *Matrix
+Computations*, 4th ed., section 4.2).
 """
 
 from __future__ import annotations
 
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,6 +141,51 @@ def _mixed(plain):
     return G[-1] - gamma @ dG, AG[-1] - gamma @ AdG[1:]
 
 
+@contextmanager
+def _factored(A):
+    """Factor A in place in its lower triangle; yields b -> A^-1 b, and restores A on exit.
+
+    cho_factor takes the F-ordered view A.T with overwrite_a, so the
+    upper factor of A.T lands in A's lower triangle and diagonal, and
+    no copy of A is made.  The factor's diagonal is kept as a vector,
+    and A's own is put back on the array and swapped out only around
+    each cho_solve, so between solves A's upper triangle and diagonal
+    are intact for ``NonlocalForm.apply``.  On exit, normal or by any
+    exception, A's upper triangle is copied back over the lower, tile by
+    tile, and its diagonal put back: for the exactly symmetric matrix
+    that ``assemble`` returns, A is then bitwise as it was.
+    """
+    diag = np.diagonal(A).copy()
+    try:
+        try:
+            factor = cho_factor(A.T, lower=False, overwrite_a=True, check_finite=False)
+        except np.linalg.LinAlgError as exc:
+            raise RuntimeError(
+                "linear solve failed on a matrix that passed the positivity audit; "
+                "the assembled form is corrupted"
+            ) from exc
+        c = factor[0]
+        root = np.diagonal(c).copy()
+        np.fill_diagonal(c, diag)
+
+        def inverse(b):
+            np.fill_diagonal(c, root)
+            x = cho_solve(factor, b, check_finite=False)
+            np.fill_diagonal(c, diag)
+            return x
+
+        yield inverse
+    finally:
+        n, b = len(A), 128
+        for i in range(0, n, b):
+            for j in range(i + b, n, b):
+                A[j : j + b, i : i + b] = A[i : i + b, j : j + b].T
+            tile = A[i : i + b, i : i + b]
+            lower = np.tril_indices(len(tile), -1)
+            tile[lower] = tile.T[lower]
+        np.fill_diagonal(A, diag)
+
+
 def quadrature_slack(mesh, s, u, semi, norm_sq):
     """(slack, tail, cutoff): how far u's quotient semi / norm_sq may move one rule level up.
 
@@ -196,7 +245,12 @@ def solve(
     a difference carries rounding in proportion to the difference, so
     the quotients stay within a few ulp of those of direct products.
     On the iterate returned, A u, mu and the residual are recomputed by
-    one product, so s_h is u^T A u bitwise.
+    one product, so s_h is u . form.apply(u) bitwise.
+
+    The factor overwrites form.matrix's lower triangle in place, and
+    every product reads the upper one (``_factored``), so the solve
+    holds no second n x n array; form.matrix is bitwise as assembled
+    when solve returns or raises.
 
     quotient_history records each accepted quotient that does not exceed
     the last one recorded, so it is non-increasing bitwise and ends at
@@ -215,54 +269,46 @@ def solve(
     if not np.any(init.values):
         raise ValueError("initial iterate must be nonzero")
 
-    A = form.matrix
-    try:
-        factor = cho_factor(A, lower=False, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise RuntimeError(
-            "linear solve failed on a matrix that passed the positivity audit; "
-            "the assembled form is corrupted"
-        ) from exc
-
-    u = _unit_positive(mesh, init.free_values, q)[0]
-    Au = A @ u.free_values
-    mu = float(u.free_values @ Au)
-    b = nonlinear_residual(u, q)
-    residual = _residual(Au, mu, b)
-    history = [mu]
-    plain = []
-    # the last plain iterate, at first the start, and its product
-    g_last, Ag_last = u.free_values, Au
-    steps = mixed_steps = 0
-    while residual > tol and steps < _MAX_ITER:
-        g = _unit_positive(mesh, cho_solve(factor, b, check_finite=False), q)[0]
-        steps += 1
-        A_step = A @ (g.free_values - g_last)
-        g_last, Ag_last = g.free_values, Ag_last + A_step
-        plain.append((g_last, g_last - u.free_values, Ag_last, A_step))
-        del plain[: -_MIX_DEPTH - 1]
-        u, Au, mu = g, Ag_last, float(g_last @ Ag_last)
-        if len(plain) > 1:
-            w, Aw, mu_w = _candidate(mesh, q, *_mixed(plain))
-            if mu_w <= mu * (1.0 + _MIX_MARGIN):
-                u, Au, mu = w, Aw, mu_w
-                mixed_steps += 1
-            else:
-                del plain[:-1]
+    with _factored(form.matrix) as inverse:
+        u = _unit_positive(mesh, init.free_values, q)[0]
+        Au = form.apply(u.free_values)
+        mu = float(u.free_values @ Au)
         b = nonlinear_residual(u, q)
         residual = _residual(Au, mu, b)
-        if residual <= tol or steps == _MAX_ITER:
-            # the iterate returned: its own product, so s_h is u^T A u bitwise
-            Au = A @ u.free_values
-            mu = float(u.free_values @ Au)
+        history = [mu]
+        plain = []
+        # the last plain iterate, at first the start, and its product
+        g_last, Ag_last = u.free_values, Au
+        steps = mixed_steps = 0
+        while residual > tol and steps < _MAX_ITER:
+            g = _unit_positive(mesh, inverse(b), q)[0]
+            steps += 1
+            A_step = form.apply(g.free_values - g_last)
+            g_last, Ag_last = g.free_values, Ag_last + A_step
+            plain.append((g_last, g_last - u.free_values, Ag_last, A_step))
+            del plain[: -_MIX_DEPTH - 1]
+            u, Au, mu = g, Ag_last, float(g_last @ Ag_last)
+            if len(plain) > 1:
+                w, Aw, mu_w = _candidate(mesh, q, *_mixed(plain))
+                if mu_w <= mu * (1.0 + _MIX_MARGIN):
+                    u, Au, mu = w, Aw, mu_w
+                    mixed_steps += 1
+                else:
+                    del plain[:-1]
+            b = nonlinear_residual(u, q)
             residual = _residual(Au, mu, b)
-        if mu > history[-1] * (1.0 + _RISE_TOL):
-            raise RuntimeError(
-                f"inverse-power step {steps}: quotient rose from {history[-1]!r} "
-                f"to {mu!r} at residual {residual:.3e}, beyond rounding"
-            )
-        if mu <= history[-1]:
-            history.append(mu)
+            if residual <= tol or steps == _MAX_ITER:
+                # the iterate returned: its own product, so s_h is u . A u bitwise
+                Au = form.apply(u.free_values)
+                mu = float(u.free_values @ Au)
+                residual = _residual(Au, mu, b)
+            if mu > history[-1] * (1.0 + _RISE_TOL):
+                raise RuntimeError(
+                    f"inverse-power step {steps}: quotient rose from {history[-1]!r} "
+                    f"to {mu!r} at residual {residual:.3e}, beyond rounding"
+                )
+            if mu <= history[-1]:
+                history.append(mu)
     if residual > tol:
         warnings.warn(
             f"solve: stopped after {steps} steps at Euler-Lagrange residual "

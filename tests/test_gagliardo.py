@@ -795,7 +795,10 @@ def test_seminorm_matches_matrix_quadratic_form():
     u = FeFunction.from_free(mesh, rng.normal(size=mesh.free_count))
     direct = seminorm_sq(form, u)
     w = u.free_values
-    assert direct == float(w @ form.matrix @ w)
+    assert direct == float(w @ form.apply(w))
+    # symv sums in another order than w @ A @ w: equal within rounding
+    A = form.matrix
+    assert abs(direct - float(w @ A @ w)) <= len(w) * np.finfo(float).eps * float(abs(w) @ abs(A) @ abs(w))
     other = build_mesh(1, 2)
     v = FeFunction.from_free(other, np.zeros(other.free_count))
     with pytest.raises(ValueError):
@@ -866,8 +869,9 @@ def test_assemble_rejects_a_mesh_with_no_free_node(make_mesh, monkeypatch):
 
 
 def test_dense_cap_counts_two_arrays(monkeypatch):
-    # a dense level peaks at the form and one Cholesky copy of it, 16 n^2
-    # bytes; the refusal comes before any quadrature
+    # the cap counts the form and one Cholesky copy of it, the positivity
+    # audit's fallback factor, 16 n^2 bytes; the refusal comes before any
+    # quadrature
     mesh = build_mesh(1, 4)
     n = mesh.n_nodes
     monkeypatch.setattr(gagliardo, "_DENSE_BYTES_CAP", 16 * n * n)
@@ -923,6 +927,16 @@ def test_forms_that_are_not_dominant_fall_back_to_cholesky():
     assert report.dominance_margin < 0
     assert report.phase_seconds["audit"] <= report.phase_seconds["total"]
     assert solve(form).converged
+
+
+@pytest.mark.parametrize("dim, level, s", [(1, 8, 0.25), (2, 2, 0.5), (2, 3, 0.5)])
+def test_assembled_matrix_is_exactly_symmetric(dim, level, s):
+    # the audit sets a_ij and a_ji to their mean where they differ, as 2D
+    # L3's triangles do within the 1e-12 tolerance, so the solver can
+    # factor one triangle in place and restore it bitwise from the other
+    A = assemble(build_mesh(dim, level), s).matrix
+    assert A.flags.c_contiguous
+    assert np.array_equal(A, A.T)
 
 
 def test_assemble_holds_one_dense_array():

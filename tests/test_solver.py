@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -51,7 +52,7 @@ def test_minimizer_satisfies_euler_lagrange(small_problem):
     u = rep.minimizer
     q = critical_exponent(1, 0.25)
     w = u.free_values
-    Aw = form.matrix @ w
+    Aw = form.apply(w)
     mu = float(w @ Aw)
     b = nonlinear_residual(u, q)
     assert np.linalg.norm(Aw - mu * b) / np.linalg.norm(Aw) < 1e-8
@@ -322,16 +323,16 @@ def test_products_by_linearity_stay_within_rounding():
     # 365; a mixed A w formed from differences of the stored A g carries
     # each product's rounding times gamma, up to 238 ulp of the quotient,
     # and trips the rise guard.  From the products of the differences it
-    # converges, and s_h is the minimizer's u^T A u bitwise
+    # converges, and s_h is the minimizer's u . A u bitwise
     form = _form(1, 9, 0.1)
     rep = solve(form)
     assert rep.converged
     w = rep.minimizer.free_values
-    assert rep.s_h == float(w @ (form.matrix @ w))
+    assert rep.s_h == float(w @ form.apply(w))
 
 
-def test_quotient_rise_beyond_rounding_raises(monkeypatch):
-    form = _form(1, 5, 0.25)
+def _noisy_residual(monkeypatch):
+    """Perturb the solver's b(u) by 5% noise, which breaks the descent bound."""
     exact = solver_module.nonlinear_residual
     rng = np.random.default_rng(1)
 
@@ -340,8 +341,74 @@ def test_quotient_rise_beyond_rounding_raises(monkeypatch):
         return b * (1 + 0.05 * rng.standard_normal(b.shape))
 
     monkeypatch.setattr(solver_module, "nonlinear_residual", noisy)
+
+
+def test_quotient_rise_beyond_rounding_raises(monkeypatch):
+    form = _form(1, 5, 0.25)
+    _noisy_residual(monkeypatch)
     with pytest.raises(RuntimeError, match="quotient rose"):
         solve(form)
+
+
+@pytest.mark.parametrize("dim, level, s", [(1, 8, 0.25), (1, 7, 0.1), (2, 2, 0.5), (2, 3, 0.5)])
+def test_solve_leaves_the_matrix_as_assembled(dim, level, s):
+    # the factor overwrites the lower triangle in place; the upper one,
+    # which every product reads, is copied back over it on return
+    form = _form(dim, level, s)
+    before = form.matrix.copy()
+    assert solve(form).converged
+    assert np.array_equal(form.matrix, before)
+
+
+def test_solve_restores_the_matrix_when_the_rise_guard_raises(monkeypatch):
+    # at 1D L8 the 255 free nodes span tiles on and off the diagonal
+    form = _form(1, 8, 0.25)
+    before = form.matrix.copy()
+    _noisy_residual(monkeypatch)
+    with pytest.raises(RuntimeError, match="quotient rose"):
+        solve(form)
+    assert np.array_equal(form.matrix, before)
+
+
+def test_solve_restores_the_matrix_when_the_factorization_fails(monkeypatch):
+    # the real factorization runs and overwrites the lower triangle, and
+    # only then is the failure raised
+    form = _form(1, 8, 0.25)
+    before = form.matrix.copy()
+    factor = solver_module.cho_factor
+
+    def failing(*args, **kwargs):
+        factor(*args, **kwargs)
+        raise np.linalg.LinAlgError("leading minor not positive definite")
+
+    monkeypatch.setattr(solver_module, "cho_factor", failing)
+    with pytest.raises(RuntimeError, match="linear solve failed"):
+        solve(form)
+    assert not np.shares_memory(before, form.matrix)
+    assert np.array_equal(form.matrix, before)
+
+
+def test_solve_holds_no_second_dense_array():
+    # a cho_factor copy of the matrix grows the traced peak by about 1.16
+    # matrices; factored in place, the solve and its slack audit stay far below
+    form = _form(1, 10, 0.25)
+    tracemalloc.start()
+    try:
+        solve(form)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * form.matrix.nbytes, peak / form.matrix.nbytes
+
+
+@pytest.mark.parametrize("dim, level, s", [(1, 8, 0.25), (2, 2, 0.5)])
+def test_apply_matches_the_matrix_product(dim, level, s):
+    # symv on one triangle against the product with both: equal to rounding
+    form = _form(dim, level, s)
+    A = form.matrix
+    w = np.random.default_rng(5).standard_normal(len(A))
+    bound = len(A) * np.finfo(float).eps * (np.abs(A) @ np.abs(w))
+    assert np.all(np.abs(form.apply(w) - A @ w) <= bound)
 
 
 @pytest.mark.parametrize("dim, level, s", [(1, 5, 0.25), (2, 1, 0.5), (2, 1, 0.25)])
