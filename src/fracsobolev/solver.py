@@ -176,11 +176,11 @@ def _factored(A):
 
         yield inverse
     finally:
-        n, b = len(A), 128
-        for i in range(0, n, b):
-            for j in range(i + b, n, b):
-                A[j : j + b, i : i + b] = A[i : i + b, j : j + b].T
-            tile = A[i : i + b, i : i + b]
+        n, t = len(A), 128
+        for i in range(0, n, t):
+            for j in range(i + t, n, t):
+                A[j : j + t, i : i + t] = A[i : i + t, j : j + t].T
+            tile = A[i : i + t, i : i + t]
             lower = np.tril_indices(len(tile), -1)
             tile[lower] = tile.T[lower]
         np.fill_diagonal(A, diag)
