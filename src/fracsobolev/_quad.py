@@ -1,16 +1,22 @@
 """Shared quadrature building blocks.
 
 Gauss-Legendre rules on [0, 1], Gauss rules on the reference simplex in
-barycentric form, and the error a quadrature raises when it misses its
-target.
+barycentric form, the one order-doubling driver that ``norms`` and
+``bubble`` refine their rules with, and the error a quadrature raises
+when it misses its target.
 """
 
 from __future__ import annotations
 
+import warnings
 from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
+
+
+# refine raises the order n to this, so the finest rule has 2 MAX_ORDER points
+MAX_ORDER = 14
 
 
 class QuadratureError(RuntimeError):
@@ -55,3 +61,32 @@ def reference_rule(dim: int, order: int):
     lam = np.column_stack([1.0 - pts.sum(axis=1), pts])
     lam.flags.writeable = wts.flags.writeable = False
     return lam, wts
+
+
+def refine(name: str, integral_at, order: int, rtol: float):
+    """Evaluate ``integral_at(n)`` at doubled orders until the change is below ``rtol``.
+
+    The order n starts at ``order`` and grows by 2 until the result at 2n
+    moves from the one at n by at most ``rtol`` times its size (both
+    measured in the max norm).  Past MAX_ORDER the result at 2n is
+    returned with a RuntimeWarning naming the change achieved, reported
+    at the line that called refine's caller.
+    """
+    n = max(order, 2)
+    coarse = integral_at(n)
+    while True:
+        fine = integral_at(2 * n)
+        change = float(np.max(np.abs(fine - coarse)))
+        size = float(np.max(np.abs(fine)))
+        if change <= rtol * size:
+            return fine
+        if n >= MAX_ORDER:
+            warnings.warn(
+                f"{name}: stopped at Gauss order {2 * n} with relative change "
+                f"{change / size if size else np.inf:.3g}, above the tolerance {rtol:.0e}",
+                RuntimeWarning,
+                stacklevel=3,
+            )
+            return fine
+        n += 2
+        coarse = integral_at(n)

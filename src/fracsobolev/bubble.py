@@ -5,7 +5,11 @@ The optimizers of the fractional Sobolev inequality form the family
     Phi(x) = amplitude * (1 + |x - center|^2 / c^2)^(-(N-2s)/2),
 
 an (N+2)-parameter manifold. Everything here is exact up to the radial
-quadratures used for L^q norms.
+quadrature used for L^q norms: Gauss-Legendre (``_quad.unit_gauss``) on
+panels graded geometrically toward the two places where |Phi|^q is least
+smooth, the concentration scale near r = 0 and the profile's zero, r = 1
+for a truncated profile, with the order raised by the package's one
+order-doubling driver, ``_quad.refine``.
 """
 
 from __future__ import annotations
@@ -13,9 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
 
-from ._quad import QuadratureError
+from ._quad import QuadratureError, refine, unit_gauss
 from .params import check_order, critical_exponent
 
 __all__ = [
@@ -159,34 +162,83 @@ def _surface_measure(N):
     return 2.0 if N == 1 else 2.0 * np.pi
 
 
-def _radial_lq_power(f, q, N, split):
-    """int_0^1 r^{N-1} |f(r)|^q dr by adaptive quadrature, broken at split."""
+# Gauss order the radial rule starts from, and the relative change of the
+# radial integral at which the doubling stops
+_RADIAL_ORDER = 6
+_RADIAL_RTOL = 1e-13
+# panels graded toward the profile's zero from each side: the last one
+# holds about 2^(-_ZERO_PANELS (q + 1)) of the integral, under 2^-40 for q >= 1
+_ZERO_PANELS = 20
 
-    def integrand(r):
-        return r ** (N - 1.0) * abs(f(r)) ** q
 
-    val, _ = integrate.quad(
-        integrand, 0.0, 1.0, points=[split] if split < 1.0 else [], limit=300,
-        epsabs=0.0, epsrel=1e-12,
-    )
-    if not np.isfinite(val):
+def _radial_panels(b, q):
+    """Edges of the radial panels on [0, 1], graded by ratio 2.
+
+    |Phi|^q is analytic on [0, 1] apart from its zero there, and its peak
+    at r = 0 narrows like c / sqrt(q): its poles sit at r = +-ic, and its
+    logarithm is multiplied by q.  So the panels grow by 2 outward from
+    a = min(c, 1) / sqrt(q) until half the zero z, and halve inward toward
+    z from both sides, _ZERO_PANELS of them each.  Every panel but the
+    two at z then lies about its own width or more from the poles and z,
+    and Gauss converges on it at a geometric rate (Trefethen,
+    *Approximation Theory and Approximation Practice*, Thm 19.3).  z is
+    r = 1 unless Phi changes sign inside the ball; a truncated profile
+    vanishes at r = 1.
+    """
+    zero = 1.0
+    if b.radial_value(0.0) * b.radial_value(1.0) < 0.0:
+        ratio = (b.offset / b.amplitude) ** (-2.0 / b.decay)
+        zero = min(1.0, b.concentration * np.sqrt(ratio - 1.0))
+    first = min(b.concentration, 1.0) / np.sqrt(q)
+    grade = 2.0 ** -np.arange(1, _ZERO_PANELS + 1)
+    outward = first * 2.0 ** np.arange(max(0, int(np.ceil(np.log2(0.5 * zero / first)))))
+    edges = [[0.0], outward, zero * (1.0 - grade), [zero]]
+    if zero < 1.0:
+        edges += [zero + (1.0 - zero) * grade[::-1], [1.0]]
+    return np.concatenate(edges)
+
+
+def _radial_lq_power(b, q):
+    """(P, top): P = int_0^1 r^(N-1) |Phi(r) / top|^q dr, top = max |Phi| on [0, 1].
+
+    Phi is monotone in r, so top is |Phi| at r = 0 or r = 1; the scaled
+    integrand lies in [0, 1] and does not underflow at large q.  Gauss on
+    ``_radial_panels``, the order doubled by ``refine`` until P moves by
+    at most _RADIAL_RTOL; past its order cap refine warns.
+    """
+    edges = _radial_panels(b, q)
+    lo, width = edges[:-1, None], np.diff(edges)[:, None]
+    top = float(max(abs(b.radial_value(0.0)), abs(b.radial_value(1.0))))
+
+    def power_at(n):
+        x, w = unit_gauss(n)
+        r = lo + width * x
+        return float(np.sum(r ** (b.dim - 1.0) * np.abs(b.radial_value(r) / top) ** q * (width * w)))
+
+    power = refine("bubble_lq_norm", power_at, _RADIAL_ORDER, _RADIAL_RTOL)
+    if not np.isfinite(power):
         raise QuadratureError("radial norm quadrature diverged")
-    return val
+    return power, top
 
 
 def bubble_lq_norm(b, q):
     """L^q norm of a profile over the unit ball by radial reduction.
 
     The ball is centered at the origin, so the profile must be too; a
-    truncated profile is by construction. Relative accuracy around 1e-10,
-    enforced through the adaptive tolerance.
+    truncated profile is by construction.  The radial integral is refined
+    until doubling the Gauss order moves it by at most 1e-13 relative;
+    ``tests/test_bubble.py`` holds the norm to 1e-12 relative of a
+    30-digit reference over N = 1, 2, c = 2^2..2^-20 and q up to 100.
+    The norm is no more accurate than the values of Phi: where they
+    cancel, as at c >> 1 (Phi ~ (1 - r^2) / c^2), the doubling does not
+    settle, and the driver's RuntimeWarning says so.
     """
     if not 1.0 <= q < np.inf:
         raise ValueError(f"q must be a finite number >= 1, got {q!r}")
     if np.any(b.center != 0.0):
         raise ValueError("the ball norm needs a profile centered at the origin")
-    power = _radial_lq_power(b.radial_value, q, b.dim, split=b.concentration)
-    return (_surface_measure(b.dim) * power) ** (1.0 / q)
+    power, top = _radial_lq_power(b, q)
+    return top * (_surface_measure(b.dim) * power) ** (1.0 / q)
 
 
 def normalize_lambda(concentration, N, s):

@@ -11,7 +11,6 @@ import time
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.optimize import minimize
 
 from ._quad import QuadratureError, reference_rule
 from .bubble import Bubble, normalize_lambda, truncated_bubble
@@ -374,8 +373,12 @@ def fit_manifold(
     The amplitude enters quadratically and is eliminated in closed form;
     Nelder-Mead searches over log-concentration and the center, from
     init_guess (concentration, center), by default the mesh's optimal
-    concentration at the origin.
+    concentration at the origin.  scipy.optimize is imported here, not
+    with the module: no sweep fits a profile, and the import adds about
+    15 MiB to a process.
     """
+    from scipy.optimize import minimize
+
     mesh = form.mesh
     dim = mesh.dim
     if not np.any(u.values):

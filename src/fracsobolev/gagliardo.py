@@ -750,10 +750,13 @@ def check_dense_size(n_nodes: int) -> None:
 def assemble(mesh: BallMesh, s: float) -> NonlocalForm:
     """Assemble the bilinear form matrix on the free nodes at the default rule.
 
-    The terms are scattered into one all-node n x n array; nodes are
-    interior-first, so the matrix is its leading free block, whose rows
-    are then moved to the front of the same buffer: a C-contiguous
-    (f, f) array, and no second n x n array.  It is audited before it is
+    The terms are scattered straight into the free block, a C-contiguous
+    (f, f) array at the front of a buffer of f^2 + 1 floats: every index
+    pair that touches a boundary node goes to the one discard slot past
+    the block's end, and an interpolated tile drops its boundary nodes'
+    rows before its cross block is formed, so each free entry takes the
+    same additions, in the same order, as in an all-node n x n scatter.
+    It is audited before it is
     returned: it must be symmetric to 1e-12 of its largest entry and
     positive definite, which a Gershgorin certificate proves where the
     form is diagonally dominant and np.linalg.cholesky decides where it
@@ -773,13 +776,23 @@ def assemble(mesh: BallMesh, s: float) -> NonlocalForm:
     work = {}
     t_total = time.perf_counter()
 
-    flat = np.zeros(n * n)
-    square = flat.reshape(n, n)
+    f = mesh.free_count
+    discard = f * f
+    flat = np.zeros(discard + 1)
+    matrix = flat[:discard].reshape(f, f)
+    # nodes are interior-first; a boundary node's row and column offsets
+    # both lie past the block, so any pair holding one lands on discard
+    row_at, col_at = np.arange(n) * f, np.arange(n)
+    row_at[f:] = col_at[f:] = discard
+
+    def at(rows, cols):
+        """Positions in flat of the node pairs (rows, cols), broadcast."""
+        return np.minimum(row_at[rows] + col_at[cols], discard).ravel()
 
     def add(category, idx, g, wK):
         local = _term_block(g, wK)
         _check_finite(category, local)
-        np.add.at(flat, (idx[:, :, None] * n + idx[:, None, :]).ravel(), local.ravel())
+        np.add.at(flat, at(idx[:, :, None], idx[:, None, :]), local.ravel())
 
     # a tile pair adds 2 wK g g^T with g = [lam_p, -lam_q] and wK =
     # wa K wb: the cross blocks are -2 (wa lam)^T K (wb lam), added both
@@ -790,14 +803,16 @@ def assemble(mesh: BallMesh, s: float) -> NonlocalForm:
     sums = np.zeros((mesh.n_elements, nq))
 
     def node_basis(e, w, P):
-        """(nodes, H): the cluster's distinct nodes and (W lam)^T P summed onto them."""
+        """(nodes, H): the cluster's distinct free nodes and (W lam)^T P summed onto them."""
         width = P.shape[1]
         per = np.matmul(lam.T, (w[:, None] * P).reshape(len(e), nq, width)).reshape(-1, width)
-        at = mesh.elements[e].ravel()
-        order = np.argsort(at, kind="stable")
-        at = at[order]
-        first = np.flatnonzero(np.r_[True, at[1:] != at[:-1]])
-        return at[first], np.add.reduceat(per[order], first, axis=0)
+        nodes = mesh.elements[e].ravel()
+        order = np.argsort(nodes, kind="stable")
+        nodes = nodes[order]
+        first = np.flatnonzero(np.r_[True, nodes[1:] != nodes[:-1]])
+        # the nodes ascend, so the boundary nodes' rows are the last ones
+        free = np.searchsorted(nodes[first], f)
+        return nodes[first[:free]], np.add.reduceat(per[order], first, axis=0)[:free]
 
     def add_tile(chunk):
         a, b, wa, wb, K, Pa, Pb = chunk
@@ -817,25 +832,18 @@ def assemble(mesh: BallMesh, s: float) -> NonlocalForm:
             wlam = wa.reshape(len(a), nq, 1) * lam
             cross = -2.0 * np.matmul(wlam.transpose(0, 2, 1), half).ravel()
             ea, eb = mesh.elements[a][:, :, None, None], mesh.elements[b][None, None]
-            np.add.at(flat, (ea * n + eb).ravel(), cross)
-            np.add.at(flat, (eb * n + ea).ravel(), cross)
+            np.add.at(flat, at(ea, eb), cross)
+            np.add.at(flat, at(eb, ea), cross)
         else:
             (na, Ha), (nb, Hb) = node_basis(a, wa, Pa), node_basis(b, wb, Pb)
             cross = -2.0 * (Ha @ K @ Hb.T)
             _check_finite("disjoint_far", cross)
-            square[np.ix_(na, nb)] += cross
-            square[np.ix_(nb, na)] += cross.T
+            matrix[np.ix_(na, nb)] += cross
+            matrix[np.ix_(nb, na)] += cross.T
 
     for category, idx, g, wK in _terms(mesh, s, 0, geo, work, tile=add_tile):
         add(category, idx, g, wK)
     add("disjoint_far", mesh.elements, lam, sums)
-    f = mesh.free_count
-    # row i of the free block moves from offset i n to i f; a block of
-    # rows that overlaps its destination is copied through a buffer
-    for i in range(0, f, _TILE):
-        rows = min(_TILE, f - i)
-        flat[i * f : (i + rows) * f].reshape(rows, f)[:] = square[i : i + rows, :f]
-    matrix = flat[: f * f].reshape(f, f)
     matrix *= s * (1 - s)
 
     t0 = time.perf_counter()

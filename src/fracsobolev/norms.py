@@ -1,6 +1,9 @@
 """L^q norms of piecewise-linear functions and the critical-exponent residual.
 
-Per-element Gauss quadrature with a doubling audit.  An affine function
+Per-element Gauss quadrature with a doubling audit: ``_quad.refine``,
+the order-doubling driver ``bubble``'s radial norm shares, raises the
+order, and each element pass looks its rule up once through
+``reference_rule``.  An affine function
 raised to a non-integer power is smooth except where it vanishes, so the
 elements on which the function changes sign are cut along the exact zero
 set, all in one array pass, by one rule for segments and triangles: take
@@ -13,17 +16,14 @@ where u is exactly zero gives a piece of zero measure.
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
-from ._quad import reference_rule
+from ._quad import reference_rule, refine
 from .mesh import FeFunction, element_geometry
 
 __all__ = ["lq_norm", "nonlinear_residual"]
 
 _DEFAULT_ORDER = 6
-_MAX_ORDER = 14
 _NORM_RTOL = 1e-8
 _RESIDUAL_RTOL = 1e-10
 
@@ -79,34 +79,6 @@ def _element_integrals(u: FeFunction, order: int, integrand) -> np.ndarray:
     return (per_elem.T * element_geometry(mesh).jacobian).T
 
 
-def _refine(name: str, integral_at, order: int, rtol: float):
-    """Evaluate ``integral_at(n)`` at doubled orders until the change is below ``rtol``.
-
-    The order n starts at ``order`` and grows by 2 until the result at 2n
-    moves from the one at n by at most ``rtol`` times its size (both
-    measured in the max norm).  Past _MAX_ORDER the result at 2n is
-    returned with a RuntimeWarning naming the change achieved.
-    """
-    n = max(order, 2)
-    coarse = integral_at(n)
-    while True:
-        fine = integral_at(2 * n)
-        change = float(np.max(np.abs(fine - coarse)))
-        size = float(np.max(np.abs(fine)))
-        if change <= rtol * size:
-            return fine
-        if n >= _MAX_ORDER:
-            warnings.warn(
-                f"{name}: stopped at Gauss order {2 * n} with relative change "
-                f"{change / size if size else np.inf:.3g}, above the tolerance {rtol:.0e}",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-            return fine
-        n += 2
-        coarse = integral_at(n)
-
-
 def lq_norm(u: FeFunction, q: float, order: int = _DEFAULT_ORDER) -> float:
     """The L^q norm of a piecewise-linear function over the mesh.
 
@@ -124,7 +96,7 @@ def lq_norm(u: FeFunction, q: float, order: int = _DEFAULT_ORDER) -> float:
     def norm_at(n):
         return float(_element_integrals(u, n, power).sum()) ** (1.0 / q)
 
-    return _refine("lq_norm", norm_at, order, _NORM_RTOL)
+    return refine("lq_norm", norm_at, order, _NORM_RTOL)
 
 
 def nonlinear_residual(u: FeFunction, q: float) -> np.ndarray:
@@ -148,4 +120,4 @@ def nonlinear_residual(u: FeFunction, q: float) -> np.ndarray:
         np.add.at(b, mesh.elements, _element_integrals(u, n, tested))
         return b[: mesh.free_count]
 
-    return _refine("nonlinear_residual", residual_at, _DEFAULT_ORDER, _RESIDUAL_RTOL)
+    return refine("nonlinear_residual", residual_at, _DEFAULT_ORDER, _RESIDUAL_RTOL)

@@ -1,5 +1,8 @@
 """Extremal profile calculus: exact derivatives, norms, normalization."""
 
+import warnings
+
+import mpmath
 import numpy as np
 import pytest
 from scipy import special
@@ -10,7 +13,8 @@ from fracsobolev.bubble import (
     normalize_lambda,
     truncated_bubble,
 )
-from fracsobolev.params import critical_exponent
+from fracsobolev.mesh import build_mesh
+from fracsobolev.params import critical_exponent, optimal_concentration
 
 RNG = np.random.default_rng(20240817)
 
@@ -154,6 +158,86 @@ def test_ball_l4_norm_closed_form():
         for N, s, exact in cases:
             b = Bubble(dim=N, s=s, amplitude=1.0, concentration=c)
             assert abs(bubble_lq_norm(b, 4.0) ** 4 - exact) <= 1e-10 * exact, (N, c)
+
+
+def _mp_ball_norm(b, q):
+    """The profile's L^q norm over the unit ball, by mpmath at 30 digits.
+
+    The integrand is scaled by max |f| on [0, 1], as mpmath's quad judges
+    its error in absolute terms, and split at c 2^k and at f's zero.
+    """
+    with mpmath.workdps(30):
+        d = b.dim - 2 * mpmath.mpf(b.s)
+        c, qq = mpmath.mpf(b.concentration), mpmath.mpf(q)
+        amp, off = mpmath.mpf(b.amplitude), mpmath.mpf(b.offset)
+
+        def f(r):
+            return amp * (1 + (r / c) ** 2) ** (-d / 2) - off
+
+        top = max(abs(f(0)), abs(f(1)))
+        cuts = [0, 1] + [c * mpmath.mpf(2) ** k for k in range(-4, 80) if c * 2**k < 1]
+        if f(0) * f(1) < 0:
+            zero = c * mpmath.sqrt((off / amp) ** (-2 / d) - 1)
+            cuts += [zero * (1 - mpmath.mpf(2) ** -j) for j in (0, 4, 8, 12)]
+            cuts += [zero + (1 - zero) * mpmath.mpf(2) ** -j for j in (4, 8, 12)]
+        power = mpmath.quad(lambda r: r ** (b.dim - 1) * abs(f(r) / top) ** qq, sorted(cuts))
+        sphere = 2 if b.dim == 1 else 2 * mpmath.pi
+        return float(top * (sphere * power) ** (1 / qq))
+
+
+def _oracle_cases():
+    """The critical norm of truncated profiles, then other shapes and exponents."""
+    critical = [
+        # the adaptive QUADPACK rule this replaced erred by 7.5e-3 here,
+        # with a warning, and by 1.7e-4 at q = 100, without one
+        (2, 0.95, 2.0**-17),
+        (1, 0.49, 2.0**-17),
+        # c >= 1 at small s: |f|^q ~ (1 - r)^q over the whole radius
+        (2, 0.05, 1.0),
+        (2, 0.05, 4.0),
+        (2, 0.1, 1.0),
+        (2, 0.1, 4.0),
+        (1, 0.49, 4.0),
+        # the first-level starts of the sweep1d and sweep2d benchmarks
+        (1, 0.25, optimal_concentration(build_mesh(1, 4).h, 1, 0.25)),
+        (2, 0.5, optimal_concentration(build_mesh(2, 0).h, 2, 0.5)),
+        # the most concentrated profile of the range
+        (1, 0.3, 2.0**-20),
+    ]
+    cases = [
+        pytest.param(truncated_bubble(1.0, c, N, s), critical_exponent(N, s), id=f"{N}-{s}-{c:.3g}")
+        for N, s, c in critical
+    ]
+    return cases + [
+        pytest.param(Bubble(2, 0.5, 1.0, 0.01), 1.7, id="untruncated-q1.7"),
+        pytest.param(truncated_bubble(-2.0, 0.3, 1, 0.25), 1.5, id="negative-q1.5"),
+        # the profile changes sign inside the ball
+        pytest.param(Bubble(1, 0.25, 1.0, 0.05, offset=0.3), 3.3, id="interior-zero"),
+        pytest.param(Bubble(2, 0.8, -1.0, 1.0, offset=-0.9), 2.5, id="interior-zero-2d"),
+    ]
+
+
+@pytest.mark.parametrize("b, q", _oracle_cases())
+def test_lq_norm_ball_against_mpmath(b, q):
+    # one tolerance for every case, 1e-12 relative: the q = 100 case
+    # (1, 0.49) needs no looser one, as the rule integrates |f / max|f||^q,
+    # so the rounding of f enters the norm once, not q times
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = bubble_lq_norm(b, q)
+    ref = _mp_ball_norm(b, q)
+    assert abs(got - ref) <= 1e-12 * abs(ref), (got, ref)
+
+
+def test_lq_norm_ball_warns_when_the_doubling_stalls():
+    # at c = 2^20, f = (1 - r^2) d / (2 c^2) is about 1e-12 of the two
+    # terms it is the difference of, so its values keep about four digits
+    # and doubling the order cannot settle to 1e-13: the driver says so
+    # rather than returning its last value silently
+    b = truncated_bubble(1.0, 2.0**20, 1, 0.25)
+    with pytest.warns(RuntimeWarning, match=r"bubble_lq_norm: stopped at Gauss order 28"):
+        got = bubble_lq_norm(b, 4.0)
+    assert np.isfinite(got) and got > 0
 
 
 def test_lq_norm_amplitude_homogeneity():

@@ -955,6 +955,18 @@ def test_assemble_holds_one_dense_array():
     assert peak < 1.5 * 8 * n * n, peak / (8 * n * n)
 
 
+@pytest.mark.parametrize("dim, level, s", [(1, 6, 0.25), (2, 2, 0.5)])
+def test_assemble_keeps_the_free_block_and_one_discard_slot(dim, level, s):
+    # the terms scatter straight into the free block, and every pair that
+    # touches a boundary node into one slot past it: at 2D L2 the buffer
+    # holds f^2 + 1 = 28,562 floats, where the all-node array held n^2 = 47,089
+    mesh = build_mesh(dim, level)
+    A = assemble(mesh, s).matrix
+    f = mesh.free_count
+    assert A.shape == (f, f)
+    assert A.base.nbytes == 8 * (f * f + 1)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     n=st.integers(2, 12),

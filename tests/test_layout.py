@@ -1,8 +1,12 @@
 """Package layout: modules reach each other only through public names,
 keep no import, local variable or function they do not use, define no
-module-level name twice, and leave spatial search to the cluster tree."""
+module-level name twice, leave spatial search to the cluster tree, and
+load no scipy module a sweep does not use."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "fracsobolev"
@@ -200,3 +204,29 @@ def test_no_spatial_search_but_the_cluster_tree():
         f"{path.name}:{line}: {name}" for path in modules for line, name in _spatial_imports(path)
     ]
     assert offences == []
+
+
+_SWEEP_IMPORTS = """
+import sys
+import fracsobolev, fracsobolev.cli
+from fracsobolev import discrete_constant_sweep, upper_bound_sweep
+discrete_constant_sweep(1, 0.25, [2, 3, 4])
+upper_bound_sweep(2, 0.5, [0, 1, 2])
+print(" ".join(sorted(name for name in sys.modules if name.startswith("scipy."))))
+"""
+
+
+def test_sweeps_load_no_quadrature_or_optimization_module():
+    # the radial norm runs on the package's Gauss rule and fit_manifold
+    # imports scipy.optimize when called, so importing the package and
+    # the CLI and running both sweeps leave out scipy.integrate and
+    # scipy.optimize, about 19 MiB of a process, and scipy.spatial,
+    # which they pulled in
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _SWEEP_IMPORTS], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = {".".join(name.split(".")[:2]) for name in proc.stdout.split()}
+    assert "scipy.linalg" in loaded
+    assert sorted(loaded & {"scipy.integrate", "scipy.optimize", "scipy.spatial"}) == []

@@ -300,7 +300,7 @@ def test_residual_odd_homogeneity():
 
 def test_order_cap_warns_and_keeps_the_value(monkeypatch):
     # a one-signed profile converges at the default tolerances without a
-    # warning; with zero tolerances the doubling driver runs to _MAX_ORDER,
+    # warning; with zero tolerances the doubling driver runs to MAX_ORDER,
     # warns, and still returns the highest-order value
     mesh = build_mesh(2, 1)
     u = interpolate(mesh, truncated_bubble(1.0, 0.3, 2, 0.3))
