@@ -763,9 +763,9 @@ def assemble(mesh: BallMesh, s: float) -> NonlocalForm:
     is not; the audit then sets a_ij and a_ji to their mean wherever
     they differ, so the matrix is exactly symmetric (``_positivity_audit``).
     Either failure raises AssemblyError; no free node raises ValueError.
-    A level whose two n x n arrays, the form and the fallback's Cholesky
-    copy of it, exceed _DENSE_BYTES_CAP raises SizeLimitError before
-    allocating (``check_dense_size``).
+    A level whose two dense arrays, the form and the fallback's Cholesky
+    copy of it, counted as n x n each, exceed _DENSE_BYTES_CAP raises
+    SizeLimitError before allocating (``check_dense_size``).
     """
     check_order(mesh.dim, s)
     if not mesh.free_count:
