@@ -41,7 +41,7 @@ from .params import (
     optimal_concentration,
     rate_exponent,
 )
-from .solver import default_start, quadrature_slack, quotient, solve
+from .solver import check_tol, default_start, quadrature_slack, quotient, solve
 
 __all__ = [
     "RNG_NAME",
@@ -321,9 +321,13 @@ def discrete_constant_sweep(N: int, s: float, levels, tol: float = 1e-10) -> Swe
     at the new nodes by ``evaluate`` and passed through ``interpolate``.
     warm_deficit is the deficit of the level's ``default_start``, the
     bound each gap must not exceed; start_deficit is that of solve's
-    first iterate.  solve's rise guard is the descent check.
+    first iterate.  solve's rise guard is the descent check, and its
+    factorization decides that each level's form is positive definite:
+    a level whose form is not becomes an AssemblyError failure row.  A
+    tol that solve refuses is refused before any level is measured.
     """
     _check_problem(N, s)
+    check_tol(tol)
     S = exact_constant(N, s)
     below = None
 
@@ -591,6 +595,7 @@ def verify_covering(N: int, s: float, samples: int, seed: int = 0) -> dict:
 
 # ------------------------------------------------- minimizing-sequence audit
 
+# the finest proxy mesh, a cap on the cost of the matrix-free quotients
 _MAX_PROXY_LEVEL = {1: 12, 2: 4}
 
 
@@ -599,8 +604,9 @@ def verify_minimizing_sequence(N: int, s: float, eps_list) -> dict:
 
     One fixed mesh fine enough for the sharpest width (h <= min(eps)/4)
     serves as the evaluation proxy; the quotient decreases along the list
-    and the deficit scales like eps^(N-2s).  SizeLimitError when no mesh up
-    to _MAX_PROXY_LEVEL is that fine.
+    and the deficit scales like eps^(N-2s).  Each quotient reads the
+    seminorm through ``seminorm_sq_direct``, with no matrix to assemble.
+    SizeLimitError when no mesh up to _MAX_PROXY_LEVEL is that fine.
     """
     _check_problem(N, s)
     eps = [float(e) for e in eps_list]
@@ -623,13 +629,13 @@ def verify_minimizing_sequence(N: int, s: float, eps_list) -> dict:
             f"no affordable mesh reaches h <= {min(eps) / 4:.4g} for dim {N}"
         )
 
-    form = assemble(mesh, s)
+    q = critical_exponent(N, s)
     S = exact_constant(N, s)
     gaps = []
     for e in eps:
         lam = normalize_lambda(e, N, s)
         u = interpolate(mesh, truncated_bubble(lam, e, N, s))
-        gaps.append(quotient(form, u) - S)
+        gaps.append(seminorm_sq_direct(mesh, s, u) / lq_norm(u, q) ** 2 - S)
     ratios = [a / b for a, b in zip(gaps, gaps[1:])]
     return {
         "dim": N,
@@ -699,9 +705,10 @@ def verify_functional_inequalities(
     """Audit the three workhorse inequalities on concrete functions.
 
     (i) interpolation between L^2 and the gradient norm with exponent s,
-    checked on the given finite-element samples through the assembled
-    quadratic form; (ii) the per-element Poincare inequality with its
-    explicit constant, a hard bound; (iii) the cube inequality bounding
+    checked on the given finite-element samples through the seminorm
+    that ``seminorm_sq_direct`` sums, with no matrix to assemble; (ii)
+    the per-element Poincare inequality with its explicit constant, a
+    hard bound; (iii) the cube inequality bounding
     the gradient by the function and its second derivatives, fitted on
     smooth profiles since piecewise-linear functions have no integrable
     second derivative.  The seed is checked before any sample is read.
@@ -720,11 +727,9 @@ def verify_functional_inequalities(
         if not np.any(u.values):
             raise ValueError("samples must be nonzero")
 
-    form = assemble(mesh, s)
     gn = []
     for u in funcs:
-        w = u.free_values
-        lhs = np.sqrt(max(float(w @ form.apply(w)), 0.0) / (s * (1 - s)))
+        lhs = np.sqrt(max(seminorm_sq_direct(mesh, s, u), 0.0) / (s * (1 - s)))
         l2 = lq_norm(u, 2.0)
         gr = _broken_gradient_l2(u)
         gn.append(lhs / (l2 ** (1 - s) * gr**s))

@@ -60,11 +60,11 @@ counts its rows and expands it through ``_pair_terms``, which
 evaluates the kernel from g . X, the rule's point gaps in the rows.
 ``assemble`` scatters each term's block sum_q wK g_q g_q^T into an
 all-node array, whose free block, compacted in place to the front of
-the same buffer, is the matrix, then audits it: symmetric, and positive
-definite by a Gershgorin certificate where the form is diagonally
-dominant, as the 1D forms at s = 0.25 are, or else by a Cholesky
-factorization, so a dominant form is factored once, by the solver, in
-place; the audit leaves the matrix exactly symmetric.  Every product
+the same buffer, is the matrix, then audits its symmetry and leaves it
+exactly symmetric.  Whether it is positive definite is decided once, by
+the Cholesky factorization the solver makes in place, which succeeds
+exactly when it is (Golub & Van Loan, *Matrix Computations*, 2013,
+section 4.2).  Every product
 with it is ``NonlocalForm.apply``, a BLAS symv that reads the upper
 triangle and the diagonal alone, the part the solver's factor never
 overwrites; ``seminorm_sq_direct`` sums the terms at the points and
@@ -183,10 +183,7 @@ class AssemblyReport:
     count, one complement rule per element; budget_exceeded is always 0,
     kept because perfbench reads it by name until its capped-cells
     metric goes (ROADMAP item 9). phase_seconds["audit"] times the
-    symmetry and positivity audit, the fallback factorization included
-    when it runs; dominance_margin is the audit's least relative
-    Gershgorin margin, not positive exactly where that factorization
-    decided.
+    symmetry audit.
     """
 
     pair_counts: dict
@@ -195,7 +192,6 @@ class AssemblyReport:
     complement_points: int
     budget_exceeded: int
     phase_seconds: dict
-    dominance_margin: float
 
 
 @dataclass(frozen=True)
@@ -203,9 +199,10 @@ class NonlocalForm:
     """Assembled form on the free (interior) nodes.
 
     matrix is assemble's free block, C-contiguous and exactly symmetric.
-    ``solver.solve`` factors it in place, in the lower triangle, and
-    restores it before it returns or raises; apply reads the other
-    triangle, so it stays valid throughout.
+    ``solver.solve`` factors it in place, in the lower triangle, which
+    decides that it is positive definite, and restores it before it
+    returns or raises; apply reads the other triangle, so it stays valid
+    throughout.
     """
 
     mesh: BallMesh
@@ -734,16 +731,16 @@ def _check_finite(category, values):
 
 
 def check_dense_size(n_nodes: int) -> None:
-    """SizeLimitError when a form on n_nodes nodes and one Cholesky copy, 2 n^2 8 bytes, exceed _DENSE_BYTES_CAP.
+    """SizeLimitError when a form on n_nodes nodes, n^2 8 bytes, exceeds _DENSE_BYTES_CAP.
 
-    The copy is the positivity audit's fallback factor, taken for a
-    form that is not diagonally dominant; the solver factors in place.
+    The form is the one n x n array of a level: the solver factors it
+    in place.
     """
-    need = 2 * n_nodes * n_nodes * 8
+    need = n_nodes * n_nodes * 8
     if need > _DENSE_BYTES_CAP:
         raise SizeLimitError(
             f"dense assembly needs about {need / 1e9:.1f} GB for {n_nodes} nodes, "
-            "the form and one Cholesky copy; reduce the refinement level"
+            "the form; reduce the refinement level"
         )
 
 
@@ -757,15 +754,14 @@ def assemble(mesh: BallMesh, s: float) -> NonlocalForm:
     rows before its cross block is formed, so each free entry takes the
     same additions, in the same order, as in an all-node n x n scatter.
     It is audited before it is
-    returned: it must be symmetric to 1e-12 of its largest entry and
-    positive definite, which a Gershgorin certificate proves where the
-    form is diagonally dominant and np.linalg.cholesky decides where it
-    is not; the audit then sets a_ij and a_ji to their mean wherever
-    they differ, so the matrix is exactly symmetric (``_positivity_audit``).
-    Either failure raises AssemblyError; no free node raises ValueError.
-    A level whose two dense arrays, the form and the fallback's Cholesky
-    copy of it, counted as n x n each, exceed _DENSE_BYTES_CAP raises
-    SizeLimitError before allocating (``check_dense_size``).
+    returned: it must be symmetric to 1e-12 of its largest entry, or
+    AssemblyError is raised, and the audit then sets a_ij and a_ji to
+    their mean wherever they differ, so the matrix is exactly symmetric
+    (``_symmetry_audit``).  Positivity is not decided here: ``solve``'s
+    factorization raises AssemblyError on a form that is not positive
+    definite.  No free node raises ValueError.  A level whose form,
+    counted as n x n, exceeds _DENSE_BYTES_CAP raises SizeLimitError
+    before allocating (``check_dense_size``).
     """
     check_order(mesh.dim, s)
     if not mesh.free_count:
@@ -847,67 +843,40 @@ def assemble(mesh: BallMesh, s: float) -> NonlocalForm:
     matrix *= s * (1 - s)
 
     t0 = time.perf_counter()
-    margin = _positivity_audit(matrix)
+    _symmetry_audit(matrix)
     work["phase_seconds"]["audit"] = time.perf_counter() - t0
     work["phase_seconds"]["total"] = time.perf_counter() - t_total
-    report = AssemblyReport(budget_exceeded=0, dominance_margin=margin, **work)
+    report = AssemblyReport(budget_exceeded=0, **work)
     return NonlocalForm(mesh=mesh, s=s, matrix=matrix, assembly_report=report)
 
 
-def _positivity_audit(matrix):
-    """Least relative Gershgorin margin; AssemblyError unless matrix is symmetric positive definite.
+def _symmetry_audit(matrix):
+    """AssemblyError unless matrix is symmetric to 1e-12 of max |a_ij|; then makes it exactly symmetric.
 
-    Once that is decided, a_ij and a_ji are set to their mean wherever
-    the skew is not zero, by one more tile pass, so the matrix the form
-    keeps is exactly symmetric: ``solver.solve`` factors one triangle in
-    place and restores it from the other.
-
-    One pass over 128-row blocks finds the scale max |a_ij| and each
-    row's absolute sum r_i from the contiguous rows, and the skew
-    max |a_ij - a_ji| from the square tiles A[I, J] - A[J, I]^T with
-    J >= I, so each entry is read once for it; no n x n temporary is
-    formed beside the matrix.  Every
-    symmetric matrix within skew of the stored one, the mean included,
-    has row i's Gershgorin margin at
-    least 2 a_ii - r_i - (n-1) skew, and the computed r_i lies within
-    n eps r_i of the exact sum, so a positive margin net of both
-    allowances certifies the form positive definite with no factor
-    (Varga, *Gersgorin and His Circles*, 2004).  The 1D forms at
-    s = 0.25 are strictly diagonally dominant through level 12 (least
-    margin 0.0177).  Where the margin is not positive, as at 2D level 3
-    and at small s, np.linalg.cholesky decides.  The margin returned is
-    row i's allowance-net margin over a_ii, least over the rows, -inf
-    where a_ii <= 0.
+    One pass over 128-row blocks finds the scale max |a_ij| from the
+    contiguous rows and the skew max |a_ij - a_ji| from the square tiles
+    A[I, J] - A[J, I]^T with J >= I, so no n x n temporary is formed
+    beside the matrix.  Where the skew is not zero, one more tile pass
+    sets a_ij and a_ji to their mean, so the matrix the form keeps is
+    exactly symmetric: ``solver.solve`` factors one triangle in place
+    and restores it from the other.
     """
     n = len(matrix)
-    rows = np.empty(n)
     skew = scale = 0.0
     b = _TILE
     for i in range(0, n, b):
-        block = np.abs(matrix[i : i + b])
-        scale = max(scale, float(np.max(block)))
-        rows[i : i + b] = block.sum(axis=1)
+        scale = max(scale, float(np.max(np.abs(matrix[i : i + b]))))
         for j in range(i, n, b):
             gap = matrix[i : i + b, j : j + b] - matrix[j : j + b, i : i + b].T
             skew = max(skew, float(np.max(np.abs(gap, out=gap))))
     if skew > 1e-12 * (scale or 1.0):
         raise AssemblyError(f"assembled matrix asymmetry {skew:.2e} exceeds tolerance")
-    diag = np.diagonal(matrix)
-    net = 2.0 * diag - rows - ((n - 1) * skew + n * np.finfo(float).eps * rows)
-    margin = float(np.min(np.divide(net, diag, out=np.full(n, -np.inf), where=diag > 0)))
-    # not margin > 0 also sends a NaN margin to the factorization
-    if not margin > 0:
-        try:
-            np.linalg.cholesky(matrix)
-        except np.linalg.LinAlgError as exc:
-            raise AssemblyError("assembled matrix is not positive definite") from exc
     if skew:
         for i in range(0, n, b):
             for j in range(i, n, b):
                 mean = 0.5 * (matrix[i : i + b, j : j + b] + matrix[j : j + b, i : i + b].T)
                 matrix[i : i + b, j : j + b] = mean
                 matrix[j : j + b, i : i + b] = mean.T
-    return margin
 
 
 def seminorm_sq(form: NonlocalForm, u: FeFunction) -> float:

@@ -13,7 +13,9 @@ search, second factorization or second product with A per step is
 needed.  The factor overwrites the lower triangle of the form's own
 matrix, whose upper triangle still gives A w (``NonlocalForm.apply``),
 so a solve holds one n x n array (Golub & Van Loan, *Matrix
-Computations*, 4th ed., section 4.2).
+Computations*, 4th ed., section 4.2).  That factorization succeeds
+exactly when the form is positive definite, so it is the one place the
+package decides it: ``assemble`` audits symmetry alone.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from scipy.linalg import cho_factor, cho_solve
 
 from .bubble import normalize_lambda, truncated_bubble
 from .gagliardo import (
+    AssemblyError,
     NonlocalForm,
     audit_band,
     seminorm_sq,
@@ -39,6 +42,7 @@ from .params import critical_exponent, exact_constant, optimal_concentration
 
 __all__ = [
     "SolverReport",
+    "check_tol",
     "default_start",
     "deficit",
     "quadrature_slack",
@@ -141,6 +145,12 @@ def _mixed(plain):
     return G[-1] - gamma @ dG, AG[-1] - gamma @ AdG[1:]
 
 
+def check_tol(tol) -> None:
+    """ValueError unless tol, solve's residual tolerance, is a finite number >= 0."""
+    if not 0.0 <= tol < np.inf:
+        raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
+
+
 @contextmanager
 def _factored(A):
     """Factor A in place in its lower triangle; yields b -> A^-1 b, and restores A on exit.
@@ -153,17 +163,16 @@ def _factored(A):
     are intact for ``NonlocalForm.apply``.  On exit, normal or by any
     exception, A's upper triangle is copied back over the lower, tile by
     tile, and its diagonal put back: for the exactly symmetric matrix
-    that ``assemble`` returns, A is then bitwise as it was.
+    that ``assemble`` returns, A is then bitwise as it was.  The
+    factorization succeeds exactly when A is positive definite; where it
+    fails, AssemblyError is raised.
     """
     diag = np.diagonal(A).copy()
     try:
         try:
             factor = cho_factor(A.T, lower=False, overwrite_a=True, check_finite=False)
         except np.linalg.LinAlgError as exc:
-            raise RuntimeError(
-                "linear solve failed on a matrix that passed the positivity audit; "
-                "the assembled form is corrupted"
-            ) from exc
+            raise AssemblyError("assembled matrix is not positive definite") from exc
         c = factor[0]
         root = np.diagonal(c).copy()
         np.fill_diagonal(c, diag)
@@ -250,7 +259,9 @@ def solve(
     The factor overwrites form.matrix's lower triangle in place, and
     every product reads the upper one (``_factored``), so the solve
     holds no second n x n array; form.matrix is bitwise as assembled
-    when solve returns or raises.
+    when solve returns or raises.  The factorization decides that the
+    form is positive definite, and a form that is not raises
+    AssemblyError before any step.
 
     quotient_history records each accepted quotient that does not exceed
     the last one recorded, so it is non-increasing bitwise and ends at
@@ -258,8 +269,7 @@ def solve(
     _RISE_TOL breaks the descent bound and raises RuntimeError.  The
     slack fields are ``quadrature_slack``'s on the minimizer.
     """
-    if not 0.0 <= tol < np.inf:
-        raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
+    check_tol(tol)
     mesh = form.mesh
     q = critical_exponent(mesh.dim, form.s)
     if init is None:

@@ -188,9 +188,9 @@ def test_sweep_starts_each_level_from_the_prolonged_minimizer(monkeypatch, N, s,
 
 
 def test_sweep_records_a_refused_level_as_one_failure():
-    # level 13 has 16,385 nodes; the dense form and its factor would need
-    # about 4.3 GB, so assemble refuses it before allocating and the sweep
-    # fits the rest
+    # level 13 has 16,385 nodes; the dense form, factored in place, would
+    # need about 2.15 GB, so assemble refuses it before allocating and the
+    # sweep fits the rest
     res = discrete_constant_sweep(1, 0.25, [4, 5, 6, 13])
     assert [r.level for r in res.records] == [4, 5, 6]
     assert len(res.failures) == 1
@@ -227,14 +227,41 @@ def test_sweep_left_too_few_levels_by_the_caps_measures_none(monkeypatch, sweep,
 
 
 def test_sweep_lets_a_linalg_error_propagate(monkeypatch):
-    # no level raises LinAlgError by design: the positivity audit and solve
-    # turn their factorization failures into AssemblyError and RuntimeError
+    # no level raises LinAlgError by design: solve turns its factorization's
+    # failure into AssemblyError, which names the form as not positive definite
     def broken(*args, **kwargs):
         raise np.linalg.LinAlgError("not a level failure")
 
     monkeypatch.setattr(experiments, "solve", broken)
     with pytest.raises(np.linalg.LinAlgError, match="not a level failure"):
         discrete_constant_sweep(1, 0.25, [4, 5, 6])
+
+
+def test_sweep_records_an_indefinite_level_as_an_assembly_failure(monkeypatch):
+    # a negated form is symmetric, so assemble returns it; solve's
+    # factorization refuses it, and the sweep fits the other levels
+    real = experiments.assemble
+
+    def negated_at_level_5(mesh, s):
+        form = real(mesh, s)
+        if mesh.free_count == 63:
+            np.negative(form.matrix, out=form.matrix)
+        return form
+
+    monkeypatch.setattr(experiments, "assemble", negated_at_level_5)
+    res = discrete_constant_sweep(1, 0.25, [4, 5, 6, 7])
+    assert [r.level for r in res.records] == [4, 6, 7]
+    assert res.failures == [(5, "AssemblyError: assembled matrix is not positive definite")]
+
+
+@pytest.mark.parametrize("tol", [np.nan, -1.0, np.inf])
+def test_sweep_refuses_a_bad_tol_before_any_level(monkeypatch, tol):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a level was assembled")
+
+    monkeypatch.setattr(experiments, "assemble", refuse)
+    with pytest.raises(ValueError, match=re.escape(f"tol must be a finite number >= 0, got {tol!r}")):
+        discrete_constant_sweep(1, 0.25, [4, 5, 6], tol=tol)
 
 
 def test_sweep_raises_on_a_programming_error(monkeypatch):

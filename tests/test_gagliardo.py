@@ -19,14 +19,13 @@ from unittest.mock import patch
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss
 from scipy import integrate
 from scipy.spatial.distance import cdist
 from scipy.special import ellipe
 
 from fracsobolev import gagliardo, reference_rule
+from fracsobolev import solver as solver_module
 from fracsobolev import mesh as mesh_module
 from fracsobolev.bubble import truncated_bubble
 from fracsobolev.gagliardo import (
@@ -543,8 +542,7 @@ def test_work_counts_follow_the_term_stream(dim, level, s, boost):
         if category == "complement":
             cells += len(wK)
         evals[category] = evals.get(category, 0) + wK.size
-    # a bare term stream runs no positivity audit, so it has no margin
-    report = AssemblyReport(budget_exceeded=0, dominance_margin=float("nan"), **work)
+    report = AssemblyReport(budget_exceeded=0, **work)
     if boost == 0:
         assembled = assemble(mesh, s).assembly_report
         for field in ("pair_counts", "kernel_evals", "complement_cells", "complement_points"):
@@ -868,17 +866,16 @@ def test_assemble_rejects_a_mesh_with_no_free_node(make_mesh, monkeypatch):
         assemble(mesh, 0.25)
 
 
-def test_dense_cap_counts_two_arrays(monkeypatch):
-    # the cap counts the form and one Cholesky copy of it, the positivity
-    # audit's fallback factor, 16 n^2 bytes; the refusal comes before any
-    # quadrature
+def test_dense_cap_counts_one_array(monkeypatch):
+    # the cap counts the form alone, 8 n^2 bytes, since the solver factors
+    # it in place; the refusal comes before any quadrature
     mesh = build_mesh(1, 4)
     n = mesh.n_nodes
-    monkeypatch.setattr(gagliardo, "_DENSE_BYTES_CAP", 16 * n * n)
+    monkeypatch.setattr(gagliardo, "_DENSE_BYTES_CAP", 8 * n * n)
     assert assemble(mesh, 0.25).matrix.shape == (mesh.free_count,) * 2
-    monkeypatch.setattr(gagliardo, "_DENSE_BYTES_CAP", 16 * n * n - 1)
+    monkeypatch.setattr(gagliardo, "_DENSE_BYTES_CAP", 8 * n * n - 1)
     monkeypatch.setattr(gagliardo, "_terms", None)
-    with pytest.raises(SizeLimitError, match=f"for {n} nodes, the form and one Cholesky copy"):
+    with pytest.raises(SizeLimitError, match=f"for {n} nodes, the form;"):
         assemble(mesh, 0.25)
 
 
@@ -898,35 +895,30 @@ def test_assemble_rejects_an_asymmetric_matrix(monkeypatch, dim, level, s):
 
 @pytest.mark.parametrize("dim, level, s", [(1, 3, 0.25), (2, 1, 0.5)])
 def test_assemble_rejects_an_indefinite_matrix(monkeypatch, dim, level, s):
-    # negated blocks keep the matrix symmetric, so the positivity audit fires
+    # negated blocks keep the matrix symmetric, so assemble returns it, and
+    # the solver's factorization, the one positivity decision, rejects it
     monkeypatch.setattr(gagliardo, "_term_block", lambda g, wK: -_term_block(g, wK))
+    form = assemble(build_mesh(dim, level), s)
+    before = form.matrix.copy()
     with pytest.raises(AssemblyError, match="not positive definite"):
-        assemble(build_mesh(dim, level), s)
+        solve(form)
+    assert np.array_equal(form.matrix, before)
 
 
-@pytest.mark.parametrize("dim, level, s", [(1, 8, 0.25), (2, 1, 0.5)])
-def test_dominant_forms_are_certified_without_a_factor(monkeypatch, dim, level, s):
-    # these forms are strictly diagonally dominant, so the Gershgorin
-    # certificate decides and the one factorization is the solver's
-    def refuse(matrix):
-        raise AssertionError("the positivity audit factored a dominant form")
-
-    monkeypatch.setattr(np.linalg, "cholesky", refuse)
-    report = assemble(build_mesh(dim, level), s).assembly_report
-    assert report.dominance_margin > 0
-    assert report.phase_seconds["audit"] >= 0
-
-
-def test_forms_that_are_not_dominant_fall_back_to_cholesky():
-    # 2D level 2 at s = 0.25 is positive definite but not diagonally
-    # dominant: the factorization decides, once, and the solver converges
-    with patch.object(np.linalg, "cholesky", wraps=np.linalg.cholesky) as cholesky:
-        form = assemble(build_mesh(2, 2), 0.25)
-    cholesky.assert_called_once()
+@pytest.mark.parametrize("dim, level, s", [(2, 2, 0.25), (1, 8, 0.1)])
+def test_the_solver_factorization_is_the_one_positivity_decision(dim, level, s):
+    # these forms are not diagonally dominant; assemble audits symmetry
+    # alone, and the level is factored once, in place, by the solver
+    factor = solver_module.cho_factor
+    with patch.object(np.linalg, "cholesky", wraps=np.linalg.cholesky) as cholesky, patch.object(
+        solver_module, "cho_factor", wraps=factor
+    ) as cho_factor:
+        form = assemble(build_mesh(dim, level), s)
+        assert solve(form).converged
+    assert cholesky.call_count == 0
+    assert cho_factor.call_count == 1
     report = form.assembly_report
-    assert report.dominance_margin < 0
-    assert report.phase_seconds["audit"] <= report.phase_seconds["total"]
-    assert solve(form).converged
+    assert 0 <= report.phase_seconds["audit"] <= report.phase_seconds["total"]
 
 
 @pytest.mark.parametrize("dim, level, s", [(1, 8, 0.25), (2, 2, 0.5), (2, 3, 0.5)])
@@ -941,18 +933,20 @@ def test_assembled_matrix_is_exactly_symmetric(dim, level, s):
 
 def test_assemble_holds_one_dense_array():
     # the matrix is the free block of the array the terms were scattered
-    # into, so a dominant form peaks near one n x n array; a copy of the
-    # free block beside the scatter array reads 2.0 arrays
+    # into, so a form peaks near one n x n array whether or not it is
+    # diagonally dominant, as it is not at s = 0.1; a copy of the free
+    # block beside the scatter array, or a factor of it, reads 2.0 arrays
     mesh = build_mesh(1, 10)
-    assemble(mesh, 0.25)  # warms the mesh's pair, tree and partition caches
-    tracemalloc.start()
-    try:
-        assemble(mesh, 0.25)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
     n = mesh.n_nodes
-    assert peak < 1.5 * 8 * n * n, peak / (8 * n * n)
+    for s in (0.25, 0.1):
+        assemble(mesh, s)  # warms the mesh's pair, tree and partition caches
+        tracemalloc.start()
+        try:
+            assemble(mesh, s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 8 * n * n, (s, peak / (8 * n * n))
 
 
 @pytest.mark.parametrize("dim, level, s", [(1, 6, 0.25), (2, 2, 0.5)])
@@ -965,39 +959,6 @@ def test_assemble_keeps_the_free_block_and_one_discard_slot(dim, level, s):
     f = mesh.free_count
     assert A.shape == (f, f)
     assert A.base.nbytes == 8 * (f * f + 1)
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    n=st.integers(2, 12),
-    seed=st.integers(0, 2**32 - 1),
-    dominance=st.floats(0.01, 1.0),
-    skew=st.floats(1e-14, 4e-13),
-    row=st.integers(0, 11),
-)
-def test_gershgorin_certificate_boundary(n, seed, dominance, skew, row):
-    rng = np.random.default_rng(seed)
-    off = -rng.uniform(0.1, 1.0, (n, n))
-    A = np.triu(off, 1) + np.triu(off, 1).T
-    np.fill_diagonal(A, np.abs(A).sum(axis=1) * (1 + dominance))
-    # hypothesis runs the body once per example, so the counting wrapper
-    # is a context manager rather than the function-scoped monkeypatch
-    with patch.object(np.linalg, "cholesky", wraps=np.linalg.cholesky) as cholesky:
-        # symmetric and dominant: certified with no factor
-        assert gagliardo._positivity_audit(A) > 0
-        assert cholesky.call_count == 0
-        # an asymmetry of skew times the largest entry, within the 1e-12
-        # tolerance after row k shrinks, in the lower triangle, where it
-        # shrinks |a_10|: the certificate must cover every symmetric
-        # matrix within skew, so a row whose margin lies below (n - 1) skew
-        # goes to the factorization, which decides it
-        skew *= np.max(np.abs(A))
-        A[1, 0] += skew
-        k = row % n
-        A[k, k] = 0.0
-        A[k, k] = np.abs(A[k]).sum() + 0.5 * (n - 1) * skew
-        assert gagliardo._positivity_audit(A) < 0
-        assert cholesky.call_count == 1
 
 
 @pytest.mark.parametrize(

@@ -382,7 +382,7 @@ def test_solve_restores_the_matrix_when_the_factorization_fails(monkeypatch):
         raise np.linalg.LinAlgError("leading minor not positive definite")
 
     monkeypatch.setattr(solver_module, "cho_factor", failing)
-    with pytest.raises(RuntimeError, match="linear solve failed"):
+    with pytest.raises(RuntimeError, match="assembled matrix is not positive definite"):
         solve(form)
     assert not np.shares_memory(before, form.matrix)
     assert np.array_equal(form.matrix, before)
