@@ -905,10 +905,11 @@ def test_assemble_rejects_an_indefinite_matrix(monkeypatch, dim, level, s):
     assert np.array_equal(form.matrix, before)
 
 
-@pytest.mark.parametrize("dim, level, s", [(2, 2, 0.25), (1, 8, 0.1)])
+@pytest.mark.parametrize("dim, level, s", [(2, 1, 0.5), (2, 2, 0.25), (1, 8, 0.1)])
 def test_the_solver_factorization_is_the_one_positivity_decision(dim, level, s):
-    # these forms are not diagonally dominant; assemble audits symmetry
-    # alone, and the level is factored once, in place, by the solver
+    # 2D L1 at s = 0.5 is diagonally dominant, the others are not; either
+    # way assemble audits symmetry alone, and the level is factored once,
+    # in place, by the solver
     factor = solver_module.cho_factor
     with patch.object(np.linalg, "cholesky", wraps=np.linalg.cholesky) as cholesky, patch.object(
         solver_module, "cho_factor", wraps=factor
